@@ -47,6 +47,7 @@ from .sampler import (
 from .fit import (
     ErgmFit,
     McmleControls,
+    MpleNotConvergedError,
     NonFiniteMleError,
     SamplesDegenerateError,
     between_density_mle,

@@ -585,7 +585,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gof.add_argument("--graph", required=True)
     p_gof.add_argument("--fit", required=True, help="fit JSON from fit/cluster")
     p_gof.add_argument("--nsim", type=int, required=True)
-    p_gof.add_argument("--burnin", type=int, default=500, help="sim burn-in sweeps")
+    p_gof.add_argument(
+        "--burnin",
+        type=int,
+        default=500,
+        help="burn-in sweeps, run once per cluster chain; draws are then "
+        f"taken every {SamplerControls().thin_sweeps} sweeps of that chain",
+    )
     p_gof.add_argument("--out", required=True, help="envelope CSV")
     p_gof.add_argument("--svg", help="envelope plot")
     p_gof.set_defaults(func=_cmd_gof)

@@ -31,6 +31,7 @@ __all__ = [
     "ErgmFit",
     "FitDiagnostics",
     "McmleControls",
+    "MpleNotConvergedError",
     "NonFiniteMleError",
     "SamplesDegenerateError",
     "mple",
@@ -55,6 +56,10 @@ class NonFiniteMleError(RuntimeError):
 
 class SamplesDegenerateError(RuntimeError):
     """Importance weights carry no information about the observed graph."""
+
+
+class MpleNotConvergedError(RuntimeError):
+    """MPLE Newton iteration did not reach its gradient tolerance."""
 
 
 @dataclass
@@ -105,7 +110,13 @@ def mple(
 
     Raises ``NonFiniteMleError`` on perfect separation (including the
     empty/complete graph with an edges term), reporting the divergence
-    direction.
+    direction, and ``MpleNotConvergedError`` when Newton iteration stops at
+    ``max_iter``.
+
+    The standard errors are the inverse of the pseudo-likelihood Hessian.
+    They treat dyads as independent, so they are not the standard errors of
+    the MLE (the inverse covariance of the statistics under the model) and
+    can badly understate the uncertainty when the model has dependence terms.
     """
     if g.n < 2:
         raise ValueError("pseudo-likelihood needs at least one dyad")
@@ -141,7 +152,7 @@ def mple(
                 direction,
             )
     else:
-        raise RuntimeError(
+        raise MpleNotConvergedError(
             f"MPLE Newton did not reach gradient norm {grad_tol} in {max_iter} "
             f"iterations (last norm {float(np.linalg.norm(grad)):.3g})"
         )

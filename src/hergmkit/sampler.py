@@ -28,6 +28,7 @@ __all__ = [
     "HergmSpec",
     "ExactDistribution",
     "gibbs_sample",
+    "bernoulli_graph",
     "simulate_hergm",
     "exact_distribution",
     "dyad_order",
@@ -88,29 +89,23 @@ def _init_density(spec: StatisticSpec, theta) -> float:
     return _expit(theta[idx]) if idx is not None else 0.5
 
 
-def _seed_graph(n: int, density: float, rng: np.random.Generator) -> Graph:
+def bernoulli_graph(n: int, p, rng: np.random.Generator) -> Graph:
+    """Graph on n nodes with independent Bernoulli ties.
+
+    ``p`` is one tie probability for every dyad, or an array of C(n, 2)
+    per-dyad probabilities in ``dyad_order``.  Draws ``rng.random(C(n, 2))``
+    once; dyad b is present iff ``u[b] < p[b]``.
+    """
+    iu, ju = np.triu_indices(n, 1)
+    hit = rng.random(iu.size) < p
+    a = np.zeros((n, n), dtype=bool)
+    a[iu[hit], ju[hit]] = True
+    a |= a.T
     g = Graph(n)
-    dyads = dyad_order(n)
-    u = rng.random(len(dyads))
-    for b, (i, j) in enumerate(dyads):
-        if u[b] < density:
-            g.add_edge(i, j)
+    g._adj = [int.from_bytes(row.tobytes(), "little")
+              for row in np.packbits(a, axis=1, bitorder="little")]
+    g._n_edges = int(hit.sum())
     return g
-
-
-def _run_sweeps(g, dyads, engine, theta, n_sweeps, rng):
-    """Advance the chain n_sweeps systematic sweeps in place."""
-    compute = engine.compute
-    for _ in range(n_sweeps):
-        u = rng.random(len(dyads))
-        for b, (i, j) in enumerate(dyads):
-            c = compute(g, i, j)
-            logit = 0.0
-            for t, cv in zip(theta, c):
-                logit += t * cv
-            present = u[b] < _expit(logit)
-            if present != g.has_edge(i, j):
-                g.toggle_edge(i, j)
 
 
 def gibbs_sample(
@@ -131,16 +126,15 @@ def gibbs_sample(
     if rng is None:
         rng = np.random.default_rng(controls.seed)
     engine = ChangeStatEngine(spec, n)
-    dyads = dyad_order(n)
-    g = _seed_graph(n, _init_density(spec, theta), rng)
-    _run_sweeps(g, dyads, engine, theta, controls.burnin_sweeps, rng)
+    g = bernoulli_graph(n, _init_density(spec, theta), rng)
+    engine.sweep(g, theta, controls.burnin_sweeps, rng)
 
-    n_dyads = max(len(dyads), 1)
+    n_dyads = max(n * (n - 1) // 2, 1)
     graphs: list[Graph] = []
     rows = np.empty((controls.n_samples, len(spec)), dtype=np.float64)
     trace = np.empty(controls.n_samples, dtype=np.float64)
     for s in range(controls.n_samples):
-        _run_sweeps(g, dyads, engine, theta, controls.thin_sweeps, rng)
+        engine.sweep(g, theta, controls.thin_sweeps, rng)
         graphs.append(g.copy())
         rows[s] = stat_vector(g, spec)
         trace[s] = g.n_edges / n_dyads

@@ -8,12 +8,14 @@ of every statistic vector and parameter vector in the package.
 The change statistic of a dyad is the difference in the statistic vector
 between the graph with that edge present and absent, evaluated without
 recomputing global statistics.  ``ChangeStatEngine`` precomputes per-spec
-lookup tables (binomials, geometric weights) so samplers can evaluate
-millions of dyad updates cheaply.
+lookup tables (binomials, geometric weights); its ``compute`` evaluates one
+dyad and its ``sweep`` runs whole Gibbs sweeps with the same arithmetic
+inline, for the millions of dyad updates a sampler makes.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass
@@ -306,6 +308,109 @@ class ChangeStatEngine:
                     rest ^= low
                 out.append(delta)
         return out
+
+    def sweep(self, g: Graph, theta, n_sweeps: int, rng: np.random.Generator):
+        """Run ``n_sweeps`` systematic Gibbs sweeps over g's dyads in place.
+
+        Each sweep draws ``rng.random(C(n, 2))`` and visits the dyads in
+        canonical order (0,1), (0,2), ..., setting dyad b present iff
+        ``u[b] < expit(theta . compute(g, i, j))``.  The change statistics,
+        the logit and the logistic are computed inline with the same
+        floating-point operations, in the same order, as ``compute`` followed
+        by a left-to-right dot product, so chains match the per-dyad path bit
+        for bit.
+        """
+        n = self.n
+        if g.n != n:
+            raise ValueError(f"engine built for n={n}, graph has n={g.n}")
+        adj = g._adj
+        # ascending neighbour lists, kept in step with adj; a list walks
+        # faster than the set bits of a mask, in the same order
+        nbrs = [list(g.neighbors(v)) for v in range(n)]
+        n_edges = g._n_edges
+        tanh = math.tanh
+        insort = bisect.insort
+        terms = []  # (kind, theta_k, table) in spec order
+        for t, table, th in zip(self.spec.terms, self._tables, theta):
+            if t.kind == "gwdsp":
+                table = table[1]  # only the increments dw
+            elif t.kind == "degree":
+                table = t.param
+            terms.append((t.kind, float(th), table))
+        n_dyads = n * (n - 1) // 2
+        for _ in range(n_sweeps):
+            u = rng.random(n_dyads).tolist()
+            b = 0
+            for i in range(n - 1):
+                bit_i = 1 << i
+                for j in range(i + 1, n):
+                    bit_j = 1 << j
+                    ai = adj[i]
+                    # adjacency with the focal edge forced absent
+                    mi = ai & ~bit_j
+                    mj = adj[j] & ~bit_i
+                    common = mi & mj
+                    logit = 0.0
+                    for kind, th, table in terms:
+                        if kind == "gwdsp":
+                            delta = 0.0
+                            for v in nbrs[j]:
+                                if v != i:
+                                    delta += table[(mi & adj[v]).bit_count()]
+                            for v in nbrs[i]:
+                                if v != j:
+                                    delta += table[(mj & adj[v]).bit_count()]
+                            logit += th * delta
+                        elif kind == "gwesp":
+                            w, dw = table
+                            delta = w[common.bit_count()]
+                            rest = common
+                            while rest:
+                                low = rest & -rest
+                                mv = adj[low.bit_length() - 1]
+                                rest ^= low
+                                delta += (dw[(mi & mv).bit_count()]
+                                          + dw[(mj & mv).bit_count()])
+                            logit += th * delta
+                        elif kind == "edges":
+                            logit += th * 1.0
+                        elif kind == "triangles":
+                            logit += th * float(common.bit_count())
+                        elif kind == "kstar":
+                            stars = table[mi.bit_count()] + table[mj.bit_count()]
+                            logit += th * float(stars)
+                        else:  # degree(k)
+                            di, dj = mi.bit_count(), mj.bit_count()
+                            delta = ((di + 1 == table) - (di == table)
+                                     + (dj + 1 == table) - (dj == table))
+                            logit += th * float(delta)
+                    if u[b] < 0.5 * (1.0 + tanh(0.5 * logit)):
+                        if not ai & bit_j:
+                            adj[i] = ai | bit_j
+                            adj[j] |= bit_i
+                            insort(nbrs[i], j)
+                            insort(nbrs[j], i)
+                            n_edges += 1
+                    elif ai & bit_j:
+                        adj[i] = mi
+                        adj[j] = mj
+                        nbrs[i].remove(j)
+                        nbrs[j].remove(i)
+                        n_edges -= 1
+                    b += 1
+        g._n_edges = n_edges
+        if n_sweeps and n > 1:
+            # compute() is the reference for the arithmetic above.  Recheck
+            # the last dyad: its own update is the only change since its
+            # logit was taken, and compute() masks the focal dyad out.
+            expected = 0.0
+            for th, c in zip(theta, self.compute(g, n - 2, n - 1)):
+                expected += th * c
+            if expected != logit:
+                raise RuntimeError(
+                    f"fused sweep logit {logit!r} differs from compute()'s "
+                    f"{expected!r} on dyad ({n - 2}, {n - 1})"
+                )
 
 
 def change_statistics(g: Graph, d: tuple[int, int], spec: StatisticSpec) -> np.ndarray:

@@ -10,7 +10,7 @@ observed graph against simulation envelopes from the fitted model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -20,6 +20,7 @@ from scipy.sparse.csgraph import shortest_path
 from .fit import (
     ErgmFit,
     McmleControls,
+    MpleNotConvergedError,
     NonFiniteMleError,
     SamplesDegenerateError,
     between_density_mle,
@@ -38,7 +39,7 @@ from .lsm import (
     map_membership,
 )
 from .rng import child_rng, child_seed
-from .sampler import SamplerControls, dyad_order, gibbs_sample
+from .sampler import SamplerControls, bernoulli_graph, gibbs_sample
 from .spectral import ScoreControls, score_cluster
 from .stats import StatisticSpec, esp_histogram, stat_vector
 
@@ -112,19 +113,8 @@ def _fit_cluster(sub: Graph, spec: StatisticSpec, method: str,
     try:
         if method == "mple":
             return mple(sub, spec), None
-        base = mcmle_controls
-        controls = McmleControls(
-            n_samples=base.n_samples,
-            max_samples=base.max_samples,
-            burnin_sweeps=base.burnin_sweeps,
-            thin_sweeps=base.thin_sweeps,
-            max_outer=base.max_outer,
-            trust_radius=base.trust_radius,
-            moment_band=base.moment_band,
-            seed=seed_k,
-        )
-        return mcmle(sub, spec, controls=controls), None
-    except (NonFiniteMleError, SamplesDegenerateError, RuntimeError) as exc:
+        return mcmle(sub, spec, controls=replace(mcmle_controls, seed=seed_k)), None
+    except (NonFiniteMleError, SamplesDegenerateError, MpleNotConvergedError) as exc:
         return None, str(exc)
 
 
@@ -141,8 +131,9 @@ def two_stage_fit(
 
     ``stage1`` selects the clustering route; ``given`` uses the supplied
     partition unchanged, which makes the pipeline identical to fitting each
-    block directly.  A cluster too small for the spec (or with a non-finite
-    fit) is marked unavailable with its reason rather than failing the run.
+    block directly.  A cluster that is empty, too small for the spec, or
+    without a finite fit is marked unavailable with its reason rather than
+    failing the run.
     """
     controls = controls or TwoStageControls()
     posterior = None
@@ -176,15 +167,19 @@ def two_stage_fit(
 
     fits: list[ErgmFit | None] = []
     reasons: list[str | None] = []
+    sizes = partition.sizes()
     for k in range(partition.n_clusters):
-        sub, _ = within_subgraph(g, partition, k)
-        fit, reason = _fit_cluster(
-            sub, spec, controls.method, controls.mcmle, stage2_seed(seed, k)
-        )
+        if sizes[k] == 0:
+            fit, reason = None, "cluster is empty"
+        else:
+            sub, _ = within_subgraph(g, partition, k)
+            fit, reason = _fit_cluster(
+                sub, spec, controls.method, controls.mcmle, stage2_seed(seed, k)
+            )
         fits.append(fit)
         reasons.append(reason)
 
-    if partition.n_clusters >= 2:
+    if np.count_nonzero(sizes) >= 2:
         p_hat, p_se = between_density_mle(g, partition)
     else:
         p_hat = p_se = None
@@ -264,25 +259,42 @@ def _geodesic_hist(g: Graph) -> np.ndarray:
     return out
 
 
-def _bernoulli_block(n: int, density: float, rng) -> Graph:
-    g = Graph(n)
-    dyads = dyad_order(n)
-    if dyads:
-        u = rng.random(len(dyads))
-        for b, (i, j) in enumerate(dyads):
-            if u[b] < density:
-                g.add_edge(i, j)
-    return g
+def _chain_draws(n: int, fit: ErgmFit, n_sim: int, sim_controls: SamplerControls,
+                 rng) -> list[Graph]:
+    """n_sim graphs from one chain at the fitted parameter.
+
+    The chain burns in ``sim_controls.burnin_sweeps`` sweeps once, then keeps
+    a draw every ``sim_controls.thin_sweeps`` sweeps.
+    """
+    controls = replace(sim_controls, n_samples=n_sim)
+    return gibbs_sample(n, fit.spec, fit.theta_hat, controls, rng=rng).graphs
+
+
+def _cluster_chains(fit: TwoStageFit, n_sim: int, sim_controls: SamplerControls,
+                    rng_seed: int) -> list[list[Graph] | None]:
+    """``_chain_draws`` for every fitted cluster; None where a block has no fit."""
+    sizes = fit.partition.sizes()
+    return [
+        None if cfit is None
+        else _chain_draws(int(sizes[k]), cfit, n_sim, sim_controls,
+                          child_rng(rng_seed, "gof", "chain", k))
+        for k, cfit in enumerate(fit.cluster_fits)
+    ]
 
 
 def _simulate_twostage(fit: TwoStageFit, g_obs: Graph, sim_controls: SamplerControls,
-                       rng_seed: int, rep: int) -> Graph:
-    """One draw from the fitted hierarchical model.
+                       rng_seed: int, rep: int, chains=None) -> Graph:
+    """Draw ``rep`` from the fitted hierarchical model.
 
-    Blocks with unavailable fits fall back to Bernoulli at their observed
-    within-cluster density.  Diagnostics are label-invariant, so blocks are
-    laid out contiguously.
+    A fitted block is sample ``rep`` of its cluster's chain, taken from
+    ``chains`` (see ``_cluster_chains``) or, without it, from a chain run
+    here up to that sample.  Blocks with unavailable fits fall back to
+    Bernoulli at their observed within-cluster density; they and the
+    between-cluster ties use their own stream per draw.  Diagnostics are
+    label-invariant, so blocks are laid out contiguously.
     """
+    if chains is None:
+        chains = _cluster_chains(fit, rep + 1, sim_controls, rng_seed)
     part = fit.partition
     sizes = part.sizes()
     g = Graph(g_obs.n)
@@ -291,22 +303,15 @@ def _simulate_twostage(fit: TwoStageFit, g_obs: Graph, sim_controls: SamplerCont
     for k in range(part.n_clusters):
         offsets.append(pos)
         nk = int(sizes[k])
-        cfit = fit.cluster_fits[k]
-        if cfit is not None and nk >= 2:
-            res = gibbs_sample(
-                nk,
-                fit.spec,
-                cfit.theta_hat,
-                SamplerControls(sim_controls.burnin_sweeps, 1, 1, 0),
-                rng=child_rng(rng_seed, "gof", rep, k),
-            )
-            block = res.graphs[-1]
-        else:
-            sub, _ = within_subgraph(g_obs, part, k)
-            dens = sub.n_edges / max(len(dyad_order(nk)), 1)
-            block = _bernoulli_block(nk, dens, child_rng(rng_seed, "gof", rep, k))
-        for i, j in block.edges():
-            g.add_edge(pos + i, pos + j)
+        if nk >= 2:  # smaller blocks have no dyads
+            if chains[k] is not None:
+                block = chains[k][rep]
+            else:
+                sub, _ = within_subgraph(g_obs, part, k)
+                dens = sub.n_edges / (nk * (nk - 1) // 2)
+                block = bernoulli_graph(nk, dens, child_rng(rng_seed, "gof", rep, k))
+            for i, j in block.edges():
+                g.add_edge(pos + i, pos + j)
         pos += nk
     if part.n_clusters >= 2 and fit.between_p is not None:
         rng_b = child_rng(rng_seed, "gof", rep, "between")
@@ -323,13 +328,7 @@ def _simulate_lsm_mean(summary, n: int, rng) -> Graph:
     dmat = np.sqrt(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2))
     eta = summary.beta0_mean - summary.beta1_mean * dmat
     p = 0.5 * (1.0 + np.tanh(0.5 * eta))
-    g = Graph(n)
-    dyads = dyad_order(n)
-    u = rng.random(len(dyads))
-    for b, (i, j) in enumerate(dyads):
-        if u[b] < p[i, j]:
-            g.add_edge(i, j)
-    return g
+    return bernoulli_graph(n, p[np.triu_indices(n, 1)], rng)
 
 
 def gof(
@@ -346,6 +345,12 @@ def gof(
     probabilities).  Four diagnostics are compared pointwise against the
     2.5%/97.5% envelope of ``n_sim`` simulated graphs: degree counts,
     edgewise shared partners, geodesic distances, and the model statistics.
+
+    ERGM blocks come from one Gibbs chain per fitted cluster (one chain for
+    an ``ErgmFit``), as in ergm's ``gof``: the chain burns in
+    ``sim_controls.burnin_sweeps`` sweeps once and draw ``rep`` is its
+    sample ``rep``, ``sim_controls.thin_sweeps`` sweeps after the previous
+    one.
     """
     if n_sim < 1:
         raise ValueError("n_sim must be >= 1")
@@ -353,23 +358,17 @@ def gof(
     if isinstance(fit, TwoStageFit):
         spec = fit.spec
         flagged = [k for k, f in enumerate(fit.cluster_fits) if f is None]
+        chains = _cluster_chains(fit, n_sim, sim_controls, seed)
 
         def draw(rep):
-            return _simulate_twostage(fit, g, sim_controls, seed, rep)
+            return _simulate_twostage(fit, g, sim_controls, seed, rep, chains)
 
     elif isinstance(fit, ErgmFit):
         spec = fit.spec
         flagged = []
-
-        def draw(rep):
-            res = gibbs_sample(
-                g.n,
-                fit.spec,
-                fit.theta_hat,
-                SamplerControls(sim_controls.burnin_sweeps, 1, 1, 0),
-                rng=child_rng(seed, "gof", rep),
-            )
-            return res.graphs[-1]
+        draw = _chain_draws(
+            g.n, fit, n_sim, sim_controls, child_rng(seed, "gof", "chain")
+        ).__getitem__
 
     elif isinstance(fit, (LsmPosterior, LsmSummary)):
         from .stats import parse_spec

@@ -1,0 +1,110 @@
+"""Golden output hashes of toy-size CLI runs.
+
+The simulate, fit and experiment commands promise byte-identical output for
+a given seed.  These hashes pin that promise across changes to the sampler
+kernel, the Bernoulli fill and the stage-2 fitting code: a change that moves
+any random stream or any floating-point operation order shows up here.
+GOF output is not pinned.
+
+To regenerate after an intended stream change, run
+``python tests/test_cli_golden.py`` from the repository root with
+``PYTHONPATH=src`` and paste the printed table.
+"""
+
+import hashlib
+import json
+import os
+import tempfile
+
+import pytest
+
+from hergmkit import cli
+
+SIM_CONFIG = {
+    "clusters": [
+        {"n": 8, "stats": "edges,gwdsp(0.5),gwesp(0.5)", "theta": [-1.0, 0.2, 0.5]},
+        {"n": 8, "stats": "edges,kstar(2),triangles", "theta": [-0.5, -0.2, 0.4]},
+        {"n": 8, "stats": "edges,degree(1),gwesp(0.25)", "theta": [-0.8, 0.3, 0.6]},
+    ],
+    "between_p": 0.1,
+    "burnin_sweeps": 30,
+    "thin_sweeps": 5,
+}
+
+MISRATE_CONFIG = {
+    "n_per_cluster": [8],
+    "transitivity": [0.5],
+    "replications": 2,
+    "n_clusters": 3,
+    "between_p": 0.05,
+    "decay": 0.5,
+    "stage1": "lsm",
+    "dim": 2,
+    "seed": 11,
+    "lsm": {"burnin": 40, "samples": 20, "thin": 1},
+    "sim": {"burnin_sweeps": 20},
+}
+
+GOLDEN = {
+    "experiment_misrate.csv":
+        "ff130a7ecf5267866088fb3c1973fee956fe1d01431de15c57707e5dee10169c",
+    "fit_mcmle.json":
+        "ddeda469a1e01a48cee06bdac3ce1c9f3d42b2d8409c452ba55abeff9ba029fd",
+    "fit_mple.json":
+        "c5f96dae3d6cff55935ffba5d17ffffadb38c347bac57b903d2467d83606bf3e",
+    "sim_graph.edges":
+        "1e88b7644bf2fd3eb9f18ac746b606661ecf1eeb13f75e19bffd659a449748d3",
+    "sim_stats.csv":
+        "6e06ec120ccb86f0aa9715bb53b774c44d48f8dac4b71d4e7625d23c01b6b95d",
+    "sim_truth.csv":
+        "334aaf78e903d72a5eda46db50bee5766c3c5e290247a7100ee1c82d8f4b25e2",
+}
+
+
+def _run(argv):
+    code = cli.main(argv)
+    assert code == 0, f"{argv[0]} exited with {code}"
+
+
+def _outputs(work: str) -> dict[str, str]:
+    """Run the toy pipeline in ``work``; sha256 of every output file."""
+
+    def p(name):
+        return os.path.join(work, name)
+
+    with open(p("sim.json"), "w", encoding="utf-8") as fh:
+        json.dump(SIM_CONFIG, fh)
+    with open(p("misrate.json"), "w", encoding="utf-8") as fh:
+        json.dump(MISRATE_CONFIG, fh)
+    _run(["simulate", "hergm", "--config", p("sim.json"), "--seed", "5",
+          "--out", p("sim_graph.edges"), "--truth", p("sim_truth.csv"),
+          "--stats-out", p("sim_stats.csv")])
+    fit_args = ["fit", "twostage", "--graph", p("sim_graph.edges"), "--K", "3",
+                "--stats", "edges,gwdsp(0.5),gwesp(0.5)", "--stage1", "given",
+                "--partition", p("sim_truth.csv"), "--seed", "3"]
+    _run(fit_args + ["--method", "mcmle", "--mc-samples", "64", "--mc-burnin", "20",
+                     "--out", p("fit_mcmle.json")])
+    _run(fit_args + ["--method", "mple", "--out", p("fit_mple.json")])
+    _run(["experiment", "misrate", "--config", p("misrate.json"), "--threads", "1",
+          "--out", p("experiment_misrate.csv")])
+    out = {}
+    for name in GOLDEN:
+        with open(p(name), "rb") as fh:
+            out[name] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+@pytest.fixture(scope="module")
+def hashes(tmp_path_factory):
+    return _outputs(str(tmp_path_factory.mktemp("golden")))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_matches_golden_hash(hashes, name):
+    assert hashes[name] == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for key, val in sorted(_outputs(tmp).items()):
+            print(f'    "{key}":\n        "{val}",')

@@ -19,6 +19,7 @@ from hergmkit import (
 )
 from hergmkit.fit import (
     McmleControls,
+    MpleNotConvergedError,
     NonFiniteMleError,
     _dyad_design,
     ergm_fit_from_dict,
@@ -110,6 +111,11 @@ class TestMple:
             g.add_edge(*d)
         with pytest.raises(NonFiniteMleError):
             mple(g, EDGES)
+
+    def test_iteration_cap_raises(self):
+        g = random_graph(10, 0.3, 5)
+        with pytest.raises(MpleNotConvergedError, match="did not reach"):
+            mple(g, ET, max_iter=1)
 
     def test_std_errors_invariant_under_relabeling(self):
         g = random_graph(8, 0.4, 4)

@@ -17,7 +17,7 @@ from hergmkit import (
     stat_vector,
     within_subgraph,
 )
-from hergmkit.sampler import dyad_order, graph_index
+from hergmkit.sampler import bernoulli_graph, dyad_order, graph_index
 
 EDGES = parse_spec("edges")
 ET = parse_spec("edges,triangles")
@@ -72,6 +72,31 @@ class TestGibbs:
         res = gibbs_sample(7, ET, (-1.0, 0.3), SamplerControls(50, 10, 2, seed=4))
         for g, row in zip(res.graphs, res.stats):
             np.testing.assert_array_equal(stat_vector(g, ET), row)
+
+
+class TestBernoulliGraph:
+    @staticmethod
+    def reference(n, p, rng):
+        """The per-dyad fill ``bernoulli_graph`` replaces."""
+        from hergmkit import Graph
+
+        g = Graph(n)
+        dyads = dyad_order(n)
+        u = rng.random(len(dyads))
+        for b, (i, j) in enumerate(dyads):
+            if u[b] < (p if np.isscalar(p) else p[b]):
+                g.add_edge(i, j)
+        return g
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 70])
+    def test_matches_per_dyad_fill(self, n):
+        per_dyad = np.linspace(0.0, 1.0, n * (n - 1) // 2)
+        for p in (0.0, 0.3, 1.0, per_dyad):
+            rng_a, rng_b = np.random.default_rng(n), np.random.default_rng(n)
+            g = bernoulli_graph(n, p, rng_a)
+            ref = self.reference(n, p, rng_b)
+            assert g == ref and g.n_edges == ref.n_edges
+            assert rng_a.random() == rng_b.random()  # same draws consumed
 
 
 class TestExactDistribution:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hergmkit import (
+    ChangeStatEngine,
     Graph,
     StatisticSpec,
     Term,
@@ -25,7 +26,7 @@ from hergmkit import (
     stat_vector,
     triangles,
 )
-from hergmkit.sampler import dyad_order
+from hergmkit.sampler import _expit, dyad_order
 
 FULL_SPEC = parse_spec("edges,kstar(2),triangles,gwdsp(0.5),gwesp(0.5)")
 
@@ -264,3 +265,96 @@ class TestPermutationInvariance:
         assert 3 * triangles(g) == sum(
             shared_partners(g, (i, j)) for i, j in g.edges()
         )
+
+
+def reference_sweep(engine, g, theta, rng):
+    """One Gibbs sweep the per-dyad way: ``compute``, dot product, logistic,
+    ``toggle_edge``.  The oracle for ``ChangeStatEngine.sweep``."""
+    dyads = dyad_order(g.n)
+    u = rng.random(len(dyads))
+    for b, (i, j) in enumerate(dyads):
+        c = engine.compute(g, i, j)
+        logit = 0.0
+        for t, cv in zip(theta, c):
+            logit += t * cv
+        present = u[b] < _expit(logit)
+        if present != g.has_edge(i, j):
+            g.toggle_edge(i, j)
+
+
+SWEEP_SPECS = [
+    "edges",
+    "edges,kstar(2),kstar(3)",
+    "edges,triangles",
+    "edges,degree(0),degree(2)",
+    "edges,gwesp(0.5),gwdsp(0.5)",
+    "gwdsp(1.5),gwesp(0.1),edges",
+    "edges,kstar(2),kstar(3),triangles,degree(1),degree(3),"
+    "gwesp(0.25),gwdsp(0.75),gwesp(1.2),gwdsp(0.0)",
+]
+
+
+class TestFusedSweep:
+    @pytest.mark.parametrize("text", SWEEP_SPECS)
+    @pytest.mark.parametrize("n", [5, 12, 25])
+    @pytest.mark.parametrize("density", [0.03, 0.5, 0.97])
+    def test_matches_reference_sweep(self, text, n, density):
+        spec = parse_spec(text)
+        rng = np.random.default_rng(n * 1000 + int(density * 100))
+        # small dependence terms, so the chain stays near the start density
+        theta = [
+            math.log(density / (1 - density)) if t.kind == "edges"
+            else 0.05 * float(rng.standard_normal())
+            for t in spec
+        ]
+        g_ref = random_graph(n, density, n + len(text))
+        g_fused = g_ref.copy()
+        engine = ChangeStatEngine(spec, n)
+        rng_ref = np.random.default_rng(7)
+        rng_fused = np.random.default_rng(7)
+        for _ in range(4):
+            reference_sweep(engine, g_ref, theta, rng_ref)
+            engine.sweep(g_fused, theta, 1, rng_fused)
+            assert g_fused._adj == g_ref._adj
+            assert g_fused.n_edges == g_ref.n_edges
+        assert g_fused.n_edges == sum(g_fused.degrees()) // 2
+        # several sweeps in one call walk the same chain
+        engine.sweep(g_fused, theta, 3, rng_fused)
+        for _ in range(3):
+            reference_sweep(engine, g_ref, theta, rng_ref)
+        assert g_fused._adj == g_ref._adj
+
+    def test_strong_dependence_chain(self):
+        spec = parse_spec("edges,gwdsp(0.5),gwesp(0.5),triangles")
+        theta = (-2.0, 0.5, 0.5, 0.3)
+        g_ref = random_graph(20, 0.3, 4)
+        g_fused = g_ref.copy()
+        engine = ChangeStatEngine(spec, 20)
+        rng_ref, rng_fused = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(30):
+            reference_sweep(engine, g_ref, theta, rng_ref)
+        engine.sweep(g_fused, theta, 30, rng_fused)
+        assert g_fused == g_ref and g_fused.n_edges == g_ref.n_edges
+
+    def test_zero_sweeps_leave_graph(self):
+        g = random_graph(6, 0.5, 1)
+        before = g.copy()
+        ChangeStatEngine(FULL_SPEC, 6).sweep(g, [0.1] * 5, 0, np.random.default_rng(0))
+        assert g == before
+
+    def test_disagreement_with_compute_raises(self):
+        class Drifted(ChangeStatEngine):
+            def compute(self, g, i, j):
+                return [c + 1e-9 for c in super().compute(g, i, j)]
+
+        engine = Drifted(FULL_SPEC, 6)
+        with pytest.raises(RuntimeError, match="differs from compute"):
+            engine.sweep(
+                random_graph(6, 0.5, 2), [0.1] * 5, 1, np.random.default_rng(0)
+            )
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            ChangeStatEngine(FULL_SPEC, 6).sweep(
+                Graph(5), [0.0] * 5, 1, np.random.default_rng(0)
+            )

@@ -1,5 +1,6 @@
 """Two-stage pipeline, mis-clustering metric, and goodness of fit."""
 
+import functools
 import itertools
 import math
 
@@ -17,13 +18,16 @@ from hergmkit import (
     two_stage_fit,
     within_subgraph,
 )
-from hergmkit.fit import McmleControls, mple
+from hergmkit import twostage
+from hergmkit.fit import ErgmFit, FitDiagnostics, McmleControls, mple
+from hergmkit.rng import child_rng
 from hergmkit.lsm import LsmControls
 from hergmkit.sampler import (
     ClusterSpec,
     HergmSpec,
     SamplerControls,
     dyad_order,
+    graph_index,
     simulate_hergm,
 )
 from hergmkit.stats import stat_vector
@@ -214,6 +218,61 @@ class TestTwoStageFit:
         assert total == pytest.approx(direct, abs=1e-8)
 
 
+class TestUnavailableClusters:
+    def test_empty_cluster_in_fit_and_gof(self):
+        g, truth = fig1_like(8, seed=5)
+        labels = truth.assignments.copy()
+        labels[labels == 1] = 2  # label 1 of K = 3 keeps no node
+        part = Partition(labels, 3)
+        ts = two_stage_fit(
+            g, 3, SPEC, stage1="given",
+            controls=TwoStageControls(method="mple"),
+            given_partition=part, seed=1,
+        )
+        assert ts.cluster_fits[1] is None
+        assert ts.fit_errors[1] == "cluster is empty"
+        assert ts.cluster_fits[0] is not None and ts.between_p is not None
+        report = gof(g, ts, 5, seed=2, sim_controls=SamplerControls(burnin_sweeps=20))
+        assert report.flagged_clusters == [1]
+        assert report.diagnostics["degree"].observed.sum() == g.n
+
+    def test_one_nonempty_cluster_has_no_between_density(self):
+        g, _ = fig1_like(6, seed=6)
+        part = Partition(np.zeros(g.n, dtype=np.int64), 2)
+        ts = two_stage_fit(
+            g, 2, SPEC, stage1="given",
+            controls=TwoStageControls(method="mple"),
+            given_partition=part, seed=1,
+        )
+        assert ts.fit_errors[1] == "cluster is empty"
+        assert ts.between_p is None
+        gof(g, ts, 3, seed=2, sim_controls=SamplerControls(burnin_sweeps=10))
+
+    def test_nonconverging_mple_marks_cluster_unavailable(self, monkeypatch):
+        monkeypatch.setattr(twostage, "mple", functools.partial(mple, max_iter=1))
+        g, truth = fig1_like(8, seed=7)
+        ts = two_stage_fit(
+            g, 3, SPEC, stage1="given",
+            controls=TwoStageControls(method="mple"),
+            given_partition=truth, seed=1,
+        )
+        assert ts.cluster_fits == [None, None, None]
+        assert all("did not reach" in r for r in ts.fit_errors)
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("a bug, not a fit failure")
+
+        monkeypatch.setattr(twostage, "mple", broken)
+        g, truth = fig1_like(8, seed=7)
+        with pytest.raises(RuntimeError, match="a bug"):
+            two_stage_fit(
+                g, 3, SPEC, stage1="given",
+                controls=TwoStageControls(method="mple"),
+                given_partition=truth, seed=1,
+            )
+
+
 class TestGof:
     def make_fit(self, seed=21):
         g, truth = fig1_like(10, seed=seed)
@@ -284,6 +343,36 @@ class TestGof:
         post = lsm_mcmc(g, 3, controls=LsmControls(burnin=300, n_samples=100, thin=2), seed=1)
         report = gof(g, post, 15, seed=2)
         assert set(report.diagnostics) == {"degree", "esp", "geodesic", "stats"}
+
+    def test_chain_draws_match_enumeration(self):
+        # GOF's draws for an ErgmFit: one chain, burned in once, thinned
+        spec = parse_spec("edges,triangles")
+        theta = (-1.0, 0.3)
+        ex = exact_distribution(5, spec, theta)
+        fit = ErgmFit(spec, np.array(theta), np.zeros(2), "mple", FitDiagnostics())
+        n_sim = 30000
+        draws = twostage._chain_draws(
+            5, fit, n_sim, SamplerControls(burnin_sweeps=100),
+            child_rng(3, "gof", "chain"),
+        )
+        counts = np.zeros(len(ex.probs))
+        for g in draws:
+            counts[graph_index(g, ex.dyads)] += 1
+        tv = 0.5 * np.abs(counts / n_sim - ex.probs).sum()
+        assert tv < 0.08
+
+    def test_draw_rep_is_chain_sample_rep(self):
+        g, ts = self.make_fit(seed=25)
+        sim_controls = SamplerControls(burnin_sweeps=30, thin_sweeps=2)
+        chains = twostage._cluster_chains(ts, 4, sim_controls, 8)
+        for rep in range(4):
+            draw = twostage._simulate_twostage(ts, g, sim_controls, 8, rep, chains)
+            # the fitted partition is contiguous, as simulated blocks are
+            for k in range(3):
+                assert within_subgraph(draw, ts.partition, k)[0] == chains[k][rep]
+            # run alone, the draw burns in and thins the same chain
+            assert draw == twostage._simulate_twostage(ts, g, sim_controls, 8, rep)
+        assert chains[0][0] != chains[0][3]
 
     def test_single_ergm_fit_gof(self):
         rng = np.random.default_rng(3)
