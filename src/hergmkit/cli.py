@@ -3,8 +3,10 @@
 Subcommands: ``simulate`` (hergm | ergm), ``cluster`` (lsm | score), ``fit``
 (twostage | ergm), ``gof``, and ``experiment`` (misrate | sensitivity |
 score).  Configs and fit results are JSON, tables are CSV, plots are SVG.
-Every command embeds a master seed and writes byte-identical outputs when
-rerun with the same arguments, regardless of ``--threads``.
+Every command embeds a master seed (``--seed``; for ``experiment`` the
+config's ``seed``) and writes byte-identical outputs when rerun with the same
+arguments.  ``experiment`` tables are byte-identical regardless of
+``--threads``, which only ``experiment`` takes.
 
 Exit codes: 0 success, 2 validation/usage error, 3 numerical failure.
 Diagnostics go to standard error; data only to files.
@@ -24,8 +26,6 @@ import numpy as np
 from .experiments import misrate_experiment, score_experiment, sensitivity_experiment
 from .fit import (
     McmleControls,
-    NonFiniteMleError,
-    SamplesDegenerateError,
     between_density_mle,
     ergm_fit_to_dict,
     ergm_fit_from_dict,
@@ -502,12 +502,6 @@ def _resolve_threads(value) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker processes (default: HERGMKIT_THREADS or all cores)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="hergm-kit",
@@ -596,8 +590,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_gof.add_argument("--svg", help="envelope plot")
     p_gof.set_defaults(func=_cmd_gof)
 
-    p_exp = sub.add_parser("experiment", parents=[common], help="batch experiments")
+    p_exp = sub.add_parser("experiment", help="batch experiments")
     p_exp.add_argument("kind", choices=("misrate", "sensitivity", "score"))
+    p_exp.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="worker processes (default: HERGMKIT_THREADS or all cores)",
+    )
     p_exp.add_argument("--config", required=True, help="JSON config (bundled name ok)")
     p_exp.add_argument("--out", required=True, help="result CSV")
     p_exp.add_argument("--svg", help="summary plot")
@@ -610,18 +610,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        _stderr(f"error: {exc}")
-        return 2
+    # LinAlgError subclasses ValueError, so it is caught first
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
+        _stderr(f"numerical failure: {exc}")
+        return 3
     except (ValueError, OSError) as exc:
         _stderr(f"error: {exc}")
         return 2
-    except (NonFiniteMleError, SamplesDegenerateError, np.linalg.LinAlgError) as exc:
-        _stderr(f"numerical failure: {exc}")
-        return 3
-    except RuntimeError as exc:
-        _stderr(f"numerical failure: {exc}")
-        return 3
 
 
 if __name__ == "__main__":

@@ -74,9 +74,6 @@ class Graph:
     def neighbors(self, i: int):
         return _bits(self._adj[i])
 
-    def neighbor_mask(self, i: int) -> int:
-        return self._adj[i]
-
     def common_neighbors_count(self, i: int, j: int) -> int:
         return (self._adj[i] & self._adj[j]).bit_count()
 

@@ -3,16 +3,19 @@
 ``gibbs_sample`` runs a single-site Gibbs chain over dyads: each update draws
 the dyad from its full conditional, a Bernoulli whose logit is the inner
 product of the parameter vector with the dyad's change statistics given the
-current rest of the graph.  ``simulate_hergm`` composes independent
-within-cluster chains with i.i.d. Bernoulli between-cluster ties.
-``exact_distribution`` enumerates the full sample space for small n and is
-the ground-truth reference for sampler and estimator tests.
+current rest of the graph.  ``hergm_draws`` is the one simulator of block
+models: each block is a Gibbs chain (``ClusterSpec``) or independent
+Bernoulli ties (``BernoulliBlock``), and between-block ties are i.i.d.
+Bernoulli.  ``simulate_hergm`` (one network and its partition) and the GOF
+envelopes both draw through it.  ``exact_distribution`` enumerates the full
+sample space for small n and is the ground-truth reference for sampler and
+estimator tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import logsumexp
@@ -25,10 +28,12 @@ __all__ = [
     "SamplerControls",
     "GibbsResult",
     "ClusterSpec",
+    "BernoulliBlock",
     "HergmSpec",
     "ExactDistribution",
     "gibbs_sample",
     "bernoulli_graph",
+    "hergm_draws",
     "simulate_hergm",
     "exact_distribution",
     "dyad_order",
@@ -156,11 +161,39 @@ class ClusterSpec:
         object.__setattr__(self, "theta", _check_theta(self.theta, self.spec))
 
 
+@dataclass(frozen=True, eq=False)
+class BernoulliBlock:
+    """A cluster of n nodes with independent Bernoulli ties.
+
+    ``p`` is one tie probability, or C(n, 2) per-dyad probabilities in
+    ``dyad_order``; 0 and 1 are allowed.
+    """
+
+    n: int
+    p: float | np.ndarray
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("cluster size must be >= 1")
+        p = np.array(self.p, dtype=np.float64)
+        n_dyads = self.n * (self.n - 1) // 2
+        if p.ndim and p.shape != (n_dyads,):
+            raise ValueError(
+                f"per-dyad p has shape {p.shape}; a {self.n}-node block needs ({n_dyads},)"
+            )
+        if not np.all((p >= 0.0) & (p <= 1.0)):
+            raise ValueError("tie probabilities must lie in [0, 1]")
+        object.__setattr__(self, "p", p if p.ndim else float(p))
+
+
 @dataclass(frozen=True)
 class HergmSpec:
-    """Within-cluster ERGMs plus one shared between-cluster tie probability."""
+    """Block models plus one shared between-cluster tie probability.
 
-    clusters: tuple[ClusterSpec, ...]
+    Each cluster is a ``ClusterSpec`` (an ERGM) or a ``BernoulliBlock``.
+    """
+
+    clusters: tuple[ClusterSpec | BernoulliBlock, ...]
     between_p: float
 
     def __post_init__(self):
@@ -180,47 +213,58 @@ class HergmSpec:
         return sum(c.n for c in self.clusters)
 
 
+def hergm_draws(
+    hspec: HergmSpec,
+    seed: int,
+    controls: SamplerControls | None = None,
+) -> list[Graph]:
+    """Draw ``controls.n_samples`` networks from the block model.
+
+    Cluster k occupies the consecutive node ids after clusters 0..k-1 and is
+    drawn from its own stream ``child_rng(seed, "within", k)``: an ERGM
+    block is one Gibbs chain that burns in once and keeps a draw every
+    ``thin_sweeps`` sweeps; a Bernoulli block is a new ``bernoulli_graph``
+    per draw.  Between-cluster dyads are i.i.d. Bernoulli(between_p) from
+    one stream, ``child_rng(seed, "between")``, that carries on from draw to
+    draw.  Blocks can thus be reproduced in isolation, and draw 0 does not
+    depend on ``n_samples``.
+    """
+    if controls is None:
+        controls = SamplerControls()
+    sizes = [c.n for c in hspec.clusters]
+    offsets = np.cumsum([0] + sizes).tolist()
+    chains = []
+    for k, cl in enumerate(hspec.clusters):
+        rng_k = child_rng(seed, "within", k)
+        if isinstance(cl, BernoulliBlock):
+            chains.append([bernoulli_graph(cl.n, cl.p, rng_k)
+                           for _ in range(controls.n_samples)])
+        else:
+            chains.append(gibbs_sample(cl.n, cl.spec, cl.theta, controls, rng=rng_k).graphs)
+    rng_b = child_rng(seed, "between")
+    draws = []
+    for s in range(controls.n_samples):
+        g = Graph(hspec.n)
+        for pos, chain in zip(offsets, chains):
+            for i, j in chain[s].edges():
+                g.add_edge(pos + i, pos + j)
+        for k in range(hspec.n_clusters):
+            for l in range(k + 1, hspec.n_clusters):
+                u = rng_b.random((sizes[k], sizes[l]))
+                for i, j in zip(*np.nonzero(u < hspec.between_p)):
+                    g.add_edge(offsets[k] + int(i), offsets[l] + int(j))
+        draws.append(g)
+    return draws
+
+
 def simulate_hergm(
     hspec: HergmSpec,
     seed: int,
     controls: SamplerControls | None = None,
 ) -> tuple[Graph, Partition]:
-    """Draw one network and its ground-truth partition.
-
-    Cluster k occupies the consecutive node ids after clusters 0..k-1.
-    Within-cluster blocks are independent Gibbs draws (one retained sample
-    each, chain controls from ``controls``); between-cluster dyads are
-    i.i.d. Bernoulli(between_p).  Each block gets a child RNG stream derived
-    from (seed, cluster index), so blocks can be reproduced in isolation.
-    """
-    if controls is None:
-        controls = SamplerControls()
-    g = Graph(hspec.n)
-    labels = np.empty(hspec.n, dtype=np.int64)
-    offsets = []
-    pos = 0
-    for k, cl in enumerate(hspec.clusters):
-        offsets.append(pos)
-        labels[pos : pos + cl.n] = k
-        rng_k = child_rng(seed, "within", k)
-        res = gibbs_sample(
-            cl.n,
-            cl.spec,
-            cl.theta,
-            SamplerControls(controls.burnin_sweeps, 1, controls.thin_sweeps, 0),
-            rng=rng_k,
-        )
-        block = res.graphs[-1]
-        for i, j in block.edges():
-            g.add_edge(pos + i, pos + j)
-        pos += cl.n
-    rng_b = child_rng(seed, "between")
-    for k in range(hspec.n_clusters):
-        for l in range(k + 1, hspec.n_clusters):
-            nk, nl = hspec.clusters[k].n, hspec.clusters[l].n
-            u = rng_b.random((nk, nl))
-            for i, j in zip(*np.nonzero(u < hspec.between_p)):
-                g.add_edge(offsets[k] + int(i), offsets[l] + int(j))
+    """Draw one network, draw 0 of ``hergm_draws``, and its partition."""
+    g = hergm_draws(hspec, seed, replace(controls or SamplerControls(), n_samples=1))[0]
+    labels = np.repeat(np.arange(hspec.n_clusters), [c.n for c in hspec.clusters])
     return g, Partition(labels, hspec.n_clusters)
 
 

@@ -102,9 +102,6 @@ class StatisticSpec:
     def to_string(self) -> str:
         return ",".join(t.label() for t in self.terms)
 
-    def has_edges_term(self) -> bool:
-        return any(t.kind == "edges" for t in self.terms)
-
     def edges_index(self) -> int | None:
         for idx, t in enumerate(self.terms):
             if t.kind == "edges":

@@ -38,10 +38,16 @@ from .lsm import (
     lsm_mcmc,
     map_membership,
 )
-from .rng import child_rng, child_seed
-from .sampler import SamplerControls, bernoulli_graph, gibbs_sample
+from .rng import child_seed
+from .sampler import (
+    BernoulliBlock,
+    ClusterSpec,
+    HergmSpec,
+    SamplerControls,
+    hergm_draws,
+)
 from .spectral import ScoreControls, score_cluster
-from .stats import StatisticSpec, esp_histogram, stat_vector
+from .stats import StatisticSpec, esp_histogram, parse_spec, stat_vector
 
 __all__ = [
     "TwoStageControls",
@@ -62,9 +68,7 @@ def _min_nodes(term) -> int:
         return 2
     if term.kind in ("triangles", "gwdsp", "gwesp"):
         return 3
-    if term.kind == "kstar":
-        return term.param + 1
-    return term.param + 1  # degree(k)
+    return term.param + 1  # kstar(k), degree(k)
 
 
 @dataclass(frozen=True)
@@ -259,76 +263,47 @@ def _geodesic_hist(g: Graph) -> np.ndarray:
     return out
 
 
-def _chain_draws(n: int, fit: ErgmFit, n_sim: int, sim_controls: SamplerControls,
-                 rng) -> list[Graph]:
-    """n_sim graphs from one chain at the fitted parameter.
+def _gof_model(fit, g: Graph) -> tuple[HergmSpec, StatisticSpec, list[int]]:
+    """The block model ``gof`` simulates for ``fit`` on ``g``.
 
-    The chain burns in ``sim_controls.burnin_sweeps`` sweeps once, then keeps
-    a draw every ``sim_controls.thin_sweeps`` sweeps.
+    Returns (model, spec of the statistics panel, clusters without a fit).
+    A ``TwoStageFit`` gives one block per non-empty cluster, in label order;
+    a cluster without a fit is Bernoulli at its observed density.  An
+    ``ErgmFit`` is one ERGM block, an LSM posterior or summary one Bernoulli
+    block at the posterior-mean tie probabilities.
     """
-    controls = replace(sim_controls, n_samples=n_sim)
-    return gibbs_sample(n, fit.spec, fit.theta_hat, controls, rng=rng).graphs
-
-
-def _cluster_chains(fit: TwoStageFit, n_sim: int, sim_controls: SamplerControls,
-                    rng_seed: int) -> list[list[Graph] | None]:
-    """``_chain_draws`` for every fitted cluster; None where a block has no fit."""
-    sizes = fit.partition.sizes()
-    return [
-        None if cfit is None
-        else _chain_draws(int(sizes[k]), cfit, n_sim, sim_controls,
-                          child_rng(rng_seed, "gof", "chain", k))
-        for k, cfit in enumerate(fit.cluster_fits)
-    ]
-
-
-def _simulate_twostage(fit: TwoStageFit, g_obs: Graph, sim_controls: SamplerControls,
-                       rng_seed: int, rep: int, chains=None) -> Graph:
-    """Draw ``rep`` from the fitted hierarchical model.
-
-    A fitted block is sample ``rep`` of its cluster's chain, taken from
-    ``chains`` (see ``_cluster_chains``) or, without it, from a chain run
-    here up to that sample.  Blocks with unavailable fits fall back to
-    Bernoulli at their observed within-cluster density; they and the
-    between-cluster ties use their own stream per draw.  Diagnostics are
-    label-invariant, so blocks are laid out contiguously.
-    """
-    if chains is None:
-        chains = _cluster_chains(fit, rep + 1, sim_controls, rng_seed)
-    part = fit.partition
-    sizes = part.sizes()
-    g = Graph(g_obs.n)
-    pos = 0
-    offsets = []
-    for k in range(part.n_clusters):
-        offsets.append(pos)
-        nk = int(sizes[k])
-        if nk >= 2:  # smaller blocks have no dyads
-            if chains[k] is not None:
-                block = chains[k][rep]
+    if isinstance(fit, TwoStageFit):
+        part = fit.partition
+        if part.n != g.n:
+            raise ValueError(
+                f"the fit's partition covers {part.n} nodes; the graph has {g.n}"
+            )
+        blocks = []
+        for k, (nk, cfit) in enumerate(zip(part.sizes().tolist(), fit.cluster_fits)):
+            if nk == 0:
+                continue
+            if cfit is not None:
+                blocks.append(ClusterSpec(nk, cfit.spec, cfit.theta_hat))
             else:
-                sub, _ = within_subgraph(g_obs, part, k)
-                dens = sub.n_edges / (nk * (nk - 1) // 2)
-                block = bernoulli_graph(nk, dens, child_rng(rng_seed, "gof", rep, k))
-            for i, j in block.edges():
-                g.add_edge(pos + i, pos + j)
-        pos += nk
-    if part.n_clusters >= 2 and fit.between_p is not None:
-        rng_b = child_rng(rng_seed, "gof", rep, "between")
-        for k in range(part.n_clusters):
-            for l in range(k + 1, part.n_clusters):
-                u = rng_b.random((int(sizes[k]), int(sizes[l])))
-                for i, j in zip(*np.nonzero(u < fit.between_p)):
-                    g.add_edge(offsets[k] + int(i), offsets[l] + int(j))
-    return g
-
-
-def _simulate_lsm_mean(summary, n: int, rng) -> Graph:
-    z = np.asarray(summary.positions_mean, dtype=np.float64)
-    dmat = np.sqrt(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2))
-    eta = summary.beta0_mean - summary.beta1_mean * dmat
-    p = 0.5 * (1.0 + np.tanh(0.5 * eta))
-    return bernoulli_graph(n, p[np.triu_indices(n, 1)], rng)
+                sub, _ = within_subgraph(g, part, k)
+                blocks.append(BernoulliBlock(nk, sub.n_edges / max(nk * (nk - 1) // 2, 1)))
+        between_p = 0.0 if fit.between_p is None else fit.between_p
+        flagged = [k for k, f in enumerate(fit.cluster_fits) if f is None]
+        return HergmSpec(tuple(blocks), between_p), fit.spec, flagged
+    if isinstance(fit, ErgmFit):
+        return HergmSpec((ClusterSpec(g.n, fit.spec, fit.theta_hat),), 0.0), fit.spec, []
+    if isinstance(fit, (LsmPosterior, LsmSummary)):
+        z = np.asarray(fit.positions_mean, dtype=np.float64)
+        if z.shape[0] != g.n:
+            raise ValueError(
+                f"the fit has latent positions for {z.shape[0]} nodes; the graph has {g.n}"
+            )
+        dmat = np.sqrt(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2))
+        p = 0.5 * (1.0 + np.tanh(0.5 * (fit.beta0_mean - fit.beta1_mean * dmat)))
+        block = BernoulliBlock(g.n, p[np.triu_indices(g.n, 1)])
+        # model statistics panel: density only
+        return HergmSpec((block,), 0.0), parse_spec("edges"), []
+    raise TypeError(f"cannot run gof on {type(fit).__name__}")
 
 
 def gof(
@@ -342,45 +317,24 @@ def gof(
 
     ``fit`` may be a ``TwoStageFit``, a single ``ErgmFit`` (whole-graph
     model), or an LSM posterior/summary (ties Bernoulli at the posterior-mean
-    probabilities).  Four diagnostics are compared pointwise against the
-    2.5%/97.5% envelope of ``n_sim`` simulated graphs: degree counts,
-    edgewise shared partners, geodesic distances, and the model statistics.
+    probabilities); it must be a fit for a graph with ``g``'s node count.
+    Four diagnostics are compared pointwise against the 2.5%/97.5% envelope
+    of ``n_sim`` simulated graphs: degree counts, edgewise shared partners,
+    geodesic distances, and the model statistics.
 
-    ERGM blocks come from one Gibbs chain per fitted cluster (one chain for
-    an ``ErgmFit``), as in ergm's ``gof``: the chain burns in
-    ``sim_controls.burnin_sweeps`` sweeps once and draw ``rep`` is its
-    sample ``rep``, ``sim_controls.thin_sweeps`` sweeps after the previous
-    one.
+    The fit becomes a block model (``_gof_model``) and the ``n_sim`` graphs
+    are one ``hergm_draws`` call: each ERGM block is one Gibbs chain, as in
+    ergm's ``gof``, that burns in ``sim_controls.burnin_sweeps`` sweeps once
+    and keeps a draw every ``sim_controls.thin_sweeps`` sweeps.  A cluster
+    without a fit falls back to Bernoulli ties at its observed density and
+    is listed in ``flagged_clusters``.  Diagnostics are label-invariant, so
+    blocks are laid out contiguously.
     """
     if n_sim < 1:
         raise ValueError("n_sim must be >= 1")
     sim_controls = sim_controls or SamplerControls(burnin_sweeps=500)
-    if isinstance(fit, TwoStageFit):
-        spec = fit.spec
-        flagged = [k for k, f in enumerate(fit.cluster_fits) if f is None]
-        chains = _cluster_chains(fit, n_sim, sim_controls, seed)
-
-        def draw(rep):
-            return _simulate_twostage(fit, g, sim_controls, seed, rep, chains)
-
-    elif isinstance(fit, ErgmFit):
-        spec = fit.spec
-        flagged = []
-        draw = _chain_draws(
-            g.n, fit, n_sim, sim_controls, child_rng(seed, "gof", "chain")
-        ).__getitem__
-
-    elif isinstance(fit, (LsmPosterior, LsmSummary)):
-        from .stats import parse_spec
-
-        spec = parse_spec("edges")  # model statistics panel: density only
-        flagged = []
-
-        def draw(rep):
-            return _simulate_lsm_mean(fit, g.n, child_rng(seed, "gof", rep))
-
-    else:
-        raise TypeError(f"cannot run gof on {type(fit).__name__}")
+    hspec, spec, flagged = _gof_model(fit, g)
+    draws = hergm_draws(hspec, seed, replace(sim_controls, n_samples=n_sim))
 
     observed = {
         "degree": _degree_hist(g),
@@ -389,8 +343,7 @@ def gof(
         "stats": stat_vector(g, spec),
     }
     sims = {name: [] for name in observed}
-    for rep in range(n_sim):
-        sim = draw(rep)
+    for sim in draws:
         sims["degree"].append(_degree_hist(sim))
         sims["esp"].append(_esp_hist(sim))
         sims["geodesic"].append(_geodesic_hist(sim))
@@ -444,8 +397,6 @@ def two_stage_fit_to_dict(fit: TwoStageFit) -> dict:
 
 
 def two_stage_fit_from_dict(data: dict) -> TwoStageFit:
-    from .stats import parse_spec
-
     part = Partition(
         np.array(data["stage1"]["partition"], dtype=np.int64),
         int(data["stage1"]["K"]),

@@ -17,7 +17,14 @@ from hergmkit import (
     stat_vector,
     within_subgraph,
 )
-from hergmkit.sampler import bernoulli_graph, dyad_order, graph_index
+from hergmkit.rng import child_rng
+from hergmkit.sampler import (
+    BernoulliBlock,
+    bernoulli_graph,
+    dyad_order,
+    graph_index,
+    hergm_draws,
+)
 
 EDGES = parse_spec("edges")
 ET = parse_spec("edges,triangles")
@@ -218,3 +225,34 @@ class TestHergm:
             e1.append(within_subgraph(g, truth, 1)[0].n_edges)
         r = np.corrcoef(e0, e1)[0, 1]
         assert abs(r) < 0.25
+
+
+class TestBernoulliBlock:
+    def test_scalar_p_is_bernoulli_graph_on_block_stream(self):
+        hspec = HergmSpec(
+            (ClusterSpec(6, ET, (-0.5, 0.2)), BernoulliBlock(7, 0.3)), 0.1
+        )
+        g, truth = simulate_hergm(hspec, 4, SamplerControls(20))
+        want = bernoulli_graph(7, 0.3, child_rng(4, "within", 1))
+        assert within_subgraph(g, truth, 1)[0] == want
+
+    def test_per_dyad_p(self):
+        n = 9
+        p = np.linspace(0.0, 1.0, n * (n - 1) // 2)
+        hspec = HergmSpec((BernoulliBlock(n, p),), 0.0)
+        draws = hergm_draws(hspec, 5, SamplerControls(n_samples=3))
+        rng = child_rng(5, "within", 0)
+        assert draws == [bernoulli_graph(n, p, rng) for _ in range(3)]
+        assert draws[0] != draws[1]
+
+    def test_p_zero_and_one(self):
+        hspec = HergmSpec((BernoulliBlock(5, 0), BernoulliBlock(4, 1)), 0.0)
+        g, truth = simulate_hergm(hspec, 1)
+        assert within_subgraph(g, truth, 0)[0].n_edges == 0
+        assert within_subgraph(g, truth, 1)[0].n_edges == 6
+        assert g.n_edges == 6
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan, [0.5] * 5, [0.5, 2.0, 0.5]])
+    def test_invalid_p(self, p):
+        with pytest.raises(ValueError):
+            BernoulliBlock(3, p)

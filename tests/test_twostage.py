@@ -27,7 +27,9 @@ from hergmkit.sampler import (
     HergmSpec,
     SamplerControls,
     dyad_order,
+    gibbs_sample,
     graph_index,
+    hergm_draws,
     simulate_hergm,
 )
 from hergmkit.stats import stat_vector
@@ -303,9 +305,8 @@ class TestGof:
         # inside its own envelopes
         g, ts = self.make_fit(seed=22)
         sim_controls = SamplerControls(burnin_sweeps=150)
-        from hergmkit.twostage import _simulate_twostage
-
-        g_self = _simulate_twostage(ts, g, sim_controls, 999, 0)
+        hspec, _, _ = twostage._gof_model(ts, g)
+        g_self = hergm_draws(hspec, 999, sim_controls)[0]
         report = gof(g_self, ts, 60, seed=5, sim_controls=sim_controls)
         mean_cov = np.mean([d.coverage for d in report.diagnostics.values()])
         assert mean_cov > 0.7
@@ -344,6 +345,18 @@ class TestGof:
         report = gof(g, post, 15, seed=2)
         assert set(report.diagnostics) == {"degree", "esp", "geodesic", "stats"}
 
+    def test_lsm_fit_for_another_graph_rejected(self):
+        from hergmkit.lsm import LsmSummary
+
+        summary = LsmSummary(
+            n_clusters=1, dim=2, intercept=True, beta0_mean=0.0, beta1_mean=1.0,
+            positions_mean=np.zeros((5, 2)), membership_probs=np.ones((5, 1)),
+            map_partition=Partition(np.zeros(5, dtype=int), 1), seed=None,
+        )
+        gof(Graph(5), summary, 2, sim_controls=SamplerControls(burnin_sweeps=1))
+        with pytest.raises(ValueError, match="latent positions for 5 nodes"):
+            gof(Graph(6), summary, 2)
+
     def test_chain_draws_match_enumeration(self):
         # GOF's draws for an ErgmFit: one chain, burned in once, thinned
         spec = parse_spec("edges,triangles")
@@ -351,9 +364,9 @@ class TestGof:
         ex = exact_distribution(5, spec, theta)
         fit = ErgmFit(spec, np.array(theta), np.zeros(2), "mple", FitDiagnostics())
         n_sim = 30000
-        draws = twostage._chain_draws(
-            5, fit, n_sim, SamplerControls(burnin_sweeps=100),
-            child_rng(3, "gof", "chain"),
+        hspec, _, _ = twostage._gof_model(fit, Graph(5))
+        draws = hergm_draws(
+            hspec, 3, SamplerControls(burnin_sweeps=100, n_samples=n_sim)
         )
         counts = np.zeros(len(ex.probs))
         for g in draws:
@@ -363,15 +376,20 @@ class TestGof:
 
     def test_draw_rep_is_chain_sample_rep(self):
         g, ts = self.make_fit(seed=25)
-        sim_controls = SamplerControls(burnin_sweeps=30, thin_sweeps=2)
-        chains = twostage._cluster_chains(ts, 4, sim_controls, 8)
-        for rep in range(4):
-            draw = twostage._simulate_twostage(ts, g, sim_controls, 8, rep, chains)
+        sim_controls = SamplerControls(burnin_sweeps=30, n_samples=4, thin_sweeps=2)
+        hspec, _, _ = twostage._gof_model(ts, g)
+        draws = hergm_draws(hspec, 8, sim_controls)
+        chains = [
+            gibbs_sample(cl.n, cl.spec, cl.theta, sim_controls,
+                         rng=child_rng(8, "within", k)).graphs
+            for k, cl in enumerate(hspec.clusters)
+        ]
+        for rep, draw in enumerate(draws):
             # the fitted partition is contiguous, as simulated blocks are
             for k in range(3):
                 assert within_subgraph(draw, ts.partition, k)[0] == chains[k][rep]
-            # run alone, the draw burns in and thins the same chain
-            assert draw == twostage._simulate_twostage(ts, g, sim_controls, 8, rep)
+        # draw 0 is the network simulate_hergm draws from the same model
+        assert draws[0] == simulate_hergm(hspec, 8, sim_controls)[0]
         assert chains[0][0] != chains[0][3]
 
     def test_single_ergm_fit_gof(self):
