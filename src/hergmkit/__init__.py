@@ -12,7 +12,6 @@ from .graph import (
     Partition,
     between_edge_counts,
     dyad,
-    new_graph,
     read_edge_list,
     read_partition,
     within_subgraph,
@@ -57,11 +56,9 @@ from .fit import (
 from .lsm import (
     LsmControls,
     LsmPosterior,
-    LsmPriors,
     init_positions,
     lsm_mcmc,
     map_membership,
-    posterior_membership,
     procrustes_align,
 )
 from .spectral import ScoreControls, kmeans, score_cluster

@@ -26,13 +26,13 @@ import numpy as np
 from .experiments import misrate_experiment, score_experiment, sensitivity_experiment
 from .fit import (
     McmleControls,
-    between_density_mle,
     ergm_fit_to_dict,
     ergm_fit_from_dict,
     mcmle,
     mple,
 )
 from .graph import (
+    between_edge_counts,
     read_edge_list,
     read_partition,
     within_subgraph,
@@ -51,6 +51,7 @@ from .spectral import ScoreControls, score_cluster
 from .stats import parse_spec, stat_vector
 from .svgplot import render_panels
 from .twostage import (
+    GOF_BURNIN_SWEEPS,
     TwoStageControls,
     gof,
     two_stage_fit,
@@ -130,8 +131,8 @@ def _parse_hergm_config(cfg: dict) -> tuple[HergmSpec, SamplerControls]:
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
     controls = SamplerControls(
-        burnin_sweeps=cfg.get("burnin_sweeps", 2000),
-        thin_sweeps=cfg.get("thin_sweeps", 10),
+        burnin_sweeps=cfg.get("burnin_sweeps", SamplerControls.burnin_sweeps),
+        thin_sweeps=cfg.get("thin_sweeps", SamplerControls.thin_sweeps),
     )
     return hspec, controls
 
@@ -157,13 +158,10 @@ def _cmd_simulate_hergm(args) -> int:
             for label, value in zip(cl.spec.labels(), values):
                 rows.append({"cluster": k, "stat": label, "value": float(value)})
         if hspec.n_clusters >= 2:
-            p_hat, p_se = between_density_mle(g, truth)
-            from .graph import between_edge_counts
-
             y_b, n_b = between_edge_counts(g, truth)
             rows.append({"cluster": "between", "stat": "y_B", "value": y_b})
             rows.append({"cluster": "between", "stat": "n_B", "value": n_b})
-            rows.append({"cluster": "between", "stat": "p_hat", "value": p_hat})
+            rows.append({"cluster": "between", "stat": "p_hat", "value": y_b / n_b})
         _write_csv(args.stats_out, ["cluster", "stat", "value"], rows)
     _stderr(f"simulated {g.n} nodes, {g.n_edges} edges -> {args.out}")
     return 0
@@ -176,9 +174,8 @@ def _cmd_simulate_ergm(args) -> int:
         burnin_sweeps=args.burnin,
         n_samples=args.samples,
         thin_sweeps=args.thin,
-        seed=args.seed,
     )
-    res = gibbs_sample(args.n, spec, theta, controls)
+    res = gibbs_sample(args.n, spec, theta, controls, np.random.default_rng(args.seed))
     write_edge_list(res.graphs[-1], args.out)
     if args.stats_out:
         rows = []
@@ -521,9 +518,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_se.add_argument("--n", type=int, required=True)
     p_se.add_argument("--stats", required=True, help="e.g. edges,gwesp(0.5)")
     p_se.add_argument("--theta", required=True, help="comma-separated values")
-    p_se.add_argument("--burnin", type=int, default=2000, help="burn-in sweeps")
-    p_se.add_argument("--samples", type=int, default=1)
-    p_se.add_argument("--thin", type=int, default=10, help="sweeps between samples")
+    p_se.add_argument("--burnin", type=int, default=SamplerControls.burnin_sweeps,
+                      help="burn-in sweeps")
+    p_se.add_argument("--samples", type=int, default=SamplerControls.n_samples)
+    p_se.add_argument("--thin", type=int, default=SamplerControls.thin_sweeps,
+                      help="sweeps between samples")
     p_se.add_argument("--out", required=True, help="edge list of the final sample")
     p_se.add_argument("--stats-out", help="CSV of retained statistic vectors")
     p_se.set_defaults(func=_cmd_simulate_ergm)
@@ -534,9 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl_lsm.add_argument("--graph", required=True)
     p_cl_lsm.add_argument("--K", type=int, required=True)
     p_cl_lsm.add_argument("--dim", type=int, default=2)
-    p_cl_lsm.add_argument("--burnin", type=int, default=5000)
-    p_cl_lsm.add_argument("--samples", type=int, default=2000)
-    p_cl_lsm.add_argument("--thin", type=int, default=5)
+    p_cl_lsm.add_argument("--burnin", type=int, default=LsmControls.burnin)
+    p_cl_lsm.add_argument("--samples", type=int, default=LsmControls.n_samples)
+    p_cl_lsm.add_argument("--thin", type=int, default=LsmControls.thin)
     p_cl_lsm.add_argument("--out", required=True, help="partition CSV")
     p_cl_lsm.add_argument("--posterior", help="posterior summary JSON")
     p_cl_lsm.add_argument("--positions", help="posterior-mean positions CSV")
@@ -544,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl_sc = cl_sub.add_parser("score", parents=[common], help="SCORE spectral")
     p_cl_sc.add_argument("--graph", required=True)
     p_cl_sc.add_argument("--K", type=int, required=True)
-    p_cl_sc.add_argument("--restarts", type=int, default=10)
+    p_cl_sc.add_argument("--restarts", type=int, default=ScoreControls.restarts)
     p_cl_sc.add_argument("--out", required=True, help="partition CSV")
     p_cl_sc.set_defaults(func=_cmd_cluster_score)
 
@@ -556,13 +555,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ft.add_argument("--stats", required=True)
     p_ft.add_argument("--stage1", choices=("lsm", "score", "given"), default="lsm")
     p_ft.add_argument("--partition", help="partition CSV for --stage1 given")
-    p_ft.add_argument("--method", choices=("mcmle", "mple"), default="mcmle")
-    p_ft.add_argument("--dim", type=int, default=2)
-    p_ft.add_argument("--lsm-burnin", type=int, default=5000)
-    p_ft.add_argument("--lsm-samples", type=int, default=2000)
-    p_ft.add_argument("--lsm-thin", type=int, default=5)
-    p_ft.add_argument("--mc-samples", type=int, default=1024)
-    p_ft.add_argument("--mc-burnin", type=int, default=200)
+    p_ft.add_argument("--method", choices=("mcmle", "mple"), default=TwoStageControls.method)
+    p_ft.add_argument("--dim", type=int, default=TwoStageControls.dim)
+    p_ft.add_argument("--lsm-burnin", type=int, default=LsmControls.burnin)
+    p_ft.add_argument("--lsm-samples", type=int, default=LsmControls.n_samples)
+    p_ft.add_argument("--lsm-thin", type=int, default=LsmControls.thin)
+    p_ft.add_argument("--mc-samples", type=int, default=McmleControls.n_samples)
+    p_ft.add_argument("--mc-burnin", type=int, default=McmleControls.burnin_sweeps)
     p_ft.add_argument("--out", required=True, help="fit JSON")
     p_ft.set_defaults(func=_cmd_fit_twostage)
     p_fe = fit_sub.add_parser("ergm", parents=[common], help="single-block fit")
@@ -570,8 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fe.add_argument("--stats", required=True)
     p_fe.add_argument("--method", choices=("mcmle", "mple"), default="mcmle")
     p_fe.add_argument("--theta0", help="comma-separated MCMLE start")
-    p_fe.add_argument("--mc-samples", type=int, default=1024)
-    p_fe.add_argument("--mc-burnin", type=int, default=200)
+    p_fe.add_argument("--mc-samples", type=int, default=McmleControls.n_samples)
+    p_fe.add_argument("--mc-burnin", type=int, default=McmleControls.burnin_sweeps)
     p_fe.add_argument("--out", required=True, help="fit JSON")
     p_fe.set_defaults(func=_cmd_fit_ergm)
 
@@ -582,9 +581,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gof.add_argument(
         "--burnin",
         type=int,
-        default=500,
+        default=GOF_BURNIN_SWEEPS,
         help="burn-in sweeps, run once per cluster chain; draws are then "
-        f"taken every {SamplerControls().thin_sweeps} sweeps of that chain",
+        f"taken every {SamplerControls.thin_sweeps} sweeps of that chain",
     )
     p_gof.add_argument("--out", required=True, help="envelope CSV")
     p_gof.add_argument("--svg", help="envelope plot")

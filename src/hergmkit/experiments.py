@@ -43,6 +43,35 @@ def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
+def _check_objects(config: dict, kind: str, keys: tuple[str, ...]):
+    """Optional nested fields that must be JSON objects when present."""
+    for key in keys:
+        if key in config and not isinstance(config[key], dict):
+            raise ValueError(f"{kind} config field {key!r} must be an object")
+
+
+def _check_seed_keys(kind: str, name: str, values, key):
+    """Reject grid values that would share a replication seed.
+
+    Seeds are derived from ``key(value)``, so two values with one key would
+    run the same replications twice under different labels.
+    """
+    seen = {}
+    for value in values:
+        k = key(value)
+        if k in seen:
+            raise ValueError(
+                f"{kind} config field {name!r}: values {seen[k]!r} and {value!r} "
+                f"share the seed key {k}"
+            )
+        seen[k] = value
+
+
+def _milli(value) -> int:
+    """Seed key of a grid value in [0, 1]: whole thousandths."""
+    return int(float(value) * 1000)
+
+
 # -- mis-clustering rate vs cluster size and transitivity --------------------
 
 
@@ -67,7 +96,7 @@ def _misrate_one(task) -> dict:
         thin_sweeps=sim_cfg.get("thin_sweeps", 1),
     )
     seed = int(
-        child_rng(cfg["seed"], "misrate", n_per_cluster, int(transitivity * 1000), rep)
+        child_rng(cfg["seed"], "misrate", n_per_cluster, _milli(transitivity), rep)
         .integers(2**31)
     )
     g, truth = simulate_hergm(hspec, seed, controls)
@@ -106,6 +135,9 @@ def misrate_experiment(config: dict, threads: int = 1) -> list[dict]:
     for key in ("n_per_cluster", "transitivity", "replications", "seed"):
         if key not in config:
             raise ValueError(f"misrate config missing key {key!r}")
+    _check_objects(config, "misrate", ("lsm", "sim"))
+    _check_seed_keys("misrate", "n_per_cluster", config["n_per_cluster"], int)
+    _check_seed_keys("misrate", "transitivity", config["transitivity"], _milli)
     tasks = [
         (config, int(n), float(t), rep)
         for n in config["n_per_cluster"]
@@ -159,7 +191,7 @@ def _sensitivity_one(task) -> list[dict]:
     sim_cfg = cfg.get("sim", {})
     controls = SamplerControls(burnin_sweeps=sim_cfg.get("burnin_sweeps", 500))
     seed = int(
-        child_rng(cfg["seed"], "sens", int(rho * 1000), rep).integers(2**31)
+        child_rng(cfg["seed"], "sens", _milli(rho), rep).integers(2**31)
     )
     g, truth = simulate_hergm(hspec, seed, controls)
     perturbed = _perturb_partition(truth, rho, child_rng(seed, "flip"))
@@ -204,6 +236,19 @@ def sensitivity_experiment(config: dict, threads: int = 1) -> list[dict]:
     for key in ("clusters", "stats", "rho_grid", "replications", "seed"):
         if key not in config:
             raise ValueError(f"sensitivity config missing key {key!r}")
+    if not isinstance(config["clusters"], list):
+        raise ValueError("sensitivity config field 'clusters' must be a list")
+    for i, c in enumerate(config["clusters"]):
+        where = f"sensitivity config field clusters[{i}]"
+        if not isinstance(c, dict):
+            raise ValueError(f"{where} must be an object")
+        for key, kind in (("n", int), ("theta", list)):
+            if key not in c:
+                raise ValueError(f"{where}.{key} is missing")
+            if not isinstance(c[key], kind):
+                raise ValueError(f"{where}.{key} must be a {kind.__name__}")
+    _check_objects(config, "sensitivity", ("sim",))
+    _check_seed_keys("sensitivity", "rho_grid", config["rho_grid"], _milli)
     tasks = [
         (config, float(rho), rep)
         for rho in config["rho_grid"]

@@ -97,21 +97,18 @@ def _dyad_design(g: Graph, spec: StatisticSpec) -> tuple[np.ndarray, np.ndarray]
 
 
 _SEPARATION_NORM = 50.0
+MPLE_MAX_ITER = 100
+MPLE_GRAD_TOL = 1e-8
 
 
-def mple(
-    g: Graph,
-    spec: StatisticSpec,
-    *,
-    max_iter: int = 100,
-    grad_tol: float = 1e-8,
-) -> ErgmFit:
+def mple(g: Graph, spec: StatisticSpec) -> ErgmFit:
     """Maximum pseudo-likelihood estimate via Newton iteration.
 
+    Newton iteration stops once the gradient norm is below ``MPLE_GRAD_TOL``.
     Raises ``NonFiniteMleError`` on perfect separation (including the
     empty/complete graph with an edges term), reporting the divergence
     direction, and ``MpleNotConvergedError`` when Newton iteration stops at
-    ``max_iter``.
+    ``MPLE_MAX_ITER`` iterations.
 
     The standard errors are the inverse of the pseudo-likelihood Hessian.
     They treat dyads as independent, so they are not the standard errors of
@@ -124,12 +121,12 @@ def mple(
     beta = np.zeros(len(spec))
     step_log: list[float] = []
     grad = np.full(len(spec), np.inf)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MPLE_MAX_ITER + 1):
         eta = x @ beta
         p = 0.5 * (1.0 + np.tanh(0.5 * eta))
         grad = x.T @ (y - p)
         gnorm = float(np.linalg.norm(grad))
-        if gnorm < grad_tol:
+        if gnorm < MPLE_GRAD_TOL:
             break
         w = p * (1.0 - p)
         hess = x.T @ (x * w[:, None])
@@ -153,7 +150,7 @@ def mple(
             )
     else:
         raise MpleNotConvergedError(
-            f"MPLE Newton did not reach gradient norm {grad_tol} in {max_iter} "
+            f"MPLE Newton did not reach gradient norm {MPLE_GRAD_TOL} in {MPLE_MAX_ITER} "
             f"iterations (last norm {float(np.linalg.norm(grad)):.3g})"
         )
     eta = x @ beta
@@ -173,24 +170,29 @@ def mple(
     return ErgmFit(spec, beta, se, "mple", diag)
 
 
+MCMLE_MAX_SAMPLES = 8192
+MCMLE_THIN_SWEEPS = 5
+MCMLE_MAX_OUTER = 50
+TRUST_RADIUS = 0.5
+MOMENT_BAND = 3.0
+
+
 @dataclass(frozen=True)
 class McmleControls:
     """Monte Carlo MLE controls.
 
-    ``n_samples`` doubles (up to ``max_samples``) whenever the effective
-    sample size of the importance weights drops below a tenth of the draw
-    count.  Convergence requires every component of the simulated mean
-    statistic to sit within ``moment_band`` Monte Carlo standard errors of
-    the observed statistic.
+    Each outer iteration keeps ``n_samples`` draws ``MCMLE_THIN_SWEEPS``
+    sweeps apart after ``burnin_sweeps``.  The draw count doubles (up to
+    ``MCMLE_MAX_SAMPLES``) whenever the effective sample size of the
+    importance weights drops below a tenth of it.  A parameter step is at
+    most ``TRUST_RADIUS`` long.  Convergence requires every component of the
+    simulated mean statistic to sit within ``MOMENT_BAND`` Monte Carlo
+    standard errors of the observed statistic; after ``MCMLE_MAX_OUTER``
+    outer iterations the fit is reported as not converged.
     """
 
     n_samples: int = 1024
-    max_samples: int = 8192
     burnin_sweeps: int = 200
-    thin_sweeps: int = 5
-    max_outer: int = 50
-    trust_radius: float = 0.5
-    moment_band: float = 3.0
     seed: int = 0
 
 
@@ -207,7 +209,7 @@ def _batch_se(s: np.ndarray) -> np.ndarray:
     return batch_means.std(axis=0, ddof=1) / math.sqrt(n_batches)
 
 
-def _weighted_newton(s_centered, s_obs_c, trust_radius, m):
+def _weighted_newton(s_centered, s_obs_c, m):
     """Maximize delta' s_obs - log mean exp(delta' s) over the trust region.
 
     Works on statistics centered at the sample mean for conditioning.
@@ -235,8 +237,8 @@ def _weighted_newton(s_centered, s_obs_c, trust_radius, m):
             step = np.linalg.pinv(covw) @ grad
         new = delta + step
         nn = np.linalg.norm(new)
-        if nn > trust_radius:
-            new = new * (trust_radius / nn)
+        if nn > TRUST_RADIUS:
+            new = new * (TRUST_RADIUS / nn)
         moved = np.linalg.norm(new - delta)
         delta = new
         if moved < 1e-10:
@@ -274,13 +276,13 @@ def mcmle(
     step_log: list[float] = []
     degenerate = False
     contractions = 0
-    for outer in range(1, controls.max_outer + 1):
+    for outer in range(1, MCMLE_MAX_OUTER + 1):
         res = gibbs_sample(
             g.n,
             spec,
             theta,
-            SamplerControls(controls.burnin_sweeps, m, controls.thin_sweeps, 0),
-            rng=child_rng(controls.seed, "mcmle", outer),
+            SamplerControls(controls.burnin_sweeps, m, MCMLE_THIN_SWEEPS),
+            child_rng(controls.seed, "mcmle", outer),
         )
         degenerate = degenerate or res.degenerate
         s = res.stats
@@ -288,12 +290,10 @@ def mcmle(
         sd = s.std(axis=0, ddof=1)
         mc_se = _batch_se(s)
         gap = np.abs(mean - s_obs)
-        if np.all(gap <= controls.moment_band * mc_se + 1e-12) and np.any(sd > 0):
+        if np.all(gap <= MOMENT_BAND * mc_se + 1e-12) and np.any(sd > 0):
             # polish: solve the sample moment equation exactly so the
             # estimate is the sample MLE, not wherever the band was entered
-            delta, _ = _weighted_newton(
-                s - mean, s_obs - mean, controls.trust_radius, m
-            )
+            delta, _ = _weighted_newton(s - mean, s_obs - mean, m)
             theta = theta + delta
             if np.linalg.norm(delta) > 0:
                 step_log.append(float(np.linalg.norm(delta)))
@@ -349,16 +349,14 @@ def mcmle(
             theta = theta * 0.5
             step_log.append(float(np.linalg.norm(theta)))
             continue
-        delta, collapsed = _weighted_newton(
-            s - mean, s_obs - mean, controls.trust_radius, m
-        )
+        delta, collapsed = _weighted_newton(s - mean, s_obs - mean, m)
         theta = theta + delta
         step_log.append(float(np.linalg.norm(delta)))
-        if collapsed and m < controls.max_samples:
-            m = min(2 * m, controls.max_samples)
+        if collapsed and m < MCMLE_MAX_SAMPLES:
+            m = min(2 * m, MCMLE_MAX_SAMPLES)
     # moment condition never met; report the last state honestly
     diag = FitDiagnostics(
-        iterations=controls.max_outer,
+        iterations=MCMLE_MAX_OUTER,
         grad_norm=float(np.linalg.norm(mean - s_obs)),
         mc_samples=m,
         mu_hat=mean,

@@ -17,7 +17,6 @@ __all__ = [
     "Graph",
     "Partition",
     "dyad",
-    "new_graph",
     "within_subgraph",
     "between_edge_counts",
     "read_edge_list",
@@ -152,11 +151,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self._n_edges})"
-
-
-def new_graph(n: int) -> Graph:
-    """Empty graph on n >= 1 nodes."""
-    return Graph(n)
 
 
 @dataclass(frozen=True)

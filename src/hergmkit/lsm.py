@@ -1,9 +1,9 @@
 """Bayesian latent position cluster model, used as the stage-1 working model.
 
 Ties are conditionally independent given latent node positions: the log-odds
-of a tie is an (optional) intercept minus a non-negative coefficient times
-the Euclidean distance between the endpoints' positions.  Positions follow a
-K-component isotropic Gaussian mixture, giving soft cluster memberships.
+of a tie is an intercept minus a non-negative coefficient times the Euclidean
+distance between the endpoints' positions.  Positions follow a K-component
+isotropic Gaussian mixture, giving soft cluster memberships.
 
 The sampler mixes random-walk Metropolis moves (positions, coefficients)
 with conjugate draws (memberships, mixture weights, component means and
@@ -29,16 +29,13 @@ from .rng import child_rng
 from .spectral import kmeans
 
 __all__ = [
-    "LsmPriors",
     "LsmControls",
     "LsmPosterior",
     "lsm_mcmc",
     "membership_probabilities",
-    "posterior_membership",
     "map_membership",
     "init_positions",
     "procrustes_align",
-    "cluster_spread",
     "draw_memberships",
     "draw_mixture_params",
     "lsm_posterior_to_dict",
@@ -46,22 +43,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LsmPriors:
-    """Hyperparameters: coefficient normals, Dirichlet weights, mixture scales."""
+# priors: normal coefficients, Dirichlet weights, mixture scales
+BETA_MEAN = (0.0, 1.0)  # (intercept, distance coef)
+BETA_VAR = (25.0, 25.0)
+DIRICHLET = 1.0
+MEAN_SCALE_SQ = 4.0  # omega^2, prior variance of component means
+VAR_SCALE_SQ = 0.5  # sigma_0^2, scale of the variance prior
+VAR_DF = 2.0  # alpha, degrees of freedom of the variance prior
 
-    beta_mean: tuple[float, float] = (0.0, 1.0)  # (intercept, distance coef)
-    beta_var: tuple[float, float] = (25.0, 25.0)
-    dirichlet: float = 1.0
-    mean_scale_sq: float = 4.0  # omega^2, prior variance of component means
-    var_scale_sq: float = 0.5  # sigma_0^2, scale of the variance prior
-    var_df: float = 2.0  # alpha, degrees of freedom of the variance prior
-
-    def __post_init__(self):
-        if min(self.beta_var) <= 0 or self.dirichlet <= 0:
-            raise ValueError("prior variances and Dirichlet weights must be positive")
-        if self.mean_scale_sq <= 0 or self.var_scale_sq <= 0 or self.var_df <= 0:
-            raise ValueError("mixture prior scales must be positive")
+# burn-in proposal tuning: rescale every TUNE_INTERVAL proposals toward
+# TARGET_ACCEPT acceptance
+TUNE_INTERVAL = 50
+TARGET_ACCEPT = 0.25
 
 
 @dataclass(frozen=True)
@@ -69,9 +62,6 @@ class LsmControls:
     burnin: int = 5000
     n_samples: int = 2000
     thin: int = 5
-    intercept: bool = True
-    tune_interval: int = 50
-    target_accept: float = 0.25
 
     def __post_init__(self):
         if self.burnin < 0 or self.n_samples < 1 or self.thin < 1:
@@ -85,18 +75,14 @@ class LsmPosterior:
     n_clusters: int
     dim: int
     zs: np.ndarray  # S x n x d, aligned and rescaled
-    beta0s: np.ndarray  # S (zeros when no intercept)
+    beta0s: np.ndarray  # S
     beta1s: np.ndarray  # S
-    lams: np.ndarray  # S x K, relabeled
-    mus: np.ndarray  # S x K x d, aligned/rescaled/relabeled
-    sig2s: np.ndarray  # S x K, relabeled
     ms: np.ndarray  # S x n, relabeled membership draws
     log_posts: np.ndarray  # S
     membership_probs: np.ndarray  # n x K, averaged over relabeled draws
     reference: np.ndarray  # alignment target (n x d)
     acceptance: dict[str, float]
     warnings: list[str] = field(default_factory=list)
-    intercept: bool = True
     seed: int | None = None
 
     @property
@@ -133,20 +119,6 @@ def membership_probabilities(z, lam, mu, sig2) -> np.ndarray:
     w = np.exp(logw)
     w /= w.sum(axis=1, keepdims=True)
     return w
-
-
-def posterior_membership(obj) -> np.ndarray:
-    """Per-node membership probability vectors.
-
-    Accepts an ``LsmPosterior`` (aggregated over aligned, relabeled draws)
-    or a single state tuple ``(z, lam, mu, sig2)``.
-    """
-    if isinstance(obj, LsmPosterior):
-        return obj.membership_probs
-    z, lam, mu, sig2 = obj
-    return membership_probabilities(
-        np.asarray(z), np.asarray(lam), np.asarray(mu), np.asarray(sig2)
-    )
 
 
 def map_membership(post: LsmPosterior) -> Partition:
@@ -196,15 +168,6 @@ def procrustes_align(z: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return (z - zm) @ rot + rm
 
 
-def cluster_spread(positions: np.ndarray, p: Partition) -> np.ndarray:
-    """Root-mean-square distance to the cluster centroid, per cluster."""
-    out = np.empty(p.n_clusters)
-    for k in range(p.n_clusters):
-        pts = positions[p.members(k)]
-        out[k] = math.sqrt(((pts - pts.mean(axis=0)) ** 2).sum(axis=1).mean())
-    return out
-
-
 def _best_permutation(labels: np.ndarray, reference: np.ndarray, k: int):
     """Permutation perm with perm[old] = new maximizing label agreement."""
     cont = np.zeros((k, k), dtype=np.int64)
@@ -230,17 +193,15 @@ def _dyad_loglik_full(y_u, d_u, b0, b1) -> float:
     return float(y_u @ eta - np.logaddexp(0.0, eta).sum())
 
 
-def _log_prior(state, priors: LsmPriors, intercept: bool) -> float:
+def _log_prior(state) -> float:
     z, b0, b1, lam, mu, sig2, m = state
     n, d = z.shape
-    lp = 0.0
-    if intercept:
-        lp += -0.5 * (b0 - priors.beta_mean[0]) ** 2 / priors.beta_var[0]
-    lp += -0.5 * (b1 - priors.beta_mean[1]) ** 2 / priors.beta_var[1]
-    lp += float((priors.dirichlet - 1.0) * np.log(np.maximum(lam, 1e-300)).sum())
-    lp += float(-0.5 * (mu**2).sum() / priors.mean_scale_sq)
+    lp = -0.5 * (b0 - BETA_MEAN[0]) ** 2 / BETA_VAR[0]
+    lp += -0.5 * (b1 - BETA_MEAN[1]) ** 2 / BETA_VAR[1]
+    lp += float((DIRICHLET - 1.0) * np.log(np.maximum(lam, 1e-300)).sum())
+    lp += float(-0.5 * (mu**2).sum() / MEAN_SCALE_SQ)
     # scaled inverse chi-square density kernel
-    a, s0 = priors.var_df, priors.var_scale_sq
+    a, s0 = VAR_DF, VAR_SCALE_SQ
     lp += float((-(1.0 + a / 2.0) * np.log(sig2) - a * s0 / (2.0 * sig2)).sum())
     # positions given assignments
     diff = z - mu[m]
@@ -260,7 +221,7 @@ def draw_memberships(z, lam, mu, sig2, rng) -> np.ndarray:
     return np.clip(m, 0, len(lam) - 1)
 
 
-def draw_mixture_params(z, m, sig2_current, n_clusters, priors: LsmPriors, rng):
+def draw_mixture_params(z, m, sig2_current, n_clusters, rng):
     """Conjugate draws of (weights, means, variances) given positions and labels.
 
     Two-block sweep: each component mean is drawn given the current variance,
@@ -268,12 +229,12 @@ def draw_mixture_params(z, m, sig2_current, n_clusters, priors: LsmPriors, rng):
     """
     d = z.shape[1]
     counts = np.bincount(m, minlength=n_clusters).astype(np.float64)
-    lam = rng.dirichlet(priors.dirichlet + counts)
+    lam = rng.dirichlet(DIRICHLET + counts)
     mu = np.empty((n_clusters, d))
     sig2 = np.empty(n_clusters)
     for c in range(n_clusters):
         nk = counts[c]
-        var_c = 1.0 / (nk / sig2_current[c] + 1.0 / priors.mean_scale_sq)
+        var_c = 1.0 / (nk / sig2_current[c] + 1.0 / MEAN_SCALE_SQ)
         mean_c = (
             var_c * z[m == c].sum(axis=0) / sig2_current[c]
             if nk
@@ -281,18 +242,17 @@ def draw_mixture_params(z, m, sig2_current, n_clusters, priors: LsmPriors, rng):
         )
         mu[c] = mean_c + math.sqrt(var_c) * rng.normal(size=d)
         ss = float(((z[m == c] - mu[c]) ** 2).sum()) if nk else 0.0
-        df = priors.var_df + nk * d
-        sig2[c] = (priors.var_df * priors.var_scale_sq + ss) / rng.chisquare(df)
+        df = VAR_DF + nk * d
+        sig2[c] = (VAR_DF * VAR_SCALE_SQ + ss) / rng.chisquare(df)
     return lam, mu, sig2
 
 
 class _Scale:
     """Proposal scale with burn-in tuning toward a target acceptance rate."""
 
-    def __init__(self, value, interval, target):
+    def __init__(self, value, interval):
         self.value = value
         self.interval = interval
-        self.target = target
         self.accepted = 0
         self.proposed = 0
         self.total_accepted = 0
@@ -306,14 +266,12 @@ class _Scale:
             self.total_accepted += accepted
         if tuning and self.proposed >= self.interval:
             rate = self.accepted / self.proposed
-            self.value *= math.exp(rate - self.target)
+            self.value *= math.exp(rate - TARGET_ACCEPT)
             self.value = min(max(self.value, 1e-4), 1e4)
             self.accepted = 0
             self.proposed = 0
 
     def rate(self) -> float:
-        if self.total_proposed == 0:
-            return math.nan
         return self.total_accepted / self.total_proposed
 
 
@@ -321,7 +279,6 @@ def lsm_mcmc(
     g: Graph,
     n_clusters: int,
     dim: int = 2,
-    priors: LsmPriors | None = None,
     controls: LsmControls | None = None,
     seed: int = 0,
 ) -> LsmPosterior:
@@ -334,7 +291,6 @@ def lsm_mcmc(
         raise ValueError("K must be >= 1")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    priors = priors or LsmPriors()
     controls = controls or LsmControls()
     n, k, d = g.n, n_clusters, dim
     rng = child_rng(seed, "lsm")
@@ -352,7 +308,7 @@ def lsm_mcmc(
         else np.zeros(n, dtype=np.int64)
     )
     counts = np.bincount(m, minlength=k).astype(np.float64)
-    lam = (counts + priors.dirichlet) / (counts.sum() + k * priors.dirichlet)
+    lam = (counts + DIRICHLET) / (counts.sum() + k * DIRICHLET)
     mu = np.zeros((k, d))
     sig2 = np.full(k, 1.0)
     for c in range(k):
@@ -365,21 +321,16 @@ def lsm_mcmc(
     density = min(max(density, 1.0 / (len(y_u) + 1)), 1.0 - 1.0 / (len(y_u) + 1))
     dmat = np.sqrt(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2))
     b0 = math.log(density / (1 - density)) + b1 * float(dmat[iu].mean())
-    if not controls.intercept:
-        b0 = 0.0
 
-    scale_z = _Scale(0.5, controls.tune_interval * n, controls.target_accept)
-    scale_b0 = _Scale(0.2, controls.tune_interval, controls.target_accept)
-    scale_b1 = _Scale(0.2, controls.tune_interval, controls.target_accept)
+    scale_z = _Scale(0.5, TUNE_INTERVAL * n)
+    scale_b0 = _Scale(0.2, TUNE_INTERVAL)
+    scale_b1 = _Scale(0.2, TUNE_INTERVAL)
 
     n_iters = controls.burnin + controls.n_samples * controls.thin
     s_out = 0
     zs = np.empty((controls.n_samples, n, d))
     beta0s = np.empty(controls.n_samples)
     beta1s = np.empty(controls.n_samples)
-    lams = np.empty((controls.n_samples, k))
-    mus = np.empty((controls.n_samples, k, d))
-    sig2s = np.empty((controls.n_samples, k))
     ms = np.empty((controls.n_samples, n), dtype=np.int64)
     log_posts = np.empty(controls.n_samples)
     probs_sum = np.zeros((n, k))
@@ -415,24 +366,23 @@ def lsm_mcmc(
         d_u = dmat[iu]
 
         # (b) coefficients
-        if controls.intercept:
-            prop0 = b0 + scale_b0.value * rng.normal()
-            ll_old = _dyad_loglik_full(y_u, d_u, b0, b1)
-            ll_new = _dyad_loglik_full(y_u, d_u, prop0, b1)
-            pr = -0.5 * (
-                (prop0 - priors.beta_mean[0]) ** 2 - (b0 - priors.beta_mean[0]) ** 2
-            ) / priors.beta_var[0]
-            accept = math.log(rng.random() + 1e-300) < ll_new - ll_old + pr
-            if accept:
-                b0 = prop0
-            scale_b0.record(accept, tuning)
+        prop0 = b0 + scale_b0.value * rng.normal()
+        ll_old = _dyad_loglik_full(y_u, d_u, b0, b1)
+        ll_new = _dyad_loglik_full(y_u, d_u, prop0, b1)
+        pr = -0.5 * (
+            (prop0 - BETA_MEAN[0]) ** 2 - (b0 - BETA_MEAN[0]) ** 2
+        ) / BETA_VAR[0]
+        accept = math.log(rng.random() + 1e-300) < ll_new - ll_old + pr
+        if accept:
+            b0 = prop0
+        scale_b0.record(accept, tuning)
 
         prop1 = b1 * math.exp(scale_b1.value * rng.normal())
         ll_old = _dyad_loglik_full(y_u, d_u, b0, b1)
         ll_new = _dyad_loglik_full(y_u, d_u, b0, prop1)
         pr = -0.5 * (
-            (prop1 - priors.beta_mean[1]) ** 2 - (b1 - priors.beta_mean[1]) ** 2
-        ) / priors.beta_var[1]
+            (prop1 - BETA_MEAN[1]) ** 2 - (b1 - BETA_MEAN[1]) ** 2
+        ) / BETA_VAR[1]
         jac = math.log(prop1 / b1)  # log-scale random walk Jacobian
         accept = math.log(rng.random() + 1e-300) < ll_new - ll_old + pr + jac
         if accept:
@@ -441,31 +391,25 @@ def lsm_mcmc(
 
         # (c) conjugate mixture block
         m = draw_memberships(z, lam, mu, sig2, rng)
-        lam, mu, sig2 = draw_mixture_params(z, m, sig2, k, priors, rng)
+        lam, mu, sig2 = draw_mixture_params(z, m, sig2, k, rng)
 
         # (d) retention with alignment, rescaling, and bookkeeping
         if not tuning and (it - controls.burnin + 1) % controls.thin == 0:
             lp = _dyad_loglik_full(y_u, d_u, b0, b1) + _log_prior(
-                (z, b0, b1, lam, mu, sig2, m), priors, controls.intercept
+                (z, b0, b1, lam, mu, sig2, m)
             )
             probs = membership_probabilities(z, lam, mu, sig2)
             rot, zm, rm = _procrustes_transform(z, reference)
             z_al = (z - zm) @ rot + rm
-            mu_al = (mu - zm) @ rot + rm
             scale = math.sqrt(float((z_al**2).sum() / n))
             if scale > 0:
                 z_al = z_al / scale
-                mu_al = mu_al / scale
-                sig2_al = sig2 / scale**2
                 b1_al = b1 * scale
             else:
-                sig2_al, b1_al = sig2.copy(), b1
+                b1_al = b1
             zs[s_out] = z_al
             beta0s[s_out] = b0
             beta1s[s_out] = b1_al
-            lams[s_out] = lam
-            mus[s_out] = mu_al
-            sig2s[s_out] = sig2_al
             ms[s_out] = m
             log_posts[s_out] = lp
             draw_probs[s_out] = probs
@@ -476,24 +420,20 @@ def lsm_mcmc(
     for s in range(controls.n_samples):
         perm = _best_permutation(ms[s], ref_labels, k)
         ms[s] = perm[ms[s]]
-        inv = np.argsort(perm)
-        lams[s] = lams[s][inv]
-        mus[s] = mus[s][inv]
-        sig2s[s] = sig2s[s][inv]
-        draw_probs[s] = draw_probs[s][:, inv]
+        draw_probs[s] = draw_probs[s][:, np.argsort(perm)]
         probs_sum += draw_probs[s]
     membership_probs = probs_sum / controls.n_samples
 
     acceptance = {
         "positions": scale_z.rate(),
-        "beta0": scale_b0.rate() if controls.intercept else math.nan,
+        "beta0": scale_b0.rate(),
         "beta1": scale_b1.rate(),
     }
     warnings = [
         f"{name} acceptance rate {rate:.3f} outside [0.1, 0.6]; "
         "consider retuning proposal scales"
         for name, rate in acceptance.items()
-        if math.isfinite(rate) and not 0.1 <= rate <= 0.6
+        if not 0.1 <= rate <= 0.6
     ]
     return LsmPosterior(
         n_clusters=k,
@@ -501,16 +441,12 @@ def lsm_mcmc(
         zs=zs,
         beta0s=beta0s,
         beta1s=beta1s,
-        lams=lams,
-        mus=mus,
-        sig2s=sig2s,
         ms=ms,
         log_posts=log_posts,
         membership_probs=membership_probs,
         reference=reference,
         acceptance=acceptance,
         warnings=warnings,
-        intercept=controls.intercept,
         seed=seed,
     )
 
@@ -524,7 +460,6 @@ def lsm_posterior_to_dict(post: LsmPosterior) -> dict:
         "kind": "lsm",
         "K": post.n_clusters,
         "dim": post.dim,
-        "intercept": post.intercept,
         "beta0_mean": post.beta0_mean,
         "beta1_mean": post.beta1_mean,
         "positions_mean": [[float(v) for v in row] for row in post.positions_mean],
@@ -544,7 +479,6 @@ class LsmSummary:
 
     n_clusters: int
     dim: int
-    intercept: bool
     beta0_mean: float
     beta1_mean: float
     positions_mean: np.ndarray
@@ -558,7 +492,6 @@ def lsm_posterior_from_dict(data: dict) -> LsmSummary:
     return LsmSummary(
         n_clusters=int(data["K"]),
         dim=int(data["dim"]),
-        intercept=bool(data.get("intercept", True)),
         beta0_mean=float(data["beta0_mean"]),
         beta1_mean=float(data["beta1_mean"]),
         positions_mean=np.array(data["positions_mean"], dtype=np.float64),

@@ -51,7 +51,6 @@ class SamplerControls:
     burnin_sweeps: int = 2000
     n_samples: int = 1
     thin_sweeps: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if self.burnin_sweeps < 0:
@@ -118,7 +117,7 @@ def gibbs_sample(
     spec: StatisticSpec,
     theta,
     controls: SamplerControls,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> GibbsResult:
     """Sample graphs from the ERGM on n nodes defined by (spec, theta).
 
@@ -128,8 +127,6 @@ def gibbs_sample(
     result carries a degeneracy flag instead.
     """
     theta = _check_theta(theta, spec)
-    if rng is None:
-        rng = np.random.default_rng(controls.seed)
     engine = ChangeStatEngine(spec, n)
     g = bernoulli_graph(n, _init_density(spec, theta), rng)
     engine.sweep(g, theta, controls.burnin_sweeps, rng)
@@ -240,7 +237,7 @@ def hergm_draws(
             chains.append([bernoulli_graph(cl.n, cl.p, rng_k)
                            for _ in range(controls.n_samples)])
         else:
-            chains.append(gibbs_sample(cl.n, cl.spec, cl.theta, controls, rng=rng_k).graphs)
+            chains.append(gibbs_sample(cl.n, cl.spec, cl.theta, controls, rng_k).graphs)
     rng_b = child_rng(seed, "between")
     draws = []
     for s in range(controls.n_samples):

@@ -21,19 +21,18 @@ from .graph import Graph, Partition
 __all__ = ["ScoreControls", "kmeans", "score_cluster"]
 
 
+KMEANS_MAX_ITER = 100
+
+
 @dataclass(frozen=True)
 class ScoreControls:
     n_clusters: int
-    ratio_cap: float | None = None  # default log(n) at call time
     restarts: int = 10
-    max_iter: int = 100
     seed: int = 0
 
     def __post_init__(self):
         if self.n_clusters < 2:
             raise ValueError("SCORE needs K >= 2")
-        if self.ratio_cap is not None and self.ratio_cap <= 0:
-            raise ValueError("ratio truncation threshold must be positive")
 
 
 def kmeans(
@@ -41,10 +40,10 @@ def kmeans(
     n_clusters: int,
     restarts: int = 10,
     seed: int = 0,
-    max_iter: int = 100,
 ) -> np.ndarray:
     """Lloyd's k-means, best of ``restarts`` by within-cluster sum of squares.
 
+    Each restart runs at most ``KMEANS_MAX_ITER`` Lloyd iterations.
     Deterministic under seed.  A cluster that empties is re-seeded to the
     point farthest from its assigned center.
     """
@@ -60,7 +59,7 @@ def kmeans(
     for _ in range(max(restarts, 1)):
         centers = pts[rng.choice(n, size=n_clusters, replace=False)].copy()
         labels = np.zeros(n, dtype=np.int64)
-        for _ in range(max_iter):
+        for _ in range(KMEANS_MAX_ITER):
             d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             new_labels = d2.argmin(axis=1)
             for k in range(n_clusters):
@@ -97,14 +96,14 @@ def score_cluster(g: Graph, controls: ScoreControls) -> Partition:
     """Cluster nodes by k-means on truncated eigenvector ratios.
 
     The ratio matrix divides eigenvectors 2..K entrywise by the leading one;
-    entries are capped at +-T with T = log(n) unless overridden.  K-means is
-    fit on the giant component's rows; nodes of smaller components are
-    assigned to the nearest fitted centroid.
+    entries are capped at +-T with T = log(n).  K-means is fit on the giant
+    component's rows; nodes of smaller components are assigned to the
+    nearest fitted centroid.
     """
     k = controls.n_clusters
     if g.n < k:
         raise ValueError(f"graph has {g.n} nodes, fewer than K={k}")
-    cap = controls.ratio_cap if controls.ratio_cap is not None else math.log(g.n)
+    cap = math.log(g.n)
     a = g.adjacency_matrix().astype(np.float64)
     _, vecs = _leading_eigenpairs(a, k)
     lead = vecs[:, 0].copy()
@@ -128,10 +127,7 @@ def score_cluster(g: Graph, controls: ScoreControls) -> Partition:
     core = sizes[comp] >= k
     if core.sum() < k:
         core = np.ones(g.n, dtype=bool)
-    core_labels = kmeans(
-        ratios[core], k, restarts=controls.restarts,
-        seed=controls.seed, max_iter=controls.max_iter,
-    )
+    core_labels = kmeans(ratios[core], k, restarts=controls.restarts, seed=controls.seed)
     centers = np.stack([
         ratios[core][core_labels == c].mean(axis=0) for c in range(k)
     ])

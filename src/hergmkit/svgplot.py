@@ -11,6 +11,8 @@ from . import __version__ as _version
 _PANEL_W = 320
 _PANEL_H = 240
 _MARGIN = 42
+_COLUMNS = 2
+_COLORS = ("#1f6fb4", "#d1495b", "#3a8c5c", "#8a5ab8", "#c98a18")
 
 
 def _scale(vals, lo, hi, out_lo, out_hi):
@@ -72,16 +74,14 @@ def _panel(title, x, series, x0, y0) -> list[str]:
     return parts
 
 
-def render_panels(panels: list[dict], path, columns: int = 2):
-    """Write an SVG grid of panels.
+def render_panels(panels: list[dict], path):
+    """Write an SVG grid of panels, ``_COLUMNS`` to a row.
 
     Each panel dict: ``title``, ``x`` (list), ``series`` (list of dicts with
-    ``label``, ``values``, optional ``lower``/``upper`` band, optional
-    ``color``).
+    ``label``, ``values``, optional ``lower``/``upper`` band).
     """
-    colors = ("#1f6fb4", "#d1495b", "#3a8c5c", "#8a5ab8", "#c98a18")
-    rows = (len(panels) + columns - 1) // columns
-    width = columns * (_PANEL_W + 10) + 10
+    rows = (len(panels) + _COLUMNS - 1) // _COLUMNS
+    width = _COLUMNS * (_PANEL_W + 10) + 10
     height = rows * (_PANEL_H + 10) + 10
     parts = [
         f"<!-- hergm-kit {_version} -->",
@@ -90,11 +90,11 @@ def render_panels(panels: list[dict], path, columns: int = 2):
         f'<rect width="{width}" height="{height}" fill="#fafafa"/>',
     ]
     for idx, panel in enumerate(panels):
-        x0 = 10 + (idx % columns) * (_PANEL_W + 10)
-        y0 = 10 + (idx // columns) * (_PANEL_H + 10)
+        x0 = 10 + (idx % _COLUMNS) * (_PANEL_W + 10)
+        y0 = 10 + (idx // _COLUMNS) * (_PANEL_H + 10)
         series = []
         for s_idx, s in enumerate(panel["series"]):
-            color = s.get("color", colors[s_idx % len(colors)])
+            color = _COLORS[s_idx % len(_COLORS)]
             if "upper" in s and "lower" in s:
                 series.append((s["label"], list(s["upper"]), color, list(s["lower"])))
             if "values" in s:

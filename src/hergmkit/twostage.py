@@ -33,7 +33,6 @@ from .graph import Graph, Partition, within_subgraph
 from .lsm import (
     LsmControls,
     LsmPosterior,
-    LsmPriors,
     LsmSummary,
     lsm_mcmc,
     map_membership,
@@ -76,9 +75,7 @@ class TwoStageControls:
     method: str = "mcmle"  # stage-2 estimator: mcmle | mple
     dim: int = 2
     lsm: LsmControls = LsmControls()
-    priors: LsmPriors = LsmPriors()
     mcmle: McmleControls = McmleControls()
-    score_restarts: int = 10
 
     def __post_init__(self):
         if self.method not in ("mcmle", "mple"):
@@ -146,7 +143,6 @@ def two_stage_fit(
             g,
             n_clusters,
             dim=controls.dim,
-            priors=controls.priors,
             controls=controls.lsm,
             seed=int(child_seed(seed, "stage1").generate_state(1, np.uint32)[0]),
         )
@@ -156,7 +152,6 @@ def two_stage_fit(
             g,
             ScoreControls(
                 n_clusters=n_clusters,
-                restarts=controls.score_restarts,
                 seed=int(child_seed(seed, "stage1").generate_state(1, np.uint32)[0]),
             ),
         )
@@ -217,6 +212,8 @@ def misclustering_rate(est: Partition, truth: Partition) -> float:
 
 
 # -- goodness of fit ---------------------------------------------------------
+
+GOF_BURNIN_SWEEPS = 500
 
 
 @dataclass
@@ -332,7 +329,7 @@ def gof(
     """
     if n_sim < 1:
         raise ValueError("n_sim must be >= 1")
-    sim_controls = sim_controls or SamplerControls(burnin_sweeps=500)
+    sim_controls = sim_controls or SamplerControls(burnin_sweeps=GOF_BURNIN_SWEEPS)
     hspec, spec, flagged = _gof_model(fit, g)
     draws = hergm_draws(hspec, seed, replace(sim_controls, n_samples=n_sim))
 

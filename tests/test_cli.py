@@ -1,12 +1,51 @@
 """Command-line exit codes, flags, and the bundled configs."""
 
 import json
+import xml.etree.ElementTree as ET
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from hergmkit import cli, experiments
+
+SENSITIVITY = {
+    "clusters": [{"n": 8, "theta": [-1.0, 0.3]}, {"n": 8, "theta": [-1.2, 0.4]}],
+    "stats": "edges,gwesp(0.5)",
+    "rho_grid": [0.0, 0.25],
+    "replications": 2,
+    "seed": 3,
+    "nsim_gof": 5,
+    "method": "mple",
+    "sim": {"burnin_sweeps": 20},
+}
+
+MISRATE = {
+    "n_per_cluster": [6],
+    "transitivity": [0.5],
+    "replications": 1,
+    "seed": 1,
+    "lsm": {"burnin": 10, "samples": 5, "thin": 1},
+    "sim": {"burnin_sweeps": 5},
+}
+
+
+def _write_config(tmp_path, cfg: dict) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _svg_panel_titles(path) -> list[str]:
+    """Panel titles of an SVG written by ``render_panels``; parsing must succeed."""
+    ns = "{http://www.w3.org/2000/svg}"
+    root = ET.parse(path).getroot()
+    assert root.tag == ns + "svg"
+    n_panels = sum(r.get("fill") == "white" for r in root.iter(ns + "rect"))
+    titles = [t.text for t in root.iter(ns + "text") if t.get("font-size") == "12"]
+    assert len(titles) == n_panels
+    return titles
+
 
 def _simulate(tmp_path, n_per: int) -> tuple[str, str]:
     """A 3-block edges-only graph and its partition, written to tmp_path."""
@@ -64,6 +103,77 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(argv)
         assert exc.value.code == 2
+
+
+class TestMalformedExperimentConfigs:
+    @pytest.mark.parametrize("kind, cfg, field", [
+        ("sensitivity",
+         {**SENSITIVITY, "clusters": [SENSITIVITY["clusters"][0], {"theta": [-1.0, 0.3]}]},
+         "clusters[1].n"),
+        ("sensitivity",
+         {**SENSITIVITY, "clusters": [{"n": 8}, SENSITIVITY["clusters"][1]]},
+         "clusters[0].theta"),
+        ("sensitivity", {**SENSITIVITY, "sim": [20]}, "'sim'"),
+        ("misrate", {**MISRATE, "lsm": [1, 2]}, "'lsm'"),
+        ("misrate", {**MISRATE, "sim": 5}, "'sim'"),
+    ])
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, kind, cfg, field):
+        code = cli.main(["experiment", kind, "--threads", "1",
+                         "--config", _write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, cfg, values", [
+        ("misrate", {**MISRATE, "transitivity": [0.5, 0.5004]}, ("0.5", "0.5004")),
+        ("misrate", {**MISRATE, "n_per_cluster": [6, 6]}, ("6", "6")),
+        ("sensitivity", {**SENSITIVITY, "rho_grid": [0.1, 0.1001]}, ("0.1", "0.1001")),
+    ])
+    def test_grid_values_sharing_a_seed_exit_2(self, tmp_path, capsys, kind, cfg, values):
+        code = cli.main(["experiment", kind, "--threads", "1",
+                         "--config", _write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"values {values[0]} and {values[1]} share the seed key" in err
+
+
+class TestExperimentOutputs:
+    def test_sensitivity_table_identical_across_thread_counts(self, tmp_path):
+        config = _write_config(tmp_path, SENSITIVITY)
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"sens{threads}.csv"
+            assert cli.main(["experiment", "sensitivity", "--threads", threads,
+                             "--config", config, "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+        lines = tables[0].decode().splitlines()
+        assert lines[0] == (
+            "rho,replication,cluster,theta[edges],theta[gwesp(0.5)],"
+            "bias[edges],bias[gwesp(0.5)],esp_coverage,degree_coverage"
+        )
+        # rho x replication x cluster rows, then one mean row per (rho, cluster)
+        assert len(lines) == 1 + 2 * 2 * 2 + 2 * 2
+
+    def test_score_svg_has_one_panel(self, tmp_path):
+        config = _write_config(tmp_path, {
+            "blocks": [8, 8], "p_in": 0.5, "p_out": 0.05, "replications": 2, "seed": 1,
+        })
+        svg = tmp_path / "score.svg"
+        assert cli.main(["experiment", "score", "--threads", "1", "--config", config,
+                         "--out", str(tmp_path / "score.csv"), "--svg", str(svg)]) == 0
+        assert _svg_panel_titles(svg) == ["SCORE mis-clustering rate per replication"]
+
+
+def test_gof_svg_has_one_panel_per_diagnostic(tmp_path):
+    graph, truth = _simulate(tmp_path, 6)
+    svg = tmp_path / "gof.svg"
+    assert cli.main(["gof", "--graph", graph, "--fit", _fit(tmp_path, graph, truth),
+                     "--nsim", "3", "--burnin", "2", "--out", str(tmp_path / "gof.csv"),
+                     "--svg", str(svg)]) == 0
+    titles = _svg_panel_titles(svg)
+    assert [t.split(" ")[0] for t in titles] == ["degree", "esp", "geodesic", "stats"]
 
 
 # -- every key of every bundled config is read by its command ----------------

@@ -112,10 +112,11 @@ class TestMple:
         with pytest.raises(NonFiniteMleError):
             mple(g, EDGES)
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr("hergmkit.fit.MPLE_MAX_ITER", 1)
         g = random_graph(10, 0.3, 5)
         with pytest.raises(MpleNotConvergedError, match="did not reach"):
-            mple(g, ET, max_iter=1)
+            mple(g, ET)
 
     def test_std_errors_invariant_under_relabeling(self):
         g = random_graph(8, 0.4, 4)
@@ -174,7 +175,9 @@ class TestMcmle:
         assert abs(fit.theta_hat[0] - pseudo.theta_hat[0]) < 0.05
 
     def test_matches_exact_mle_single_instance(self):
-        res = gibbs_sample(6, ET, (-1.0, 0.3), SamplerControls(500, 1, 1, seed=7))
+        res = gibbs_sample(
+            6, ET, (-1.0, 0.3), SamplerControls(500, 1, 1), np.random.default_rng(7)
+        )
         g = res.graphs[-1]
         s_obs = stat_vector(g, ET)
         oracle = exact_mle(6, ET, s_obs)
@@ -188,7 +191,9 @@ class TestMcmle:
         np.testing.assert_allclose(fit.theta_hat, oracle, atol=0.05)
 
     def test_self_consistent_from_exact_start(self):
-        res = gibbs_sample(6, ET, (-1.0, 0.3), SamplerControls(500, 1, 1, seed=7))
+        res = gibbs_sample(
+            6, ET, (-1.0, 0.3), SamplerControls(500, 1, 1), np.random.default_rng(7)
+        )
         g = res.graphs[-1]
         oracle = exact_mle(6, ET, stat_vector(g, ET))
         fit = mcmle(

@@ -10,7 +10,6 @@ from hergmkit import (
     Partition,
     between_edge_counts,
     dyad,
-    new_graph,
     read_edge_list,
     read_partition,
     within_subgraph,
@@ -31,27 +30,27 @@ def random_graph(n, density, seed):
 
 class TestGraphBasics:
     def test_new_graph_empty(self):
-        g = new_graph(5)
+        g = Graph(5)
         assert g.n_edges == 0
         assert all(g.degree(i) == 0 for i in range(5))
 
     def test_single_node_graph_is_valid(self):
-        g = new_graph(1)
+        g = Graph(1)
         assert g.n == 1 and g.n_edges == 0
 
     def test_zero_nodes_rejected(self):
         with pytest.raises(ValueError):
-            new_graph(0)
+            Graph(0)
 
     def test_toggle_adds_then_removes(self):
-        g = new_graph(3)
+        g = Graph(3)
         g.toggle_edge(0, 1)
         assert g.n_edges == 1 and g.has_edge(0, 1) and g.has_edge(1, 0)
         g.toggle_edge(0, 1)
         assert g.n_edges == 0
 
     def test_toggle_out_of_range(self):
-        g = new_graph(3)
+        g = Graph(3)
         with pytest.raises(ValueError):
             g.toggle_edge(0, 5)
 
@@ -63,7 +62,7 @@ class TestGraphBasics:
         assert dyad(4, 1) == (1, 4)
 
     def test_neighbors_and_common(self):
-        g = new_graph(4)
+        g = Graph(4)
         g.add_edge(0, 1)
         g.add_edge(0, 2)
         g.add_edge(1, 2)
@@ -88,7 +87,7 @@ class TestGraphBasics:
     @given(st.integers(2, 8), st.data())
     @settings(max_examples=50, deadline=None)
     def test_toggle_involution_and_degree_sum(self, n, data):
-        g = new_graph(n)
+        g = Graph(n)
         moves = data.draw(
             st.lists(
                 st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
@@ -167,7 +166,7 @@ class TestSubgraphs:
         assert within_total + y_b == g.n_edges
 
     def test_between_counts(self):
-        g = new_graph(2)
+        g = Graph(2)
         g.add_edge(0, 1)
         p = Partition(np.array([0, 1]), 2)
         assert between_edge_counts(g, p) == (1, 1)
@@ -178,7 +177,7 @@ class TestSubgraphs:
         assert between_edge_counts(g, p) == (0, 0)
 
     def test_between_dyad_count_three_blocks(self):
-        g = new_graph(60)
+        g = Graph(60)
         labels = np.repeat([0, 1, 2], 20)
         _, n_b = between_edge_counts(g, Partition(labels, 3))
         assert n_b == 1200
@@ -222,7 +221,7 @@ class TestFileFormats:
             read_edge_list(path)
 
     def test_isolated_nodes_survive_round_trip(self, tmp_path):
-        g = new_graph(10)
+        g = Graph(10)
         g.add_edge(0, 1)
         path = tmp_path / "g.edges"
         write_edge_list(g, path)

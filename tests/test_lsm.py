@@ -7,9 +7,8 @@ import pytest
 
 from hergmkit import Graph, Partition
 from hergmkit.lsm import (
+    DIRICHLET,
     LsmControls,
-    LsmPriors,
-    cluster_spread,
     draw_memberships,
     draw_mixture_params,
     init_positions,
@@ -18,7 +17,6 @@ from hergmkit.lsm import (
     lsm_posterior_to_dict,
     map_membership,
     membership_probabilities,
-    posterior_membership,
     procrustes_align,
 )
 from hergmkit.sampler import dyad_order
@@ -87,16 +85,12 @@ class TestConjugateDraws:
         rng = np.random.default_rng(2)
         z = rng.normal(size=(30, 2))
         m = np.array([0] * 18 + [1] * 12)
-        priors = LsmPriors(dirichlet=1.5)
         sig2 = np.array([1.0, 1.0])
         draws = np.array(
-            [
-                draw_mixture_params(z, m, sig2, 2, priors, rng)[0]
-                for _ in range(4000)
-            ]
+            [draw_mixture_params(z, m, sig2, 2, rng)[0] for _ in range(4000)]
         )
         counts = np.array([18.0, 12.0])
-        expected = (1.5 + counts) / (1.5 + counts).sum()
+        expected = (DIRICHLET + counts) / (DIRICHLET + counts).sum()
         np.testing.assert_allclose(draws.mean(axis=0), expected, atol=0.01)
 
     def test_mean_posterior_concentrates(self):
@@ -104,10 +98,9 @@ class TestConjugateDraws:
         true_mu = np.array([2.0, -1.0])
         z = true_mu + 0.1 * rng.normal(size=(200, 2))
         m = np.zeros(200, dtype=np.int64)
-        priors = LsmPriors()
         draws = np.array(
             [
-                draw_mixture_params(z, m, np.array([0.01]), 1, priors, rng)[1][0]
+                draw_mixture_params(z, m, np.array([0.01]), 1, rng)[1][0]
                 for _ in range(500)
             ]
         )
@@ -232,14 +225,14 @@ class TestLsmMcmc:
     def test_posterior_membership_rows_normalized(self):
         g = two_cliques(6)
         post = lsm_mcmc(g, 2, controls=LIGHT, seed=4)
-        probs = posterior_membership(post)
+        probs = post.membership_probs
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert (probs >= 0).all()
 
     def test_posterior_membership_single_state(self):
         z = np.zeros((3, 2))
-        probs = posterior_membership(
-            (z, np.array([0.5, 0.5]), np.zeros((2, 2)), np.array([1.0, 1.0]))
+        probs = membership_probabilities(
+            z, np.array([0.5, 0.5]), np.zeros((2, 2)), np.array([1.0, 1.0])
         )
         np.testing.assert_allclose(probs, 0.5)
 
@@ -276,11 +269,6 @@ class TestLsmMcmc:
             _dyad_loglik_full(y[iu], d2, 0.3, 1.2), abs=1e-10
         )
 
-    def test_spread_helper(self):
-        pos = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.0, 0.0]])
-        part = Partition(np.array([0, 0, 1, 1]), 2)
-        np.testing.assert_allclose(cluster_spread(pos, part), [0.5, 0.5])
-
     def test_invalid_args(self):
         g = two_cliques(4)
         with pytest.raises(ValueError):
@@ -289,8 +277,6 @@ class TestLsmMcmc:
             lsm_mcmc(g, 2, dim=0, controls=LIGHT)
         with pytest.raises(ValueError):
             LsmControls(burnin=-1)
-        with pytest.raises(ValueError):
-            LsmPriors(dirichlet=-1.0)
 
 
 class TestSerialization:

@@ -41,15 +41,15 @@ class TestControls:
 
     def test_theta_validation(self):
         with pytest.raises(ValueError):
-            gibbs_sample(4, EDGES, (0.0, 1.0), SamplerControls())
+            gibbs_sample(4, EDGES, (0.0, 1.0), SamplerControls(), np.random.default_rng(0))
         with pytest.raises(ValueError):
-            gibbs_sample(4, EDGES, (math.inf,), SamplerControls())
+            gibbs_sample(4, EDGES, (math.inf,), SamplerControls(), np.random.default_rng(0))
 
 
 class TestGibbs:
     def test_theta_zero_density_half(self):
         res = gibbs_sample(
-            20, EDGES, (0.0,), SamplerControls(100, 300, 1, seed=1)
+            20, EDGES, (0.0,), SamplerControls(100, 300, 1), np.random.default_rng(1)
         )
         n_dyads = 190
         se = math.sqrt(0.25 / (300 * n_dyads))
@@ -58,25 +58,25 @@ class TestGibbs:
     def test_baseline_density_low(self):
         theta = math.log(0.05 / 0.95)
         res = gibbs_sample(
-            30, EDGES, (theta,), SamplerControls(100, 300, 1, seed=2)
+            30, EDGES, (theta,), SamplerControls(100, 300, 1), np.random.default_rng(2)
         )
         mc_se = res.density_trace.std(ddof=1) / math.sqrt(300)
         assert abs(res.density_trace.mean() - 0.05) < 4 * mc_se + 1e-3
 
     def test_determinism(self):
-        a = gibbs_sample(8, ET, (-0.5, 0.2), SamplerControls(50, 5, 2, seed=9))
-        b = gibbs_sample(8, ET, (-0.5, 0.2), SamplerControls(50, 5, 2, seed=9))
+        a = gibbs_sample(8, ET, (-0.5, 0.2), SamplerControls(50, 5, 2), np.random.default_rng(9))
+        b = gibbs_sample(8, ET, (-0.5, 0.2), SamplerControls(50, 5, 2), np.random.default_rng(9))
         assert all(x == y for x, y in zip(a.graphs, b.graphs))
         np.testing.assert_array_equal(a.stats, b.stats)
 
     def test_degeneracy_flag(self):
-        res = gibbs_sample(10, EDGES, (-9.0,), SamplerControls(50, 5, 1, seed=3))
+        res = gibbs_sample(10, EDGES, (-9.0,), SamplerControls(50, 5, 1), np.random.default_rng(3))
         assert res.degenerate
-        res2 = gibbs_sample(10, EDGES, (0.0,), SamplerControls(50, 5, 1, seed=3))
+        res2 = gibbs_sample(10, EDGES, (0.0,), SamplerControls(50, 5, 1), np.random.default_rng(3))
         assert not res2.degenerate
 
     def test_stats_align_with_graphs(self):
-        res = gibbs_sample(7, ET, (-1.0, 0.3), SamplerControls(50, 10, 2, seed=4))
+        res = gibbs_sample(7, ET, (-1.0, 0.3), SamplerControls(50, 10, 2), np.random.default_rng(4))
         for g, row in zip(res.graphs, res.stats):
             np.testing.assert_array_equal(stat_vector(g, ET), row)
 
@@ -150,7 +150,7 @@ class TestExactDistribution:
         # moderate-length chain; the acceptance suite runs the full version
         ex = exact_distribution(5, ET, (-1.0, 0.3))
         res = gibbs_sample(
-            5, ET, (-1.0, 0.3), SamplerControls(500, 20000, 1, seed=5)
+            5, ET, (-1.0, 0.3), SamplerControls(500, 20000, 1), np.random.default_rng(5)
         )
         counts = np.zeros(len(ex.probs))
         for g in res.graphs:

@@ -1,6 +1,5 @@
 """Two-stage pipeline, mis-clustering metric, and goodness of fit."""
 
-import functools
 import itertools
 import math
 
@@ -251,7 +250,7 @@ class TestUnavailableClusters:
         gof(g, ts, 3, seed=2, sim_controls=SamplerControls(burnin_sweeps=10))
 
     def test_nonconverging_mple_marks_cluster_unavailable(self, monkeypatch):
-        monkeypatch.setattr(twostage, "mple", functools.partial(mple, max_iter=1))
+        monkeypatch.setattr("hergmkit.fit.MPLE_MAX_ITER", 1)
         g, truth = fig1_like(8, seed=7)
         ts = two_stage_fit(
             g, 3, SPEC, stage1="given",
@@ -349,7 +348,7 @@ class TestGof:
         from hergmkit.lsm import LsmSummary
 
         summary = LsmSummary(
-            n_clusters=1, dim=2, intercept=True, beta0_mean=0.0, beta1_mean=1.0,
+            n_clusters=1, dim=2, beta0_mean=0.0, beta1_mean=1.0,
             positions_mean=np.zeros((5, 2)), membership_probs=np.ones((5, 1)),
             map_partition=Partition(np.zeros(5, dtype=int), 1), seed=None,
         )
