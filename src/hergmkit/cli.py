@@ -128,12 +128,12 @@ def _parse_hergm_config(cfg: dict) -> tuple[HergmSpec, SamplerControls]:
     between_p = _require(cfg, "between_p", float, "config")
     try:
         hspec = HergmSpec(tuple(clusters), between_p)
+        controls = SamplerControls(
+            burnin_sweeps=cfg.get("burnin_sweeps", SamplerControls.burnin_sweeps),
+            thin_sweeps=cfg.get("thin_sweeps", SamplerControls.thin_sweeps),
+        )
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
-    controls = SamplerControls(
-        burnin_sweeps=cfg.get("burnin_sweeps", SamplerControls.burnin_sweeps),
-        thin_sweeps=cfg.get("thin_sweeps", SamplerControls.thin_sweeps),
-    )
     return hspec, controls
 
 

@@ -50,6 +50,14 @@ def _check_objects(config: dict, kind: str, keys: tuple[str, ...]):
             raise ValueError(f"{kind} config field {key!r} must be an object")
 
 
+def _controls(kind: str, key: str, make, **values):
+    """``make(**values)``; a rejected value names the config field ``key``."""
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise ValueError(f"{kind} config field {key!r}: {exc}") from exc
+
+
 def _check_seed_keys(kind: str, name: str, values, key):
     """Reject grid values that would share a replication seed.
 
@@ -88,34 +96,18 @@ def _misrate_cell_spec(cfg: dict, n_per_cluster: int, transitivity: float) -> He
 
 
 def _misrate_one(task) -> dict:
-    cfg, n_per_cluster, transitivity, rep = task
+    cfg, sim_controls, lsm_controls, n_per_cluster, transitivity, rep = task
     hspec = _misrate_cell_spec(cfg, n_per_cluster, transitivity)
-    sim_cfg = cfg.get("sim", {})
-    controls = SamplerControls(
-        burnin_sweeps=sim_cfg.get("burnin_sweeps", 500),
-        thin_sweeps=sim_cfg.get("thin_sweeps", 1),
-    )
     seed = int(
         child_rng(cfg["seed"], "misrate", n_per_cluster, _milli(transitivity), rep)
         .integers(2**31)
     )
-    g, truth = simulate_hergm(hspec, seed, controls)
+    g, truth = simulate_hergm(hspec, seed, sim_controls)
     k = hspec.n_clusters
     if cfg.get("stage1", "lsm") == "score":
         est = score_cluster(g, ScoreControls(n_clusters=k, seed=seed))
     else:
-        lsm_cfg = cfg.get("lsm", {})
-        post = lsm_mcmc(
-            g,
-            k,
-            dim=cfg.get("dim", 2),
-            controls=LsmControls(
-                burnin=lsm_cfg.get("burnin", 1000),
-                n_samples=lsm_cfg.get("samples", 400),
-                thin=lsm_cfg.get("thin", 2),
-            ),
-            seed=seed,
-        )
+        post = lsm_mcmc(g, k, dim=cfg.get("dim", 2), controls=lsm_controls, seed=seed)
         est = map_membership(post)
     rate = misclustering_rate(est, truth)
     return {
@@ -136,10 +128,22 @@ def misrate_experiment(config: dict, threads: int = 1) -> list[dict]:
         if key not in config:
             raise ValueError(f"misrate config missing key {key!r}")
     _check_objects(config, "misrate", ("lsm", "sim"))
+    sim_cfg, lsm_cfg = config.get("sim", {}), config.get("lsm", {})
+    sim_controls = _controls(
+        "misrate", "sim", SamplerControls,
+        burnin_sweeps=sim_cfg.get("burnin_sweeps", 500),
+        thin_sweeps=sim_cfg.get("thin_sweeps", 1),
+    )
+    lsm_controls = _controls(
+        "misrate", "lsm", LsmControls,
+        burnin=lsm_cfg.get("burnin", 1000),
+        n_samples=lsm_cfg.get("samples", 400),
+        thin=lsm_cfg.get("thin", 2),
+    )
     _check_seed_keys("misrate", "n_per_cluster", config["n_per_cluster"], int)
     _check_seed_keys("misrate", "transitivity", config["transitivity"], _milli)
     tasks = [
-        (config, int(n), float(t), rep)
+        (config, sim_controls, lsm_controls, int(n), float(t), rep)
         for n in config["n_per_cluster"]
         for t in config["transitivity"]
         for rep in range(config["replications"])
@@ -181,19 +185,17 @@ def _perturb_partition(truth: Partition, rho: float, rng) -> Partition:
 
 
 def _sensitivity_one(task) -> list[dict]:
-    cfg, rho, rep = task
+    cfg, sim_controls, rho, rep = task
     spec = parse_spec(cfg["stats"])
     clusters = tuple(
         ClusterSpec(int(c["n"]), spec, tuple(float(v) for v in c["theta"]))
         for c in cfg["clusters"]
     )
     hspec = HergmSpec(clusters, cfg.get("between_p", 0.05))
-    sim_cfg = cfg.get("sim", {})
-    controls = SamplerControls(burnin_sweeps=sim_cfg.get("burnin_sweeps", 500))
     seed = int(
         child_rng(cfg["seed"], "sens", _milli(rho), rep).integers(2**31)
     )
-    g, truth = simulate_hergm(hspec, seed, controls)
+    g, truth = simulate_hergm(hspec, seed, sim_controls)
     perturbed = _perturb_partition(truth, rho, child_rng(seed, "flip"))
     ts = two_stage_fit(
         g,
@@ -204,8 +206,7 @@ def _sensitivity_one(task) -> list[dict]:
         given_partition=perturbed,
         seed=seed,
     )
-    report = gof(g, ts, cfg.get("nsim_gof", 50), seed=seed,
-                 sim_controls=SamplerControls(burnin_sweeps=sim_cfg.get("burnin_sweeps", 500)))
+    report = gof(g, ts, cfg.get("nsim_gof", 50), seed=seed, sim_controls=sim_controls)
     out = []
     for k, cfit in enumerate(ts.cluster_fits):
         truth_theta = np.array(clusters[k].theta)
@@ -248,9 +249,13 @@ def sensitivity_experiment(config: dict, threads: int = 1) -> list[dict]:
             if not isinstance(c[key], kind):
                 raise ValueError(f"{where}.{key} must be a {kind.__name__}")
     _check_objects(config, "sensitivity", ("sim",))
+    sim_controls = _controls(
+        "sensitivity", "sim", SamplerControls,
+        burnin_sweeps=config.get("sim", {}).get("burnin_sweeps", 500),
+    )
     _check_seed_keys("sensitivity", "rho_grid", config["rho_grid"], _milli)
     tasks = [
-        (config, float(rho), rep)
+        (config, sim_controls, float(rho), rep)
         for rho in config["rho_grid"]
         for rep in range(config["replications"])
     ]

@@ -7,9 +7,12 @@ Two estimators share the ``ErgmFit`` result type:
   logistic regression of tie indicators on change-statistic rows, solved
   here by Newton iteration with explicit separation detection.
 * ``mcmle``: Monte Carlo maximum likelihood.  Starting from the MPLE (or a
-  supplied value), repeatedly samples the model at the current parameter,
-  maximizes the importance-sampling approximation of the likelihood ratio,
-  and stops when the simulated mean statistics bracket the observed ones.
+  supplied value), repeatedly samples the model at the current parameter
+  and maximizes the importance-sampling approximation of the likelihood
+  ratio.  One Markov chain carries on from each outer iteration into the
+  next.  The walk toward the MLE runs on small samples; once their mean
+  statistics bracket the observed ones, full-size samples confirm, and the
+  fit stops at the MLE of the first full-size sample that brackets them.
 
 ``between_density_mle`` is the closed-form Binomial estimate for the shared
 between-cluster tie probability.
@@ -173,6 +176,7 @@ def mple(g: Graph, spec: StatisticSpec) -> ErgmFit:
 MCMLE_MAX_SAMPLES = 8192
 MCMLE_THIN_SWEEPS = 5
 MCMLE_MAX_OUTER = 50
+MCMLE_WALK_DIVISOR = 8
 TRUST_RADIUS = 0.5
 MOMENT_BAND = 3.0
 
@@ -181,14 +185,20 @@ MOMENT_BAND = 3.0
 class McmleControls:
     """Monte Carlo MLE controls.
 
-    Each outer iteration keeps ``n_samples`` draws ``MCMLE_THIN_SWEEPS``
-    sweeps apart after ``burnin_sweeps``.  The draw count doubles (up to
-    ``MCMLE_MAX_SAMPLES``) whenever the effective sample size of the
-    importance weights drops below a tenth of it.  A parameter step is at
-    most ``TRUST_RADIUS`` long.  Convergence requires every component of the
-    simulated mean statistic to sit within ``MOMENT_BAND`` Monte Carlo
-    standard errors of the observed statistic; after ``MCMLE_MAX_OUTER``
-    outer iterations the fit is reported as not converged.
+    A fit runs one Markov chain: ``burnin_sweeps`` from an Erdos-Renyi draw
+    before the first outer iteration, after which each iteration carries on
+    from the last graph of the one before and keeps draws
+    ``MCMLE_THIN_SWEEPS`` sweeps apart.  While the chain walks from the start
+    toward the MLE an iteration keeps ``n_samples // MCMLE_WALK_DIVISOR``
+    draws (at least 4, two batches for the batch-means standard error); from
+    the first walk sample whose mean lies in the moment band on it keeps
+    ``n_samples``.  The draw count doubles (up to ``MCMLE_MAX_SAMPLES``)
+    whenever the effective sample size of the importance weights drops below
+    a tenth of it.  A parameter step is at most ``TRUST_RADIUS`` long.
+    Convergence requires every component of the mean statistic of a
+    full-size sample to sit within ``MOMENT_BAND`` Monte Carlo standard
+    errors of the observed statistic; after ``MCMLE_MAX_OUTER`` outer
+    iterations the fit is reported as not converged.
     """
 
     n_samples: int = 1024
@@ -209,15 +219,17 @@ def _batch_se(s: np.ndarray) -> np.ndarray:
     return batch_means.std(axis=0, ddof=1) / math.sqrt(n_batches)
 
 
-def _weighted_newton(s_centered, s_obs_c, m):
-    """Maximize delta' s_obs - log mean exp(delta' s) over the trust region.
+def _weighted_newton(s_centered, s_obs_c, radius):
+    """Maximize delta' s_obs - log mean exp(delta' s) within ``radius``.
 
     Works on statistics centered at the sample mean for conditioning.
-    Returns (delta, ess_collapsed).
+    Returns (delta, collapsed, settled): ``collapsed`` when the effective
+    sample size of the importance weights fell below a tenth of the sample,
+    ``settled`` when the Newton iteration stopped moving (without a radius,
+    at the maximizer).
     """
-    t = s_centered.shape[1]
+    m, t = s_centered.shape
     delta = np.zeros(t)
-    collapsed = False
     for _ in range(40):
         logw = s_centered @ delta
         logw -= logw.max()
@@ -225,8 +237,7 @@ def _weighted_newton(s_centered, s_obs_c, m):
         w /= w.sum()
         ess = 1.0 / float(w @ w)
         if ess < m / 10.0:
-            collapsed = True
-            break
+            return delta, True, False
         wmean = w @ s_centered
         grad = s_obs_c - wmean
         centered = s_centered - wmean
@@ -237,13 +248,13 @@ def _weighted_newton(s_centered, s_obs_c, m):
             step = np.linalg.pinv(covw) @ grad
         new = delta + step
         nn = np.linalg.norm(new)
-        if nn > TRUST_RADIUS:
-            new = new * (TRUST_RADIUS / nn)
+        if nn > radius:
+            new = new * (radius / nn)
         moved = np.linalg.norm(new - delta)
         delta = new
         if moved < 1e-10:
-            break
-    return delta, collapsed
+            return delta, False, True
+    return delta, False, False
 
 
 def mcmle(
@@ -252,11 +263,18 @@ def mcmle(
     theta0=None,
     controls: McmleControls = McmleControls(),
 ) -> ErgmFit:
-    """Monte Carlo maximum likelihood with trust-region parameter moves.
+    """Monte Carlo maximum likelihood on one warm Markov chain.
 
-    Each outer iteration samples ``m`` graphs at the current parameter,
-    checks the mean-value moment condition, and otherwise takes a damped
-    Newton step on the importance-sampling likelihood-ratio surrogate.
+    Each outer iteration samples the model at the current parameter,
+    continuing the chain of the iteration before (``McmleControls``), checks
+    the mean-value moment condition, and otherwise takes a damped Newton step
+    on the importance-sampling likelihood-ratio surrogate.  The walk from the
+    start toward the MLE uses small samples; its first sample in the moment
+    band takes its step, and from then on every sample is full size.  A
+    full-size sample in the band is polished: the surrogate is maximized
+    without a trust radius, so the estimate is that sample's MLE, and the fit
+    is converged.  A polish whose importance weights collapse, or that does
+    not settle, counts as an ordinary step.
     Raises ``SamplesDegenerateError`` when the sampled statistics carry no
     variation to compare against the observed graph.
     """
@@ -273,6 +291,9 @@ def mcmle(
         if theta.shape != (len(spec),) or not np.all(np.isfinite(theta)):
             raise ValueError(f"theta0 must be {len(spec)} finite values")
     m = controls.n_samples
+    rng = child_rng(controls.seed, "mcmle")
+    chain = None
+    walking = True
     step_log: list[float] = []
     degenerate = False
     contractions = 0
@@ -281,60 +302,68 @@ def mcmle(
             g.n,
             spec,
             theta,
-            SamplerControls(controls.burnin_sweeps, m, MCMLE_THIN_SWEEPS),
-            child_rng(controls.seed, "mcmle", outer),
+            SamplerControls(
+                controls.burnin_sweeps if chain is None else 0,
+                max(m // MCMLE_WALK_DIVISOR, 4) if walking else m,
+                MCMLE_THIN_SWEEPS,
+            ),
+            rng,
+            start=chain,
         )
+        chain = res.graphs[-1]
         degenerate = degenerate or res.degenerate
         s = res.stats
         mean = s.mean(axis=0)
-        sd = s.std(axis=0, ddof=1)
         mc_se = _batch_se(s)
         gap = np.abs(mean - s_obs)
-        if np.all(gap <= MOMENT_BAND * mc_se + 1e-12) and np.any(sd > 0):
+        in_band = bool(np.all(gap <= MOMENT_BAND * mc_se + 1e-12))
+        frozen = bool(np.all(s.std(axis=0, ddof=1) == 0.0))
+        if in_band and not walking:
+            if frozen:
+                # chain and observation agree on a boundary graph; report as-is
+                diag = FitDiagnostics(
+                    iterations=outer,
+                    grad_norm=0.0,
+                    mc_samples=m,
+                    mu_hat=mean,
+                    mc_se=mc_se,
+                    degenerate=True,
+                    converged=True,
+                    step_sizes=step_log,
+                )
+                return ErgmFit(spec, theta, np.zeros(len(spec)), "mcmle", diag,
+                               seed=controls.seed)
             # polish: solve the sample moment equation exactly so the
             # estimate is the sample MLE, not wherever the band was entered
-            delta, _ = _weighted_newton(s - mean, s_obs - mean, m)
-            theta = theta + delta
-            if np.linalg.norm(delta) > 0:
-                step_log.append(float(np.linalg.norm(delta)))
-            logw = (s - mean) @ delta
-            logw -= logw.max()
-            w = np.exp(logw)
-            w /= w.sum()
-            mu_w = w @ s
-            centered = s - mu_w
-            cov_w = centered.T @ (centered * w[:, None])
-            try:
-                inv = np.linalg.inv(cov_w)
-            except np.linalg.LinAlgError:
-                inv = np.linalg.pinv(cov_w)
-            se = np.sqrt(np.clip(np.diag(inv), 0.0, None))
-            diag = FitDiagnostics(
-                iterations=outer,
-                grad_norm=float(np.linalg.norm(mu_w - s_obs)),
-                mc_samples=m,
-                mu_hat=mu_w,
-                mc_se=mc_se,
-                degenerate=degenerate,
-                converged=True,
-                step_sizes=step_log,
-            )
-            return ErgmFit(spec, theta, se, "mcmle", diag, seed=controls.seed)
-        if np.all(sd == 0.0) and np.all(gap <= 1e-12):
-            # chain and observation agree on a boundary graph; report as-is
-            diag = FitDiagnostics(
-                iterations=outer,
-                grad_norm=0.0,
-                mc_samples=m,
-                mu_hat=mean,
-                mc_se=mc_se,
-                degenerate=True,
-                converged=True,
-                step_sizes=step_log,
-            )
-            return ErgmFit(spec, theta, np.zeros(len(spec)), "mcmle", diag,
-                           seed=controls.seed)
-        if np.all(sd == 0.0):
+            delta, _, settled = _weighted_newton(s - mean, s_obs - mean, math.inf)
+            if settled:
+                theta = theta + delta
+                if np.linalg.norm(delta) > 0:
+                    step_log.append(float(np.linalg.norm(delta)))
+                logw = (s - mean) @ delta
+                logw -= logw.max()
+                w = np.exp(logw)
+                w /= w.sum()
+                mu_w = w @ s
+                centered = s - mu_w
+                cov_w = centered.T @ (centered * w[:, None])
+                try:
+                    inv = np.linalg.inv(cov_w)
+                except np.linalg.LinAlgError:
+                    inv = np.linalg.pinv(cov_w)
+                se = np.sqrt(np.clip(np.diag(inv), 0.0, None))
+                diag = FitDiagnostics(
+                    iterations=outer,
+                    grad_norm=float(np.linalg.norm(mu_w - s_obs)),
+                    mc_samples=m,
+                    mu_hat=mu_w,
+                    mc_se=mc_se,
+                    degenerate=degenerate,
+                    converged=True,
+                    step_sizes=step_log,
+                )
+                return ErgmFit(spec, theta, se, "mcmle", diag, seed=controls.seed)
+        elif frozen and not in_band:
             # frozen chain: importance weights carry nothing, but damping the
             # parameter toward the uniform model restores variation
             contractions += 1
@@ -349,7 +378,8 @@ def mcmle(
             theta = theta * 0.5
             step_log.append(float(np.linalg.norm(theta)))
             continue
-        delta, collapsed = _weighted_newton(s - mean, s_obs - mean, m)
+        walking = walking and not in_band
+        delta, collapsed, _ = _weighted_newton(s - mean, s_obs - mean, TRUST_RADIUS)
         theta = theta + delta
         step_log.append(float(np.linalg.norm(delta)))
         if collapsed and m < MCMLE_MAX_SAMPLES:
@@ -358,7 +388,7 @@ def mcmle(
     diag = FitDiagnostics(
         iterations=MCMLE_MAX_OUTER,
         grad_norm=float(np.linalg.norm(mean - s_obs)),
-        mc_samples=m,
+        mc_samples=len(s),
         mu_hat=mean,
         mc_se=mc_se,
         degenerate=degenerate,

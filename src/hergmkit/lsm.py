@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,10 @@ class LsmControls:
     thin: int = 5
 
     def __post_init__(self):
+        for name in ("burnin", "n_samples", "thin"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.burnin < 0 or self.n_samples < 1 or self.thin < 1:
             raise ValueError("burnin >= 0, n_samples >= 1, thin >= 1 required")
 

@@ -15,6 +15,7 @@ estimator tests.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,6 +54,10 @@ class SamplerControls:
     thin_sweeps: int = 10
 
     def __post_init__(self):
+        for name in ("burnin_sweeps", "n_samples", "thin_sweeps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.burnin_sweeps < 0:
             raise ValueError("burnin_sweeps must be >= 0")
         if self.n_samples < 1 or self.thin_sweeps < 1:
@@ -118,17 +123,24 @@ def gibbs_sample(
     theta,
     controls: SamplerControls,
     rng: np.random.Generator,
+    start: Graph | None = None,
 ) -> GibbsResult:
     """Sample graphs from the ERGM on n nodes defined by (spec, theta).
 
-    The chain starts from an Erdos-Renyi draw at the edges-term density (0.5
-    without an edges term), runs ``burnin_sweeps``, then retains a copy every
-    ``thin_sweeps`` sweeps.  Degenerate parameter values do not raise; the
-    result carries a degeneracy flag instead.
+    The chain starts from a copy of ``start`` (the caller's graph is not
+    changed), or without one from an Erdos-Renyi draw at the edges-term
+    density (0.5 without an edges term).  It runs ``burnin_sweeps``, then
+    retains a copy every ``thin_sweeps`` sweeps.  Degenerate parameter values
+    do not raise; the result carries a degeneracy flag instead.
     """
     theta = _check_theta(theta, spec)
     engine = ChangeStatEngine(spec, n)
-    g = bernoulli_graph(n, _init_density(spec, theta), rng)
+    if start is None:
+        g = bernoulli_graph(n, _init_density(spec, theta), rng)
+    elif start.n != n:
+        raise ValueError(f"start graph has {start.n} nodes, the chain {n}")
+    else:
+        g = start.copy()
     engine.sweep(g, theta, controls.burnin_sweeps, rng)
 
     n_dyads = max(n * (n - 1) // 2, 1)

@@ -93,6 +93,21 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure: Eigenvalues" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("burnin_sweeps", "abc"), ("burnin_sweeps", 2.5), ("thin_sweeps", True),
+    ])
+    def test_non_integer_chain_length_exits_2(self, tmp_path, capsys, key, value):
+        config = _write_config(tmp_path, {
+            "clusters": [{"n": 6, "stats": "edges", "theta": [-1.0]}],
+            "between_p": 0.1,
+            key: value,
+        })
+        code = cli.main(["simulate", "hergm", "--config", config,
+                         "--out", str(tmp_path / "g.edges"),
+                         "--truth", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "hergm", "--config", "fig1.json", "--out", "g.edges",
          "--truth", "t.csv", "--threads", "2"],
@@ -116,6 +131,12 @@ class TestMalformedExperimentConfigs:
         ("sensitivity", {**SENSITIVITY, "sim": [20]}, "'sim'"),
         ("misrate", {**MISRATE, "lsm": [1, 2]}, "'lsm'"),
         ("misrate", {**MISRATE, "sim": 5}, "'sim'"),
+        ("misrate", {**MISRATE, "lsm": {**MISRATE["lsm"], "burnin": "x"}},
+         "'lsm': burnin must be an integer, got 'x'"),
+        ("misrate", {**MISRATE, "sim": {"burnin_sweeps": 2.5}},
+         "'sim': burnin_sweeps must be an integer, got 2.5"),
+        ("sensitivity", {**SENSITIVITY, "sim": {"burnin_sweeps": True}},
+         "'sim': burnin_sweeps must be an integer, got True"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, kind, cfg, field):
         code = cli.main(["experiment", kind, "--threads", "1",

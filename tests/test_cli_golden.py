@@ -1,10 +1,11 @@
 """Golden output hashes of toy-size CLI runs.
 
-The simulate, fit and experiment commands promise byte-identical output for
-a given seed.  These hashes pin that promise across changes to the sampler
-kernel, the Bernoulli fill and the stage-2 fitting code: a change that moves
-any random stream or any floating-point operation order shows up here.
-GOF output is not pinned.
+The simulate, cluster, fit, gof and experiment commands promise
+byte-identical output for a given seed.  These hashes pin that promise
+across changes to the sampler kernel, the Bernoulli fill and the stage-2
+fitting code: a change that moves any random stream or any floating-point
+operation order shows up here.  The GOF envelopes are those of the MPLE fit,
+so a change to MCMLE alone leaves them in place.
 
 To regenerate after an intended stream change, run
 ``python tests/test_cli_golden.py`` from the repository root with
@@ -46,12 +47,20 @@ MISRATE_CONFIG = {
 }
 
 GOLDEN = {
+    "cluster_lsm.csv":
+        "575097af34b02611803fad934dd3a8479ded34dd4b9ab1bdbd666a71785968bc",
+    "cluster_lsm_positions.csv":
+        "df429bab2a1acb024f5cc534f21b43dab13377cfcde4f73b9e65156f93c7d1af",
+    "cluster_score.csv":
+        "e131c21e52e598ae5812347bb52d83e028da8f6410cdd9131a77b5b17704de09",
     "experiment_misrate.csv":
         "ff130a7ecf5267866088fb3c1973fee956fe1d01431de15c57707e5dee10169c",
     "fit_mcmle.json":
-        "ddeda469a1e01a48cee06bdac3ce1c9f3d42b2d8409c452ba55abeff9ba029fd",
+        "7a9102b00b51b8b606630d8494687b2f343cb90a9daf0f92a118798eccad542e",
     "fit_mple.json":
         "c5f96dae3d6cff55935ffba5d17ffffadb38c347bac57b903d2467d83606bf3e",
+    "gof_mple.csv":
+        "8342603fdd23237d341633459370a1b1d688a45c1b1400257cd6222ed62eed5b",
     "sim_graph.edges":
         "1e88b7644bf2fd3eb9f18ac746b606661ecf1eeb13f75e19bffd659a449748d3",
     "sim_stats.csv":
@@ -85,6 +94,13 @@ def _outputs(work: str) -> dict[str, str]:
     _run(fit_args + ["--method", "mcmle", "--mc-samples", "64", "--mc-burnin", "20",
                      "--out", p("fit_mcmle.json")])
     _run(fit_args + ["--method", "mple", "--out", p("fit_mple.json")])
+    _run(["gof", "--graph", p("sim_graph.edges"), "--fit", p("fit_mple.json"),
+          "--nsim", "5", "--burnin", "10", "--seed", "4", "--out", p("gof_mple.csv")])
+    _run(["cluster", "score", "--graph", p("sim_graph.edges"), "--K", "3", "--seed", "6",
+          "--out", p("cluster_score.csv")])
+    _run(["cluster", "lsm", "--graph", p("sim_graph.edges"), "--K", "3", "--seed", "7",
+          "--burnin", "40", "--samples", "20", "--thin", "1",
+          "--out", p("cluster_lsm.csv"), "--positions", p("cluster_lsm_positions.csv")])
     _run(["experiment", "misrate", "--config", p("misrate.json"), "--threads", "1",
           "--out", p("experiment_misrate.csv")])
     out = {}

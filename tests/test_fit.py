@@ -22,6 +22,7 @@ from hergmkit.fit import (
     MpleNotConvergedError,
     NonFiniteMleError,
     _dyad_design,
+    _weighted_newton,
     ergm_fit_from_dict,
     ergm_fit_to_dict,
 )
@@ -161,6 +162,14 @@ def exact_mle(n, spec, s_obs, max_norm=15.0):
     return None
 
 
+def interior_instance():
+    """A 6-node graph with an interior MLE under ``edges,triangles``."""
+    res = gibbs_sample(
+        6, ET, (-1.0, 0.3), SamplerControls(500, 1, 1), np.random.default_rng(7)
+    )
+    return res.graphs[-1]
+
+
 class TestMcmle:
     def test_edges_only_agrees_with_mple(self):
         g = graph_with_edges(12, 20, 6)
@@ -214,6 +223,61 @@ class TestMcmle:
         if fit.diagnostics.converged:
             gap = np.abs(fit.diagnostics.mu_hat - stat_vector(g, ET))
             assert np.all(gap <= 3.0 * fit.diagnostics.mc_se + 0.15)
+
+    def test_std_errors_match_exact(self):
+        # the exact SEs invert the covariance of the statistics at the exact
+        # MLE.  The tolerance comes from seeds 0-19 of the MCMLE that drew
+        # every sample from a new chain: relative SE errors at most 0.014,
+        # RMS 0.008 and 0.007, so 0.04 is about five RMS errors (the warm
+        # chain: at most 0.017, RMS 0.008 and 0.007)
+        g = interior_instance()
+        oracle = exact_mle(6, ET, stat_vector(g, ET))
+        ex = exact_distribution(6, ET, oracle)
+        centered = ex.stats - ex.mu
+        cov = centered.T @ (centered * ex.probs[:, None])
+        exact_se = np.sqrt(np.diag(np.linalg.inv(cov)))
+        fit = mcmle(
+            g,
+            ET,
+            controls=McmleControls(n_samples=4096, burnin_sweeps=200, seed=3),
+        )
+        assert fit.diagnostics.converged
+        np.testing.assert_allclose(fit.std_errors, exact_se, rtol=0.04)
+
+    def test_converged_fit_is_the_sample_mle(self, monkeypatch):
+        # a trust radius far below the polish step must not stop the polish
+        # short of the sample MLE, where the weighted mean statistic equals
+        # the observed one
+        monkeypatch.setattr("hergmkit.fit.TRUST_RADIUS", 0.005)
+        g = interior_instance()
+        oracle = exact_mle(6, ET, stat_vector(g, ET))
+        fit = mcmle(
+            g,
+            ET,
+            theta0=oracle,
+            controls=McmleControls(n_samples=1024, burnin_sweeps=200, seed=4),
+        )
+        assert fit.diagnostics.converged
+        assert fit.diagnostics.grad_norm < 1e-6
+        assert max(fit.diagnostics.step_sizes) > 0.005
+
+    def test_collapsed_polish_counts_as_a_step(self, monkeypatch):
+        g = interior_instance()
+        controls = McmleControls(n_samples=1024, burnin_sweeps=200, seed=5)
+        plain = mcmle(g, ET, controls=controls)
+        polishes = []
+
+        def first_polish_collapses(s_centered, s_obs_c, radius):
+            if radius == math.inf and not polishes:
+                polishes.append(radius)
+                return np.zeros(s_centered.shape[1]), True, False
+            return _weighted_newton(s_centered, s_obs_c, radius)
+
+        monkeypatch.setattr("hergmkit.fit._weighted_newton", first_polish_collapses)
+        fit = mcmle(g, ET, controls=controls)
+        assert polishes == [math.inf]
+        assert fit.diagnostics.iterations > plain.diagnostics.iterations
+        assert fit.diagnostics.converged and fit.diagnostics.grad_norm < 1e-6
 
     def test_bad_theta0_rejected(self):
         g = random_graph(6, 0.5, 10)

@@ -277,6 +277,10 @@ class TestLsmMcmc:
             lsm_mcmc(g, 2, dim=0, controls=LIGHT)
         with pytest.raises(ValueError):
             LsmControls(burnin=-1)
+        for field in ("burnin", "n_samples", "thin"):
+            for value in (2.5, "x", False):
+                with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                    LsmControls(**{field: value})
 
 
 class TestSerialization:

@@ -7,6 +7,7 @@ import pytest
 
 from hergmkit import (
     ClusterSpec,
+    Graph,
     HergmSpec,
     SamplerControls,
     between_edge_counts,
@@ -38,6 +39,12 @@ class TestControls:
             SamplerControls(n_samples=0)
         with pytest.raises(ValueError):
             SamplerControls(thin_sweeps=0)
+
+    @pytest.mark.parametrize("field", ["burnin_sweeps", "n_samples", "thin_sweeps"])
+    @pytest.mark.parametrize("value", [2.5, "abc", True, None])
+    def test_non_integer_controls(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SamplerControls(**{field: value})
 
     def test_theta_validation(self):
         with pytest.raises(ValueError):
@@ -74,6 +81,19 @@ class TestGibbs:
         assert res.degenerate
         res2 = gibbs_sample(10, EDGES, (0.0,), SamplerControls(50, 5, 1), np.random.default_rng(3))
         assert not res2.degenerate
+
+    def test_start_graph_is_copied_not_changed(self):
+        start = Graph(6)
+        for i, j in dyad_order(6):
+            start.add_edge(i, j)
+        before = start.copy()
+        res = gibbs_sample(6, ET, (-1.0, 0.3), SamplerControls(0, 3, 1),
+                           np.random.default_rng(6), start=start)
+        assert res.graphs[-1] != start  # the chain moved, its start did not
+        assert start == before and start.n_edges == 15
+        with pytest.raises(ValueError, match="start graph has 6 nodes"):
+            gibbs_sample(5, ET, (-1.0, 0.3), SamplerControls(0, 1, 1),
+                         np.random.default_rng(6), start=start)
 
     def test_stats_align_with_graphs(self):
         res = gibbs_sample(7, ET, (-1.0, 0.3), SamplerControls(50, 10, 2), np.random.default_rng(4))
@@ -151,6 +171,22 @@ class TestExactDistribution:
         ex = exact_distribution(5, ET, (-1.0, 0.3))
         res = gibbs_sample(
             5, ET, (-1.0, 0.3), SamplerControls(500, 20000, 1), np.random.default_rng(5)
+        )
+        counts = np.zeros(len(ex.probs))
+        for g in res.graphs:
+            counts[graph_index(g, ex.dyads)] += 1
+        tv = 0.5 * np.abs(counts / counts.sum() - ex.probs).sum()
+        assert tv < 0.08
+
+    def test_chain_from_complete_graph_agrees_with_enumeration(self):
+        # no burn-in: the start is the far end of the sample space
+        ex = exact_distribution(5, ET, (-1.0, 0.3))
+        start = Graph(5)
+        for i, j in dyad_order(5):
+            start.add_edge(i, j)
+        res = gibbs_sample(
+            5, ET, (-1.0, 0.3), SamplerControls(0, 30000, 1), np.random.default_rng(8),
+            start=start,
         )
         counts = np.zeros(len(ex.probs))
         for g in res.graphs:
