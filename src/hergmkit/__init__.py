@@ -23,17 +23,10 @@ from .stats import (
     StatisticSpec,
     Term,
     change_statistics,
-    degree_count,
     dsp_histogram,
-    edges,
     esp_histogram,
-    gwdsp,
-    gwesp,
-    k_stars,
     parse_spec,
-    shared_partners,
     stat_vector,
-    triangles,
 )
 from .sampler import (
     ClusterSpec,

@@ -300,14 +300,22 @@ def _cmd_fit_ergm(args) -> int:
 def _load_fit(path):
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    loaders = {
+        "twostage": two_stage_fit_from_dict,
+        "ergm": ergm_fit_from_dict,
+        "lsm": lsm_posterior_from_dict,
+    }
     kind = doc.get("kind")
-    if kind == "twostage":
-        return two_stage_fit_from_dict(doc)
-    if kind == "ergm":
-        return ergm_fit_from_dict(doc)
-    if kind == "lsm":
-        return lsm_posterior_from_dict(doc)
-    raise ConfigError(f"{path}: unknown fit kind {kind!r}")
+    if not isinstance(kind, str) or kind not in loaders:
+        raise ConfigError(f"{path}: unknown fit kind {kind!r}")
+    try:
+        return loaders[kind](doc)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: {kind} fit is missing field {exc}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed {kind} fit: {exc}") from exc
 
 
 def _cmd_gof(args) -> int:

@@ -21,6 +21,7 @@ between-cluster tie probability.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,6 +205,16 @@ class McmleControls:
     n_samples: int = 1024
     burnin_sweeps: int = 200
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("n_samples", "burnin_sweeps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.n_samples < 4:
+            raise ValueError(f"n_samples must be >= 4, got {self.n_samples}")
+        if self.burnin_sweeps < 0:
+            raise ValueError(f"burnin_sweeps must be >= 0, got {self.burnin_sweeps}")
 
 
 def _batch_se(s: np.ndarray) -> np.ndarray:

@@ -4,6 +4,11 @@ Nodes are contiguous integers 0..n-1.  Adjacency is stored as one Python
 integer bitmask per node, which gives O(1) edge lookup, cheap common-neighbor
 counts via ``&`` + ``bit_count``, and fast copies.  Dyads are canonical with
 i < j; every public function normalizes order.
+
+Whole-graph work goes through numpy: ``adjacency_matrix`` and
+``from_adjacency`` convert to and from an n x n matrix by bit (un)packing,
+and subgraphs and between-cluster counts are slices and masks of it.  Only
+this module and the kernel ``stats.ChangeStatEngine`` touch the bitmasks.
 """
 
 from __future__ import annotations
@@ -73,62 +78,56 @@ class Graph:
     def neighbors(self, i: int):
         return _bits(self._adj[i])
 
-    def common_neighbors_count(self, i: int, j: int) -> int:
-        return (self._adj[i] & self._adj[j]).bit_count()
-
-    def common_neighbors(self, i: int, j: int):
-        return _bits(self._adj[i] & self._adj[j])
-
     def edges(self):
         """Iterate canonical (i, j) edges, i < j, ascending."""
-        for i in range(self.n):
-            mask = self._adj[i] >> (i + 1)
-            for off in _bits(mask):
-                yield (i, i + 1 + off)
+        rows, cols = np.nonzero(np.triu(self.adjacency_matrix(), 1))
+        return zip(rows.tolist(), cols.tolist())
 
     def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.uint8)
-        for i in range(self.n):
-            for j in _bits(self._adj[i]):
-                a[i, j] = 1
-        return a
+        """The n x n 0/1 adjacency matrix, dtype uint8."""
+        width = (self.n + 7) // 8
+        packed = b"".join(m.to_bytes(width, "little") for m in self._adj)
+        rows = np.frombuffer(packed, dtype=np.uint8).reshape(self.n, width)
+        return np.unpackbits(rows, axis=1, count=self.n, bitorder="little")
+
+    @classmethod
+    def from_adjacency(cls, a) -> "Graph":
+        """Graph of a symmetric matrix with a zero diagonal; nonzero is a tie."""
+        a = np.asarray(a, dtype=bool)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"adjacency matrix must be square, got shape {a.shape}")
+        if a.diagonal().any() or not np.array_equal(a, a.T):
+            raise ValueError("adjacency matrix must be symmetric with a zero diagonal")
+        g = cls(a.shape[0])
+        g._adj = [int.from_bytes(row.tobytes(), "little")
+                  for row in np.packbits(a, axis=1, bitorder="little")]
+        g._n_edges = int(np.count_nonzero(a)) // 2
+        return g
 
     # -- mutation (single-owner; see module docstring) ---------------------
 
-    def _check(self, i: int, j: int):
-        if not (0 <= i < self.n and 0 <= j < self.n):
+    def _set(self, i: int, j: int, present: bool | None) -> bool:
+        """Make the dyad present or absent, or flip it for None."""
+        i, j = dyad(i, j)
+        if j >= self.n:
             raise ValueError(f"node id out of range for n={self.n}: ({i}, {j})")
+        was = bool((self._adj[i] >> j) & 1)
+        present = not was if present is None else present
+        if present != was:
+            self._adj[i] ^= 1 << j
+            self._adj[j] ^= 1 << i
+            self._n_edges += 1 if present else -1
+        return present
 
     def add_edge(self, i: int, j: int):
-        i, j = dyad(i, j)
-        self._check(i, j)
-        if not (self._adj[i] >> j) & 1:
-            self._adj[i] |= 1 << j
-            self._adj[j] |= 1 << i
-            self._n_edges += 1
+        self._set(i, j, True)
 
     def remove_edge(self, i: int, j: int):
-        i, j = dyad(i, j)
-        self._check(i, j)
-        if (self._adj[i] >> j) & 1:
-            self._adj[i] &= ~(1 << j)
-            self._adj[j] &= ~(1 << i)
-            self._n_edges -= 1
+        self._set(i, j, False)
 
     def toggle_edge(self, i: int, j: int) -> bool:
         """Flip the dyad; returns True if the edge is present afterwards."""
-        i, j = dyad(i, j)
-        self._check(i, j)
-        present = (self._adj[i] >> j) & 1
-        if present:
-            self._adj[i] &= ~(1 << j)
-            self._adj[j] &= ~(1 << i)
-            self._n_edges -= 1
-        else:
-            self._adj[i] |= 1 << j
-            self._adj[j] |= 1 << i
-            self._n_edges += 1
-        return not present
+        return self._set(i, j, None)
 
     # -- misc --------------------------------------------------------------
 
@@ -202,25 +201,18 @@ def within_subgraph(g: Graph, p: Partition, k: int) -> tuple[Graph, np.ndarray]:
     if p.n != g.n:
         raise ValueError(f"partition covers {p.n} nodes, graph has {g.n}")
     node_map = p.members(k)
-    sub = Graph(len(node_map))
-    index = {int(orig): new for new, orig in enumerate(node_map)}
-    for new, orig in enumerate(node_map):
-        for nb in g.neighbors(int(orig)):
-            pos = index.get(nb)
-            if pos is not None and pos > new:
-                sub.add_edge(new, pos)
-    return sub, node_map
+    a = g.adjacency_matrix()
+    return Graph.from_adjacency(a[np.ix_(node_map, node_map)]), node_map
 
 
 def between_edge_counts(g: Graph, p: Partition) -> tuple[int, int]:
     """(y_B, n_B): between-cluster edge count and dyad count."""
     if p.n != g.n:
         raise ValueError(f"partition covers {p.n} nodes, graph has {g.n}")
-    sizes = p.sizes()
-    n_b = int((int(np.sum(sizes)) ** 2 - int(np.sum(sizes**2))) // 2)
     labels = p.assignments
-    y_b = sum(1 for i, j in g.edges() if labels[i] != labels[j])
-    return y_b, n_b
+    between = labels[:, None] != labels[None, :]
+    y_b = int(np.count_nonzero(g.adjacency_matrix()[between])) // 2
+    return y_b, int(np.count_nonzero(between)) // 2
 
 
 # -- file formats ----------------------------------------------------------
@@ -285,9 +277,14 @@ def read_partition(path) -> Partition:
         for row in reader:
             if not row:
                 continue
-            node, label = int(row[0]), int(row[1])
+            try:
+                node, label = (int(v) for v in row)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected 'node,cluster', got {row!r}"
+                ) from None
             if node in rows:
-                raise ValueError(f"{path}: duplicate row for node {node}")
+                raise ValueError(f"{path}:{reader.line_num}: duplicate row for node {node}")
             rows[node] = label
     n = len(rows)
     if n == 0:
@@ -296,8 +293,6 @@ def read_partition(path) -> Partition:
     if missing:
         raise ValueError(f"{path}: missing nodes {sorted(missing)[:5]} (n={n})")
     raw = np.array([rows[i] for i in range(n)], dtype=np.int64)
-    # compact labels to 0..K-1 preserving first-appearance order of sorted labels
-    uniq = np.unique(raw)
-    remap = {int(old): new for new, old in enumerate(uniq)}
-    labels = np.array([remap[int(v)] for v in raw], dtype=np.int64)
+    # compact labels to 0..K-1 in the order of the sorted labels
+    uniq, labels = np.unique(raw, return_inverse=True)
     return Partition(labels, len(uniq))

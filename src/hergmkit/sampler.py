@@ -106,15 +106,9 @@ def bernoulli_graph(n: int, p, rng: np.random.Generator) -> Graph:
     once; dyad b is present iff ``u[b] < p[b]``.
     """
     iu, ju = np.triu_indices(n, 1)
-    hit = rng.random(iu.size) < p
     a = np.zeros((n, n), dtype=bool)
-    a[iu[hit], ju[hit]] = True
-    a |= a.T
-    g = Graph(n)
-    g._adj = [int.from_bytes(row.tobytes(), "little")
-              for row in np.packbits(a, axis=1, bitorder="little")]
-    g._n_edges = int(hit.sum())
-    return g
+    a[iu, ju] = rng.random(iu.size) < p
+    return Graph.from_adjacency(a | a.T)
 
 
 def gibbs_sample(
@@ -251,18 +245,16 @@ def hergm_draws(
         else:
             chains.append(gibbs_sample(cl.n, cl.spec, cl.theta, controls, rng_k).graphs)
     rng_b = child_rng(seed, "between")
+    blocks = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
     draws = []
     for s in range(controls.n_samples):
-        g = Graph(hspec.n)
-        for pos, chain in zip(offsets, chains):
-            for i, j in chain[s].edges():
-                g.add_edge(pos + i, pos + j)
-        for k in range(hspec.n_clusters):
+        a = np.zeros((hspec.n, hspec.n), dtype=bool)
+        for k, chain in enumerate(chains):
+            a[blocks[k], blocks[k]] = chain[s].adjacency_matrix()
             for l in range(k + 1, hspec.n_clusters):
                 u = rng_b.random((sizes[k], sizes[l]))
-                for i, j in zip(*np.nonzero(u < hspec.between_p)):
-                    g.add_edge(offsets[k] + int(i), offsets[l] + int(j))
-        draws.append(g)
+                a[blocks[k], blocks[l]] = u < hspec.between_p
+        draws.append(Graph.from_adjacency(a | a.T))
     return draws
 
 
@@ -329,12 +321,7 @@ def exact_distribution(n: int, spec: StatisticSpec, theta) -> ExactDistribution:
         b = (t & -t).bit_length() - 1
         i, j = dyads[b]
         c = np.array(engine.compute(g, i, j))
-        if g.has_edge(i, j):
-            g.remove_edge(i, j)
-            s = s - c
-        else:
-            g.add_edge(i, j)
-            s = s + c
+        s = s + c if g.toggle_edge(i, j) else s - c
         if t % 4096 == 0:
             s = stat_vector(g, spec)
         stats[t ^ (t >> 1)] = s

@@ -5,6 +5,11 @@ dyadwise/edgewise shared partners (fixed decay), and exact-degree counts.
 A ``StatisticSpec`` is an ordered term list; it fixes the coordinate order
 of every statistic vector and parameter vector in the package.
 
+Whole-graph statistics (``stat_vector`` and the ESP/DSP histograms) come
+from the adjacency matrix A: one shared-partner matrix ``A @ A`` gives every
+dyad's shared-partner count, and so the histograms, the gw terms and the
+triangle count; k-stars and degree counts come from the degree vector.
+
 The change statistic of a dyad is the difference in the statistic vector
 between the graph with that edge present and absent, evaluated without
 recomputing global statistics.  ``ChangeStatEngine`` precomputes per-spec
@@ -28,15 +33,8 @@ __all__ = [
     "Term",
     "StatisticSpec",
     "parse_spec",
-    "edges",
-    "k_stars",
-    "triangles",
-    "shared_partners",
     "esp_histogram",
     "dsp_histogram",
-    "gwesp",
-    "gwdsp",
-    "degree_count",
     "stat_vector",
     "change_statistics",
     "ChangeStatEngine",
@@ -135,43 +133,23 @@ def parse_spec(text: str) -> StatisticSpec:
 # -- whole-graph statistics --------------------------------------------------
 
 
-def edges(g: Graph) -> int:
-    return g.n_edges
-
-
-def k_stars(g: Graph, k: int) -> int:
-    """Number of k-stars, sum over nodes of C(degree, k)."""
-    if k < 2:
-        raise ValueError(f"k-star size must be >= 2, got {k}")
-    return sum(math.comb(g.degree(i), k) for i in range(g.n))
-
-
-def triangles(g: Graph) -> int:
-    # each triangle is counted once per incident edge
-    total = sum(g.common_neighbors_count(i, j) for i, j in g.edges())
-    return total // 3
-
-
-def shared_partners(g: Graph, d: tuple[int, int]) -> int:
-    i, j = dyad(*d)
-    return g.common_neighbors_count(i, j)
+def _shared_partners(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Each dyad's shared partners (``A @ A``, exact in float64) and tie flag."""
+    a = g.adjacency_matrix().astype(np.float64)
+    upper = np.triu_indices(g.n, 1)
+    return (a @ a)[upper].astype(np.int64), a[upper] != 0
 
 
 def esp_histogram(g: Graph) -> np.ndarray:
     """counts[k] = number of edges whose endpoints share exactly k partners."""
-    counts = np.zeros(max(g.n - 1, 0), dtype=np.int64)
-    for i, j in g.edges():
-        counts[g.common_neighbors_count(i, j)] += 1
-    return counts
+    sp, tie = _shared_partners(g)
+    return np.bincount(sp[tie], minlength=max(g.n - 1, 0))
 
 
 def dsp_histogram(g: Graph) -> np.ndarray:
     """counts[k] = number of dyads (edge or not) sharing exactly k partners."""
-    counts = np.zeros(max(g.n - 1, 0), dtype=np.int64)
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            counts[g.common_neighbors_count(i, j)] += 1
-    return counts
+    sp, _ = _shared_partners(g)
+    return np.bincount(sp, minlength=max(g.n - 1, 0))
 
 
 def _gw_value(hist: np.ndarray, decay: float) -> float:
@@ -182,48 +160,33 @@ def _gw_value(hist: np.ndarray, decay: float) -> float:
     return float(weights @ hist)
 
 
-def gwesp(g: Graph, decay: float) -> float:
-    """Geometrically weighted edgewise shared partners with fixed decay."""
-    if decay < 0:
-        raise ValueError(f"decay must be >= 0, got {decay}")
-    return _gw_value(esp_histogram(g), decay)
-
-
-def gwdsp(g: Graph, decay: float) -> float:
-    """Geometrically weighted dyadwise shared partners with fixed decay."""
-    if decay < 0:
-        raise ValueError(f"decay must be >= 0, got {decay}")
-    return _gw_value(dsp_histogram(g), decay)
-
-
-def degree_count(g: Graph, k: int) -> int:
-    """Number of nodes with degree exactly k."""
-    if not 0 <= k <= g.n - 1:
-        raise ValueError(f"degree {k} out of range 0..{g.n - 1}")
-    return sum(1 for i in range(g.n) if g.degree(i) == k)
-
-
 def stat_vector(g: Graph, spec: StatisticSpec) -> np.ndarray:
-    """Evaluate all terms of the spec on g, in spec order."""
+    """Evaluate all terms of the spec on g, in spec order.
+
+    A triangle is counted once per edge: triangles = sum_k k * esp[k] / 3.
+    """
     out = np.empty(len(spec), dtype=np.float64)
+    degrees = g.degrees()
     esp = dsp = None
     for pos, t in enumerate(spec):
+        if t.kind in ("triangles", "gwesp", "gwdsp") and esp is None:
+            sp, tie = _shared_partners(g)
+            esp = np.bincount(sp[tie], minlength=max(g.n - 1, 0))
+            dsp = np.bincount(sp, minlength=max(g.n - 1, 0))
         if t.kind == "edges":
             out[pos] = g.n_edges
         elif t.kind == "kstar":
-            out[pos] = k_stars(g, t.param)
+            out[pos] = sum(math.comb(d, t.param) for d in degrees.tolist())
         elif t.kind == "triangles":
-            out[pos] = triangles(g)
+            out[pos] = int(np.arange(esp.size) @ esp) // 3
         elif t.kind == "gwesp":
-            if esp is None:
-                esp = esp_histogram(g)
             out[pos] = _gw_value(esp, t.param)
         elif t.kind == "gwdsp":
-            if dsp is None:
-                dsp = dsp_histogram(g)
             out[pos] = _gw_value(dsp, t.param)
         else:
-            out[pos] = degree_count(g, t.param)
+            if t.param > g.n - 1:
+                raise ValueError(f"degree {t.param} out of range 0..{g.n - 1}")
+            out[pos] = np.count_nonzero(degrees == t.param)
     return out
 
 

@@ -108,6 +108,52 @@ class TestExitCodes:
         assert code == 2
         assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode, extra", [
+        ("twostage", ["--K", "3", "--stage1", "given", "--method", "mcmle"]),
+        ("ergm", []),
+    ])
+    def test_too_few_mc_samples_exit_2(self, tmp_path, capsys, mode, extra):
+        graph, truth = _simulate(tmp_path, 6)
+        if mode == "twostage":
+            extra = extra + ["--partition", truth]
+        code = cli.main(["fit", mode, "--graph", graph, "--stats", "edges",
+                         "--mc-samples", "2", "--out", str(tmp_path / "fit.json")]
+                        + extra)
+        assert code == 2
+        assert "n_samples must be >= 4, got 2" in capsys.readouterr().err
+
+    def test_malformed_partition_row_exits_2(self, tmp_path, capsys):
+        graph, truth = _simulate(tmp_path, 6)
+        with open(truth, "a", encoding="utf-8") as fh:
+            fh.write("1\n")
+        code = cli.main(["fit", "twostage", "--graph", graph, "--K", "3",
+                         "--stats", "edges", "--stage1", "given", "--partition", truth,
+                         "--method", "mple", "--out", str(tmp_path / "fit.json")])
+        assert code == 2
+        assert f"{truth}:20: expected 'node,cluster', got ['1']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"kind": "ergm"}, "ergm fit is missing field 'spec'"),
+        ({"kind": "ergm", "spec": 5, "theta_hat": [0.0], "std_errors": [0.0],
+          "method": "mple"}, "malformed ergm fit"),
+        ({"kind": "twostage", "spec": "edges"}, "twostage fit is missing field 'stage1'"),
+        ({"kind": "twostage", "spec": "edges", "cluster_fits": [],
+          "stage1": {"partition": ["a"], "K": 1, "method": "given"}},
+         "malformed twostage fit"),
+        ({"kind": "lsm", "K": 3}, "lsm fit is missing field 'membership_probs'"),
+        ({"kind": "lsm", "K": "three", "membership_probs": [], "dim": 2}, "malformed lsm fit"),
+        ({"kind": ["ergm"]}, "unknown fit kind ['ergm']"),
+        ([1, 2], "expected a JSON object"),
+    ])
+    def test_malformed_fit_file_exits_2(self, tmp_path, capsys, doc, field):
+        graph, _ = _simulate(tmp_path, 6)
+        fit = tmp_path / "fit.json"
+        fit.write_text(json.dumps(doc))
+        code = cli.main(["gof", "--graph", graph, "--fit", str(fit), "--nsim", "2",
+                         "--burnin", "2", "--out", str(tmp_path / "gof.csv")])
+        assert code == 2
+        assert f"{fit}: {field}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "hergm", "--config", "fig1.json", "--out", "g.edges",
          "--truth", "t.csv", "--threads", "2"],

@@ -46,6 +46,17 @@ MISRATE_CONFIG = {
     "sim": {"burnin_sweeps": 20},
 }
 
+SENSITIVITY_CONFIG = {
+    "clusters": [{"n": 8, "theta": [-1.0, 0.2, 0.5]}, {"n": 9, "theta": [-1.2, 0.1, 0.4]}],
+    "stats": "edges,gwdsp(0.5),gwesp(0.5)",
+    "rho_grid": [0.0, 0.25],
+    "replications": 2,
+    "seed": 13,
+    "nsim_gof": 5,
+    "method": "mple",
+    "sim": {"burnin_sweeps": 20},
+}
+
 GOLDEN = {
     "cluster_lsm.csv":
         "575097af34b02611803fad934dd3a8479ded34dd4b9ab1bdbd666a71785968bc",
@@ -55,6 +66,8 @@ GOLDEN = {
         "e131c21e52e598ae5812347bb52d83e028da8f6410cdd9131a77b5b17704de09",
     "experiment_misrate.csv":
         "ff130a7ecf5267866088fb3c1973fee956fe1d01431de15c57707e5dee10169c",
+    "experiment_sensitivity.csv":
+        "5418a232e3358aa74ae339f6b44a81da3b4fcd849301cd03add6665e8bfcc985",
     "fit_mcmle.json":
         "7a9102b00b51b8b606630d8494687b2f343cb90a9daf0f92a118798eccad542e",
     "fit_mple.json":
@@ -85,6 +98,8 @@ def _outputs(work: str) -> dict[str, str]:
         json.dump(SIM_CONFIG, fh)
     with open(p("misrate.json"), "w", encoding="utf-8") as fh:
         json.dump(MISRATE_CONFIG, fh)
+    with open(p("sensitivity.json"), "w", encoding="utf-8") as fh:
+        json.dump(SENSITIVITY_CONFIG, fh)
     _run(["simulate", "hergm", "--config", p("sim.json"), "--seed", "5",
           "--out", p("sim_graph.edges"), "--truth", p("sim_truth.csv"),
           "--stats-out", p("sim_stats.csv")])
@@ -103,6 +118,8 @@ def _outputs(work: str) -> dict[str, str]:
           "--out", p("cluster_lsm.csv"), "--positions", p("cluster_lsm_positions.csv")])
     _run(["experiment", "misrate", "--config", p("misrate.json"), "--threads", "1",
           "--out", p("experiment_misrate.csv")])
+    _run(["experiment", "sensitivity", "--config", p("sensitivity.json"), "--threads", "1",
+          "--out", p("experiment_sensitivity.csv")])
     out = {}
     for name in GOLDEN:
         with open(p(name), "rb") as fh:

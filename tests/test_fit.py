@@ -284,6 +284,17 @@ class TestMcmle:
         with pytest.raises(ValueError):
             mcmle(g, ET, theta0=(1.0,))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_samples", 3, "n_samples must be >= 4"),
+        ("n_samples", 64.0, "n_samples must be an integer, got 64.0"),
+        ("n_samples", True, "n_samples must be an integer, got True"),
+        ("burnin_sweeps", -1, "burnin_sweeps must be >= 0"),
+        ("burnin_sweeps", "10", "burnin_sweeps must be an integer, got '10'"),
+    ])
+    def test_controls_validated(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            McmleControls(**{field: value})
+
 
 class TestBetweenDensity:
     def test_no_between_edges(self):

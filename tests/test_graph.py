@@ -1,10 +1,14 @@
 """Graph container, partitions, and file round trips."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hergmkit
 from hergmkit import (
     Graph,
     Partition,
@@ -67,8 +71,7 @@ class TestGraphBasics:
         g.add_edge(0, 2)
         g.add_edge(1, 2)
         assert sorted(g.neighbors(0)) == [1, 2]
-        assert g.common_neighbors_count(0, 1) == 1
-        assert list(g.common_neighbors(0, 1)) == [2]
+        assert list(g.neighbors(3)) == []
 
     def test_edges_iterates_canonically(self):
         g = random_graph(7, 0.5, 0)
@@ -83,6 +86,28 @@ class TestGraphBasics:
         assert (a == a.T).all()
         assert a.trace() == 0
         assert a.sum() == 2 * g.n_edges
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 40])
+    @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+    def test_adjacency_round_trip(self, n, density):
+        # sizes off a multiple of 8 leave padding bits in the packed rows
+        g = random_graph(n, density, n)
+        a = g.adjacency_matrix()
+        assert a.dtype == np.uint8 and a.shape == (n, n)
+        assert all(a[i, j] == g.has_edge(i, j) for i, j in dyad_order(n))
+        h = Graph.from_adjacency(a)
+        assert h == g and h.n_edges == g.n_edges
+        assert list(h.edges()) == list(g.edges())
+        assert Graph.from_adjacency(a.astype(bool)) == g
+
+    @pytest.mark.parametrize("a", [
+        np.zeros((2, 3)),
+        np.eye(3),
+        np.triu(np.ones((3, 3)), 1),
+    ])
+    def test_from_adjacency_rejects_non_graphs(self, a):
+        with pytest.raises(ValueError):
+            Graph.from_adjacency(a)
 
     @given(st.integers(2, 8), st.data())
     @settings(max_examples=50, deadline=None)
@@ -251,8 +276,26 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="duplicate"):
             read_partition(path)
 
+    @pytest.mark.parametrize("row", ["1", "1,0,2", "1,x"])
+    def test_partition_malformed_row_names_the_line(self, tmp_path, row):
+        path = tmp_path / "p.csv"
+        path.write_text(f"node,cluster\n0,0\n{row}\n")
+        with pytest.raises(ValueError, match=f"p.csv:3: expected 'node,cluster'"):
+            read_partition(path)
+
     def test_partition_missing_node(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("node,cluster\n0,0\n2,1\n")
         with pytest.raises(ValueError, match="missing"):
             read_partition(path)
+
+
+def test_only_graph_and_kernel_touch_the_bitmasks():
+    # every other module goes through Graph's methods and its numpy bridge
+    src = Path(hergmkit.__file__).parent
+    offenders = sorted(
+        path.name for path in src.glob("*.py")
+        if path.name not in ("graph.py", "stats.py")
+        and re.search(r"\._(adj|n_edges)\b", path.read_text(encoding="utf-8"))
+    )
+    assert offenders == []

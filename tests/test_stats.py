@@ -14,19 +14,13 @@ from hergmkit import (
     StatisticSpec,
     Term,
     change_statistics,
-    degree_count,
     dsp_histogram,
-    edges,
     esp_histogram,
-    gwdsp,
-    gwesp,
-    k_stars,
     parse_spec,
-    shared_partners,
     stat_vector,
-    triangles,
 )
 from hergmkit.sampler import _expit, dyad_order
+from hergmkit.stats import _shared_partners
 
 FULL_SPEC = parse_spec("edges,kstar(2),triangles,gwdsp(0.5),gwesp(0.5)")
 
@@ -66,6 +60,16 @@ def triangle_graph():
     return g
 
 
+def stat(g, term):
+    """One statistic, through a one-term ``stat_vector`` spec."""
+    return stat_vector(g, parse_spec(term))[0]
+
+
+def common_neighbors(g, i, j):
+    """Oracle: size of the intersection of the two neighbour sets."""
+    return len(set(g.neighbors(i)) & set(g.neighbors(j)))
+
+
 class TestSpecParsing:
     def test_round_trip(self):
         text = "edges,kstar(2),triangles,gwdsp(0.5),gwesp(0.5),degree(1)"
@@ -90,15 +94,15 @@ class TestSpecParsing:
 
 class TestCountStatistics:
     def test_edges(self):
-        assert edges(Graph(4)) == 0
-        assert edges(complete_graph(4)) == 6
+        assert stat(Graph(4), "edges") == 0
+        assert stat(complete_graph(4), "edges") == 6
 
     def test_kstar_examples(self):
-        assert k_stars(path3(), 2) == 1
-        assert k_stars(star_graph(3), 2) == 3
-        assert k_stars(star_graph(3), 3) == 1
+        assert stat(path3(), "kstar(2)") == 1
+        assert stat(star_graph(3), "kstar(2)") == 3
+        assert stat(star_graph(3), "kstar(3)") == 1
         with pytest.raises(ValueError):
-            k_stars(path3(), 1)
+            parse_spec("kstar(1)")
 
     def test_kstar_matches_subset_enumeration(self):
         # oracle: count k-subsets of each neighborhood explicitly
@@ -111,12 +115,12 @@ class TestCountStatistics:
                 )
                 for i in range(g.n)
             )
-            assert k_stars(g, k) == expected
+            assert stat(g, f"kstar({k})") == expected
 
     def test_triangles_examples(self):
-        assert triangles(complete_graph(4)) == 4
-        assert triangles(path3()) == 0
-        assert triangles(star_graph(5)) == 0
+        assert stat(complete_graph(4), "triangles") == 4
+        assert stat(path3(), "triangles") == 0
+        assert stat(star_graph(5), "triangles") == 0
 
     def test_triangles_matches_triple_loop(self):
         g = random_graph(7, 0.5, 11)
@@ -125,27 +129,37 @@ class TestCountStatistics:
             for i, j, h in itertools.combinations(range(g.n), 3)
             if g.has_edge(i, j) and g.has_edge(i, h) and g.has_edge(j, h)
         )
-        assert triangles(g) == expected
+        assert stat(g, "triangles") == expected
 
     def test_shared_partners(self):
-        assert shared_partners(triangle_graph(), (0, 1)) == 1
-        assert shared_partners(star_graph(3), (1, 2)) == 1
+        sp, tie = _shared_partners(triangle_graph())
+        assert sp.tolist() == [1, 1, 1] and tie.all()
+        sp, tie = _shared_partners(star_graph(3))
+        assert sp.tolist() == [0, 0, 0, 1, 1, 1]
+        assert tie.tolist() == [True, True, True, False, False, False]
         g = random_graph(7, 0.5, 12)
-        for d in dyad_order(7):
-            expected = len(
-                set(g.neighbors(d[0])) & set(g.neighbors(d[1]))
-            )
-            assert shared_partners(g, d) == expected
+        sp, tie = _shared_partners(g)
+        for b, (i, j) in enumerate(dyad_order(7)):
+            assert sp[b] == common_neighbors(g, i, j)
+            assert tie[b] == g.has_edge(i, j)
 
     def test_degree_count(self):
-        assert degree_count(Graph(6), 0) == 6
-        assert degree_count(complete_graph(4), 3) == 4
+        assert stat(Graph(6), "degree(0)") == 6
+        assert stat(complete_graph(4), "degree(3)") == 4
         g = random_graph(7, 0.4, 13)
         degs = [g.degree(i) for i in range(7)]
         for k in range(7):
-            assert degree_count(g, k) == degs.count(k)
-        with pytest.raises(ValueError):
-            degree_count(g, 7)
+            assert stat(g, f"degree({k})") == degs.count(k)
+        with pytest.raises(ValueError, match=r"degree 7 out of range 0\.\.6"):
+            stat(g, "degree(7)")
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_degree_beyond_n_minus_1_rejected(self, n):
+        g = complete_graph(n)
+        assert stat(g, f"degree({n - 1})") == n
+        for k in (n, n + 5):
+            with pytest.raises(ValueError, match="out of range"):
+                stat_vector(g, parse_spec(f"edges,degree({k})"))
 
 
 class TestHistograms:
@@ -165,7 +179,7 @@ class TestHistograms:
         esp = np.zeros(6, dtype=int)
         dsp = np.zeros(6, dtype=int)
         for i, j in dyad_order(7):
-            sp = shared_partners(g, (i, j))
+            sp = common_neighbors(g, i, j)
             dsp[sp] += 1
             if g.has_edge(i, j):
                 esp[sp] += 1
@@ -183,29 +197,78 @@ class TestGeometricWeights:
     def test_triangle_gwesp_is_three(self, tau):
         # hand evaluation: each edge has one shared partner, weight
         # e^tau * (1 - (1 - e^-tau)) = 1
-        assert gwesp(triangle_graph(), tau) == pytest.approx(3.0)
+        assert stat(triangle_graph(), f"gwesp({tau})") == pytest.approx(3.0)
 
     def test_tau_zero_counts_supported_edges(self):
         g = random_graph(8, 0.5, 16)
         supported = sum(
-            1 for i, j in g.edges() if shared_partners(g, (i, j)) >= 1
+            1 for i, j in g.edges() if common_neighbors(g, i, j) >= 1
         )
-        assert gwesp(g, 0.0) == pytest.approx(supported)
+        assert stat(g, "gwesp(0)") == pytest.approx(supported)
 
     def test_empty_graph_zero(self):
-        assert gwesp(Graph(5), 0.7) == 0.0
-        assert gwdsp(Graph(5), 0.7) == 0.0
+        assert stat(Graph(5), "gwesp(0.7)") == 0.0
+        assert stat(Graph(5), "gwdsp(0.7)") == 0.0
 
     def test_gwesp_monotone_in_decay(self):
         g = random_graph(8, 0.5, 17)
         taus = [0.0, 0.2, 0.5, 1.0, 2.0]
-        vals = [gwesp(g, t) for t in taus]
+        vals = [stat(g, f"gwesp({t})") for t in taus]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         assert vals[-1] <= math.exp(2.0) * g.n_edges + 1e-9
 
     def test_negative_decay_rejected(self):
         with pytest.raises(ValueError):
-            gwesp(triangle_graph(), -0.5)
+            parse_spec("gwesp(-0.5)")
+
+
+def gw_weight(decay, sp):
+    return math.exp(decay) * (1.0 - (1.0 - math.exp(-decay)) ** sp)
+
+
+class TestDenseAgainstLoops:
+    """The shared-partner matrix path against brute-force loops, on sizes that
+    are and are not a multiple of 8 (the bit packing) and densities from empty
+    to complete."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 40])
+    @pytest.mark.parametrize("density", [0.0, 0.03, 0.5, 0.97, 1.0])
+    def test_every_term_and_histogram(self, n, density):
+        g = random_graph(n, density, 1000 * n + int(100 * density))
+        nbrs = [set(g.neighbors(v)) for v in range(n)]
+        degs = [len(s) for s in nbrs]
+        esp = [0] * max(n - 1, 0)
+        dsp = [0] * max(n - 1, 0)
+        for i, j in itertools.combinations(range(n), 2):
+            sp = len(nbrs[i] & nbrs[j])
+            dsp[sp] += 1
+            if j in nbrs[i]:
+                esp[sp] += 1
+        assert esp_histogram(g).tolist() == esp
+        assert dsp_histogram(g).tolist() == dsp
+
+        triangles = sum(
+            1 for i, j, h in itertools.combinations(range(n), 3)
+            if j in nbrs[i] and h in nbrs[i] and h in nbrs[j]
+        )
+        ks = sorted({0, 1, n - 1} & set(range(n)))
+        terms = ["edges", "kstar(2)", "kstar(3)", "triangles", "gwdsp(0.5)",
+                 "gwesp(0.5)", "gwesp(0)", "gwdsp(1.7)"] + [f"degree({k})" for k in ks]
+        expected = [
+            sum(degs) // 2,
+            sum(math.comb(d, 2) for d in degs),
+            sum(math.comb(d, 3) for d in degs),
+            triangles,
+            sum(gw_weight(0.5, k) * c for k, c in enumerate(dsp)),
+            sum(gw_weight(0.5, k) * c for k, c in enumerate(esp)),
+            sum(c for k, c in enumerate(esp) if k >= 1),
+            sum(gw_weight(1.7, k) * c for k, c in enumerate(dsp)),
+        ] + [degs.count(k) for k in ks]
+        got = stat_vector(g, parse_spec(",".join(terms)))
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+        # the counting terms are exact
+        assert got[:4].tolist() == expected[:4]
+        assert got[8:].tolist() == expected[8:]
 
 
 class TestChangeStatistics:
@@ -219,7 +282,7 @@ class TestChangeStatistics:
         g = random_graph(7, 0.5, 19)
         spec = parse_spec("triangles")
         for d in dyad_order(7):
-            assert change_statistics(g, d, spec)[0] == shared_partners(g, d)
+            assert change_statistics(g, d, spec)[0] == common_neighbors(g, *d)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_toggle_and_recompute(self, seed):
@@ -259,11 +322,11 @@ class TestPermutationInvariance:
 
     def test_kstar2_identity_and_triangle_bounds(self):
         g = random_graph(8, 0.5, 21)
-        assert k_stars(g, 2) == sum(
+        assert stat(g, "kstar(2)") == sum(
             math.comb(g.degree(i), 2) for i in range(8)
         )
-        assert 3 * triangles(g) == sum(
-            shared_partners(g, (i, j)) for i, j in g.edges()
+        assert 3 * stat(g, "triangles") == sum(
+            common_neighbors(g, i, j) for i, j in g.edges()
         )
 
 
