@@ -8,7 +8,10 @@ config's ``seed``) and writes byte-identical outputs when rerun with the same
 arguments.  ``experiment`` tables are byte-identical regardless of
 ``--threads``, which only ``experiment`` takes.
 
-Exit codes: 0 success, 2 validation/usage error, 3 numerical failure.
+Exit codes: 0 success, 2 validation/usage error, 3 numerical failure.  A
+config field that is missing, of the wrong type or out of range exits 2
+with an error naming the field's path (``hergmkit.experiments`` lists the
+fields of every config kind).
 Diagnostics go to standard error; data only to files.
 """
 
@@ -23,7 +26,12 @@ from importlib import resources
 
 import numpy as np
 
-from .experiments import misrate_experiment, score_experiment, sensitivity_experiment
+from .experiments import (
+    misrate_experiment,
+    read_hergm_config as _parse_hergm_config,
+    score_experiment,
+    sensitivity_experiment,
+)
 from .fit import (
     McmleControls,
     ergm_fit_to_dict,
@@ -46,7 +54,7 @@ from .lsm import (
     lsm_posterior_to_dict,
     map_membership,
 )
-from .sampler import ClusterSpec, HergmSpec, SamplerControls, gibbs_sample, simulate_hergm
+from .sampler import SamplerControls, gibbs_sample, simulate_hergm
 from .spectral import ScoreControls, score_cluster
 from .stats import parse_spec, stat_vector
 from .svgplot import render_panels
@@ -85,56 +93,18 @@ def _write_json(path, doc: dict):
 
 
 def _load_config(path) -> dict:
-    """Load a JSON config from disk, falling back to the bundled ones."""
+    """Load a JSON config object from disk, falling back to the bundled ones."""
     if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    if os.sep not in str(path):
+            cfg = json.load(fh)
+    else:
         bundled = resources.files("hergmkit").joinpath("configs", str(path))
-        if bundled.is_file():
-            return json.loads(bundled.read_text(encoding="utf-8"))
-    raise ConfigError(f"config file not found: {path}")
-
-
-def _require(cfg: dict, key: str, kind, where: str):
-    if key not in cfg:
-        raise ConfigError(f"{where}: missing required field {key!r}")
-    val = cfg[key]
-    if kind is float and isinstance(val, int):
-        val = float(val)
-    if not isinstance(val, kind):
-        raise ConfigError(
-            f"{where}.{key}: expected {getattr(kind, '__name__', kind)}, "
-            f"got {type(val).__name__}"
-        )
-    return val
-
-
-def _parse_hergm_config(cfg: dict) -> tuple[HergmSpec, SamplerControls]:
-    clusters_cfg = _require(cfg, "clusters", list, "config")
-    clusters = []
-    for idx, c in enumerate(clusters_cfg):
-        where = f"config.clusters[{idx}]"
-        if not isinstance(c, dict):
-            raise ConfigError(f"{where}: expected an object")
-        n = _require(c, "n", int, where)
-        spec = parse_spec(_require(c, "stats", str, where))
-        theta = _require(c, "theta", list, where)
-        if len(theta) != len(spec):
-            raise ConfigError(
-                f"{where}.theta: {len(theta)} values for a {len(spec)}-term spec"
-            )
-        clusters.append(ClusterSpec(n, spec, tuple(float(v) for v in theta)))
-    between_p = _require(cfg, "between_p", float, "config")
-    try:
-        hspec = HergmSpec(tuple(clusters), between_p)
-        controls = SamplerControls(
-            burnin_sweeps=cfg.get("burnin_sweeps", SamplerControls.burnin_sweeps),
-            thin_sweeps=cfg.get("thin_sweeps", SamplerControls.thin_sweeps),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from exc
-    return hspec, controls
+        if os.sep in str(path) or not bundled.is_file():
+            raise ConfigError(f"config file not found: {path}")
+        cfg = json.loads(bundled.read_text(encoding="utf-8"))
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return cfg
 
 
 def _stderr(msg: str):
@@ -392,102 +362,48 @@ def _cmd_gof(args) -> int:
 # -- experiment ----------------------------------------------------------------
 
 
-def _experiment_header(kind: str, cfg: dict) -> list[str]:
-    if kind == "misrate":
-        return ["n_per_cluster", "transitivity", "replication", "rate"]
-    if kind == "score":
-        return ["replication", "rate"]
-    spec = parse_spec(cfg["stats"])
-    cols = ["rho", "replication", "cluster"]
-    for label in spec.labels():
-        cols.append(f"theta[{label}]")
-    for label in spec.labels():
-        cols.append(f"bias[{label}]")
-    return cols + ["esp_coverage", "degree_coverage"]
-
-
-def _experiment_svg(kind: str, cfg: dict, rows: list[dict], path):
+def _experiment_svg(kind: str, rows: list[dict], path):
     means = [r for r in rows if r["replication"] == "mean"]
     if kind == "misrate":
         ns = sorted({r["n_per_cluster"] for r in means})
-        panels = [
-            {
-                "title": "mean mis-clustering rate vs cluster size",
-                "x": ns,
-                "series": [
-                    {
-                        "label": f"t={t:g}",
-                        "values": [
-                            next(
-                                r["rate"]
-                                for r in means
-                                if r["n_per_cluster"] == n and r["transitivity"] == t
-                            )
-                            for n in ns
-                        ],
-                    }
-                    for t in sorted({r["transitivity"] for r in means})
-                ],
-            }
-        ]
+        rate = {(r["n_per_cluster"], r["transitivity"]): r["rate"] for r in means}
+        series = [{"label": f"t={t:g}", "values": [rate[n, t] for n in ns]}
+                  for t in sorted({r["transitivity"] for r in means})]
+        panels = [{"title": "mean mis-clustering rate vs cluster size", "x": ns,
+                   "series": series}]
     elif kind == "score":
         reps = [r for r in rows if r["replication"] != "mean"]
-        panels = [
-            {
-                "title": "SCORE mis-clustering rate per replication",
-                "x": [r["replication"] for r in reps],
-                "series": [{"label": "rate", "values": [r["rate"] for r in reps]}],
-            }
-        ]
+        panels = [{"title": "SCORE mis-clustering rate per replication",
+                   "x": [r["replication"] for r in reps],
+                   "series": [{"label": "rate", "values": [r["rate"] for r in reps]}]}]
     else:
         rhos = sorted({r["rho"] for r in means})
-        spec = parse_spec(cfg["stats"])
-        bias_series = []
-        for label in spec.labels():
-            key = f"bias[{label}]"
-            bias_series.append(
-                {
-                    "label": label,
-                    "values": [
-                        float(np.mean([r[key] for r in means if r["rho"] == rho]))
-                        for rho in rhos
-                    ],
-                }
-            )
-        cov_series = [
-            {
-                "label": name,
-                "values": [
-                    float(
-                        np.mean([r[f"{name}_coverage"] for r in means if r["rho"] == rho])
-                    )
-                    for rho in rhos
-                ],
-            }
-            for name in ("esp", "degree")
-        ]
+
+        def per_rho(col):  # the mean over clusters at each flip fraction
+            return [float(np.mean([r[col] for r in means if r["rho"] == rho])) for rho in rhos]
+
+        bias = [{"label": col[len("bias["):-1], "values": per_rho(col)}
+                for col in rows[0] if col.startswith("bias[")]
+        cov = [{"label": name, "values": per_rho(f"{name}_coverage")}
+               for name in ("esp", "degree")]
         panels = [
-            {"title": "mean |bias| vs flip fraction", "x": rhos, "series": bias_series},
-            {"title": "envelope coverage vs flip fraction", "x": rhos, "series": cov_series},
+            {"title": "mean |bias| vs flip fraction", "x": rhos, "series": bias},
+            {"title": "envelope coverage vs flip fraction", "x": rhos, "series": cov},
         ]
     render_panels(panels, path)
 
 
 def _cmd_experiment(args) -> int:
-    cfg = _load_config(args.config)
-    threads = _resolve_threads(args.threads)
     runners = {
         "misrate": misrate_experiment,
         "sensitivity": sensitivity_experiment,
         "score": score_experiment,
     }
-    try:
-        rows = runners[args.kind](cfg, threads=threads)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _write_csv(args.out, _experiment_header(args.kind, cfg), rows)
+    rows = runners[args.kind](_load_config(args.config), threads=args.threads)
+    # rows are built in column order, and every config yields at least one
+    _write_csv(args.out, list(rows[0]), rows)
     if args.svg:
-        _experiment_svg(args.kind, cfg, rows, args.svg)
+        _experiment_svg(args.kind, rows, args.svg)
     _stderr(f"experiment {args.kind}: {len(rows)} rows -> {args.out}")
     return 0
 
@@ -495,13 +411,14 @@ def _cmd_experiment(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _resolve_threads(value) -> int:
-    if value is not None:
-        return max(int(value), 1)
-    env = os.environ.get("HERGMKIT_THREADS")
-    if env:
-        return max(int(env), 1)
-    return os.cpu_count() or 1
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -601,9 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("kind", choices=("misrate", "sensitivity", "score"))
     p_exp.add_argument(
         "--threads",
-        type=int,
-        default=None,
-        help="worker processes (default: HERGMKIT_THREADS or all cores)",
+        type=_positive_int,
+        default=os.cpu_count() or 1,
+        help="worker processes, >= 1 (default: all cores)",
     )
     p_exp.add_argument("--config", required=True, help="JSON config (bundled name ok)")
     p_exp.add_argument("--out", required=True, help="result CSV")

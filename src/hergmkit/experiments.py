@@ -5,21 +5,73 @@ Each experiment takes a plain-dict config carrying one master seed; every
 replication derives its own seed from (master, cell, replication), so tables
 are bit-identical however the replications are scheduled.  Replications can
 run in a process pool; results are reduced in replication order.
+
+Every config is read here, once, before any replication runs.  A field of
+the wrong type or out of range raises ``ValueError`` naming its path, e.g.
+``'clusters[1].n'``; keys not listed are ignored.  A number is a JSON int or
+float, finite and never a boolean; an integer is a JSON int; a list is
+non-empty.  Fields (type, default, allowed range):
+
+block model (``simulate hergm``)
+    clusters        list of {n: int >= 1, stats: spec string, theta: list
+                    of numbers, one per term}; required
+    between_p       number in [0, 1]; required
+    burnin_sweeps   int >= 0; default 2000
+    thin_sweeps     int >= 1; default 10
+
+misrate
+    n_per_cluster   list of int >= 1; required
+    transitivity    list of numbers >= 0 (gwdsp and gwesp coefficient);
+                    required
+    replications    int >= 1; required
+    seed            int >= 0; required
+    n_clusters      int >= 2; default 3
+    baseline_theta  number (edges coefficient); default logit(0.05)
+    between_p       number in [0, 1]; default 0.05
+    decay           number >= 0; default 0.5
+    stage1          "lsm" or "score"; default "lsm"
+    dim             int >= 1 (LSM latent dimension); default 2
+    lsm             {burnin: int >= 0 = 1000, samples: int >= 1 = 400,
+                    thin: int >= 1 = 2}
+    sim             {burnin_sweeps: int >= 0 = 500, thin_sweeps: int >= 1 = 1}
+
+sensitivity
+    clusters        list of {n: int >= 1, theta: list of numbers, one per
+                    term of stats}; required
+    stats           spec string shared by every cluster; required
+    rho_grid        list of numbers in [0, 1]; required
+    replications    int >= 1; required
+    seed            int >= 0; required
+    nsim_gof        int >= 1; default 50
+    method          "mple" or "mcmle"; default "mple"
+    between_p       number in [0, 1]; default 0.05
+    sim             {burnin_sweeps: int >= 0 = 500}
+
+score
+    blocks          list of at least two int >= 1; required
+    p_in, p_out     numbers in [0, 1]; required
+    replications    int >= 1; required
+    seed            int >= 0; required
+    restarts        int >= 1; default 10
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+from functools import partial
+from itertools import product
 
 import numpy as np
 
 from .graph import Partition
 from .lsm import LsmControls, lsm_mcmc, map_membership
 from .rng import child_rng
-from .sampler import ClusterSpec, HergmSpec, SamplerControls, simulate_hergm
+from .sampler import BernoulliBlock, ClusterSpec, HergmSpec, SamplerControls, simulate_hergm
 from .spectral import ScoreControls, score_cluster
-from .stats import parse_spec
+from .stats import StatisticSpec, parse_spec
 from .twostage import (
     TwoStageControls,
     gof,
@@ -27,7 +79,9 @@ from .twostage import (
     two_stage_fit,
 )
 
-__all__ = ["misrate_experiment", "sensitivity_experiment", "score_experiment"]
+__all__ = [
+    "misrate_experiment", "sensitivity_experiment", "score_experiment", "read_hergm_config",
+]
 
 
 def _parallel_map(fn, tasks, threads: int):
@@ -37,28 +91,82 @@ def _parallel_map(fn, tasks, threads: int):
         return list(pool.map(fn, tasks, chunksize=1))
 
 
-def _logit(p: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"probability must be strictly inside (0, 1), got {p}")
-    return math.log(p / (1.0 - p))
+# -- reading configs -----------------------------------------------------------
+
+_REQUIRED = object()
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
 
 
-def _check_objects(config: dict, kind: str, keys: tuple[str, ...]):
-    """Optional nested fields that must be JSON objects when present."""
-    for key in keys:
-        if key in config and not isinstance(config[key], dict):
-            raise ValueError(f"{kind} config field {key!r} must be an object")
+def _field(cfg: dict, key: str, kind, default=_REQUIRED, *,
+           lo=None, hi=None, choices=None, at: str = ""):
+    """``cfg[key]`` read as ``kind``, or ``default`` when the key is absent.
+
+    ``kind`` is int, float (an int is converted), str, dict, or ``[t]`` for
+    a non-empty list of ``t``.  ``lo`` and ``hi`` bound a number or each
+    item of a list; ``choices`` are a string's allowed values.  ``at``
+    prefixes the field's path, e.g. ``"clusters[1]."``.
+    """
+    path = at + key
+    if key not in cfg:
+        if default is _REQUIRED:
+            raise ValueError(f"config field {path!r} is missing")
+        return default
+    return _value(cfg[key], path, kind, lo, hi, choices)
 
 
-def _controls(kind: str, key: str, make, **values):
-    """``make(**values)``; a rejected value names the config field ``key``."""
+def _value(value, path: str, kind, lo, hi, choices):
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"config field {path!r} must be a non-empty list, got {value!r}")
+        return [_value(v, f"{path}[{i}]", kind[0], lo, hi, choices)
+                for i, v in enumerate(value)]
+    if kind is float and type(value) is int:  # not bool; too large to convert is not finite
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"config field {path!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"config field {path!r} must be finite, got {value!r}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        need = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"config field {path!r} must be {need}, got {value!r}")
+    if choices is not None and value not in choices:
+        need = " or ".join(map(repr, choices))
+        raise ValueError(f"config field {path!r} must be {need}, got {value!r}")
+    return value
+
+
+def _controls(key: str, make, *args, **values):
+    """``make(*args, **values)``; a rejected value names the config field
+    ``key``, or the top level when ``key`` is empty."""
     try:
-        return make(**values)
+        return make(*args, **values)
     except ValueError as exc:
-        raise ValueError(f"{kind} config field {key!r}: {exc}") from exc
+        raise ValueError(f"config field {key!r}: {exc}" if key else f"config: {exc}") from exc
 
 
-def _check_seed_keys(kind: str, name: str, values, key):
+def _spec(cfg: dict, at: str = "") -> StatisticSpec:
+    return _controls(at + "stats", parse_spec, _field(cfg, "stats", str, at=at))
+
+
+def _clusters(cfg: dict, spec: StatisticSpec | None = None) -> tuple[ClusterSpec, ...]:
+    """The ``clusters`` list; each cluster reads its own ``stats`` unless one
+    shared ``spec`` is given."""
+    out = []
+    for i, c in enumerate(_field(cfg, "clusters", [dict])):
+        at = f"clusters[{i}]."
+        n = _field(c, "n", int, lo=1, at=at)
+        c_spec = _spec(c, at) if spec is None else spec
+        theta = _field(c, "theta", [float], at=at)
+        if len(theta) != len(c_spec):
+            raise ValueError(
+                f"config field '{at}theta' has {len(theta)} values for a "
+                f"{len(c_spec)}-term spec"
+            )
+        out.append(ClusterSpec(n, c_spec, tuple(theta)))
+    return tuple(out)
+
+
+def _check_seed_keys(name: str, values, key):
     """Reject grid values that would share a replication seed.
 
     Seeds are derived from ``key(value)``, so two values with one key would
@@ -69,45 +177,43 @@ def _check_seed_keys(kind: str, name: str, values, key):
         k = key(value)
         if k in seen:
             raise ValueError(
-                f"{kind} config field {name!r}: values {seen[k]!r} and {value!r} "
+                f"config field {name!r}: values {seen[k]!r} and {value!r} "
                 f"share the seed key {k}"
             )
         seen[k] = value
 
 
-def _milli(value) -> int:
+def _milli(value: float) -> int:
     """Seed key of a grid value in [0, 1]: whole thousandths."""
-    return int(float(value) * 1000)
+    return int(value * 1000)
+
+
+def read_hergm_config(cfg: dict) -> tuple[HergmSpec, SamplerControls]:
+    """The block model and chain controls of a ``simulate hergm`` config."""
+    hspec = HergmSpec(_clusters(cfg), _field(cfg, "between_p", float, lo=0, hi=1))
+    controls = _controls(
+        "", SamplerControls,
+        burnin_sweeps=cfg.get("burnin_sweeps", SamplerControls.burnin_sweeps),
+        thin_sweeps=cfg.get("thin_sweeps", SamplerControls.thin_sweeps),
+    )
+    return hspec, controls
 
 
 # -- mis-clustering rate vs cluster size and transitivity --------------------
 
 
-def _misrate_cell_spec(cfg: dict, n_per_cluster: int, transitivity: float) -> HergmSpec:
-    decay = cfg.get("decay", 0.5)
-    base = cfg.get("baseline_theta", _logit(0.05))
-    spec = parse_spec(f"edges,gwdsp({decay:g}),gwesp({decay:g})")
-    k = cfg.get("n_clusters", 3)
-    clusters = tuple(
-        ClusterSpec(n_per_cluster, spec, (base, transitivity, transitivity))
-        for _ in range(k)
-    )
-    return HergmSpec(clusters, cfg.get("between_p", 0.05))
-
-
-def _misrate_one(task) -> dict:
-    cfg, sim_controls, lsm_controls, n_per_cluster, transitivity, rep = task
-    hspec = _misrate_cell_spec(cfg, n_per_cluster, transitivity)
+def _misrate_one(stage1, dim, sim_controls, lsm_controls, master, task) -> dict:
+    hspec, n_per_cluster, transitivity, rep = task
     seed = int(
-        child_rng(cfg["seed"], "misrate", n_per_cluster, _milli(transitivity), rep)
+        child_rng(master, "misrate", n_per_cluster, _milli(transitivity), rep)
         .integers(2**31)
     )
     g, truth = simulate_hergm(hspec, seed, sim_controls)
     k = hspec.n_clusters
-    if cfg.get("stage1", "lsm") == "score":
+    if stage1 == "score":
         est = score_cluster(g, ScoreControls(n_clusters=k, seed=seed))
     else:
-        post = lsm_mcmc(g, k, dim=cfg.get("dim", 2), controls=lsm_controls, seed=seed)
+        post = lsm_mcmc(g, k, dim=dim, controls=lsm_controls, seed=seed)
         est = map_membership(post)
     rate = misclustering_rate(est, truth)
     return {
@@ -124,47 +230,46 @@ def misrate_experiment(config: dict, threads: int = 1) -> list[dict]:
     Returns per-replication rows followed by one mean row per cell
     (replication == "mean").
     """
-    for key in ("n_per_cluster", "transitivity", "replications", "seed"):
-        if key not in config:
-            raise ValueError(f"misrate config missing key {key!r}")
-    _check_objects(config, "misrate", ("lsm", "sim"))
-    sim_cfg, lsm_cfg = config.get("sim", {}), config.get("lsm", {})
+    sizes = _field(config, "n_per_cluster", [int], lo=1)
+    grid = _field(config, "transitivity", [float], lo=0)
+    reps = _field(config, "replications", int, lo=1)
+    seed = _field(config, "seed", int, lo=0)
+    k = _field(config, "n_clusters", int, 3, lo=2)
+    base = _field(config, "baseline_theta", float, math.log(0.05 / (1.0 - 0.05)))
+    between_p = _field(config, "between_p", float, 0.05, lo=0, hi=1)
+    decay = _field(config, "decay", float, 0.5, lo=0)
+    stage1 = _field(config, "stage1", str, "lsm", choices=("lsm", "score"))
+    dim = _field(config, "dim", int, 2, lo=1)
+    sim, lsm = _field(config, "sim", dict, {}), _field(config, "lsm", dict, {})
     sim_controls = _controls(
-        "misrate", "sim", SamplerControls,
-        burnin_sweeps=sim_cfg.get("burnin_sweeps", 500),
-        thin_sweeps=sim_cfg.get("thin_sweeps", 1),
+        "sim", SamplerControls,
+        burnin_sweeps=sim.get("burnin_sweeps", 500),
+        thin_sweeps=sim.get("thin_sweeps", 1),
     )
     lsm_controls = _controls(
-        "misrate", "lsm", LsmControls,
-        burnin=lsm_cfg.get("burnin", 1000),
-        n_samples=lsm_cfg.get("samples", 400),
-        thin=lsm_cfg.get("thin", 2),
+        "lsm", LsmControls,
+        burnin=lsm.get("burnin", 1000),
+        n_samples=lsm.get("samples", 400),
+        thin=lsm.get("thin", 2),
     )
-    _check_seed_keys("misrate", "n_per_cluster", config["n_per_cluster"], int)
-    _check_seed_keys("misrate", "transitivity", config["transitivity"], _milli)
+    spec = _controls("decay", parse_spec, f"edges,gwdsp({decay:g}),gwesp({decay:g})")
+    _check_seed_keys("n_per_cluster", sizes, int)
+    _check_seed_keys("transitivity", grid, _milli)
+    cells = list(product(sizes, grid))
     tasks = [
-        (config, sim_controls, lsm_controls, int(n), float(t), rep)
-        for n in config["n_per_cluster"]
-        for t in config["transitivity"]
-        for rep in range(config["replications"])
+        (HergmSpec((ClusterSpec(n, spec, (base, t, t)),) * k, between_p), n, t, rep)
+        for n, t in cells
+        for rep in range(reps)
     ]
-    rows = _parallel_map(_misrate_one, tasks, threads)
-    means = []
-    for n in config["n_per_cluster"]:
-        for t in config["transitivity"]:
-            cell = [
-                r["rate"]
-                for r in rows
-                if r["n_per_cluster"] == int(n) and r["transitivity"] == float(t)
-            ]
-            means.append(
-                {
-                    "n_per_cluster": int(n),
-                    "transitivity": float(t),
-                    "replication": "mean",
-                    "rate": float(np.mean(cell)),
-                }
-            )
+    rows = _parallel_map(
+        partial(_misrate_one, stage1, dim, sim_controls, lsm_controls, seed),
+        tasks, threads,
+    )
+    means = [
+        {"n_per_cluster": n, "transitivity": t, "replication": "mean",
+         "rate": float(np.mean([r["rate"] for r in rows[c * reps:(c + 1) * reps]]))}
+        for c, (n, t) in enumerate(cells)
+    ]
     return rows + means
 
 
@@ -184,46 +289,43 @@ def _perturb_partition(truth: Partition, rho: float, rng) -> Partition:
     return Partition(labels, k)
 
 
-def _sensitivity_one(task) -> list[dict]:
-    cfg, sim_controls, rho, rep = task
-    spec = parse_spec(cfg["stats"])
-    clusters = tuple(
-        ClusterSpec(int(c["n"]), spec, tuple(float(v) for v in c["theta"]))
-        for c in cfg["clusters"]
-    )
-    hspec = HergmSpec(clusters, cfg.get("between_p", 0.05))
-    seed = int(
-        child_rng(cfg["seed"], "sens", _milli(rho), rep).integers(2**31)
-    )
+def _sensitivity_one(hspec, controls, nsim_gof, sim_controls, master, task) -> list[dict]:
+    rho, rep = task
+    seed = int(child_rng(master, "sens", _milli(rho), rep).integers(2**31))
     g, truth = simulate_hergm(hspec, seed, sim_controls)
     perturbed = _perturb_partition(truth, rho, child_rng(seed, "flip"))
+    spec = hspec.clusters[0].spec
     ts = two_stage_fit(
         g,
         hspec.n_clusters,
         spec,
         stage1="given",
-        controls=TwoStageControls(method=cfg.get("method", "mple")),
+        controls=controls,
         given_partition=perturbed,
         seed=seed,
     )
-    report = gof(g, ts, cfg.get("nsim_gof", 50), seed=seed, sim_controls=sim_controls)
+    report = gof(g, ts, nsim_gof, seed=seed, sim_controls=sim_controls)
+    labels = spec.labels()
     out = []
     for k, cfit in enumerate(ts.cluster_fits):
-        truth_theta = np.array(clusters[k].theta)
         if cfit is None:
-            theta = [math.nan] * len(spec)
-            bias = [math.nan] * len(spec)
+            theta = bias = [math.nan] * len(spec)
         else:
             theta = [float(v) for v in cfit.theta_hat]
-            bias = [float(v) for v in (cfit.theta_hat - truth_theta)]
-        row = {"rho": rho, "replication": rep, "cluster": k}
-        for pos, label in enumerate(spec.labels()):
-            row[f"theta[{label}]"] = theta[pos]
-            row[f"bias[{label}]"] = bias[pos]
-        row["esp_coverage"] = report.coverage("esp")
-        row["degree_coverage"] = report.coverage("degree")
-        out.append(row)
+            bias = [float(v) for v in cfit.theta_hat - np.array(hspec.clusters[k].theta)]
+        out.append({
+            "rho": rho, "replication": rep, "cluster": k,
+            **{f"theta[{label}]": v for label, v in zip(labels, theta)},
+            **{f"bias[{label}]": v for label, v in zip(labels, bias)},
+            "esp_coverage": report.coverage("esp"),
+            "degree_coverage": report.coverage("degree"),
+        })
     return out
+
+
+def _finite_mean(values) -> float:
+    finite = [v for v in values if not math.isnan(v)]
+    return float(np.mean(finite)) if finite else math.nan
 
 
 def sensitivity_experiment(config: dict, threads: int = 1) -> list[dict]:
@@ -234,92 +336,59 @@ def sensitivity_experiment(config: dict, threads: int = 1) -> list[dict]:
     parameter bias plus envelope coverages.  Mean rows (replication ==
     "mean") aggregate |bias| and coverages per (rho, cluster).
     """
-    for key in ("clusters", "stats", "rho_grid", "replications", "seed"):
-        if key not in config:
-            raise ValueError(f"sensitivity config missing key {key!r}")
-    if not isinstance(config["clusters"], list):
-        raise ValueError("sensitivity config field 'clusters' must be a list")
-    for i, c in enumerate(config["clusters"]):
-        where = f"sensitivity config field clusters[{i}]"
-        if not isinstance(c, dict):
-            raise ValueError(f"{where} must be an object")
-        for key, kind in (("n", int), ("theta", list)):
-            if key not in c:
-                raise ValueError(f"{where}.{key} is missing")
-            if not isinstance(c[key], kind):
-                raise ValueError(f"{where}.{key} must be a {kind.__name__}")
-    _check_objects(config, "sensitivity", ("sim",))
+    spec = _spec(config)
+    clusters = _clusters(config, spec)
+    grid = _field(config, "rho_grid", [float], lo=0, hi=1)
+    reps = _field(config, "replications", int, lo=1)
+    seed = _field(config, "seed", int, lo=0)
+    nsim_gof = _field(config, "nsim_gof", int, 50, lo=1)
+    method = _field(config, "method", str, "mple", choices=("mple", "mcmle"))
+    hspec = HergmSpec(clusters, _field(config, "between_p", float, 0.05, lo=0, hi=1))
+    sim = _field(config, "sim", dict, {})
     sim_controls = _controls(
-        "sensitivity", "sim", SamplerControls,
-        burnin_sweeps=config.get("sim", {}).get("burnin_sweeps", 500),
+        "sim", SamplerControls, burnin_sweeps=sim.get("burnin_sweeps", 500)
     )
-    _check_seed_keys("sensitivity", "rho_grid", config["rho_grid"], _milli)
-    tasks = [
-        (config, sim_controls, float(rho), rep)
-        for rho in config["rho_grid"]
-        for rep in range(config["replications"])
-    ]
-    nested = _parallel_map(_sensitivity_one, tasks, threads)
-    rows = [row for chunk in nested for row in chunk]
-    spec = parse_spec(config["stats"])
+    _check_seed_keys("rho_grid", grid, _milli)
+    run = partial(_sensitivity_one, hspec, TwoStageControls(method=method),
+                  nsim_gof, sim_controls, seed)
+    nested = _parallel_map(run, [(rho, rep) for rho in grid for rep in range(reps)], threads)
     means = []
-    for rho in config["rho_grid"]:
-        for k in range(len(config["clusters"])):
-            cell = [
-                r
-                for r in rows
-                if r["rho"] == float(rho) and r["cluster"] == k
-            ]
-            mean_row = {"rho": float(rho), "replication": "mean", "cluster": k}
-            for label in spec.labels():
-                vals = [r[f"bias[{label}]"] for r in cell]
-                finite = [v for v in vals if not math.isnan(v)]
-                mean_row[f"theta[{label}]"] = float(
-                    np.mean([r[f"theta[{label}]"] for r in cell if not math.isnan(r[f"theta[{label}]"])])
-                ) if finite else math.nan
-                mean_row[f"bias[{label}]"] = (
-                    float(np.mean(np.abs(finite))) if finite else math.nan
-                )
-            mean_row["esp_coverage"] = float(np.mean([r["esp_coverage"] for r in cell]))
-            mean_row["degree_coverage"] = float(
-                np.mean([r["degree_coverage"] for r in cell])
-            )
-            means.append(mean_row)
-    return rows + means
+    for i, rho in enumerate(grid):
+        for k in range(hspec.n_clusters):
+            cell = [chunk[k] for chunk in nested[i * reps:(i + 1) * reps]]
+            row = {"rho": rho, "replication": "mean", "cluster": k}
+            for col in cell[0]:
+                if col.startswith("theta["):
+                    row[col] = _finite_mean([r[col] for r in cell])
+                elif col.startswith("bias["):
+                    row[col] = _finite_mean([abs(r[col]) for r in cell])
+            for col in ("esp_coverage", "degree_coverage"):
+                row[col] = float(np.mean([r[col] for r in cell]))
+            means.append(row)
+    return [row for chunk in nested for row in chunk] + means
 
 
 # -- SCORE recovery on planted blocks ----------------------------------------
 
 
-def _score_one(task) -> dict:
-    cfg, rep = task
-    spec = parse_spec("edges")
-    theta_in = _logit(cfg["p_in"])
-    clusters = tuple(
-        ClusterSpec(int(n), spec, (theta_in,)) for n in cfg["blocks"]
-    )
-    hspec = HergmSpec(clusters, cfg["p_out"])
-    seed = int(child_rng(cfg["seed"], "score", rep).integers(2**31))
-    # edges-only blocks are dyad-independent; a short chain is exact enough
-    g, truth = simulate_hergm(hspec, seed, SamplerControls(burnin_sweeps=20))
-    est = score_cluster(
-        g,
-        ScoreControls(
-            n_clusters=len(cfg["blocks"]),
-            restarts=cfg.get("restarts", 10),
-            seed=seed,
-        ),
-    )
+def _score_one(hspec, controls, master, rep) -> dict:
+    seed = int(child_rng(master, "score", rep).integers(2**31))
+    g, truth = simulate_hergm(hspec, seed)
+    est = score_cluster(g, replace(controls, seed=seed))
     return {"replication": rep, "rate": misclustering_rate(est, truth)}
 
 
 def score_experiment(config: dict, threads: int = 1) -> list[dict]:
     """SCORE mis-clustering on planted-partition graphs with known truth."""
-    for key in ("blocks", "p_in", "p_out", "replications", "seed"):
-        if key not in config:
-            raise ValueError(f"score config missing key {key!r}")
-    tasks = [(config, rep) for rep in range(config["replications"])]
-    rows = _parallel_map(_score_one, tasks, threads)
+    blocks = _field(config, "blocks", [int], lo=1)
+    p_in = _field(config, "p_in", float, lo=0, hi=1)
+    p_out = _field(config, "p_out", float, lo=0, hi=1)
+    reps = _field(config, "replications", int, lo=1)
+    seed = _field(config, "seed", int, lo=0)
+    restarts = _field(config, "restarts", int, 10, lo=1)
+    controls = _controls("blocks", ScoreControls, n_clusters=len(blocks), restarts=restarts)
+    hspec = HergmSpec(tuple(BernoulliBlock(n, p_in) for n in blocks), p_out)
+    rows = _parallel_map(partial(_score_one, hspec, controls, seed), list(range(reps)), threads)
     rows.append(
         {"replication": "mean", "rate": float(np.mean([r["rate"] for r in rows]))}
     )

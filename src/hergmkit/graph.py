@@ -230,30 +230,30 @@ def write_edge_list(g: Graph, path):
 
 
 def read_edge_list(path) -> Graph:
+    """Read ``n <count>`` then one ``i j`` line per edge; every error names
+    the file and line."""
     g = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if g is None:
-                parts = line.split()
-                if len(parts) != 2 or parts[0] != "n":
-                    raise ValueError(
-                        f"{path}:{lineno}: expected header 'n <count>', got {line!r}"
-                    )
-                g = Graph(int(parts[1]))
-                continue
             parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'i j', got {line!r}")
-            i, j = int(parts[0]), int(parts[1])
-            d = dyad(i, j)
-            if d[0] >= g.n or d[1] >= g.n:
-                raise ValueError(f"{path}:{lineno}: node id >= n={g.n} in {line!r}")
-            if g.has_edge(*d):
-                raise ValueError(f"{path}:{lineno}: duplicate edge {d}")
-            g.add_edge(*d)
+            try:
+                if len(parts) != 2 or (g is None and parts[0] != "n"):
+                    want = "header 'n <count>'" if g is None else "'i j'"
+                    raise ValueError(f"expected {want}, got {line!r}")
+                if g is None:
+                    g = Graph(int(parts[1]))
+                    continue
+                i, j = dyad(int(parts[0]), int(parts[1]))
+                if j >= g.n:
+                    raise ValueError(f"node id >= n={g.n} in {line!r}")
+                if g.has_edge(i, j):
+                    raise ValueError(f"duplicate edge {(i, j)}")
+                g.add_edge(i, j)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if g is None:
         raise ValueError(f"{path}: empty edge-list file")
     return g

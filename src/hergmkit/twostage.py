@@ -160,6 +160,11 @@ def two_stage_fit(
             raise ValueError("stage1='given' requires given_partition")
         if given_partition.n != g.n:
             raise ValueError("given partition does not cover the graph")
+        if given_partition.n_clusters != n_clusters:
+            raise ValueError(
+                f"K={n_clusters} but the given partition has "
+                f"{given_partition.n_clusters} clusters"
+            )
         partition = given_partition
     else:
         raise ValueError(f"unknown stage-1 method {stage1!r}")

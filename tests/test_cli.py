@@ -1,5 +1,6 @@
 """Command-line exit codes, flags, and the bundled configs."""
 
+import copy
 import json
 import xml.etree.ElementTree as ET
 from importlib import resources
@@ -122,6 +123,15 @@ class TestExitCodes:
         assert code == 2
         assert "n_samples must be >= 4, got 2" in capsys.readouterr().err
 
+    def test_k_must_match_a_given_partition(self, tmp_path, capsys):
+        graph, truth = _simulate(tmp_path, 6)
+        code = cli.main(["fit", "twostage", "--graph", graph, "--K", "2",
+                         "--stats", "edges", "--stage1", "given", "--partition", truth,
+                         "--method", "mple", "--out", str(tmp_path / "fit.json")])
+        assert code == 2
+        assert "K=2 but the given partition has 3 clusters" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_malformed_partition_row_exits_2(self, tmp_path, capsys):
         graph, truth = _simulate(tmp_path, 6)
         with open(truth, "a", encoding="utf-8") as fh:
@@ -164,6 +174,14 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-2", "x"])
+    def test_threads_below_one_rejected(self, capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["experiment", "score", "--config", "score.json",
+                                           "--out", "s.csv", "--threads", threads])
+        assert exc.value.code == 2
+        assert f"--threads: must be an integer >= 1, got {threads!r}" in capsys.readouterr().err
 
 
 class TestMalformedExperimentConfigs:
@@ -317,3 +335,99 @@ def test_every_bundled_config_key_is_read(name):
     cfg = _shrunk(cli._load_config(name), **small)
     run(cfg)
     assert list(cfg.unread()) == []
+
+
+# -- no config field can crash the CLI ----------------------------------------
+
+
+def _run_config(tmp_path, command: list[str], cfg: dict) -> int:
+    argv = command + ["--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]
+    if command[0] == "simulate":
+        return cli.main(argv + ["--truth", str(tmp_path / "truth.csv")])
+    return cli.main(argv + ["--threads", "1"])
+
+
+def _toy_configs():
+    """(name, command, config) for every bundled config, shrunk as in
+    ``BUNDLED``, and the toy sensitivity config."""
+    for name, (run, small) in sorted(BUNDLED.items()):
+        if run is cli._parse_hergm_config:
+            command = ["simulate", "hergm"]
+        else:
+            command = ["experiment", run.__name__.removesuffix("_experiment")]
+        yield name, command, {**cli._load_config(name), **small}
+    yield "sensitivity", ["experiment", "sensitivity"], SENSITIVITY
+
+
+def _wrong_fields(cfg, path=()):
+    """(path, value of the wrong type) for every field under ``cfg``: a
+    string for a number, a number for a string, an object for a list and a
+    list for an object."""
+    for key, val in cfg.items() if isinstance(cfg, dict) else enumerate(cfg):
+        here = path + (key,)
+        if isinstance(val, (dict, list)):
+            yield here, [val] if isinstance(val, dict) else {"x": val}
+            yield from _wrong_fields(val, here)
+        else:
+            yield here, 7 if isinstance(val, str) else str(val)
+
+
+def _named(path) -> str:
+    """How the error names the field at ``path``."""
+    if path in (("burnin_sweeps",), ("thin_sweeps",)):  # checked by SamplerControls
+        return f"config: {path[0]} must"
+    if len(path) == 2 and path[0] in ("lsm", "sim"):  # checked by a controls object
+        return f"'{path[0]}': {'n_samples' if path[1] == 'samples' else path[1]} must"
+    name = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+    return f"'{name.lstrip('.')}' must"
+
+
+WRONG_FIELDS = [
+    pytest.param(command, cfg, path, value, id=f"{name}:{'.'.join(map(str, path))}")
+    for name, command, cfg in _toy_configs()
+    for path, value in _wrong_fields(cfg)
+]
+
+
+@pytest.mark.parametrize("command, cfg, path, value", WRONG_FIELDS)
+def test_ill_typed_config_field_exits_2_naming_it(tmp_path, capsys, command, cfg, path, value):
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    assert _run_config(tmp_path, command, cfg) == 2
+    assert _named(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    (["experiment", "misrate"], {**MISRATE, "transitivity": [-0.5]},
+     "'transitivity[0]' must be >= 0, got -0.5"),
+    (["experiment", "misrate"], {**MISRATE, "stage1": "nope"},
+     "'stage1' must be 'lsm' or 'score', got 'nope'"),
+    (["experiment", "misrate"], {**MISRATE, "replications": 0},
+     "'replications' must be >= 1, got 0"),
+    (["experiment", "misrate"], {**MISRATE, "n_per_cluster": []},
+     "'n_per_cluster' must be a non-empty list"),
+    (["experiment", "misrate"], {**MISRATE, "decay": float("nan")},
+     "'decay' must be finite, got nan"),
+    (["experiment", "sensitivity"], {**SENSITIVITY, "rho_grid": [0.5, 2.0]},
+     "'rho_grid[1]' must be in [0, 1], got 2.0"),
+    (["experiment", "sensitivity"], {**SENSITIVITY, "stats": "edges,bogus"},
+     "'stats': unknown term kind 'bogus'"),
+    (["experiment", "score"], {"blocks": [8], "p_in": 0.5, "p_out": 0.1,
+                               "replications": 1, "seed": 1},
+     "'blocks': SCORE needs K >= 2"),
+    (["simulate", "hergm"], {"clusters": [{"n": 6, "stats": "edges", "theta": [-1.0, 2.0]}],
+                             "between_p": 0.1},
+     "'clusters[0].theta' has 2 values for a 1-term spec"),
+    (["simulate", "hergm"], {"clusters": [{"n": 6, "stats": "edges", "theta": [-1.0]}],
+                             "between_p": 1.5},
+     "'between_p' must be in [0, 1], got 1.5"),
+    (["simulate", "hergm"], {"clusters": [{"n": 6, "stats": "edges", "theta": [-1.0]}],
+                             "between_p": 10**400},
+     "'between_p' must be finite, got inf"),
+])
+def test_out_of_range_config_field_exits_2_naming_it(tmp_path, capsys, command, cfg, message):
+    assert _run_config(tmp_path, command, cfg) == 2
+    assert message in capsys.readouterr().err

@@ -57,6 +57,15 @@ SENSITIVITY_CONFIG = {
     "sim": {"burnin_sweeps": 20},
 }
 
+SCORE_CONFIG = {
+    "blocks": [8, 10],
+    "p_in": 0.4,
+    "p_out": 0.15,
+    "replications": 3,
+    "restarts": 3,
+    "seed": 17,
+}
+
 GOLDEN = {
     "cluster_lsm.csv":
         "575097af34b02611803fad934dd3a8479ded34dd4b9ab1bdbd666a71785968bc",
@@ -66,6 +75,8 @@ GOLDEN = {
         "e131c21e52e598ae5812347bb52d83e028da8f6410cdd9131a77b5b17704de09",
     "experiment_misrate.csv":
         "ff130a7ecf5267866088fb3c1973fee956fe1d01431de15c57707e5dee10169c",
+    "experiment_score.csv":
+        "d61858812327b2926ff425503af41913e7730109fddad459c65de6269938036d",
     "experiment_sensitivity.csv":
         "5418a232e3358aa74ae339f6b44a81da3b4fcd849301cd03add6665e8bfcc985",
     "fit_mcmle.json":
@@ -100,6 +111,8 @@ def _outputs(work: str) -> dict[str, str]:
         json.dump(MISRATE_CONFIG, fh)
     with open(p("sensitivity.json"), "w", encoding="utf-8") as fh:
         json.dump(SENSITIVITY_CONFIG, fh)
+    with open(p("score.json"), "w", encoding="utf-8") as fh:
+        json.dump(SCORE_CONFIG, fh)
     _run(["simulate", "hergm", "--config", p("sim.json"), "--seed", "5",
           "--out", p("sim_graph.edges"), "--truth", p("sim_truth.csv"),
           "--stats-out", p("sim_stats.csv")])
@@ -120,6 +133,8 @@ def _outputs(work: str) -> dict[str, str]:
           "--out", p("experiment_misrate.csv")])
     _run(["experiment", "sensitivity", "--config", p("sensitivity.json"), "--threads", "1",
           "--out", p("experiment_sensitivity.csv")])
+    _run(["experiment", "score", "--config", p("score.json"), "--threads", "1",
+          "--out", p("experiment_score.csv")])
     out = {}
     for name in GOLDEN:
         with open(p(name), "rb") as fh:

@@ -245,6 +245,15 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="node id"):
             read_edge_list(path)
 
+    @pytest.mark.parametrize("body, line", [
+        ("n x\n", 2), ("n 0\n", 2), ("n 3\n0 a\n", 3), ("n 3\n-1 2\n", 3), ("n 3\n0 0\n", 3),
+    ], ids=["count-x", "count-0", "node-a", "node-negative", "self-loop"])
+    def test_every_edge_list_error_names_file_and_line(self, tmp_path, body, line):
+        path = tmp_path / "g.edges"
+        path.write_text("# comment\n" + body)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ")):
+            read_edge_list(path)
+
     def test_isolated_nodes_survive_round_trip(self, tmp_path):
         g = Graph(10)
         g.add_edge(0, 1)
