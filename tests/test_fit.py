@@ -21,6 +21,7 @@ from hergmkit.fit import (
     McmleControls,
     MpleNotConvergedError,
     NonFiniteMleError,
+    SamplesDegenerateError,
     _dyad_design,
     _weighted_newton,
     ergm_fit_from_dict,
@@ -278,6 +279,49 @@ class TestMcmle:
         assert polishes == [math.inf]
         assert fit.diagnostics.iterations > plain.diagnostics.iterations
         assert fit.diagnostics.converged and fit.diagnostics.grad_norm < 1e-6
+
+    def test_unconverged_exit_reports_last_walk_sample(self, monkeypatch):
+        # one outer iteration ends in the walk: the fit is reported as not
+        # converged, on the walk sample (64 // 8 draws), with SEs from the
+        # inverse sample covariance
+        monkeypatch.setattr("hergmkit.fit.MCMLE_MAX_OUTER", 1)
+        g = Graph(7)
+        for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 2), (2, 4)]:
+            g.add_edge(i, j)
+        fit = mcmle(g, ET, controls=McmleControls(64, 20, seed=1))
+        d = fit.diagnostics
+        assert (d.converged, d.iterations, d.mc_samples) == (False, 1, 8)
+        np.testing.assert_allclose(fit.theta_hat, [-1.57540362, 1.09502729], rtol=1e-8)
+        np.testing.assert_allclose(fit.std_errors, [0.04274701, 0.13536553], rtol=1e-6)
+
+    def test_frozen_boundary_exit_reports_start(self):
+        # empty graph, chain frozen at the empty graph: in band with no
+        # variation, so the start is reported with zero gradient and SEs
+        fit = mcmle(Graph(6), EDGES, theta0=(-30.0,), controls=McmleControls(16, 5, seed=1))
+        d = fit.diagnostics
+        assert (d.converged, d.degenerate, d.iterations, d.mc_samples) == (True, True, 2, 16)
+        assert d.grad_norm == 0.0
+        assert fit.std_errors.tolist() == [0.0]
+        assert fit.theta_hat.tolist() == [-30.0]
+
+    def test_contraction_recovers_from_a_frozen_chain(self):
+        # a 3-edge path, far start: the frozen chain is out of band, so theta
+        # is halved until the samples vary, then the fit converges
+        g = Graph(6)
+        for i, j in [(0, 1), (1, 2), (2, 3)]:
+            g.add_edge(i, j)
+        fit = mcmle(g, EDGES, theta0=(-30.0,), controls=McmleControls(16, 5, seed=1))
+        d = fit.diagnostics
+        assert (d.converged, d.degenerate, d.iterations, d.mc_samples) == (True, True, 10, 16)
+        assert d.step_sizes[:3] == [15.0, 7.5, 3.75]
+        assert d.grad_norm < 1e-6
+
+    def test_contraction_that_fails_raises(self):
+        g = Graph(6)
+        for i, j in [(0, 1), (1, 2), (2, 3)]:
+            g.add_edge(i, j)
+        with pytest.raises(SamplesDegenerateError, match="stay constant"):
+            mcmle(g, EDGES, theta0=(-3000.0,), controls=McmleControls(16, 5, seed=1))
 
     def test_bad_theta0_rejected(self):
         g = random_graph(6, 0.5, 10)
