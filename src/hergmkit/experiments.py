@@ -135,17 +135,17 @@ def _value(value, path: str, kind, lo, hi, choices):
     return value
 
 
-def _controls(key: str, make, *args, **values):
-    """``make(*args, **values)``; a rejected value names the config field
-    ``key``, or the top level when ``key`` is empty."""
+def _as_field(key: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a value it rejects is reported as config
+    field ``key``."""
     try:
-        return make(*args, **values)
+        return make(*args, **kwargs)
     except ValueError as exc:
-        raise ValueError(f"config field {key!r}: {exc}" if key else f"config: {exc}") from exc
+        raise ValueError(f"config field {key!r}: {exc}") from exc
 
 
 def _spec(cfg: dict, at: str = "") -> StatisticSpec:
-    return _controls(at + "stats", parse_spec, _field(cfg, "stats", str, at=at))
+    return _as_field(at + "stats", parse_spec, _field(cfg, "stats", str, at=at))
 
 
 def _clusters(cfg: dict, spec: StatisticSpec | None = None) -> tuple[ClusterSpec, ...]:
@@ -191,12 +191,10 @@ def _milli(value: float) -> int:
 def read_hergm_config(cfg: dict) -> tuple[HergmSpec, SamplerControls]:
     """The block model and chain controls of a ``simulate hergm`` config."""
     hspec = HergmSpec(_clusters(cfg), _field(cfg, "between_p", float, lo=0, hi=1))
-    controls = _controls(
-        "", SamplerControls,
-        burnin_sweeps=cfg.get("burnin_sweeps", SamplerControls.burnin_sweeps),
-        thin_sweeps=cfg.get("thin_sweeps", SamplerControls.thin_sweeps),
+    return hspec, SamplerControls(
+        burnin_sweeps=_field(cfg, "burnin_sweeps", int, SamplerControls.burnin_sweeps, lo=0),
+        thin_sweeps=_field(cfg, "thin_sweeps", int, SamplerControls.thin_sweeps, lo=1),
     )
-    return hspec, controls
 
 
 # -- mis-clustering rate vs cluster size and transitivity --------------------
@@ -241,18 +239,16 @@ def misrate_experiment(config: dict, threads: int = 1) -> list[dict]:
     stage1 = _field(config, "stage1", str, "lsm", choices=("lsm", "score"))
     dim = _field(config, "dim", int, 2, lo=1)
     sim, lsm = _field(config, "sim", dict, {}), _field(config, "lsm", dict, {})
-    sim_controls = _controls(
-        "sim", SamplerControls,
-        burnin_sweeps=sim.get("burnin_sweeps", 500),
-        thin_sweeps=sim.get("thin_sweeps", 1),
+    sim_controls = SamplerControls(
+        burnin_sweeps=_field(sim, "burnin_sweeps", int, 500, lo=0, at="sim."),
+        thin_sweeps=_field(sim, "thin_sweeps", int, 1, lo=1, at="sim."),
     )
-    lsm_controls = _controls(
-        "lsm", LsmControls,
-        burnin=lsm.get("burnin", 1000),
-        n_samples=lsm.get("samples", 400),
-        thin=lsm.get("thin", 2),
+    lsm_controls = LsmControls(
+        burnin=_field(lsm, "burnin", int, 1000, lo=0, at="lsm."),
+        n_samples=_field(lsm, "samples", int, 400, lo=1, at="lsm."),
+        thin=_field(lsm, "thin", int, 2, lo=1, at="lsm."),
     )
-    spec = _controls("decay", parse_spec, f"edges,gwdsp({decay:g}),gwesp({decay:g})")
+    spec = _as_field("decay", parse_spec, f"edges,gwdsp({decay:g}),gwesp({decay:g})")
     _check_seed_keys("n_per_cluster", sizes, int)
     _check_seed_keys("transitivity", grid, _milli)
     cells = list(product(sizes, grid))
@@ -345,8 +341,8 @@ def sensitivity_experiment(config: dict, threads: int = 1) -> list[dict]:
     method = _field(config, "method", str, "mple", choices=("mple", "mcmle"))
     hspec = HergmSpec(clusters, _field(config, "between_p", float, 0.05, lo=0, hi=1))
     sim = _field(config, "sim", dict, {})
-    sim_controls = _controls(
-        "sim", SamplerControls, burnin_sweeps=sim.get("burnin_sweeps", 500)
+    sim_controls = SamplerControls(
+        burnin_sweeps=_field(sim, "burnin_sweeps", int, 500, lo=0, at="sim.")
     )
     _check_seed_keys("rho_grid", grid, _milli)
     run = partial(_sensitivity_one, hspec, TwoStageControls(method=method),
@@ -386,7 +382,7 @@ def score_experiment(config: dict, threads: int = 1) -> list[dict]:
     reps = _field(config, "replications", int, lo=1)
     seed = _field(config, "seed", int, lo=0)
     restarts = _field(config, "restarts", int, 10, lo=1)
-    controls = _controls("blocks", ScoreControls, n_clusters=len(blocks), restarts=restarts)
+    controls = _as_field("blocks", ScoreControls, n_clusters=len(blocks), restarts=restarts)
     hspec = HergmSpec(tuple(BernoulliBlock(n, p_in) for n in blocks), p_out)
     rows = _parallel_map(partial(_score_one, hspec, controls, seed), list(range(reps)), threads)
     rows.append(

@@ -29,7 +29,7 @@ import numpy as np
 from .graph import Graph, Partition, between_edge_counts
 from .rng import child_rng
 from .sampler import SamplerControls, dyad_order, gibbs_sample
-from .stats import ChangeStatEngine, StatisticSpec, stat_vector
+from .stats import ChangeStatEngine, StatisticSpec, parse_spec, stat_vector
 
 __all__ = [
     "ErgmFit",
@@ -88,6 +88,21 @@ class ErgmFit:
     seed: int | None = None
 
 
+def _check_size(g: Graph, spec: StatisticSpec) -> None:
+    need = spec.min_nodes()
+    if g.n < need:
+        raise ValueError(f"spec {spec.to_string()} needs at least {need} nodes, got {g.n}")
+
+
+def _inverse_se(h: np.ndarray) -> np.ndarray:
+    """Square roots of the diagonal of ``h``'s inverse (pseudo-inverse if singular)."""
+    try:
+        cov = np.linalg.inv(h)
+    except np.linalg.LinAlgError:
+        cov = np.linalg.pinv(h)
+    return np.sqrt(np.clip(np.diag(cov), 0.0, None))
+
+
 def _dyad_design(g: Graph, spec: StatisticSpec) -> tuple[np.ndarray, np.ndarray]:
     """Materialize (X, y): one row of change statistics per dyad."""
     engine = ChangeStatEngine(spec, g.n)
@@ -112,28 +127,25 @@ def mple(g: Graph, spec: StatisticSpec) -> ErgmFit:
     Raises ``NonFiniteMleError`` on perfect separation (including the
     empty/complete graph with an edges term), reporting the divergence
     direction, and ``MpleNotConvergedError`` when Newton iteration stops at
-    ``MPLE_MAX_ITER`` iterations.
+    ``MPLE_MAX_ITER`` iterations.  Raises ``ValueError`` when the graph is
+    smaller than the spec needs (``StatisticSpec.min_nodes``).
 
     The standard errors are the inverse of the pseudo-likelihood Hessian.
     They treat dyads as independent, so they are not the standard errors of
     the MLE (the inverse covariance of the statistics under the model) and
     can badly understate the uncertainty when the model has dependence terms.
     """
-    if g.n < 2:
-        raise ValueError("pseudo-likelihood needs at least one dyad")
+    _check_size(g, spec)
     x, y = _dyad_design(g, spec)
     beta = np.zeros(len(spec))
     step_log: list[float] = []
-    grad = np.full(len(spec), np.inf)
     for it in range(1, MPLE_MAX_ITER + 1):
-        eta = x @ beta
-        p = 0.5 * (1.0 + np.tanh(0.5 * eta))
+        p = 0.5 * (1.0 + np.tanh(0.5 * (x @ beta)))
         grad = x.T @ (y - p)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < MPLE_GRAD_TOL:
-            break
         w = p * (1.0 - p)
         hess = x.T @ (x * w[:, None])
+        if np.linalg.norm(grad) < MPLE_GRAD_TOL:
+            break
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -157,21 +169,12 @@ def mple(g: Graph, spec: StatisticSpec) -> ErgmFit:
             f"MPLE Newton did not reach gradient norm {MPLE_GRAD_TOL} in {MPLE_MAX_ITER} "
             f"iterations (last norm {float(np.linalg.norm(grad)):.3g})"
         )
-    eta = x @ beta
-    p = 0.5 * (1.0 + np.tanh(0.5 * eta))
-    w = p * (1.0 - p)
-    hess = x.T @ (x * w[:, None])
-    try:
-        cov = np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(hess)
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     diag = FitDiagnostics(
         iterations=it,
         grad_norm=float(np.linalg.norm(grad)),
         step_sizes=step_log,
     )
-    return ErgmFit(spec, beta, se, "mple", diag)
+    return ErgmFit(spec, beta, _inverse_se(hess), "mple", diag)
 
 
 MCMLE_MAX_SAMPLES = 8192
@@ -230,6 +233,14 @@ def _batch_se(s: np.ndarray) -> np.ndarray:
     return batch_means.std(axis=0, ddof=1) / math.sqrt(n_batches)
 
 
+def _weights(s_centered: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Normalized importance weights of the sample after a step ``delta``."""
+    logw = s_centered @ delta
+    logw -= logw.max()
+    w = np.exp(logw)
+    return w / w.sum()
+
+
 def _weighted_newton(s_centered, s_obs_c, radius):
     """Maximize delta' s_obs - log mean exp(delta' s) within ``radius``.
 
@@ -242,10 +253,7 @@ def _weighted_newton(s_centered, s_obs_c, radius):
     m, t = s_centered.shape
     delta = np.zeros(t)
     for _ in range(40):
-        logw = s_centered @ delta
-        logw -= logw.max()
-        w = np.exp(logw)
-        w /= w.sum()
+        w = _weights(s_centered, delta)
         ess = 1.0 / float(w @ w)
         if ess < m / 10.0:
             return delta, True, False
@@ -281,14 +289,28 @@ def mcmle(
     the mean-value moment condition, and otherwise takes a damped Newton step
     on the importance-sampling likelihood-ratio surrogate.  The walk from the
     start toward the MLE uses small samples; its first sample in the moment
-    band takes its step, and from then on every sample is full size.  A
-    full-size sample in the band is polished: the surrogate is maximized
-    without a trust radius, so the estimate is that sample's MLE, and the fit
-    is converged.  A polish whose importance weights collapse, or that does
-    not settle, counts as an ordinary step.
+    band takes its step, and from then on every sample is full size.
+
+    The fit has three exits.  Each reports the outer iteration it ended at
+    and the size and batch-means standard errors of its last sample:
+
+    * polished (``converged``): a full-size sample in the band is polished,
+      i.e. the surrogate is maximized without a trust radius, so the estimate
+      is that sample's MLE.  ``mu_hat`` is the weighted mean statistic there,
+      ``grad_norm`` its distance from the observed one, and the SEs invert
+      the weighted covariance.  A polish whose importance weights collapse,
+      or that does not settle, counts as an ordinary step.
+    * frozen (``converged``, ``degenerate``): a full-size sample in the band
+      without variation; chain and observation agree on a boundary graph.
+      The parameter is reported as it is, with ``grad_norm`` 0 and zero SEs.
+    * unconverged: neither within ``MCMLE_MAX_OUTER`` iterations.  ``mu_hat``
+      is the last sample's mean; the SEs pseudo-invert its covariance.
+
     Raises ``SamplesDegenerateError`` when the sampled statistics carry no
-    variation to compare against the observed graph.
+    variation to compare against the observed graph even after repeated
+    damping, and ``ValueError`` when the graph is smaller than the spec needs.
     """
+    _check_size(g, spec)
     s_obs = stat_vector(g, spec)
     if theta0 is None:
         # the MPLE can be wild or non-finite on small graphs; the start only
@@ -307,6 +329,7 @@ def mcmle(
     walking = True
     step_log: list[float] = []
     degenerate = False
+    converged = True
     contractions = 0
     for outer in range(1, MCMLE_MAX_OUTER + 1):
         res = gibbs_sample(
@@ -326,54 +349,28 @@ def mcmle(
         s = res.stats
         mean = s.mean(axis=0)
         mc_se = _batch_se(s)
+        s_c = s - mean
         gap = np.abs(mean - s_obs)
         in_band = bool(np.all(gap <= MOMENT_BAND * mc_se + 1e-12))
         frozen = bool(np.all(s.std(axis=0, ddof=1) == 0.0))
         if in_band and not walking:
             if frozen:
-                # chain and observation agree on a boundary graph; report as-is
-                diag = FitDiagnostics(
-                    iterations=outer,
-                    grad_norm=0.0,
-                    mc_samples=m,
-                    mu_hat=mean,
-                    mc_se=mc_se,
-                    degenerate=True,
-                    converged=True,
-                    step_sizes=step_log,
-                )
-                return ErgmFit(spec, theta, np.zeros(len(spec)), "mcmle", diag,
-                               seed=controls.seed)
+                degenerate = True
+                mu_hat, grad_norm, se = mean, 0.0, np.zeros(len(spec))
+                break
             # polish: solve the sample moment equation exactly so the
             # estimate is the sample MLE, not wherever the band was entered
-            delta, _, settled = _weighted_newton(s - mean, s_obs - mean, math.inf)
+            delta, _, settled = _weighted_newton(s_c, s_obs - mean, math.inf)
             if settled:
                 theta = theta + delta
                 if np.linalg.norm(delta) > 0:
                     step_log.append(float(np.linalg.norm(delta)))
-                logw = (s - mean) @ delta
-                logw -= logw.max()
-                w = np.exp(logw)
-                w /= w.sum()
-                mu_w = w @ s
-                centered = s - mu_w
-                cov_w = centered.T @ (centered * w[:, None])
-                try:
-                    inv = np.linalg.inv(cov_w)
-                except np.linalg.LinAlgError:
-                    inv = np.linalg.pinv(cov_w)
-                se = np.sqrt(np.clip(np.diag(inv), 0.0, None))
-                diag = FitDiagnostics(
-                    iterations=outer,
-                    grad_norm=float(np.linalg.norm(mu_w - s_obs)),
-                    mc_samples=m,
-                    mu_hat=mu_w,
-                    mc_se=mc_se,
-                    degenerate=degenerate,
-                    converged=True,
-                    step_sizes=step_log,
-                )
-                return ErgmFit(spec, theta, se, "mcmle", diag, seed=controls.seed)
+                w = _weights(s_c, delta)
+                mu_hat = w @ s
+                centered = s - mu_hat
+                se = _inverse_se(centered.T @ (centered * w[:, None]))
+                grad_norm = float(np.linalg.norm(mu_hat - s_obs))
+                break
         elif frozen and not in_band:
             # frozen chain: importance weights carry nothing, but damping the
             # parameter toward the uniform model restores variation
@@ -390,24 +387,26 @@ def mcmle(
             step_log.append(float(np.linalg.norm(theta)))
             continue
         walking = walking and not in_band
-        delta, collapsed, _ = _weighted_newton(s - mean, s_obs - mean, TRUST_RADIUS)
+        delta, collapsed, _ = _weighted_newton(s_c, s_obs - mean, TRUST_RADIUS)
         theta = theta + delta
         step_log.append(float(np.linalg.norm(delta)))
         if collapsed and m < MCMLE_MAX_SAMPLES:
             m = min(2 * m, MCMLE_MAX_SAMPLES)
-    # moment condition never met; report the last state honestly
+    else:
+        converged = False
+        mu_hat, grad_norm = mean, float(np.linalg.norm(mean - s_obs))
+        cov = np.atleast_2d(np.cov(s.T, ddof=1))
+        se = np.sqrt(np.clip(np.diag(np.linalg.pinv(cov)), 0.0, None))
     diag = FitDiagnostics(
-        iterations=MCMLE_MAX_OUTER,
-        grad_norm=float(np.linalg.norm(mean - s_obs)),
+        iterations=outer,
+        grad_norm=grad_norm,
         mc_samples=len(s),
-        mu_hat=mean,
+        mu_hat=mu_hat,
         mc_se=mc_se,
         degenerate=degenerate,
-        converged=False,
+        converged=converged,
         step_sizes=step_log,
     )
-    cov = np.atleast_2d(np.cov(s.T, ddof=1))
-    se = np.sqrt(np.clip(np.diag(np.linalg.pinv(cov)), 0.0, None))
     return ErgmFit(spec, theta, se, "mcmle", diag, seed=controls.seed)
 
 
@@ -449,8 +448,6 @@ def ergm_fit_to_dict(fit: ErgmFit) -> dict:
 
 
 def ergm_fit_from_dict(data: dict) -> ErgmFit:
-    from .stats import parse_spec
-
     d = data.get("diagnostics", {})
     diag = FitDiagnostics(
         iterations=d.get("iterations", 0),

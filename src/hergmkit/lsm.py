@@ -156,20 +156,14 @@ def init_positions(g: Graph, d: int = 2) -> np.ndarray:
     return z - z.mean(axis=0)
 
 
-def _procrustes_transform(z: np.ndarray, reference: np.ndarray):
-    zc = z - z.mean(axis=0)
-    rc = reference - reference.mean(axis=0)
-    rot, _ = orthogonal_procrustes(zc, rc)
-    return rot, z.mean(axis=0), reference.mean(axis=0)
-
-
 def procrustes_align(z: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Best rigid motion (rotation/reflection/translation) of z onto reference."""
     z = np.asarray(z, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     if z.shape != reference.shape:
         raise ValueError(f"shape mismatch {z.shape} vs {reference.shape}")
-    rot, zm, rm = _procrustes_transform(z, reference)
+    zm, rm = z.mean(axis=0), reference.mean(axis=0)
+    rot, _ = orthogonal_procrustes(z - zm, reference - rm)
     return (z - zm) @ rot + rm
 
 
@@ -404,8 +398,7 @@ def lsm_mcmc(
                 (z, b0, b1, lam, mu, sig2, m)
             )
             probs = membership_probabilities(z, lam, mu, sig2)
-            rot, zm, rm = _procrustes_transform(z, reference)
-            z_al = (z - zm) @ rot + rm
+            z_al = procrustes_align(z, reference)
             scale = math.sqrt(float((z_al**2).sum() / n))
             if scale > 0:
                 z_al = z_al / scale

@@ -100,6 +100,17 @@ class StatisticSpec:
     def to_string(self) -> str:
         return ",".join(t.label() for t in self.terms)
 
+    def min_nodes(self) -> int:
+        """Smallest graph the spec can be fitted on: two nodes (one dyad), a
+        2-path needs three, a k-star or degree(k) needs k + 1."""
+        need = 2
+        for t in self.terms:
+            if t.kind in ("triangles", "gwdsp", "gwesp"):
+                need = max(need, 3)
+            elif t.kind in ("kstar", "degree"):
+                need = max(need, t.param + 1)
+        return need
+
     def edges_index(self) -> int | None:
         for idx, t in enumerate(self.terms):
             if t.kind == "edges":

@@ -61,15 +61,6 @@ __all__ = [
 ]
 
 
-# smallest cluster that can support a term (a 2-path needs 3 nodes, etc.)
-def _min_nodes(term) -> int:
-    if term.kind == "edges":
-        return 2
-    if term.kind in ("triangles", "gwdsp", "gwesp"):
-        return 3
-    return term.param + 1  # kstar(k), degree(k)
-
-
 @dataclass(frozen=True)
 class TwoStageControls:
     method: str = "mcmle"  # stage-2 estimator: mcmle | mple
@@ -108,7 +99,7 @@ def stage2_seed(master: int, k: int) -> int:
 def _fit_cluster(sub: Graph, spec: StatisticSpec, method: str,
                  mcmle_controls: McmleControls, seed_k: int):
     """Fit one within-cluster block; returns (fit | None, reason | None)."""
-    need = max(_min_nodes(t) for t in spec)
+    need = spec.min_nodes()
     if sub.n < need:
         return None, f"cluster has {sub.n} nodes; spec needs at least {need}"
     try:

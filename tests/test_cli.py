@@ -107,7 +107,7 @@ class TestExitCodes:
                          "--out", str(tmp_path / "g.edges"),
                          "--truth", str(tmp_path / "t.csv")])
         assert code == 2
-        assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
+        assert f"'{key}' must be an integer, got {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode, extra", [
         ("twostage", ["--K", "3", "--stage1", "given", "--method", "mcmle"]),
@@ -131,6 +131,30 @@ class TestExitCodes:
         assert code == 2
         assert "K=2 but the given partition has 3 clusters" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize("method", ["mple", "mcmle"])
+    def test_spec_too_large_for_the_graph_exits_2(self, tmp_path, capsys, method):
+        graph = tmp_path / "g.edges"
+        graph.write_text("n 4\n0 1\n1 2\n")
+        code = cli.main(["fit", "ergm", "--graph", str(graph), "--stats", "edges,degree(9)",
+                         "--method", method, "--out", str(tmp_path / "fit.json")])
+        assert code == 2
+        assert "spec edges,degree(9) needs at least 10 nodes, got 4" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_one_node_cluster_is_unavailable_not_fatal(self, tmp_path, capsys):
+        graph, part = tmp_path / "g.edges", tmp_path / "p.csv"
+        graph.write_text("n 5\n0 1\n1 2\n2 3\n")
+        part.write_text("node,cluster\n0,0\n1,0\n2,0\n3,0\n4,1\n")
+        out = tmp_path / "fit.json"
+        code = cli.main(["fit", "twostage", "--graph", str(graph), "--K", "2",
+                         "--stats", "degree(0)", "--stage1", "given", "--partition", str(part),
+                         "--method", "mple", "--out", str(out)])
+        assert code == 0
+        clusters = json.loads(out.read_text())["cluster_fits"]
+        assert clusters[0]["available"]
+        assert clusters[1] == {"available": False,
+                               "reason": "cluster has 1 nodes; spec needs at least 2"}
 
     def test_malformed_partition_row_exits_2(self, tmp_path, capsys):
         graph, truth = _simulate(tmp_path, 6)
@@ -196,11 +220,11 @@ class TestMalformedExperimentConfigs:
         ("misrate", {**MISRATE, "lsm": [1, 2]}, "'lsm'"),
         ("misrate", {**MISRATE, "sim": 5}, "'sim'"),
         ("misrate", {**MISRATE, "lsm": {**MISRATE["lsm"], "burnin": "x"}},
-         "'lsm': burnin must be an integer, got 'x'"),
+         "'lsm.burnin' must be an integer, got 'x'"),
         ("misrate", {**MISRATE, "sim": {"burnin_sweeps": 2.5}},
-         "'sim': burnin_sweeps must be an integer, got 2.5"),
+         "'sim.burnin_sweeps' must be an integer, got 2.5"),
         ("sensitivity", {**SENSITIVITY, "sim": {"burnin_sweeps": True}},
-         "'sim': burnin_sweeps must be an integer, got True"),
+         "'sim.burnin_sweeps' must be an integer, got True"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, kind, cfg, field):
         code = cli.main(["experiment", kind, "--threads", "1",
@@ -374,10 +398,6 @@ def _wrong_fields(cfg, path=()):
 
 def _named(path) -> str:
     """How the error names the field at ``path``."""
-    if path in (("burnin_sweeps",), ("thin_sweeps",)):  # checked by SamplerControls
-        return f"config: {path[0]} must"
-    if len(path) == 2 and path[0] in ("lsm", "sim"):  # checked by a controls object
-        return f"'{path[0]}': {'n_samples' if path[1] == 'samples' else path[1]} must"
     name = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
     return f"'{name.lstrip('.')}' must"
 
@@ -427,6 +447,13 @@ def test_ill_typed_config_field_exits_2_naming_it(tmp_path, capsys, command, cfg
     (["simulate", "hergm"], {"clusters": [{"n": 6, "stats": "edges", "theta": [-1.0]}],
                              "between_p": 10**400},
      "'between_p' must be finite, got inf"),
+    (["simulate", "hergm"], {"clusters": [{"n": 6, "stats": "edges", "theta": [-1.0]}],
+                             "between_p": 0.1, "burnin_sweeps": -3},
+     "'burnin_sweeps' must be >= 0, got -3"),
+    (["experiment", "misrate"], {**MISRATE, "sim": {"thin_sweeps": 0}},
+     "'sim.thin_sweeps' must be >= 1, got 0"),
+    (["experiment", "misrate"], {**MISRATE, "lsm": {"samples": 0}},
+     "'lsm.samples' must be >= 1, got 0"),
 ])
 def test_out_of_range_config_field_exits_2_naming_it(tmp_path, capsys, command, cfg, message):
     assert _run_config(tmp_path, command, cfg) == 2

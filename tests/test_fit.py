@@ -114,6 +114,13 @@ class TestMple:
         with pytest.raises(NonFiniteMleError):
             mple(g, EDGES)
 
+    @pytest.mark.parametrize("estimator", [mple, mcmle])
+    def test_graph_smaller_than_spec_rejected(self, estimator):
+        # degree(9) is always 0 on 4 nodes: no estimate exists, so neither
+        # estimator may return one
+        with pytest.raises(ValueError, match="needs at least 10 nodes, got 4"):
+            estimator(random_graph(4, 0.5, 1), parse_spec("edges,degree(9)"))
+
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr("hergmkit.fit.MPLE_MAX_ITER", 1)
         g = random_graph(10, 0.3, 5)

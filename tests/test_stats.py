@@ -91,6 +91,15 @@ class TestSpecParsing:
         with pytest.raises(ValueError):
             Term("degree", -1)
 
+    @pytest.mark.parametrize("text, need", [
+        ("edges", 2), ("degree(0)", 2), ("degree(1)", 2), ("edges,triangles", 3),
+        ("gwdsp(0.5)", 3), ("gwesp(0.5)", 3), ("kstar(2)", 3), ("edges,degree(9)", 10),
+        ("kstar(4),gwesp(0.5)", 5),
+    ])
+    def test_min_nodes(self, text, need):
+        # one dyad at least; a 2-path needs three nodes, a k-star k + 1
+        assert parse_spec(text).min_nodes() == need
+
 
 class TestCountStatistics:
     def test_edges(self):
