@@ -33,6 +33,7 @@ from .experiments import (
     sensitivity_experiment,
 )
 from .fit import (
+    MCMLE_SAMPLE_BOOST,
     McmleControls,
     ergm_fit_to_dict,
     ergm_fit_from_dict,
@@ -472,6 +473,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl_sc.add_argument("--out", required=True, help="partition CSV")
     p_cl_sc.set_defaults(func=_cmd_cluster_score)
 
+    mc_samples_help = (
+        f"MCMLE sample size N: a full-size MCMLE sample holds {MCMLE_SAMPLE_BOOST}N "
+        "draws, taken on consecutive sweeps"
+    )
+    mc_burnin_help = "MCMLE burn-in sweeps, run once per ERGM fit before its first sample"
     p_fit = sub.add_parser("fit", help="estimate model parameters")
     fit_sub = p_fit.add_subparsers(dest="mode", required=True)
     p_ft = fit_sub.add_parser("twostage", parents=[common], help="full pipeline")
@@ -485,8 +491,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ft.add_argument("--lsm-burnin", type=int, default=LsmControls.burnin)
     p_ft.add_argument("--lsm-samples", type=int, default=LsmControls.n_samples)
     p_ft.add_argument("--lsm-thin", type=int, default=LsmControls.thin)
-    p_ft.add_argument("--mc-samples", type=int, default=McmleControls.n_samples)
-    p_ft.add_argument("--mc-burnin", type=int, default=McmleControls.burnin_sweeps)
+    p_ft.add_argument("--mc-samples", type=int, default=McmleControls.n_samples,
+                      help=mc_samples_help)
+    p_ft.add_argument("--mc-burnin", type=int, default=McmleControls.burnin_sweeps,
+                      help=mc_burnin_help)
     p_ft.add_argument("--out", required=True, help="fit JSON")
     p_ft.set_defaults(func=_cmd_fit_twostage)
     p_fe = fit_sub.add_parser("ergm", parents=[common], help="single-block fit")
@@ -494,8 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fe.add_argument("--stats", required=True)
     p_fe.add_argument("--method", choices=("mcmle", "mple"), default="mcmle")
     p_fe.add_argument("--theta0", help="comma-separated MCMLE start")
-    p_fe.add_argument("--mc-samples", type=int, default=McmleControls.n_samples)
-    p_fe.add_argument("--mc-burnin", type=int, default=McmleControls.burnin_sweeps)
+    p_fe.add_argument("--mc-samples", type=int, default=McmleControls.n_samples,
+                      help=mc_samples_help)
+    p_fe.add_argument("--mc-burnin", type=int, default=McmleControls.burnin_sweeps,
+                      help=mc_burnin_help)
     p_fe.add_argument("--out", required=True, help="fit JSON")
     p_fe.set_defaults(func=_cmd_fit_ergm)
 

@@ -10,9 +10,11 @@ Two estimators share the ``ErgmFit`` result type:
   supplied value), repeatedly samples the model at the current parameter
   and maximizes the importance-sampling approximation of the likelihood
   ratio.  One Markov chain carries on from each outer iteration into the
-  next.  The walk toward the MLE runs on small samples; once their mean
-  statistics bracket the observed ones, full-size samples confirm, and the
-  fit stops at the MLE of the first full-size sample that brackets them.
+  next, and every sweep of it after the burn-in is a draw.  The walk toward
+  the MLE runs on small samples; once their mean statistics bracket the
+  observed ones, full-size samples (``MCMLE_SAMPLE_BOOST * n_samples``
+  consecutive draws) confirm, and the fit stops at the MLE of the first
+  full-size sample that brackets them.
 
 ``between_density_mle`` is the closed-form Binomial estimate for the shared
 between-cluster tie probability.
@@ -124,10 +126,12 @@ def mple(g: Graph, spec: StatisticSpec) -> ErgmFit:
     """Maximum pseudo-likelihood estimate via Newton iteration.
 
     Newton iteration stops once the gradient norm is below ``MPLE_GRAD_TOL``.
-    Raises ``NonFiniteMleError`` on perfect separation (including the
-    empty/complete graph with an edges term), reporting the divergence
-    direction, and ``MpleNotConvergedError`` when Newton iteration stops at
-    ``MPLE_MAX_ITER`` iterations.  Raises ``ValueError`` when the graph is
+    Raises ``NonFiniteMleError`` on perfect or quasi-complete separation
+    (including the empty/complete graph with an edges term), reporting the
+    direction of the Newton step along which the pseudo-likelihood keeps
+    rising; the dyads that step does not move are left out of the test.
+    Raises ``MpleNotConvergedError`` when Newton iteration stops at
+    ``MPLE_MAX_ITER`` iterations, and ``ValueError`` when the graph is
     smaller than the spec needs (``StatisticSpec.min_nodes``).
 
     The standard errors are the inverse of the pseudo-likelihood Hessian.
@@ -153,12 +157,15 @@ def mple(g: Graph, spec: StatisticSpec) -> ErgmFit:
         beta = beta + step
         step_log.append(float(np.linalg.norm(step)))
         p_new = 0.5 * (1.0 + np.tanh(0.5 * (x @ beta)))
-        perfect_fit = float(np.max(np.abs(y - p_new))) < 1e-3
+        # dyads whose change statistics are 0 along the step keep their
+        # probability however far beta goes, so only the moved ones must fit
+        moved = np.abs(x @ step) > 1e-3
+        perfect_fit = bool(moved.any()) and float(np.max(np.abs(y - p_new)[moved])) < 1e-3
         if np.linalg.norm(beta) > _SEPARATION_NORM or (
             perfect_fit and np.linalg.norm(beta) > 10.0
         ):
             # fitted probabilities can reach the data only as beta diverges
-            direction = beta / np.linalg.norm(beta)
+            direction = step / np.linalg.norm(step)
             raise NonFiniteMleError(
                 "pseudo-likelihood is monotone along a direction (perfect "
                 "separation); no finite MPLE exists",
@@ -178,7 +185,7 @@ def mple(g: Graph, spec: StatisticSpec) -> ErgmFit:
 
 
 MCMLE_MAX_SAMPLES = 8192
-MCMLE_THIN_SWEEPS = 5
+MCMLE_SAMPLE_BOOST = 2
 MCMLE_MAX_OUTER = 50
 MCMLE_WALK_DIVISOR = 8
 TRUST_RADIUS = 0.5
@@ -191,14 +198,17 @@ class McmleControls:
 
     A fit runs one Markov chain: ``burnin_sweeps`` from an Erdos-Renyi draw
     before the first outer iteration, after which each iteration carries on
-    from the last graph of the one before and keeps draws
-    ``MCMLE_THIN_SWEEPS`` sweeps apart.  While the chain walks from the start
-    toward the MLE an iteration keeps ``n_samples // MCMLE_WALK_DIVISOR``
-    draws (at least 4, two batches for the batch-means standard error); from
-    the first walk sample whose mean lies in the moment band on it keeps
-    ``n_samples``.  The draw count doubles (up to ``MCMLE_MAX_SAMPLES``)
-    whenever the effective sample size of the importance weights drops below
-    a tenth of it.  A parameter step is at most ``TRUST_RADIUS`` long.
+    from the last graph of the one before and keeps a draw on every sweep
+    (no thinning: the batch-means standard error accounts for the
+    autocorrelation).  A full-size sample holds
+    ``m = MCMLE_SAMPLE_BOOST * n_samples`` draws, taken on consecutive
+    sweeps.  While the chain walks from the start toward the MLE an
+    iteration keeps ``m // MCMLE_WALK_DIVISOR`` draws (at least 4, two
+    batches for the batch-means standard error); from the first walk sample
+    whose mean lies in the moment band on it keeps ``m``.  The draw count
+    doubles (up to ``MCMLE_MAX_SAMPLES``) whenever the effective sample size
+    of the importance weights drops below a tenth of it.  A parameter step
+    is at most ``TRUST_RADIUS`` long.
     Convergence requires every component of the mean statistic of a
     full-size sample to sit within ``MOMENT_BAND`` Monte Carlo standard
     errors of the observed statistic; after ``MCMLE_MAX_OUTER`` outer
@@ -284,12 +294,14 @@ def mcmle(
 ) -> ErgmFit:
     """Monte Carlo maximum likelihood on one warm Markov chain.
 
-    Each outer iteration samples the model at the current parameter,
-    continuing the chain of the iteration before (``McmleControls``), checks
-    the mean-value moment condition, and otherwise takes a damped Newton step
-    on the importance-sampling likelihood-ratio surrogate.  The walk from the
-    start toward the MLE uses small samples; its first sample in the moment
-    band takes its step, and from then on every sample is full size.
+    Each outer iteration samples the model at the current parameter on
+    consecutive sweeps, continuing the chain of the iteration before
+    (``McmleControls``: a full-size sample is ``MCMLE_SAMPLE_BOOST *
+    n_samples`` draws), checks the mean-value moment condition, and
+    otherwise takes a damped Newton step on the importance-sampling
+    likelihood-ratio surrogate.  The walk from the start toward the MLE uses
+    small samples; its first sample in the moment band takes its step, and
+    from then on every sample is full size.
 
     The fit has three exits.  Each reports the outer iteration it ended at
     and the size and batch-means standard errors of its last sample:
@@ -323,7 +335,7 @@ def mcmle(
         theta = np.asarray(theta0, dtype=np.float64).copy()
         if theta.shape != (len(spec),) or not np.all(np.isfinite(theta)):
             raise ValueError(f"theta0 must be {len(spec)} finite values")
-    m = controls.n_samples
+    m = MCMLE_SAMPLE_BOOST * controls.n_samples
     rng = child_rng(controls.seed, "mcmle")
     chain = None
     walking = True
@@ -339,7 +351,7 @@ def mcmle(
             SamplerControls(
                 controls.burnin_sweeps if chain is None else 0,
                 max(m // MCMLE_WALK_DIVISOR, 4) if walking else m,
-                MCMLE_THIN_SWEEPS,
+                thin_sweeps=1,
             ),
             rng,
             start=chain,

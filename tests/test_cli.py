@@ -144,7 +144,7 @@ class TestExitCodes:
 
     def test_one_node_cluster_is_unavailable_not_fatal(self, tmp_path, capsys):
         graph, part = tmp_path / "g.edges", tmp_path / "p.csv"
-        graph.write_text("n 5\n0 1\n1 2\n2 3\n")
+        graph.write_text("n 5\n0 1\n1 2\n")
         part.write_text("node,cluster\n0,0\n1,0\n2,0\n3,0\n4,1\n")
         out = tmp_path / "fit.json"
         code = cli.main(["fit", "twostage", "--graph", str(graph), "--K", "2",

@@ -80,7 +80,7 @@ GOLDEN = {
     "experiment_sensitivity.csv":
         "5418a232e3358aa74ae339f6b44a81da3b4fcd849301cd03add6665e8bfcc985",
     "fit_mcmle.json":
-        "7a9102b00b51b8b606630d8494687b2f343cb90a9daf0f92a118798eccad542e",
+        "219d3a1e2947ec52cb86d990c978a803f6dc8b7b117f298c7d4064f0f5372e78",
     "fit_mple.json":
         "c5f96dae3d6cff55935ffba5d17ffffadb38c347bac57b903d2467d83606bf3e",
     "gof_mple.csv":

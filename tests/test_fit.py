@@ -107,6 +107,21 @@ class TestMple:
         assert err.value.direction.shape == (1,)
         assert err.value.direction[0] < 0  # likelihood improves toward -inf
 
+    @pytest.mark.parametrize("stats, direction", [
+        ("degree(0)", [-1.0]),
+        ("edges,degree(0)", [0.0, -1.0]),
+    ])
+    def test_quasi_complete_separation(self, stats, direction):
+        # on the path 0-1-2-3 only the end edges change the isolate count,
+        # and both are ties: the pseudo-likelihood rises without bound as the
+        # degree(0) parameter falls, while the other four dyads never move
+        g = Graph(4)
+        for i, j in [(0, 1), (1, 2), (2, 3)]:
+            g.add_edge(i, j)
+        with pytest.raises(NonFiniteMleError) as err:
+            mple(g, parse_spec(stats))
+        np.testing.assert_allclose(err.value.direction, direction, atol=1e-6)
+
     def test_complete_graph_separation(self):
         g = Graph(5)
         for d in dyad_order(5):
@@ -287,9 +302,31 @@ class TestMcmle:
         assert fit.diagnostics.iterations > plain.diagnostics.iterations
         assert fit.diagnostics.converged and fit.diagnostics.grad_norm < 1e-6
 
+    def test_chain_schedule(self, monkeypatch):
+        # one warm chain: burn-in once, then a draw on every sweep; walk
+        # samples of 2 * n_samples // 8 draws, then full samples of
+        # 2 * n_samples
+        calls = []
+
+        def spy(n, spec, theta, controls, rng, start=None):
+            calls.append(controls)
+            return gibbs_sample(n, spec, theta, controls, rng, start=start)
+
+        monkeypatch.setattr("hergmkit.fit.gibbs_sample", spy)
+        n = 256
+        fit = mcmle(interior_instance(), ET, controls=McmleControls(n, 100, seed=1))
+        assert fit.diagnostics.converged
+        assert [c.burnin_sweeps for c in calls] == [100] + [0] * (len(calls) - 1)
+        assert all(c.thin_sweeps == 1 for c in calls)
+        sizes = [c.n_samples for c in calls]
+        walks = sizes.index(2 * n)
+        assert walks > 0
+        assert sizes == [max(2 * n // 8, 4)] * walks + [2 * n] * (len(sizes) - walks)
+        assert fit.diagnostics.mc_samples == 2 * n
+
     def test_unconverged_exit_reports_last_walk_sample(self, monkeypatch):
         # one outer iteration ends in the walk: the fit is reported as not
-        # converged, on the walk sample (64 // 8 draws), with SEs from the
+        # converged, on the walk sample (2 * 64 // 8 draws), with SEs from the
         # inverse sample covariance
         monkeypatch.setattr("hergmkit.fit.MCMLE_MAX_OUTER", 1)
         g = Graph(7)
@@ -297,16 +334,16 @@ class TestMcmle:
             g.add_edge(i, j)
         fit = mcmle(g, ET, controls=McmleControls(64, 20, seed=1))
         d = fit.diagnostics
-        assert (d.converged, d.iterations, d.mc_samples) == (False, 1, 8)
-        np.testing.assert_allclose(fit.theta_hat, [-1.57540362, 1.09502729], rtol=1e-8)
-        np.testing.assert_allclose(fit.std_errors, [0.04274701, 0.13536553], rtol=1e-6)
+        assert (d.converged, d.iterations, d.mc_samples) == (False, 1, 16)
+        np.testing.assert_allclose(fit.theta_hat, [-1.58890263, 1.04251968], rtol=1e-8)
+        np.testing.assert_allclose(fit.std_errors, [0.08600261, 0.43001307], rtol=1e-6)
 
     def test_frozen_boundary_exit_reports_start(self):
         # empty graph, chain frozen at the empty graph: in band with no
         # variation, so the start is reported with zero gradient and SEs
         fit = mcmle(Graph(6), EDGES, theta0=(-30.0,), controls=McmleControls(16, 5, seed=1))
         d = fit.diagnostics
-        assert (d.converged, d.degenerate, d.iterations, d.mc_samples) == (True, True, 2, 16)
+        assert (d.converged, d.degenerate, d.iterations, d.mc_samples) == (True, True, 2, 32)
         assert d.grad_norm == 0.0
         assert fit.std_errors.tolist() == [0.0]
         assert fit.theta_hat.tolist() == [-30.0]
@@ -319,7 +356,7 @@ class TestMcmle:
             g.add_edge(i, j)
         fit = mcmle(g, EDGES, theta0=(-30.0,), controls=McmleControls(16, 5, seed=1))
         d = fit.diagnostics
-        assert (d.converged, d.degenerate, d.iterations, d.mc_samples) == (True, True, 10, 16)
+        assert (d.converged, d.degenerate, d.iterations, d.mc_samples) == (True, True, 7, 32)
         assert d.step_sizes[:3] == [15.0, 7.5, 3.75]
         assert d.grad_norm < 1e-6
 

@@ -221,7 +221,7 @@ class TestTwoStageFit:
 
 class TestUnavailableClusters:
     def test_empty_cluster_in_fit_and_gof(self):
-        g, truth = fig1_like(8, seed=5)
+        g, truth = fig1_like(8, seed=8)
         labels = truth.assignments.copy()
         labels[labels == 1] = 2  # label 1 of K = 3 keeps no node
         part = Partition(labels, 3)
@@ -248,6 +248,20 @@ class TestUnavailableClusters:
         assert ts.fit_errors[1] == "cluster is empty"
         assert ts.between_p is None
         gof(g, ts, 3, seed=2, sim_controls=SamplerControls(burnin_sweeps=10))
+
+    def test_cluster_without_an_mple_is_unavailable(self):
+        # cluster 0 is the path 0-1-2-3, whose degree(0) pseudo-likelihood has
+        # no maximum; cluster 1 (path 4-5-6 and the isolated node 7) has one
+        g = Graph(8)
+        for i, j in [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)]:
+            g.add_edge(i, j)
+        ts = two_stage_fit(
+            g, 2, parse_spec("degree(0)"), stage1="given",
+            controls=TwoStageControls(method="mple"),
+            given_partition=Partition(np.array([0, 0, 0, 0, 1, 1, 1, 1]), 2), seed=1,
+        )
+        assert ts.cluster_fits[0] is None and "no finite MPLE" in ts.fit_errors[0]
+        assert ts.cluster_fits[1] is not None
 
     def test_nonconverging_mple_marks_cluster_unavailable(self, monkeypatch):
         monkeypatch.setattr("hergmkit.fit.MPLE_MAX_ITER", 1)
@@ -374,7 +388,7 @@ class TestGof:
         assert tv < 0.08
 
     def test_draw_rep_is_chain_sample_rep(self):
-        g, ts = self.make_fit(seed=25)
+        g, ts = self.make_fit(seed=26)
         sim_controls = SamplerControls(burnin_sweeps=30, n_samples=4, thin_sweeps=2)
         hspec, _, _ = twostage._gof_model(ts, g)
         draws = hergm_draws(hspec, 8, sim_controls)
@@ -404,7 +418,7 @@ class TestGof:
 
 class TestSerialization:
     def test_round_trip(self):
-        g, truth = fig1_like(10, seed=30)
+        g, truth = fig1_like(10, seed=33)
         ts = two_stage_fit(
             g, 3, SPEC, stage1="given",
             controls=TwoStageControls(method="mple"),
