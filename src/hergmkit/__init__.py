@@ -54,7 +54,7 @@ from .lsm import (
     map_membership,
     procrustes_align,
 )
-from .spectral import ScoreControls, kmeans, score_cluster
+from .spectral import kmeans, score_cluster
 from .twostage import (
     GofReport,
     TwoStageControls,

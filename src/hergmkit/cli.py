@@ -56,11 +56,12 @@ from .lsm import (
     map_membership,
 )
 from .sampler import SamplerControls, gibbs_sample, simulate_hergm
-from .spectral import ScoreControls, score_cluster
+from .spectral import SCORE_RESTARTS, score_cluster
 from .stats import parse_spec, stat_vector
 from .svgplot import render_panels
 from .twostage import (
     GOF_BURNIN_SWEEPS,
+    GOF_THIN_SWEEPS,
     TwoStageControls,
     gof,
     two_stage_fit,
@@ -194,9 +195,7 @@ def _cmd_cluster_lsm(args) -> int:
 
 def _cmd_cluster_score(args) -> int:
     g = read_edge_list(args.graph)
-    part = score_cluster(
-        g, ScoreControls(n_clusters=args.K, restarts=args.restarts, seed=args.seed)
-    )
+    part = score_cluster(g, args.K, restarts=args.restarts, seed=args.seed)
     write_partition(part, args.out)
     _stderr(f"clustered {g.n} nodes into K={args.K} -> {args.out}")
     return 0
@@ -252,11 +251,8 @@ def _cmd_fit_ergm(args) -> int:
             g,
             spec,
             theta0=theta0,
-            controls=McmleControls(
-                n_samples=args.mc_samples,
-                burnin_sweeps=args.mc_burnin,
-                seed=args.seed,
-            ),
+            controls=McmleControls(n_samples=args.mc_samples, burnin_sweeps=args.mc_burnin),
+            seed=args.seed,
         )
         if not fit.diagnostics.converged:
             _stderr("warning: moment condition not met within iteration budget")
@@ -294,13 +290,7 @@ def _cmd_gof(args) -> int:
         raise ConfigError("--nsim must be >= 1")
     g = read_edge_list(args.graph)
     fit = _load_fit(args.fit)
-    report = gof(
-        g,
-        fit,
-        args.nsim,
-        seed=args.seed,
-        sim_controls=SamplerControls(burnin_sweeps=args.burnin),
-    )
+    report = gof(g, fit, args.nsim, seed=args.seed, burnin_sweeps=args.burnin)
     rows = []
     for name, diag in report.diagnostics.items():
         for b in range(len(diag.observed)):
@@ -469,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl_sc = cl_sub.add_parser("score", parents=[common], help="SCORE spectral")
     p_cl_sc.add_argument("--graph", required=True)
     p_cl_sc.add_argument("--K", type=int, required=True)
-    p_cl_sc.add_argument("--restarts", type=int, default=ScoreControls.restarts)
+    p_cl_sc.add_argument("--restarts", type=int, default=SCORE_RESTARTS)
     p_cl_sc.add_argument("--out", required=True, help="partition CSV")
     p_cl_sc.set_defaults(func=_cmd_cluster_score)
 
@@ -518,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=GOF_BURNIN_SWEEPS,
         help="burn-in sweeps, run once per cluster chain; draws are then "
-        f"taken every {SamplerControls.thin_sweeps} sweeps of that chain",
+        f"taken every {GOF_THIN_SWEEPS} sweeps of that chain",
     )
     p_gof.add_argument("--out", required=True, help="envelope CSV")
     p_gof.add_argument("--svg", help="envelope plot")

@@ -60,7 +60,6 @@ from __future__ import annotations
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from functools import partial
 from itertools import product
 
@@ -70,7 +69,7 @@ from .graph import Partition
 from .lsm import LsmControls, lsm_mcmc, map_membership
 from .rng import child_rng
 from .sampler import BernoulliBlock, ClusterSpec, HergmSpec, SamplerControls, simulate_hergm
-from .spectral import ScoreControls, score_cluster
+from .spectral import SCORE_RESTARTS, score_cluster
 from .stats import StatisticSpec, parse_spec
 from .twostage import (
     TwoStageControls,
@@ -209,7 +208,7 @@ def _misrate_one(stage1, dim, sim_controls, lsm_controls, master, task) -> dict:
     g, truth = simulate_hergm(hspec, seed, sim_controls)
     k = hspec.n_clusters
     if stage1 == "score":
-        est = score_cluster(g, ScoreControls(n_clusters=k, seed=seed))
+        est = score_cluster(g, k, seed=seed)
     else:
         post = lsm_mcmc(g, k, dim=dim, controls=lsm_controls, seed=seed)
         est = map_membership(post)
@@ -300,7 +299,7 @@ def _sensitivity_one(hspec, controls, nsim_gof, sim_controls, master, task) -> l
         given_partition=perturbed,
         seed=seed,
     )
-    report = gof(g, ts, nsim_gof, seed=seed, sim_controls=sim_controls)
+    report = gof(g, ts, nsim_gof, seed=seed, burnin_sweeps=sim_controls.burnin_sweeps)
     labels = spec.labels()
     out = []
     for k, cfit in enumerate(ts.cluster_fits):
@@ -367,10 +366,10 @@ def sensitivity_experiment(config: dict, threads: int = 1) -> list[dict]:
 # -- SCORE recovery on planted blocks ----------------------------------------
 
 
-def _score_one(hspec, controls, master, rep) -> dict:
+def _score_one(hspec, restarts, master, rep) -> dict:
     seed = int(child_rng(master, "score", rep).integers(2**31))
     g, truth = simulate_hergm(hspec, seed)
-    est = score_cluster(g, replace(controls, seed=seed))
+    est = score_cluster(g, hspec.n_clusters, restarts, seed)
     return {"replication": rep, "rate": misclustering_rate(est, truth)}
 
 
@@ -381,10 +380,11 @@ def score_experiment(config: dict, threads: int = 1) -> list[dict]:
     p_out = _field(config, "p_out", float, lo=0, hi=1)
     reps = _field(config, "replications", int, lo=1)
     seed = _field(config, "seed", int, lo=0)
-    restarts = _field(config, "restarts", int, 10, lo=1)
-    controls = _as_field("blocks", ScoreControls, n_clusters=len(blocks), restarts=restarts)
+    restarts = _field(config, "restarts", int, SCORE_RESTARTS, lo=1)
+    if len(blocks) < 2:
+        raise ValueError("config field 'blocks': SCORE needs K >= 2")
     hspec = HergmSpec(tuple(BernoulliBlock(n, p_in) for n in blocks), p_out)
-    rows = _parallel_map(partial(_score_one, hspec, controls, seed), list(range(reps)), threads)
+    rows = _parallel_map(partial(_score_one, hspec, restarts, seed), list(range(reps)), threads)
     rows.append(
         {"replication": "mean", "rate": float(np.mean([r["rate"] for r in rows]))}
     )

@@ -217,7 +217,6 @@ class McmleControls:
 
     n_samples: int = 1024
     burnin_sweeps: int = 200
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("n_samples", "burnin_sweeps"):
@@ -291,6 +290,7 @@ def mcmle(
     spec: StatisticSpec,
     theta0=None,
     controls: McmleControls = McmleControls(),
+    seed: int = 0,
 ) -> ErgmFit:
     """Monte Carlo maximum likelihood on one warm Markov chain.
 
@@ -336,7 +336,7 @@ def mcmle(
         if theta.shape != (len(spec),) or not np.all(np.isfinite(theta)):
             raise ValueError(f"theta0 must be {len(spec)} finite values")
     m = MCMLE_SAMPLE_BOOST * controls.n_samples
-    rng = child_rng(controls.seed, "mcmle")
+    rng = child_rng(seed, "mcmle")
     chain = None
     walking = True
     step_log: list[float] = []
@@ -419,7 +419,7 @@ def mcmle(
         converged=converged,
         step_sizes=step_log,
     )
-    return ErgmFit(spec, theta, se, "mcmle", diag, seed=controls.seed)
+    return ErgmFit(spec, theta, se, "mcmle", diag, seed=seed)
 
 
 def between_density_mle(g: Graph, p: Partition) -> tuple[float, float]:

@@ -7,8 +7,9 @@ i < j; every public function normalizes order.
 
 Whole-graph work goes through numpy: ``adjacency_matrix`` and
 ``from_adjacency`` convert to and from an n x n matrix by bit (un)packing,
-and subgraphs and between-cluster counts are slices and masks of it.  Only
-this module and the kernel ``stats.ChangeStatEngine`` touch the bitmasks.
+``geodesic_distances`` runs shortest paths on it, and subgraphs and
+between-cluster counts are slices and masks of it.  Only this module and the
+kernel ``stats.ChangeStatEngine`` touch the bitmasks.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 __all__ = [
     "Graph",
@@ -89,6 +92,12 @@ class Graph:
         packed = b"".join(m.to_bytes(width, "little") for m in self._adj)
         rows = np.frombuffer(packed, dtype=np.uint8).reshape(self.n, width)
         return np.unpackbits(rows, axis=1, count=self.n, bitorder="little")
+
+    def geodesic_distances(self) -> np.ndarray:
+        """The n x n shortest-path lengths in edges; ``inf`` between components."""
+        return shortest_path(
+            csr_matrix(self.adjacency_matrix()), method="D", directed=False, unweighted=True
+        )
 
     @classmethod
     def from_adjacency(cls, a) -> "Graph":

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import orthogonal_procrustes
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .graph import Graph, Partition
 from .rng import child_rng
@@ -139,8 +137,7 @@ def init_positions(g: Graph, d: int = 2) -> np.ndarray:
     n = g.n
     if n == 1:
         return np.zeros((1, d))
-    a = csr_matrix(g.adjacency_matrix())
-    dist = shortest_path(a, method="D", directed=False, unweighted=True)
+    dist = g.geodesic_distances()
     finite = dist[np.isfinite(dist)]
     diam = finite.max() if finite.size else 0.0
     dist[~np.isfinite(dist)] = diam + 1.0

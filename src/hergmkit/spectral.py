@@ -3,13 +3,12 @@
 Ratios of the leading adjacency eigenvectors cancel node-level degree
 effects, so k-means on the ratio matrix recovers blocks even when hubs and
 low-degree nodes share a block.  Includes a small deterministic k-means
-(restarts, seeded, empty clusters re-seeded to the farthest point).
+(restarts, seeded, empty clusters re-seeded to distinct far points).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -18,34 +17,25 @@ from scipy.sparse.linalg import eigsh
 
 from .graph import Graph, Partition
 
-__all__ = ["ScoreControls", "kmeans", "score_cluster"]
+__all__ = ["SCORE_RESTARTS", "kmeans", "score_cluster"]
 
 
 KMEANS_MAX_ITER = 100
-
-
-@dataclass(frozen=True)
-class ScoreControls:
-    n_clusters: int
-    restarts: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_clusters < 2:
-            raise ValueError("SCORE needs K >= 2")
+SCORE_RESTARTS = 10
 
 
 def kmeans(
     points: np.ndarray,
     n_clusters: int,
-    restarts: int = 10,
+    restarts: int = SCORE_RESTARTS,
     seed: int = 0,
 ) -> np.ndarray:
     """Lloyd's k-means, best of ``restarts`` by within-cluster sum of squares.
 
     Each restart runs at most ``KMEANS_MAX_ITER`` Lloyd iterations.
     Deterministic under seed.  A cluster that empties is re-seeded to the
-    point farthest from its assigned center.
+    point farthest from its assigned center among those whose cluster keeps
+    another member, so every label stays in use.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -53,10 +43,12 @@ def kmeans(
     n = pts.shape[0]
     if n_clusters > n:
         raise ValueError(f"K={n_clusters} exceeds {n} points")
+    if restarts < 1:
+        raise ValueError(f"k-means needs restarts >= 1, got {restarts}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     best_labels = None
     best_wcss = math.inf
-    for _ in range(max(restarts, 1)):
+    for _ in range(restarts):
         centers = pts[rng.choice(n, size=n_clusters, replace=False)].copy()
         labels = np.zeros(n, dtype=np.int64)
         for _ in range(KMEANS_MAX_ITER):
@@ -67,8 +59,10 @@ def kmeans(
                 if mask.any():
                     centers[k] = pts[mask].mean(axis=0)
                 else:
-                    # re-seed to the globally worst-fit point
-                    far = int(d2[np.arange(n), new_labels].argmax())
+                    # n >= K, so some cluster has a point to spare
+                    misfit = d2[np.arange(n), new_labels]
+                    spare = np.bincount(new_labels, minlength=n_clusters)[new_labels] > 1
+                    far = int(np.where(spare, misfit, -1.0).argmax())
                     centers[k] = pts[far]
                     new_labels[far] = k
             if np.array_equal(new_labels, labels):
@@ -92,7 +86,9 @@ def _leading_eigenpairs(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], vecs[:, order]
 
 
-def score_cluster(g: Graph, controls: ScoreControls) -> Partition:
+def score_cluster(
+    g: Graph, n_clusters: int, restarts: int = SCORE_RESTARTS, seed: int = 0
+) -> Partition:
     """Cluster nodes by k-means on truncated eigenvector ratios.
 
     The ratio matrix divides eigenvectors 2..K entrywise by the leading one;
@@ -100,7 +96,9 @@ def score_cluster(g: Graph, controls: ScoreControls) -> Partition:
     component's rows; nodes of smaller components are assigned to the
     nearest fitted centroid.
     """
-    k = controls.n_clusters
+    k = n_clusters
+    if k < 2:
+        raise ValueError("SCORE needs K >= 2")
     if g.n < k:
         raise ValueError(f"graph has {g.n} nodes, fewer than K={k}")
     cap = math.log(g.n)
@@ -127,7 +125,7 @@ def score_cluster(g: Graph, controls: ScoreControls) -> Partition:
     core = sizes[comp] >= k
     if core.sum() < k:
         core = np.ones(g.n, dtype=bool)
-    core_labels = kmeans(ratios[core], k, restarts=controls.restarts, seed=controls.seed)
+    core_labels = kmeans(ratios[core], k, restarts=restarts, seed=seed)
     centers = np.stack([
         ratios[core][core_labels == c].mean(axis=0) for c in range(k)
     ])

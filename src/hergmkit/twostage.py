@@ -10,12 +10,10 @@ observed graph against simulation envelopes from the fitted model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .fit import (
     ErgmFit,
@@ -45,7 +43,7 @@ from .sampler import (
     SamplerControls,
     hergm_draws,
 )
-from .spectral import ScoreControls, score_cluster
+from .spectral import score_cluster
 from .stats import StatisticSpec, esp_histogram, parse_spec, stat_vector
 
 __all__ = [
@@ -105,7 +103,7 @@ def _fit_cluster(sub: Graph, spec: StatisticSpec, method: str,
     try:
         if method == "mple":
             return mple(sub, spec), None
-        return mcmle(sub, spec, controls=replace(mcmle_controls, seed=seed_k)), None
+        return mcmle(sub, spec, controls=mcmle_controls, seed=seed_k), None
     except (NonFiniteMleError, SamplesDegenerateError, MpleNotConvergedError) as exc:
         return None, str(exc)
 
@@ -129,23 +127,14 @@ def two_stage_fit(
     """
     controls = controls or TwoStageControls()
     posterior = None
+    stage1_seed = int(child_seed(seed, "stage1").generate_state(1, np.uint32)[0])
     if stage1 == "lsm":
         posterior = lsm_mcmc(
-            g,
-            n_clusters,
-            dim=controls.dim,
-            controls=controls.lsm,
-            seed=int(child_seed(seed, "stage1").generate_state(1, np.uint32)[0]),
+            g, n_clusters, dim=controls.dim, controls=controls.lsm, seed=stage1_seed
         )
         partition = map_membership(posterior)
     elif stage1 == "score":
-        partition = score_cluster(
-            g,
-            ScoreControls(
-                n_clusters=n_clusters,
-                seed=int(child_seed(seed, "stage1").generate_state(1, np.uint32)[0]),
-            ),
-        )
+        partition = score_cluster(g, n_clusters, seed=stage1_seed)
     elif stage1 == "given":
         if given_partition is None:
             raise ValueError("stage1='given' requires given_partition")
@@ -210,6 +199,7 @@ def misclustering_rate(est: Partition, truth: Partition) -> float:
 # -- goodness of fit ---------------------------------------------------------
 
 GOF_BURNIN_SWEEPS = 500
+GOF_THIN_SWEEPS = 10
 
 
 @dataclass
@@ -243,11 +233,7 @@ def _esp_hist(g: Graph) -> np.ndarray:
 def _geodesic_hist(g: Graph) -> np.ndarray:
     """Dyad counts at geodesic 1..n-1; the last slot counts unreachable pairs."""
     n = g.n
-    dist = shortest_path(
-        csr_matrix(g.adjacency_matrix()), method="D", directed=False, unweighted=True
-    )
-    iu = np.triu_indices(n, 1)
-    d_u = dist[iu]
+    d_u = g.geodesic_distances()[np.triu_indices(n, 1)]
     out = np.zeros(n, dtype=np.float64)
     finite = d_u[np.isfinite(d_u)].astype(np.int64)
     counts = np.bincount(finite, minlength=n)
@@ -304,7 +290,7 @@ def gof(
     fit,
     n_sim: int,
     seed: int = 0,
-    sim_controls: SamplerControls | None = None,
+    burnin_sweeps: int = GOF_BURNIN_SWEEPS,
 ) -> GofReport:
     """Simulation-envelope goodness of fit.
 
@@ -317,17 +303,16 @@ def gof(
 
     The fit becomes a block model (``_gof_model``) and the ``n_sim`` graphs
     are one ``hergm_draws`` call: each ERGM block is one Gibbs chain, as in
-    ergm's ``gof``, that burns in ``sim_controls.burnin_sweeps`` sweeps once
-    and keeps a draw every ``sim_controls.thin_sweeps`` sweeps.  A cluster
-    without a fit falls back to Bernoulli ties at its observed density and
-    is listed in ``flagged_clusters``.  Diagnostics are label-invariant, so
-    blocks are laid out contiguously.
+    ergm's ``gof``, that burns in ``burnin_sweeps`` sweeps once and keeps a
+    draw every ``GOF_THIN_SWEEPS`` sweeps.  A cluster without a fit falls
+    back to Bernoulli ties at its observed density and is listed in
+    ``flagged_clusters``.  Diagnostics are label-invariant, so blocks are
+    laid out contiguously.
     """
     if n_sim < 1:
         raise ValueError("n_sim must be >= 1")
-    sim_controls = sim_controls or SamplerControls(burnin_sweeps=GOF_BURNIN_SWEEPS)
     hspec, spec, flagged = _gof_model(fit, g)
-    draws = hergm_draws(hspec, seed, replace(sim_controls, n_samples=n_sim))
+    draws = hergm_draws(hspec, seed, SamplerControls(burnin_sweeps, n_sim, GOF_THIN_SWEEPS))
 
     observed = {
         "degree": _degree_hist(g),

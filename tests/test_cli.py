@@ -94,6 +94,14 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure: Eigenvalues" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("restarts", ["0", "-3"])
+    def test_score_restarts_below_one_exit_2(self, tmp_path, capsys, restarts):
+        graph, _ = _simulate(tmp_path, 10)
+        code = cli.main(["cluster", "score", "--graph", graph, "--K", "3",
+                         "--restarts", restarts, "--out", str(tmp_path / "part.csv")])
+        assert code == 2
+        assert f"restarts >= 1, got {restarts}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [
         ("burnin_sweeps", "abc"), ("burnin_sweeps", 2.5), ("thin_sweeps", True),
     ])

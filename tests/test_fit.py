@@ -200,7 +200,8 @@ class TestMcmle:
         fit = mcmle(
             g,
             EDGES,
-            controls=McmleControls(n_samples=4096, burnin_sweeps=100, seed=1),
+            controls=McmleControls(n_samples=4096, burnin_sweeps=100),
+            seed=1,
         )
         assert abs(fit.theta_hat[0] - pseudo.theta_hat[0]) < 1e-3 * 10
         # dyad-independent model: the two estimators share the fixed point
@@ -217,7 +218,8 @@ class TestMcmle:
         fit = mcmle(
             g,
             ET,
-            controls=McmleControls(n_samples=4096, burnin_sweeps=200, seed=7),
+            controls=McmleControls(n_samples=4096, burnin_sweeps=200),
+            seed=7,
         )
         assert fit.diagnostics.converged
         np.testing.assert_allclose(fit.theta_hat, oracle, atol=0.05)
@@ -232,7 +234,8 @@ class TestMcmle:
             g,
             ET,
             theta0=oracle,
-            controls=McmleControls(n_samples=4096, burnin_sweeps=200, seed=8),
+            controls=McmleControls(n_samples=4096, burnin_sweeps=200),
+            seed=8,
         )
         assert fit.diagnostics.iterations <= 2
 
@@ -241,7 +244,8 @@ class TestMcmle:
         fit = mcmle(
             g,
             ET,
-            controls=McmleControls(n_samples=2048, burnin_sweeps=200, seed=2),
+            controls=McmleControls(n_samples=2048, burnin_sweeps=200),
+            seed=2,
         )
         if fit.diagnostics.converged:
             gap = np.abs(fit.diagnostics.mu_hat - stat_vector(g, ET))
@@ -262,7 +266,8 @@ class TestMcmle:
         fit = mcmle(
             g,
             ET,
-            controls=McmleControls(n_samples=4096, burnin_sweeps=200, seed=3),
+            controls=McmleControls(n_samples=4096, burnin_sweeps=200),
+            seed=3,
         )
         assert fit.diagnostics.converged
         np.testing.assert_allclose(fit.std_errors, exact_se, rtol=0.04)
@@ -278,7 +283,8 @@ class TestMcmle:
             g,
             ET,
             theta0=oracle,
-            controls=McmleControls(n_samples=1024, burnin_sweeps=200, seed=4),
+            controls=McmleControls(n_samples=1024, burnin_sweeps=200),
+            seed=4,
         )
         assert fit.diagnostics.converged
         assert fit.diagnostics.grad_norm < 1e-6
@@ -286,8 +292,8 @@ class TestMcmle:
 
     def test_collapsed_polish_counts_as_a_step(self, monkeypatch):
         g = interior_instance()
-        controls = McmleControls(n_samples=1024, burnin_sweeps=200, seed=5)
-        plain = mcmle(g, ET, controls=controls)
+        controls = McmleControls(n_samples=1024, burnin_sweeps=200)
+        plain = mcmle(g, ET, controls=controls, seed=5)
         polishes = []
 
         def first_polish_collapses(s_centered, s_obs_c, radius):
@@ -297,7 +303,7 @@ class TestMcmle:
             return _weighted_newton(s_centered, s_obs_c, radius)
 
         monkeypatch.setattr("hergmkit.fit._weighted_newton", first_polish_collapses)
-        fit = mcmle(g, ET, controls=controls)
+        fit = mcmle(g, ET, controls=controls, seed=5)
         assert polishes == [math.inf]
         assert fit.diagnostics.iterations > plain.diagnostics.iterations
         assert fit.diagnostics.converged and fit.diagnostics.grad_norm < 1e-6
@@ -314,7 +320,7 @@ class TestMcmle:
 
         monkeypatch.setattr("hergmkit.fit.gibbs_sample", spy)
         n = 256
-        fit = mcmle(interior_instance(), ET, controls=McmleControls(n, 100, seed=1))
+        fit = mcmle(interior_instance(), ET, controls=McmleControls(n, 100), seed=1)
         assert fit.diagnostics.converged
         assert [c.burnin_sweeps for c in calls] == [100] + [0] * (len(calls) - 1)
         assert all(c.thin_sweeps == 1 for c in calls)
@@ -332,7 +338,7 @@ class TestMcmle:
         g = Graph(7)
         for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 2), (2, 4)]:
             g.add_edge(i, j)
-        fit = mcmle(g, ET, controls=McmleControls(64, 20, seed=1))
+        fit = mcmle(g, ET, controls=McmleControls(64, 20), seed=1)
         d = fit.diagnostics
         assert (d.converged, d.iterations, d.mc_samples) == (False, 1, 16)
         np.testing.assert_allclose(fit.theta_hat, [-1.58890263, 1.04251968], rtol=1e-8)
@@ -341,7 +347,7 @@ class TestMcmle:
     def test_frozen_boundary_exit_reports_start(self):
         # empty graph, chain frozen at the empty graph: in band with no
         # variation, so the start is reported with zero gradient and SEs
-        fit = mcmle(Graph(6), EDGES, theta0=(-30.0,), controls=McmleControls(16, 5, seed=1))
+        fit = mcmle(Graph(6), EDGES, theta0=(-30.0,), controls=McmleControls(16, 5), seed=1)
         d = fit.diagnostics
         assert (d.converged, d.degenerate, d.iterations, d.mc_samples) == (True, True, 2, 32)
         assert d.grad_norm == 0.0
@@ -354,7 +360,7 @@ class TestMcmle:
         g = Graph(6)
         for i, j in [(0, 1), (1, 2), (2, 3)]:
             g.add_edge(i, j)
-        fit = mcmle(g, EDGES, theta0=(-30.0,), controls=McmleControls(16, 5, seed=1))
+        fit = mcmle(g, EDGES, theta0=(-30.0,), controls=McmleControls(16, 5), seed=1)
         d = fit.diagnostics
         assert (d.converged, d.degenerate, d.iterations, d.mc_samples) == (True, True, 7, 32)
         assert d.step_sizes[:3] == [15.0, 7.5, 3.75]
@@ -365,7 +371,7 @@ class TestMcmle:
         for i, j in [(0, 1), (1, 2), (2, 3)]:
             g.add_edge(i, j)
         with pytest.raises(SamplesDegenerateError, match="stay constant"):
-            mcmle(g, EDGES, theta0=(-3000.0,), controls=McmleControls(16, 5, seed=1))
+            mcmle(g, EDGES, theta0=(-3000.0,), controls=McmleControls(16, 5), seed=1)
 
     def test_bad_theta0_rejected(self):
         g = random_graph(6, 0.5, 10)

@@ -43,7 +43,7 @@ from hergmkit.twostage import (
 SPEC = parse_spec("edges,gwdsp(0.5),gwesp(0.5)")
 BASE = math.log(0.05 / 0.95)
 LIGHT_LSM = LsmControls(burnin=400, n_samples=150, thin=2)
-LIGHT_MC = McmleControls(n_samples=512, burnin_sweeps=100, seed=0)
+LIGHT_MC = McmleControls(n_samples=512, burnin_sweeps=100)
 
 
 def fig1_like(n_per=12, seed=3):
@@ -133,13 +133,7 @@ class TestTwoStageFit:
 
         k = 2
         sub, _ = within_subgraph(g, truth, k)
-        manual = mcmle(
-            sub,
-            SPEC,
-            controls=McmleControls(
-                n_samples=512, burnin_sweeps=100, seed=stage2_seed(11, k)
-            ),
-        )
+        manual = mcmle(sub, SPEC, controls=LIGHT_MC, seed=stage2_seed(11, k))
         np.testing.assert_allclose(
             ts.cluster_fits[k].theta_hat, manual.theta_hat, atol=1e-12
         )
@@ -233,7 +227,7 @@ class TestUnavailableClusters:
         assert ts.cluster_fits[1] is None
         assert ts.fit_errors[1] == "cluster is empty"
         assert ts.cluster_fits[0] is not None and ts.between_p is not None
-        report = gof(g, ts, 5, seed=2, sim_controls=SamplerControls(burnin_sweeps=20))
+        report = gof(g, ts, 5, seed=2, burnin_sweeps=20)
         assert report.flagged_clusters == [1]
         assert report.diagnostics["degree"].observed.sum() == g.n
 
@@ -247,7 +241,7 @@ class TestUnavailableClusters:
         )
         assert ts.fit_errors[1] == "cluster is empty"
         assert ts.between_p is None
-        gof(g, ts, 3, seed=2, sim_controls=SamplerControls(burnin_sweeps=10))
+        gof(g, ts, 3, seed=2, burnin_sweeps=10)
 
     def test_cluster_without_an_mple_is_unavailable(self):
         # cluster 0 is the path 0-1-2-3, whose degree(0) pseudo-likelihood has
@@ -305,7 +299,7 @@ class TestGof:
 
     def test_report_shapes_and_bounds(self):
         g, ts = self.make_fit()
-        report = gof(g, ts, 20, seed=1, sim_controls=SamplerControls(burnin_sweeps=150))
+        report = gof(g, ts, 20, seed=1, burnin_sweeps=150)
         assert set(report.diagnostics) == {"degree", "esp", "geodesic", "stats"}
         for diag in report.diagnostics.values():
             assert (diag.lower <= diag.upper + 1e-12).all()
@@ -317,10 +311,9 @@ class TestGof:
         # simulate from the fitted model itself: observed should mostly sit
         # inside its own envelopes
         g, ts = self.make_fit(seed=22)
-        sim_controls = SamplerControls(burnin_sweeps=150)
         hspec, _, _ = twostage._gof_model(ts, g)
-        g_self = hergm_draws(hspec, 999, sim_controls)[0]
-        report = gof(g_self, ts, 60, seed=5, sim_controls=sim_controls)
+        g_self = hergm_draws(hspec, 999, SamplerControls(burnin_sweeps=150))[0]
+        report = gof(g_self, ts, 60, seed=5, burnin_sweeps=150)
         mean_cov = np.mean([d.coverage for d in report.diagnostics.values()])
         assert mean_cov > 0.7
 
@@ -337,13 +330,13 @@ class TestGof:
             given_partition=labels, seed=4,
         )
         assert ts.cluster_fits[1] is None
-        report = gof(g, ts, 10, seed=6, sim_controls=SamplerControls(burnin_sweeps=60))
+        report = gof(g, ts, 10, seed=6, burnin_sweeps=60)
         assert report.flagged_clusters == [1]
 
     def test_deterministic(self):
         g, ts = self.make_fit(seed=23)
-        r1 = gof(g, ts, 15, seed=9, sim_controls=SamplerControls(burnin_sweeps=100))
-        r2 = gof(g, ts, 15, seed=9, sim_controls=SamplerControls(burnin_sweeps=100))
+        r1 = gof(g, ts, 15, seed=9, burnin_sweeps=100)
+        r2 = gof(g, ts, 15, seed=9, burnin_sweeps=100)
         for name in r1.diagnostics:
             np.testing.assert_array_equal(
                 r1.diagnostics[name].lower, r2.diagnostics[name].lower
@@ -366,7 +359,7 @@ class TestGof:
             positions_mean=np.zeros((5, 2)), membership_probs=np.ones((5, 1)),
             map_partition=Partition(np.zeros(5, dtype=int), 1), seed=None,
         )
-        gof(Graph(5), summary, 2, sim_controls=SamplerControls(burnin_sweeps=1))
+        gof(Graph(5), summary, 2, burnin_sweeps=1)
         with pytest.raises(ValueError, match="latent positions for 5 nodes"):
             gof(Graph(6), summary, 2)
 
@@ -412,7 +405,7 @@ class TestGof:
             if rng.random() < 0.3:
                 g.add_edge(i, j)
         fit = mple(g, parse_spec("edges"))
-        report = gof(g, fit, 20, seed=3, sim_controls=SamplerControls(burnin_sweeps=50))
+        report = gof(g, fit, 20, seed=3, burnin_sweeps=50)
         assert report.diagnostics["stats"].observed[0] == g.n_edges
 
 
