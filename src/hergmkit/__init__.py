@@ -57,8 +57,8 @@ from .lsm import (
 from .spectral import kmeans, score_cluster
 from .twostage import (
     GofReport,
-    TwoStageControls,
     TwoStageFit,
+    cluster,
     gof,
     misclustering_rate,
     two_stage_fit,

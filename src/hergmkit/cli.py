@@ -49,20 +49,19 @@ from .graph import (
     write_partition,
 )
 from .lsm import (
+    LSM_DIM,
     LsmControls,
-    lsm_mcmc,
     lsm_posterior_from_dict,
     lsm_posterior_to_dict,
-    map_membership,
 )
 from .sampler import SamplerControls, gibbs_sample, simulate_hergm
-from .spectral import SCORE_RESTARTS, score_cluster
+from .spectral import SCORE_RESTARTS
 from .stats import parse_spec, stat_vector
 from .svgplot import render_panels
 from .twostage import (
     GOF_BURNIN_SWEEPS,
     GOF_THIN_SWEEPS,
-    TwoStageControls,
+    cluster,
     gof,
     two_stage_fit,
     two_stage_fit_from_dict,
@@ -168,11 +167,8 @@ def _cmd_simulate_ergm(args) -> int:
 
 def _cmd_cluster_lsm(args) -> int:
     g = read_edge_list(args.graph)
-    controls = LsmControls(
-        burnin=args.burnin, n_samples=args.samples, thin=args.thin
-    )
-    post = lsm_mcmc(g, args.K, dim=args.dim, controls=controls, seed=args.seed)
-    part = map_membership(post)
+    controls = LsmControls(burnin=args.burnin, n_samples=args.samples, thin=args.thin)
+    part, post = cluster(g, args.K, "lsm", args.seed, args.dim, controls)
     write_partition(part, args.out)
     if args.posterior:
         _write_json(args.posterior, lsm_posterior_to_dict(post))
@@ -195,7 +191,7 @@ def _cmd_cluster_lsm(args) -> int:
 
 def _cmd_cluster_score(args) -> int:
     g = read_edge_list(args.graph)
-    part = score_cluster(g, args.K, restarts=args.restarts, seed=args.seed)
+    part, _ = cluster(g, args.K, "score", args.seed, restarts=args.restarts)
     write_partition(part, args.out)
     _stderr(f"clustered {g.n} nodes into K={args.K} -> {args.out}")
     return 0
@@ -210,22 +206,17 @@ def _cmd_fit_twostage(args) -> int:
     given = read_partition(args.partition) if args.partition else None
     if args.stage1 == "given" and given is None:
         raise ConfigError("--stage1 given requires --partition")
-    controls = TwoStageControls(
-        method=args.method,
-        dim=args.dim,
-        lsm=LsmControls(
-            burnin=args.lsm_burnin, n_samples=args.lsm_samples, thin=args.lsm_thin
-        ),
-        mcmle=McmleControls(
-            n_samples=args.mc_samples, burnin_sweeps=args.mc_burnin
-        ),
-    )
     ts = two_stage_fit(
         g,
         args.K,
         spec,
         stage1=args.stage1,
-        controls=controls,
+        method=args.method,
+        dim=args.dim,
+        lsm=LsmControls(
+            burnin=args.lsm_burnin, n_samples=args.lsm_samples, thin=args.lsm_thin
+        ),
+        mcmle=McmleControls(n_samples=args.mc_samples, burnin_sweeps=args.mc_burnin),
         given_partition=given,
         seed=args.seed,
     )
@@ -448,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl_lsm = cl_sub.add_parser("lsm", parents=[common], help="latent position model")
     p_cl_lsm.add_argument("--graph", required=True)
     p_cl_lsm.add_argument("--K", type=int, required=True)
-    p_cl_lsm.add_argument("--dim", type=int, default=2)
+    p_cl_lsm.add_argument("--dim", type=int, default=LSM_DIM)
     p_cl_lsm.add_argument("--burnin", type=int, default=LsmControls.burnin)
     p_cl_lsm.add_argument("--samples", type=int, default=LsmControls.n_samples)
     p_cl_lsm.add_argument("--thin", type=int, default=LsmControls.thin)
@@ -476,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ft.add_argument("--stats", required=True)
     p_ft.add_argument("--stage1", choices=("lsm", "score", "given"), default="lsm")
     p_ft.add_argument("--partition", help="partition CSV for --stage1 given")
-    p_ft.add_argument("--method", choices=("mcmle", "mple"), default=TwoStageControls.method)
-    p_ft.add_argument("--dim", type=int, default=TwoStageControls.dim)
+    p_ft.add_argument("--method", choices=("mcmle", "mple"), default="mcmle")
+    p_ft.add_argument("--dim", type=int, default=LSM_DIM)
     p_ft.add_argument("--lsm-burnin", type=int, default=LsmControls.burnin)
     p_ft.add_argument("--lsm-samples", type=int, default=LsmControls.n_samples)
     p_ft.add_argument("--lsm-thin", type=int, default=LsmControls.thin)

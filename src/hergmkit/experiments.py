@@ -66,17 +66,12 @@ from itertools import product
 import numpy as np
 
 from .graph import Partition
-from .lsm import LsmControls, lsm_mcmc, map_membership
+from .lsm import LSM_DIM, LsmControls
 from .rng import child_rng
 from .sampler import BernoulliBlock, ClusterSpec, HergmSpec, SamplerControls, simulate_hergm
-from .spectral import SCORE_RESTARTS, score_cluster
+from .spectral import SCORE_RESTARTS
 from .stats import StatisticSpec, parse_spec
-from .twostage import (
-    TwoStageControls,
-    gof,
-    misclustering_rate,
-    two_stage_fit,
-)
+from .twostage import cluster, gof, misclustering_rate, two_stage_fit
 
 __all__ = [
     "misrate_experiment", "sensitivity_experiment", "score_experiment", "read_hergm_config",
@@ -206,12 +201,7 @@ def _misrate_one(stage1, dim, sim_controls, lsm_controls, master, task) -> dict:
         .integers(2**31)
     )
     g, truth = simulate_hergm(hspec, seed, sim_controls)
-    k = hspec.n_clusters
-    if stage1 == "score":
-        est = score_cluster(g, k, seed=seed)
-    else:
-        post = lsm_mcmc(g, k, dim=dim, controls=lsm_controls, seed=seed)
-        est = map_membership(post)
+    est, _ = cluster(g, hspec.n_clusters, stage1, seed, dim, lsm_controls)
     rate = misclustering_rate(est, truth)
     return {
         "n_per_cluster": n_per_cluster,
@@ -236,7 +226,7 @@ def misrate_experiment(config: dict, threads: int = 1) -> list[dict]:
     between_p = _field(config, "between_p", float, 0.05, lo=0, hi=1)
     decay = _field(config, "decay", float, 0.5, lo=0)
     stage1 = _field(config, "stage1", str, "lsm", choices=("lsm", "score"))
-    dim = _field(config, "dim", int, 2, lo=1)
+    dim = _field(config, "dim", int, LSM_DIM, lo=1)
     sim, lsm = _field(config, "sim", dict, {}), _field(config, "lsm", dict, {})
     sim_controls = SamplerControls(
         burnin_sweeps=_field(sim, "burnin_sweeps", int, 500, lo=0, at="sim."),
@@ -284,21 +274,14 @@ def _perturb_partition(truth: Partition, rho: float, rng) -> Partition:
     return Partition(labels, k)
 
 
-def _sensitivity_one(hspec, controls, nsim_gof, sim_controls, master, task) -> list[dict]:
+def _sensitivity_one(hspec, method, nsim_gof, sim_controls, master, task) -> list[dict]:
     rho, rep = task
     seed = int(child_rng(master, "sens", _milli(rho), rep).integers(2**31))
     g, truth = simulate_hergm(hspec, seed, sim_controls)
     perturbed = _perturb_partition(truth, rho, child_rng(seed, "flip"))
     spec = hspec.clusters[0].spec
-    ts = two_stage_fit(
-        g,
-        hspec.n_clusters,
-        spec,
-        stage1="given",
-        controls=controls,
-        given_partition=perturbed,
-        seed=seed,
-    )
+    ts = two_stage_fit(g, hspec.n_clusters, spec, stage1="given", method=method,
+                       given_partition=perturbed, seed=seed)
     report = gof(g, ts, nsim_gof, seed=seed, burnin_sweeps=sim_controls.burnin_sweeps)
     labels = spec.labels()
     out = []
@@ -344,8 +327,7 @@ def sensitivity_experiment(config: dict, threads: int = 1) -> list[dict]:
         burnin_sweeps=_field(sim, "burnin_sweeps", int, 500, lo=0, at="sim.")
     )
     _check_seed_keys("rho_grid", grid, _milli)
-    run = partial(_sensitivity_one, hspec, TwoStageControls(method=method),
-                  nsim_gof, sim_controls, seed)
+    run = partial(_sensitivity_one, hspec, method, nsim_gof, sim_controls, seed)
     nested = _parallel_map(run, [(rho, rep) for rho in grid for rep in range(reps)], threads)
     means = []
     for i, rho in enumerate(grid):
@@ -369,7 +351,7 @@ def sensitivity_experiment(config: dict, threads: int = 1) -> list[dict]:
 def _score_one(hspec, restarts, master, rep) -> dict:
     seed = int(child_rng(master, "score", rep).integers(2**31))
     g, truth = simulate_hergm(hspec, seed)
-    est = score_cluster(g, hspec.n_clusters, restarts, seed)
+    est, _ = cluster(g, hspec.n_clusters, "score", seed, restarts=restarts)
     return {"replication": rep, "rate": misclustering_rate(est, truth)}
 
 

@@ -2,19 +2,10 @@
 
 Two estimators share the ``ErgmFit`` result type:
 
-* ``mple``: maximum pseudo-likelihood.  The conditional log-odds of each
-  dyad is linear in its change statistics, so the pseudo-likelihood is a
-  logistic regression of tie indicators on change-statistic rows, solved
-  here by Newton iteration with explicit separation detection.
-* ``mcmle``: Monte Carlo maximum likelihood.  Starting from the MPLE (or a
-  supplied value), repeatedly samples the model at the current parameter
-  and maximizes the importance-sampling approximation of the likelihood
-  ratio.  One Markov chain carries on from each outer iteration into the
-  next, and every sweep of it after the burn-in is a draw.  The walk toward
-  the MLE runs on small samples; once their mean statistics bracket the
-  observed ones, full-size samples (``MCMLE_SAMPLE_BOOST * n_samples``
-  consecutive draws) confirm, and the fit stops at the MLE of the first
-  full-size sample that brackets them.
+* ``mple``: maximum pseudo-likelihood, a logistic regression of tie
+  indicators on change-statistic rows solved by Newton iteration.
+* ``mcmle``: Monte Carlo maximum likelihood on one warm Markov chain, which
+  its docstring describes.
 
 ``between_density_mle`` is the closed-form Binomial estimate for the shared
 between-cluster tie probability.
@@ -194,25 +185,10 @@ MOMENT_BAND = 3.0
 
 @dataclass(frozen=True)
 class McmleControls:
-    """Monte Carlo MLE controls.
+    """Monte Carlo MLE chain lengths (``mcmle`` describes their use).
 
-    A fit runs one Markov chain: ``burnin_sweeps`` from an Erdos-Renyi draw
-    before the first outer iteration, after which each iteration carries on
-    from the last graph of the one before and keeps a draw on every sweep
-    (no thinning: the batch-means standard error accounts for the
-    autocorrelation).  A full-size sample holds
-    ``m = MCMLE_SAMPLE_BOOST * n_samples`` draws, taken on consecutive
-    sweeps.  While the chain walks from the start toward the MLE an
-    iteration keeps ``m // MCMLE_WALK_DIVISOR`` draws (at least 4, two
-    batches for the batch-means standard error); from the first walk sample
-    whose mean lies in the moment band on it keeps ``m``.  The draw count
-    doubles (up to ``MCMLE_MAX_SAMPLES``) whenever the effective sample size
-    of the importance weights drops below a tenth of it.  A parameter step
-    is at most ``TRUST_RADIUS`` long.
-    Convergence requires every component of the mean statistic of a
-    full-size sample to sit within ``MOMENT_BAND`` Monte Carlo standard
-    errors of the observed statistic; after ``MCMLE_MAX_OUTER`` outer
-    iterations the fit is reported as not converged.
+    ``n_samples``: a full-size sample is ``MCMLE_SAMPLE_BOOST * n_samples``
+    draws.  ``burnin_sweeps``: sweeps run once, before the first sample.
     """
 
     n_samples: int = 1024
@@ -294,14 +270,21 @@ def mcmle(
 ) -> ErgmFit:
     """Monte Carlo maximum likelihood on one warm Markov chain.
 
-    Each outer iteration samples the model at the current parameter on
-    consecutive sweeps, continuing the chain of the iteration before
-    (``McmleControls``: a full-size sample is ``MCMLE_SAMPLE_BOOST *
-    n_samples`` draws), checks the mean-value moment condition, and
-    otherwise takes a damped Newton step on the importance-sampling
-    likelihood-ratio surrogate.  The walk from the start toward the MLE uses
-    small samples; its first sample in the moment band takes its step, and
-    from then on every sample is full size.
+    The fit starts from ``theta0``, or else the MPLE.  One chain runs
+    ``controls.burnin_sweeps`` sweeps from an Erdos-Renyi draw; each outer
+    iteration then carries it on at the current parameter and keeps a draw
+    on every sweep (no thinning: the batch-means standard error accounts for
+    the autocorrelation).  A full-size sample is ``m = MCMLE_SAMPLE_BOOST *
+    controls.n_samples`` draws.  The iteration checks the mean-value moment
+    condition, i.e. every component of the sample's mean statistic within
+    ``MOMENT_BAND`` Monte Carlo standard errors of the observed one, and
+    otherwise takes a Newton step of at most ``TRUST_RADIUS`` on the
+    importance-sampling likelihood-ratio surrogate.  The walk from the start
+    toward the MLE keeps ``m // MCMLE_WALK_DIVISOR`` draws (at least 4, two
+    batches for the standard error); its first sample in the band takes its
+    step, and from then on every sample is full size.  ``m`` doubles (up to
+    ``MCMLE_MAX_SAMPLES``) whenever the effective sample size of the
+    importance weights drops below a tenth of the sample.
 
     The fit has three exits.  Each reports the outer iteration it ended at
     and the size and batch-means standard errors of its last sample:

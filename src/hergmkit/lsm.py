@@ -28,6 +28,7 @@ from .rng import child_rng
 from .spectral import kmeans
 
 __all__ = [
+    "LSM_DIM",
     "LsmControls",
     "LsmPosterior",
     "lsm_mcmc",
@@ -41,6 +42,8 @@ __all__ = [
     "lsm_posterior_from_dict",
 ]
 
+
+LSM_DIM = 2  # default latent dimension
 
 # priors: normal coefficients, Dirichlet weights, mixture scales
 BETA_MEAN = (0.0, 1.0)  # (intercept, distance coef)
@@ -129,7 +132,7 @@ def map_membership(post: LsmPosterior) -> Partition:
     return Partition(post.membership_probs.argmax(axis=1), post.n_clusters)
 
 
-def init_positions(g: Graph, d: int = 2) -> np.ndarray:
+def init_positions(g: Graph, d: int = LSM_DIM) -> np.ndarray:
     """Classical MDS of geodesic distances, the chain start and alignment target.
 
     Disconnected pairs are placed at (diameter + 1); the result is centered.
@@ -274,15 +277,18 @@ class _Scale:
 def lsm_mcmc(
     g: Graph,
     n_clusters: int,
-    dim: int = 2,
+    dim: int = LSM_DIM,
     controls: LsmControls | None = None,
     seed: int = 0,
 ) -> LsmPosterior:
     """Fit the latent position cluster model by MCMC.
 
     Deterministic under seed.  Acceptance rates outside [0.1, 0.6] after
-    burn-in are reported in ``warnings``, not raised.
+    burn-in are reported in ``warnings``, not raised.  The graph needs at
+    least 2 nodes.
     """
+    if g.n < 2:
+        raise ValueError(f"lsm_mcmc needs a graph of at least 2 nodes, got {g.n}")
     if n_clusters < 1:
         raise ValueError("K must be >= 1")
     if dim < 1:

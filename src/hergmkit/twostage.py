@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .fit import (
     ErgmFit,
@@ -29,9 +28,11 @@ from .fit import (
 )
 from .graph import Graph, Partition, within_subgraph
 from .lsm import (
+    LSM_DIM,
     LsmControls,
     LsmPosterior,
     LsmSummary,
+    _best_permutation,
     lsm_mcmc,
     map_membership,
 )
@@ -43,32 +44,20 @@ from .sampler import (
     SamplerControls,
     hergm_draws,
 )
-from .spectral import score_cluster
+from .spectral import SCORE_RESTARTS, score_cluster
 from .stats import StatisticSpec, esp_histogram, parse_spec, stat_vector
 
 __all__ = [
-    "TwoStageControls",
     "TwoStageFit",
     "GofDiagnostic",
     "GofReport",
+    "cluster",
     "two_stage_fit",
     "misclustering_rate",
     "gof",
     "two_stage_fit_to_dict",
     "two_stage_fit_from_dict",
 ]
-
-
-@dataclass(frozen=True)
-class TwoStageControls:
-    method: str = "mcmle"  # stage-2 estimator: mcmle | mple
-    dim: int = 2
-    lsm: LsmControls = LsmControls()
-    mcmle: McmleControls = McmleControls()
-
-    def __post_init__(self):
-        if self.method not in ("mcmle", "mple"):
-            raise ValueError(f"stage-2 method must be mcmle or mple, got {self.method!r}")
 
 
 @dataclass
@@ -108,34 +97,55 @@ def _fit_cluster(sub: Graph, spec: StatisticSpec, method: str,
         return None, str(exc)
 
 
+def cluster(
+    g: Graph,
+    n_clusters: int,
+    method: str,
+    seed: int,
+    dim: int = LSM_DIM,
+    lsm: LsmControls | None = None,
+    restarts: int = SCORE_RESTARTS,
+) -> tuple[Partition, LsmPosterior | None]:
+    """Stage 1: the partition of ``g`` recovered by ``method``, and a posterior.
+
+    ``"lsm"`` is the MAP membership of a latent position cluster model in
+    ``dim`` dimensions (chain lengths ``lsm``), returned with its posterior;
+    ``"score"`` is SCORE with ``restarts`` k-means starts, returned with
+    ``None``.
+    """
+    if method == "lsm":
+        posterior = lsm_mcmc(g, n_clusters, dim=dim, controls=lsm, seed=seed)
+        return map_membership(posterior), posterior
+    if method == "score":
+        return score_cluster(g, n_clusters, restarts=restarts, seed=seed), None
+    raise ValueError(f"unknown stage-1 method {method!r}")
+
+
 def two_stage_fit(
     g: Graph,
     n_clusters: int,
     spec: StatisticSpec,
     stage1: str = "lsm",
-    controls: TwoStageControls | None = None,
+    method: str = "mcmle",
+    dim: int = LSM_DIM,
+    lsm: LsmControls | None = None,
+    mcmle: McmleControls = McmleControls(),
     given_partition: Partition | None = None,
     seed: int = 0,
 ) -> TwoStageFit:
     """Run the full pipeline on one observed graph.
 
-    ``stage1`` selects the clustering route; ``given`` uses the supplied
-    partition unchanged, which makes the pipeline identical to fitting each
-    block directly.  A cluster that is empty, too small for the spec, or
-    without a finite fit is marked unavailable with its reason rather than
-    failing the run.
+    ``stage1`` is a ``cluster`` method, run with ``dim`` and ``lsm``, or
+    ``given``, which uses the supplied partition unchanged and so makes the
+    pipeline identical to fitting each block directly.  ``method`` is the
+    stage-2 estimator, ``mcmle`` (chain lengths ``mcmle``) or ``mple``.  A
+    cluster that is empty, too small for the spec, or without a finite fit
+    is marked unavailable with its reason rather than failing the run.
     """
-    controls = controls or TwoStageControls()
+    if method not in ("mcmle", "mple"):
+        raise ValueError(f"stage-2 method must be mcmle or mple, got {method!r}")
     posterior = None
-    stage1_seed = int(child_seed(seed, "stage1").generate_state(1, np.uint32)[0])
-    if stage1 == "lsm":
-        posterior = lsm_mcmc(
-            g, n_clusters, dim=controls.dim, controls=controls.lsm, seed=stage1_seed
-        )
-        partition = map_membership(posterior)
-    elif stage1 == "score":
-        partition = score_cluster(g, n_clusters, seed=stage1_seed)
-    elif stage1 == "given":
+    if stage1 == "given":
         if given_partition is None:
             raise ValueError("stage1='given' requires given_partition")
         if given_partition.n != g.n:
@@ -147,7 +157,8 @@ def two_stage_fit(
             )
         partition = given_partition
     else:
-        raise ValueError(f"unknown stage-1 method {stage1!r}")
+        stage1_seed = int(child_seed(seed, "stage1").generate_state(1, np.uint32)[0])
+        partition, posterior = cluster(g, n_clusters, stage1, stage1_seed, dim, lsm)
 
     fits: list[ErgmFit | None] = []
     reasons: list[str | None] = []
@@ -157,9 +168,7 @@ def two_stage_fit(
             fit, reason = None, "cluster is empty"
         else:
             sub, _ = within_subgraph(g, partition, k)
-            fit, reason = _fit_cluster(
-                sub, spec, controls.method, controls.mcmle, stage2_seed(seed, k)
-            )
+            fit, reason = _fit_cluster(sub, spec, method, mcmle, stage2_seed(seed, k))
         fits.append(fit)
         reasons.append(reason)
 
@@ -175,7 +184,7 @@ def two_stage_fit(
         fit_errors=reasons,
         between_p=p_hat,
         between_se=p_se,
-        method=controls.method,
+        method=method,
         seed=seed,
         lsm_posterior=posterior,
     )
@@ -184,15 +193,14 @@ def two_stage_fit(
 def misclustering_rate(est: Partition, truth: Partition) -> float:
     """Fraction of disagreeing nodes under the best label matching.
 
-    Exact: Hungarian assignment on the label contingency matrix.
+    Exact: the matching with the most agreeing nodes, found by
+    ``lsm._best_permutation``, which also relabels LSM draws.
     """
     if est.n != truth.n:
         raise ValueError(f"partition sizes differ: {est.n} vs {truth.n}")
     k = max(est.n_clusters, truth.n_clusters)
-    cont = np.zeros((k, k), dtype=np.int64)
-    np.add.at(cont, (est.assignments, truth.assignments), 1)
-    rows, cols = linear_sum_assignment(-cont)
-    matched = int(cont[rows, cols].sum())
+    perm = _best_permutation(est.assignments, truth.assignments, k)
+    matched = int(np.count_nonzero(perm[est.assignments] == truth.assignments))
     return 1.0 - matched / est.n
 
 
@@ -296,7 +304,8 @@ def gof(
 
     ``fit`` may be a ``TwoStageFit``, a single ``ErgmFit`` (whole-graph
     model), or an LSM posterior/summary (ties Bernoulli at the posterior-mean
-    probabilities); it must be a fit for a graph with ``g``'s node count.
+    probabilities); it must be a fit for a graph with ``g``'s node count,
+    which must be at least 2.
     Four diagnostics are compared pointwise against the 2.5%/97.5% envelope
     of ``n_sim`` simulated graphs: degree counts, edgewise shared partners,
     geodesic distances, and the model statistics.
@@ -311,6 +320,8 @@ def gof(
     """
     if n_sim < 1:
         raise ValueError("n_sim must be >= 1")
+    if g.n < 2:
+        raise ValueError(f"gof needs a graph of at least 2 nodes, got {g.n}")
     hspec, spec, flagged = _gof_model(fit, g)
     draws = hergm_draws(hspec, seed, SamplerControls(burnin_sweeps, n_sim, GOF_THIN_SWEEPS))
 

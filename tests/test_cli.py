@@ -87,7 +87,7 @@ class TestExitCodes:
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(cli, "score_cluster", singular)
+        monkeypatch.setattr("hergmkit.twostage.score_cluster", singular)
         graph, _ = _simulate(tmp_path, 10)
         code = cli.main(["cluster", "score", "--graph", graph, "--K", "3",
                          "--out", str(tmp_path / "part.csv")])
@@ -163,6 +163,32 @@ class TestExitCodes:
         assert clusters[0]["available"]
         assert clusters[1] == {"available": False,
                                "reason": "cluster has 1 nodes; spec needs at least 2"}
+
+    def test_gof_on_a_one_node_graph_exits_2(self, tmp_path, capsys):
+        graph, part = tmp_path / "g.edges", tmp_path / "p.csv"
+        graph.write_text("n 1\n")
+        part.write_text("node,cluster\n0,0\n")
+        fit, out = str(tmp_path / "fit.json"), tmp_path / "gof.csv"
+        assert cli.main(["fit", "twostage", "--graph", str(graph), "--K", "1",
+                         "--stats", "edges", "--stage1", "given", "--partition", str(part),
+                         "--method", "mple", "--out", fit]) == 0
+        code = cli.main(["gof", "--graph", str(graph), "--fit", fit, "--nsim", "2",
+                         "--burnin", "2", "--out", str(out)])
+        assert code == 2
+        assert "gof needs a graph of at least 2 nodes, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "lsm", "--K", "1"],
+        ["fit", "twostage", "--K", "1", "--stats", "edges", "--stage1", "lsm"],
+    ])
+    def test_lsm_on_a_one_node_graph_exits_2(self, tmp_path, capsys, argv):
+        graph, out = tmp_path / "g.edges", tmp_path / "out"
+        graph.write_text("n 1\n")
+        code = cli.main(argv + ["--graph", str(graph), "--out", str(out)])
+        assert code == 2
+        assert "lsm_mcmc needs a graph of at least 2 nodes, got 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_partition_row_exits_2(self, tmp_path, capsys):
         graph, truth = _simulate(tmp_path, 6)

@@ -269,6 +269,10 @@ class TestLsmMcmc:
             _dyad_loglik_full(y[iu], d2, 0.3, 1.2), abs=1e-10
         )
 
+    def test_one_node_graph_rejected(self):
+        with pytest.raises(ValueError, match="needs a graph of at least 2 nodes, got 1"):
+            lsm_mcmc(Graph(1), 1, controls=LIGHT)
+
     def test_invalid_args(self):
         g = two_cliques(4)
         with pytest.raises(ValueError):

@@ -1,15 +1,20 @@
 """Two-stage pipeline, mis-clustering metric, and goodness of fit."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+import hergmkit
 from hergmkit import (
     Graph,
     Partition,
     between_density_mle,
+    cluster,
     exact_distribution,
     gof,
     misclustering_rate,
@@ -20,7 +25,7 @@ from hergmkit import (
 from hergmkit import twostage
 from hergmkit.fit import ErgmFit, FitDiagnostics, McmleControls, mple
 from hergmkit.rng import child_rng
-from hergmkit.lsm import LsmControls
+from hergmkit.lsm import LsmControls, lsm_mcmc, map_membership
 from hergmkit.sampler import (
     ClusterSpec,
     HergmSpec,
@@ -31,9 +36,9 @@ from hergmkit.sampler import (
     hergm_draws,
     simulate_hergm,
 )
+from hergmkit.spectral import score_cluster
 from hergmkit.stats import stat_vector
 from hergmkit.twostage import (
-    TwoStageControls,
     TwoStageFit,
     stage2_seed,
     two_stage_fit_from_dict,
@@ -96,6 +101,17 @@ class TestMisclusteringRate:
                     best = max(best, sum(cont[i, perm[i]] for i in range(k)))
                 assert got == pytest.approx(1 - best / 24)
 
+    def test_many_clusters_match_an_optimal_assignment(self):
+        rng = np.random.default_rng(3)
+        for ka, kb in ((7, 7), (8, 5), (3, 9), (2, 5)):
+            a = Partition(rng.integers(0, ka, 40), ka)
+            b = Partition(rng.integers(0, kb, 40), kb)
+            k = max(ka, kb)
+            cont = np.zeros((k, k), dtype=int)
+            np.add.at(cont, (a.assignments, b.assignments), 1)
+            rows, cols = linear_sum_assignment(-cont)
+            assert misclustering_rate(a, b) == 1.0 - int(cont[rows, cols].sum()) / 40
+
     def test_upper_bound(self):
         rng = np.random.default_rng(2)
         a = Partition(rng.integers(0, 3, 30), 3)
@@ -104,12 +120,34 @@ class TestMisclusteringRate:
         assert misclustering_rate(a, b) <= (30 - overlap_max) / 30 + 1e-12
 
 
+def test_each_stage1_route_is_its_working_model():
+    g, _ = fig1_like(8, seed=4)
+    part, post = cluster(g, 3, "lsm", 5, lsm=LIGHT_LSM)
+    direct = lsm_mcmc(g, 3, controls=LIGHT_LSM, seed=5)
+    np.testing.assert_array_equal(post.zs, direct.zs)
+    assert part == map_membership(direct)
+    part, post = cluster(g, 3, "score", 5, restarts=3)
+    assert post is None and part == score_cluster(g, 3, restarts=3, seed=5)
+
+
+def test_stage1_has_one_route():
+    # the working models are fitted in twostage.cluster and nowhere else
+    callers = set()
+    for path in Path(hergmkit.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in ("lsm_mcmc", "score_cluster"):
+                    callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"twostage.cluster"}
+
+
 class TestTwoStageFit:
     def test_given_partition_equals_manual_composition(self):
         g, truth = fig1_like()
-        controls = TwoStageControls(method="mple")
         ts = two_stage_fit(
-            g, 3, SPEC, stage1="given", controls=controls,
+            g, 3, SPEC, stage1="given", method="mple",
             given_partition=truth, seed=42,
         )
         assert ts.stage1_method == "given"
@@ -124,9 +162,8 @@ class TestTwoStageFit:
 
     def test_mcmle_route_uses_derived_seeds(self):
         g, truth = fig1_like(10, seed=5)
-        controls = TwoStageControls(method="mcmle", mcmle=LIGHT_MC)
         ts = two_stage_fit(
-            g, 3, SPEC, stage1="given", controls=controls,
+            g, 3, SPEC, stage1="given", method="mcmle", mcmle=LIGHT_MC,
             given_partition=truth, seed=11,
         )
         from hergmkit.fit import mcmle
@@ -142,7 +179,7 @@ class TestTwoStageFit:
         g, _ = fig1_like(8, seed=6)
         ts = two_stage_fit(
             g, 1, SPEC, stage1="given",
-            controls=TwoStageControls(method="mple"),
+            method="mple",
             given_partition=Partition(np.zeros(g.n, dtype=int), 1),
             seed=1,
         )
@@ -156,7 +193,7 @@ class TestTwoStageFit:
         labels = Partition(np.array([0, 0, 0, 0, 1, 1]), 2)
         ts = two_stage_fit(
             g, 2, SPEC, stage1="given",
-            controls=TwoStageControls(method="mple"),
+            method="mple",
             given_partition=labels, seed=2,
         )
         assert ts.cluster_fits[1] is None
@@ -167,6 +204,12 @@ class TestTwoStageFit:
         with pytest.raises(ValueError):
             two_stage_fit(g, 2, SPEC, stage1="magic", seed=0)
 
+    def test_unknown_stage2_method(self):
+        g, truth = fig1_like(8, seed=7)
+        with pytest.raises(ValueError, match="stage-2 method must be mcmle or mple"):
+            two_stage_fit(g, 3, SPEC, stage1="given", method="ml",
+                          given_partition=truth, seed=0)
+
     def test_given_requires_partition(self):
         g, _ = fig1_like(8, seed=8)
         with pytest.raises(ValueError):
@@ -174,8 +217,7 @@ class TestTwoStageFit:
 
     def test_lsm_stage1_recovers_blocks(self):
         g, truth = fig1_like(12, seed=9)
-        controls = TwoStageControls(method="mple", lsm=LIGHT_LSM)
-        ts = two_stage_fit(g, 3, SPEC, stage1="lsm", controls=controls, seed=3)
+        ts = two_stage_fit(g, 3, SPEC, stage1="lsm", method="mple", lsm=LIGHT_LSM, seed=3)
         assert ts.lsm_posterior is not None
         assert misclustering_rate(ts.partition, truth) <= 0.25
 
@@ -221,7 +263,7 @@ class TestUnavailableClusters:
         part = Partition(labels, 3)
         ts = two_stage_fit(
             g, 3, SPEC, stage1="given",
-            controls=TwoStageControls(method="mple"),
+            method="mple",
             given_partition=part, seed=1,
         )
         assert ts.cluster_fits[1] is None
@@ -236,7 +278,7 @@ class TestUnavailableClusters:
         part = Partition(np.zeros(g.n, dtype=np.int64), 2)
         ts = two_stage_fit(
             g, 2, SPEC, stage1="given",
-            controls=TwoStageControls(method="mple"),
+            method="mple",
             given_partition=part, seed=1,
         )
         assert ts.fit_errors[1] == "cluster is empty"
@@ -251,7 +293,7 @@ class TestUnavailableClusters:
             g.add_edge(i, j)
         ts = two_stage_fit(
             g, 2, parse_spec("degree(0)"), stage1="given",
-            controls=TwoStageControls(method="mple"),
+            method="mple",
             given_partition=Partition(np.array([0, 0, 0, 0, 1, 1, 1, 1]), 2), seed=1,
         )
         assert ts.cluster_fits[0] is None and "no finite MPLE" in ts.fit_errors[0]
@@ -262,7 +304,7 @@ class TestUnavailableClusters:
         g, truth = fig1_like(8, seed=7)
         ts = two_stage_fit(
             g, 3, SPEC, stage1="given",
-            controls=TwoStageControls(method="mple"),
+            method="mple",
             given_partition=truth, seed=1,
         )
         assert ts.cluster_fits == [None, None, None]
@@ -277,7 +319,7 @@ class TestUnavailableClusters:
         with pytest.raises(RuntimeError, match="a bug"):
             two_stage_fit(
                 g, 3, SPEC, stage1="given",
-                controls=TwoStageControls(method="mple"),
+                method="mple",
                 given_partition=truth, seed=1,
             )
 
@@ -287,7 +329,7 @@ class TestGof:
         g, truth = fig1_like(10, seed=seed)
         ts = two_stage_fit(
             g, 3, SPEC, stage1="given",
-            controls=TwoStageControls(method="mple"),
+            method="mple",
             given_partition=truth, seed=seed,
         )
         return g, ts
@@ -326,7 +368,7 @@ class TestGof:
         labels = Partition(np.array([0] * 6 + [1] * 4, dtype=int), 2)
         ts = two_stage_fit(
             g, 2, parse_spec("edges,kstar(5)"), stage1="given",
-            controls=TwoStageControls(method="mple"),
+            method="mple",
             given_partition=labels, seed=4,
         )
         assert ts.cluster_fits[1] is None
@@ -414,7 +456,7 @@ class TestSerialization:
         g, truth = fig1_like(10, seed=33)
         ts = two_stage_fit(
             g, 3, SPEC, stage1="given",
-            controls=TwoStageControls(method="mple"),
+            method="mple",
             given_partition=truth, seed=7,
         )
         doc = two_stage_fit_to_dict(ts)
