@@ -270,8 +270,9 @@ def mcmle(
 ) -> ErgmFit:
     """Monte Carlo maximum likelihood on one warm Markov chain.
 
-    The fit starts from ``theta0``, or else the MPLE.  One chain runs
-    ``controls.burnin_sweeps`` sweeps from an Erdos-Renyi draw; each outer
+    The fit starts from ``theta0``, or else the MPLE, or zero where the MPLE
+    raises ``NonFiniteMleError`` or ``MpleNotConvergedError``.  One chain
+    runs ``controls.burnin_sweeps`` sweeps from an Erdos-Renyi draw; each outer
     iteration then carries it on at the current parameter and keeps a draw
     on every sweep (no thinning: the batch-means standard error accounts for
     the autocorrelation).  A full-size sample is ``m = MCMLE_SAMPLE_BOOST *
@@ -308,11 +309,11 @@ def mcmle(
     _check_size(g, spec)
     s_obs = stat_vector(g, spec)
     if theta0 is None:
-        # the MPLE can be wild or non-finite on small graphs; the start only
-        # changes the path, not the fixed point
+        # the MPLE can be wild, non-finite or unconverged on small graphs; the
+        # start only changes the path, not the fixed point
         try:
             theta = np.clip(mple(g, spec).theta_hat, -10.0, 10.0)
-        except NonFiniteMleError:
+        except (NonFiniteMleError, MpleNotConvergedError):
             theta = np.zeros(len(spec))
     else:
         theta = np.asarray(theta0, dtype=np.float64).copy()
@@ -454,11 +455,11 @@ def ergm_fit_from_dict(data: dict) -> ErgmFit:
         converged=d.get("converged", True),
         step_sizes=list(d.get("step_sizes", [])),
     )
+    spec = parse_spec(data["spec"])
+    arrays = {key: np.array(data[key], dtype=np.float64) for key in ("theta_hat", "std_errors")}
+    for key, values in arrays.items():
+        if values.shape != (len(spec),):
+            raise ValueError(f"{key} has shape {values.shape} for a {len(spec)}-term spec")
     return ErgmFit(
-        spec=parse_spec(data["spec"]),
-        theta_hat=np.array(data["theta_hat"], dtype=np.float64),
-        std_errors=np.array(data["std_errors"], dtype=np.float64),
-        method=data["method"],
-        diagnostics=diag,
-        seed=data.get("seed"),
+        spec=spec, method=data["method"], diagnostics=diag, seed=data.get("seed"), **arrays
     )

@@ -14,7 +14,6 @@ distance coefficient absorbs the scale, leaving the likelihood untouched.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -86,7 +85,6 @@ class LsmPosterior:
     ms: np.ndarray  # S x n, relabeled membership draws
     log_posts: np.ndarray  # S
     membership_probs: np.ndarray  # n x K, averaged over relabeled draws
-    reference: np.ndarray  # alignment target (n x d)
     acceptance: dict[str, float]
     warnings: list[str] = field(default_factory=list)
     seed: int | None = None
@@ -138,8 +136,6 @@ def init_positions(g: Graph, d: int = LSM_DIM) -> np.ndarray:
     Disconnected pairs are placed at (diameter + 1); the result is centered.
     """
     n = g.n
-    if n == 1:
-        return np.zeros((1, d))
     dist = g.geodesic_distances()
     finite = dist[np.isfinite(dist)]
     diam = finite.max() if finite.size else 0.0
@@ -168,16 +164,12 @@ def procrustes_align(z: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 
 def _best_permutation(labels: np.ndarray, reference: np.ndarray, k: int):
-    """Permutation perm with perm[old] = new maximizing label agreement."""
+    """Permutation perm with perm[old] = new maximizing label agreement.
+
+    Exact (an assignment problem); among tied matchings it returns any one.
+    """
     cont = np.zeros((k, k), dtype=np.int64)
     np.add.at(cont, (labels, reference), 1)
-    if k <= 6:
-        best, best_score = None, -1
-        for perm in itertools.permutations(range(k)):
-            score = sum(cont[a, perm[a]] for a in range(k))
-            if score > best_score:
-                best_score, best = score, perm
-        return np.array(best, dtype=np.int64)
     rows, cols = linear_sum_assignment(-cont)
     perm = np.empty(k, dtype=np.int64)
     perm[rows] = cols
@@ -285,12 +277,14 @@ def lsm_mcmc(
 
     Deterministic under seed.  Acceptance rates outside [0.1, 0.6] after
     burn-in are reported in ``warnings``, not raised.  The graph needs at
-    least 2 nodes.
+    least 2 nodes, and at least ``n_clusters``.
     """
     if g.n < 2:
         raise ValueError(f"lsm_mcmc needs a graph of at least 2 nodes, got {g.n}")
     if n_clusters < 1:
         raise ValueError("K must be >= 1")
+    if g.n < n_clusters:
+        raise ValueError(f"graph has {g.n} nodes, fewer than K={n_clusters}")
     if dim < 1:
         raise ValueError("dim must be >= 1")
     controls = controls or LsmControls()
@@ -304,11 +298,7 @@ def lsm_mcmc(
     # initialization: geodesic MDS, k-means memberships, moment-matched mixture
     z = init_positions(g, d)
     reference = z.copy()
-    m = (
-        kmeans(z, k, restarts=5, seed=int(child_rng(seed, "init").integers(2**31)))
-        if k > 1
-        else np.zeros(n, dtype=np.int64)
-    )
+    m = kmeans(z, k, restarts=5, seed=int(child_rng(seed, "init").integers(2**31)))
     counts = np.bincount(m, minlength=k).astype(np.float64)
     lam = (counts + DIRICHLET) / (counts.sum() + k * DIRICHLET)
     mu = np.zeros((k, d))
@@ -335,7 +325,6 @@ def lsm_mcmc(
     beta1s = np.empty(controls.n_samples)
     ms = np.empty((controls.n_samples, n), dtype=np.int64)
     log_posts = np.empty(controls.n_samples)
-    probs_sum = np.zeros((n, k))
     draw_probs = np.empty((controls.n_samples, n, k))
 
     def row_ll(i, drow):
@@ -422,8 +411,7 @@ def lsm_mcmc(
         perm = _best_permutation(ms[s], ref_labels, k)
         ms[s] = perm[ms[s]]
         draw_probs[s] = draw_probs[s][:, np.argsort(perm)]
-        probs_sum += draw_probs[s]
-    membership_probs = probs_sum / controls.n_samples
+    membership_probs = draw_probs.mean(axis=0)
 
     acceptance = {
         "positions": scale_z.rate(),
@@ -445,7 +433,6 @@ def lsm_mcmc(
         ms=ms,
         log_posts=log_posts,
         membership_probs=membership_probs,
-        reference=reference,
         acceptance=acceptance,
         warnings=warnings,
         seed=seed,

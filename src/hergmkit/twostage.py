@@ -71,7 +71,6 @@ class TwoStageFit:
     between_se: float | None
     method: str
     seed: int
-    lsm_posterior: LsmPosterior | LsmSummary | None = None
 
     @property
     def n_clusters(self) -> int:
@@ -136,15 +135,17 @@ def two_stage_fit(
     """Run the full pipeline on one observed graph.
 
     ``stage1`` is a ``cluster`` method, run with ``dim`` and ``lsm``, or
-    ``given``, which uses the supplied partition unchanged and so makes the
-    pipeline identical to fitting each block directly.  ``method`` is the
-    stage-2 estimator, ``mcmle`` (chain lengths ``mcmle``) or ``mple``.  A
-    cluster that is empty, too small for the spec, or without a finite fit
-    is marked unavailable with its reason rather than failing the run.
+    ``given``, which uses ``given_partition`` unchanged and so makes the
+    pipeline identical to fitting each block directly; a partition given
+    with any other ``stage1`` is an error.  ``method`` is the stage-2
+    estimator, ``mcmle`` (chain lengths ``mcmle``) or ``mple``.  A cluster
+    that is empty, too small for the spec, or without a finite fit is marked
+    unavailable with its reason rather than failing the run.
     """
     if method not in ("mcmle", "mple"):
         raise ValueError(f"stage-2 method must be mcmle or mple, got {method!r}")
-    posterior = None
+    if stage1 != "given" and given_partition is not None:
+        raise ValueError(f"a given partition needs stage1='given', not {stage1!r}")
     if stage1 == "given":
         if given_partition is None:
             raise ValueError("stage1='given' requires given_partition")
@@ -158,7 +159,7 @@ def two_stage_fit(
         partition = given_partition
     else:
         stage1_seed = int(child_seed(seed, "stage1").generate_state(1, np.uint32)[0])
-        partition, posterior = cluster(g, n_clusters, stage1, stage1_seed, dim, lsm)
+        partition, _ = cluster(g, n_clusters, stage1, stage1_seed, dim, lsm)
 
     fits: list[ErgmFit | None] = []
     reasons: list[str | None] = []
@@ -186,7 +187,6 @@ def two_stage_fit(
         between_se=p_se,
         method=method,
         seed=seed,
-        lsm_posterior=posterior,
     )
 
 
@@ -390,6 +390,8 @@ def two_stage_fit_from_dict(data: dict) -> TwoStageFit:
         np.array(data["stage1"]["partition"], dtype=np.int64),
         int(data["stage1"]["K"]),
     )
+    if len(data["cluster_fits"]) != part.n_clusters:
+        raise ValueError(f"{len(data['cluster_fits'])} cluster fits for K={part.n_clusters}")
     fits: list[ErgmFit | None] = []
     reasons: list[str | None] = []
     for entry in data["cluster_fits"]:

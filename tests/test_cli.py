@@ -190,6 +190,30 @@ class TestExitCodes:
         assert "lsm_mcmc needs a graph of at least 2 nodes, got 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "lsm"],
+        ["fit", "twostage", "--stats", "edges", "--stage1", "lsm"],
+    ])
+    def test_lsm_with_more_clusters_than_nodes_exits_2(self, tmp_path, capsys, argv):
+        graph, out = tmp_path / "g.edges", tmp_path / "out"
+        graph.write_text("n 30\n0 1\n")
+        code = cli.main(argv + ["--K", "40", "--graph", str(graph), "--out", str(out)])
+        assert code == 2
+        assert "graph has 30 nodes, fewer than K=40" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage1", ["lsm", "score"])
+    def test_partition_without_stage1_given_exits_2(self, tmp_path, capsys, stage1):
+        graph, truth = _simulate(tmp_path, 6)
+        out = tmp_path / "fit.json"
+        code = cli.main(["fit", "twostage", "--graph", graph, "--K", "3",
+                         "--stats", "edges", "--stage1", stage1, "--partition", truth,
+                         "--method", "mple", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"a given partition needs stage1='given', not '{stage1}'" in err
+        assert not out.exists()
+
     def test_malformed_partition_row_exits_2(self, tmp_path, capsys):
         graph, truth = _simulate(tmp_path, 6)
         with open(truth, "a", encoding="utf-8") as fh:
@@ -221,6 +245,27 @@ class TestExitCodes:
                          "--burnin", "2", "--out", str(tmp_path / "gof.csv")])
         assert code == 2
         assert f"{fit}: {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["cluster_fits"].pop(), "malformed twostage fit: 2 cluster fits for K=3"),
+        (lambda doc: doc["cluster_fits"].append({"available": False}),
+         "malformed twostage fit: 4 cluster fits for K=3"),
+        (lambda doc: doc.update(kind="ergm", theta_hat=[0.0, 0.0], std_errors=[0.0]),
+         "malformed ergm fit: theta_hat has shape (2,) for a 1-term spec"),
+        (lambda doc: doc.update(kind="ergm", theta_hat=[0.0], std_errors=[[0.0]]),
+         "malformed ergm fit: std_errors has shape (1, 1) for a 1-term spec"),
+    ], ids=["fit-missing", "fit-extra", "theta-long", "se-nested"])
+    def test_inconsistent_fit_file_exits_2(self, tmp_path, capsys, edit, message):
+        graph, truth = _simulate(tmp_path, 6)
+        fit = tmp_path / "fit.json"
+        with open(_fit(tmp_path, graph, truth), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        edit(doc)
+        fit.write_text(json.dumps(doc))
+        code = cli.main(["gof", "--graph", graph, "--fit", str(fit), "--nsim", "2",
+                         "--burnin", "2", "--out", str(tmp_path / "gof.csv")])
+        assert code == 2
+        assert f"{fit}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "hergm", "--config", "fig1.json", "--out", "g.edges",

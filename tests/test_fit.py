@@ -272,6 +272,15 @@ class TestMcmle:
         assert fit.diagnostics.converged
         np.testing.assert_allclose(fit.std_errors, exact_se, rtol=0.04)
 
+    def test_unconverged_mple_start_falls_back_to_zero(self, monkeypatch):
+        monkeypatch.setattr("hergmkit.fit.MPLE_MAX_ITER", 1)
+        g = random_graph(12, 0.3, 1)
+        controls = McmleControls(n_samples=64, burnin_sweeps=20)
+        fit = mcmle(g, ET, controls=controls, seed=1)
+        zero = mcmle(g, ET, theta0=(0.0, 0.0), controls=controls, seed=1)
+        assert fit.diagnostics.converged
+        np.testing.assert_array_equal(fit.theta_hat, zero.theta_hat)
+
     def test_converged_fit_is_the_sample_mle(self, monkeypatch):
         # a trust radius far below the polish step must not stop the polish
         # short of the sample MLE, where the weighted mean statistic equals
