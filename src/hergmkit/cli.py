@@ -69,10 +69,6 @@ from .twostage import (
 )
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
@@ -101,10 +97,10 @@ def _load_config(path) -> dict:
     else:
         bundled = resources.files("hergmkit").joinpath("configs", str(path))
         if os.sep in str(path) or not bundled.is_file():
-            raise ConfigError(f"config file not found: {path}")
+            raise ValueError(f"config file not found: {path}")
         cfg = json.loads(bundled.read_text(encoding="utf-8"))
     if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
+        raise ValueError(f"{path}: expected a JSON object")
     return cfg
 
 
@@ -205,7 +201,7 @@ def _cmd_fit_twostage(args) -> int:
     spec = parse_spec(args.stats)
     given = read_partition(args.partition) if args.partition else None
     if args.stage1 == "given" and given is None:
-        raise ConfigError("--stage1 given requires --partition")
+        raise ValueError("--stage1 given requires --partition")
     ts = two_stage_fit(
         g,
         args.K,
@@ -259,7 +255,7 @@ def _load_fit(path):
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
+        raise ValueError(f"{path}: expected a JSON object")
     loaders = {
         "twostage": two_stage_fit_from_dict,
         "ergm": ergm_fit_from_dict,
@@ -267,18 +263,16 @@ def _load_fit(path):
     }
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in loaders:
-        raise ConfigError(f"{path}: unknown fit kind {kind!r}")
+        raise ValueError(f"{path}: unknown fit kind {kind!r}")
     try:
         return loaders[kind](doc)
     except KeyError as exc:
-        raise ConfigError(f"{path}: {kind} fit is missing field {exc}") from exc
+        raise ValueError(f"{path}: {kind} fit is missing field {exc}") from exc
     except (AttributeError, IndexError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: malformed {kind} fit: {exc}") from exc
+        raise ValueError(f"{path}: malformed {kind} fit: {exc}") from exc
 
 
 def _cmd_gof(args) -> int:
-    if args.nsim < 1:
-        raise ConfigError("--nsim must be >= 1")
     g = read_edge_list(args.graph)
     fit = _load_fit(args.fit)
     report = gof(g, fit, args.nsim, seed=args.seed, burnin_sweeps=args.burnin)
@@ -493,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gof = sub.add_parser("gof", parents=[common], help="simulation-envelope fit check")
     p_gof.add_argument("--graph", required=True)
     p_gof.add_argument("--fit", required=True, help="fit JSON from fit/cluster")
-    p_gof.add_argument("--nsim", type=int, required=True)
+    p_gof.add_argument("--nsim", type=_positive_int, required=True,
+                       help="simulated graphs, >= 1")
     p_gof.add_argument(
         "--burnin",
         type=int,

@@ -137,9 +137,8 @@ def init_positions(g: Graph, d: int = LSM_DIM) -> np.ndarray:
     """
     n = g.n
     dist = g.geodesic_distances()
-    finite = dist[np.isfinite(dist)]
-    diam = finite.max() if finite.size else 0.0
-    dist[~np.isfinite(dist)] = diam + 1.0
+    finite = np.isfinite(dist)
+    dist[~finite] = dist[finite].max() + 1.0
     sq = dist**2
     jc = np.eye(n) - np.ones((n, n)) / n
     b = -0.5 * jc @ sq @ jc
@@ -305,11 +304,10 @@ def lsm_mcmc(
     sig2 = np.full(k, 1.0)
     for c in range(k):
         pts = z[m == c]
-        if len(pts):
-            mu[c] = pts.mean(axis=0)
-            sig2[c] = max(((pts - mu[c]) ** 2).sum() / max(len(pts) * d, 1), 1e-3)
+        mu[c] = pts.mean(axis=0)
+        sig2[c] = max(((pts - mu[c]) ** 2).sum() / (len(pts) * d), 1e-3)
     b1 = 1.0
-    density = g.n_edges / max(len(y_u), 1)
+    density = g.n_edges / len(y_u)
     density = min(max(density, 1.0 / (len(y_u) + 1)), 1.0 - 1.0 / (len(y_u) + 1))
     dmat = np.sqrt(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2))
     b0 = math.log(density / (1 - density)) + b1 * float(dmat[iu].mean())
@@ -355,29 +353,28 @@ def lsm_mcmc(
             scale_z.record(accept, tuning)
 
         d_u = dmat[iu]
+        ll = _dyad_loglik_full(y_u, d_u, b0, b1)  # of the current state
 
         # (b) coefficients
         prop0 = b0 + scale_b0.value * rng.normal()
-        ll_old = _dyad_loglik_full(y_u, d_u, b0, b1)
         ll_new = _dyad_loglik_full(y_u, d_u, prop0, b1)
         pr = -0.5 * (
             (prop0 - BETA_MEAN[0]) ** 2 - (b0 - BETA_MEAN[0]) ** 2
         ) / BETA_VAR[0]
-        accept = math.log(rng.random() + 1e-300) < ll_new - ll_old + pr
+        accept = math.log(rng.random() + 1e-300) < ll_new - ll + pr
         if accept:
-            b0 = prop0
+            b0, ll = prop0, ll_new
         scale_b0.record(accept, tuning)
 
         prop1 = b1 * math.exp(scale_b1.value * rng.normal())
-        ll_old = _dyad_loglik_full(y_u, d_u, b0, b1)
         ll_new = _dyad_loglik_full(y_u, d_u, b0, prop1)
         pr = -0.5 * (
             (prop1 - BETA_MEAN[1]) ** 2 - (b1 - BETA_MEAN[1]) ** 2
         ) / BETA_VAR[1]
         jac = math.log(prop1 / b1)  # log-scale random walk Jacobian
-        accept = math.log(rng.random() + 1e-300) < ll_new - ll_old + pr + jac
+        accept = math.log(rng.random() + 1e-300) < ll_new - ll + pr + jac
         if accept:
-            b1 = prop1
+            b1, ll = prop1, ll_new
         scale_b1.record(accept, tuning)
 
         # (c) conjugate mixture block
@@ -386,9 +383,7 @@ def lsm_mcmc(
 
         # (d) retention with alignment, rescaling, and bookkeeping
         if not tuning and (it - controls.burnin + 1) % controls.thin == 0:
-            lp = _dyad_loglik_full(y_u, d_u, b0, b1) + _log_prior(
-                (z, b0, b1, lam, mu, sig2, m)
-            )
+            lp = ll + _log_prior((z, b0, b1, lam, mu, sig2, m))
             probs = membership_probabilities(z, lam, mu, sig2)
             z_al = procrustes_align(z, reference)
             scale = math.sqrt(float((z_al**2).sum() / n))
@@ -476,16 +471,22 @@ class LsmSummary:
 
 
 def lsm_posterior_from_dict(data: dict) -> LsmSummary:
+    """Inverse of ``lsm_posterior_to_dict``, checking the per-node array shapes."""
     probs = np.array(data["membership_probs"], dtype=np.float64)
+    k, dim = int(data["K"]), int(data["dim"])
+    z = np.array(data["positions_mean"], dtype=np.float64)
+    part = Partition(np.array(data["map_partition"], dtype=np.int64), k)
+    for key, arr, shape in (("positions_mean", z, (part.n, dim)),
+                            ("membership_probs", probs, (part.n, k))):
+        if arr.shape != shape:
+            raise ValueError(f"{key} has shape {arr.shape}; {part.n} nodes need {shape}")
     return LsmSummary(
-        n_clusters=int(data["K"]),
-        dim=int(data["dim"]),
+        n_clusters=k,
+        dim=dim,
         beta0_mean=float(data["beta0_mean"]),
         beta1_mean=float(data["beta1_mean"]),
-        positions_mean=np.array(data["positions_mean"], dtype=np.float64),
+        positions_mean=z,
         membership_probs=probs,
-        map_partition=Partition(
-            np.array(data["map_partition"], dtype=np.int64), int(data["K"])
-        ),
+        map_partition=part,
         seed=data.get("seed"),
     )

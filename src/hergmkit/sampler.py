@@ -41,7 +41,7 @@ __all__ = [
     "graph_index",
 ]
 
-# retained-sample density outside this band flags a near-degenerate chain
+# a final draw whose density is outside this band flags a near-degenerate chain
 _DEGENERACY_BAND = (0.01, 0.99)
 
 
@@ -68,7 +68,6 @@ class SamplerControls:
 class GibbsResult:
     graphs: list[Graph]
     stats: np.ndarray  # n_samples x n_terms, spec order
-    density_trace: np.ndarray  # density of each retained sample
     degenerate: bool
 
 
@@ -137,17 +136,15 @@ def gibbs_sample(
         g = start.copy()
     engine.sweep(g, theta, controls.burnin_sweeps, rng)
 
-    n_dyads = max(n * (n - 1) // 2, 1)
     graphs: list[Graph] = []
     rows = np.empty((controls.n_samples, len(spec)), dtype=np.float64)
-    trace = np.empty(controls.n_samples, dtype=np.float64)
     for s in range(controls.n_samples):
         engine.sweep(g, theta, controls.thin_sweeps, rng)
         graphs.append(g.copy())
         rows[s] = stat_vector(g, spec)
-        trace[s] = g.n_edges / n_dyads
-    degenerate = bool(trace[-1] < _DEGENERACY_BAND[0] or trace[-1] > _DEGENERACY_BAND[1])
-    return GibbsResult(graphs, rows, trace, degenerate)
+    density = g.n_edges / max(n * (n - 1) // 2, 1)
+    degenerate = not _DEGENERACY_BAND[0] <= density <= _DEGENERACY_BAND[1]
+    return GibbsResult(graphs, rows, degenerate)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ observed graph against simulation envelopes from the fitted model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,7 +212,6 @@ GOF_THIN_SWEEPS = 10
 
 @dataclass
 class GofDiagnostic:
-    name: str
     observed: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -222,9 +221,7 @@ class GofDiagnostic:
 @dataclass
 class GofReport:
     diagnostics: dict[str, GofDiagnostic]
-    n_sim: int
-    seed: int
-    flagged_clusters: list[int] = field(default_factory=list)
+    flagged_clusters: list[int]
 
     def coverage(self, name: str) -> float:
         return self.diagnostics[name].coverage
@@ -344,14 +341,8 @@ def gof(
         lower = np.quantile(arr, 0.025, axis=0)
         upper = np.quantile(arr, 0.975, axis=0)
         inside = (obs >= lower) & (obs <= upper)
-        diagnostics[name] = GofDiagnostic(
-            name=name,
-            observed=obs,
-            lower=lower,
-            upper=upper,
-            coverage=float(inside.mean()),
-        )
-    return GofReport(diagnostics, n_sim, seed, flagged)
+        diagnostics[name] = GofDiagnostic(obs, lower, upper, float(inside.mean()))
+    return GofReport(diagnostics, flagged)
 
 
 # -- serialization -----------------------------------------------------------
@@ -392,18 +383,25 @@ def two_stage_fit_from_dict(data: dict) -> TwoStageFit:
     )
     if len(data["cluster_fits"]) != part.n_clusters:
         raise ValueError(f"{len(data['cluster_fits'])} cluster fits for K={part.n_clusters}")
+    spec = parse_spec(data["spec"])
     fits: list[ErgmFit | None] = []
     reasons: list[str | None] = []
-    for entry in data["cluster_fits"]:
+    for k, entry in enumerate(data["cluster_fits"]):
         if entry.get("available"):
-            fits.append(ergm_fit_from_dict(entry))
+            cfit = ergm_fit_from_dict(entry)
+            if cfit.spec != spec:
+                raise ValueError(
+                    f"cluster {k} has spec {cfit.spec.to_string()!r}; "
+                    f"the fit's spec is {spec.to_string()!r}"
+                )
+            fits.append(cfit)
             reasons.append(None)
         else:
             fits.append(None)
             reasons.append(entry.get("reason"))
     between = data.get("between")
     return TwoStageFit(
-        spec=parse_spec(data["spec"]),
+        spec=spec,
         stage1_method=data["stage1"]["method"],
         partition=part,
         cluster_fits=fits,

@@ -31,6 +31,15 @@ MISRATE = {
 }
 
 
+# a well-formed LSM fit of four nodes
+LSM_FIT = {
+    "kind": "lsm", "K": 2, "dim": 2, "beta0_mean": 0.0, "beta1_mean": 1.0,
+    "positions_mean": [[0, 0], [1, 0], [2, 0], [3, 0]],
+    "membership_probs": [[1, 0], [1, 0], [0, 1], [0, 1]],
+    "map_partition": [0, 0, 1, 1],
+}
+
+
 def _write_config(tmp_path, cfg: dict) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -236,6 +245,14 @@ class TestExitCodes:
         ({"kind": "lsm", "K": "three", "membership_probs": [], "dim": 2}, "malformed lsm fit"),
         ({"kind": ["ergm"]}, "unknown fit kind ['ergm']"),
         ([1, 2], "expected a JSON object"),
+        ({**LSM_FIT, "positions_mean": [1, 2, 3, 4]},
+         "malformed lsm fit: positions_mean has shape (4,); 4 nodes need (4, 2)"),
+        ({**LSM_FIT, "positions_mean": [[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]]},
+         "malformed lsm fit: positions_mean has shape (4, 3); 4 nodes need (4, 2)"),
+        ({**LSM_FIT, "membership_probs": [[1.0]] * 4},
+         "malformed lsm fit: membership_probs has shape (4, 1); 4 nodes need (4, 2)"),
+        ({**LSM_FIT, "map_partition": [0, 0, 1]},
+         "malformed lsm fit: positions_mean has shape (4, 2); 3 nodes need (3, 2)"),
     ])
     def test_malformed_fit_file_exits_2(self, tmp_path, capsys, doc, field):
         graph, _ = _simulate(tmp_path, 6)
@@ -254,7 +271,9 @@ class TestExitCodes:
          "malformed ergm fit: theta_hat has shape (2,) for a 1-term spec"),
         (lambda doc: doc.update(kind="ergm", theta_hat=[0.0], std_errors=[[0.0]]),
          "malformed ergm fit: std_errors has shape (1, 1) for a 1-term spec"),
-    ], ids=["fit-missing", "fit-extra", "theta-long", "se-nested"])
+        (lambda doc: doc["cluster_fits"][0].update(spec="triangles"),
+         "malformed twostage fit: cluster 0 has spec 'triangles'; the fit's spec is 'edges'"),
+    ], ids=["fit-missing", "fit-extra", "theta-long", "se-nested", "cluster-spec"])
     def test_inconsistent_fit_file_exits_2(self, tmp_path, capsys, edit, message):
         graph, truth = _simulate(tmp_path, 6)
         fit = tmp_path / "fit.json"
@@ -285,6 +304,14 @@ class TestExitCodes:
                                            "--out", "s.csv", "--threads", threads])
         assert exc.value.code == 2
         assert f"--threads: must be an integer >= 1, got {threads!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nsim", ["0", "-2", "x"])
+    def test_nsim_below_one_rejected(self, capsys, nsim):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["gof", "--graph", "g.edges", "--fit", "f.json",
+                                           "--out", "gof.csv", "--nsim", nsim])
+        assert exc.value.code == 2
+        assert f"--nsim: must be an integer >= 1, got {nsim!r}" in capsys.readouterr().err
 
 
 class TestMalformedExperimentConfigs:
@@ -343,6 +370,19 @@ class TestExperimentOutputs:
         )
         # rho x replication x cluster rows, then one mean row per (rho, cluster)
         assert len(lines) == 1 + 2 * 2 * 2 + 2 * 2
+
+    def test_score_table_identical_across_thread_counts(self, tmp_path):
+        # 60 nodes, so SCORE takes the ARPACK path
+        config = _write_config(tmp_path, {
+            "blocks": [30, 30], "p_in": 0.3, "p_out": 0.05, "replications": 4, "seed": 2,
+        })
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"score{threads}.csv"
+            assert cli.main(["experiment", "score", "--threads", threads,
+                             "--config", config, "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
 
     def test_score_svg_has_one_panel(self, tmp_path):
         config = _write_config(tmp_path, {

@@ -269,6 +269,23 @@ class TestLsmMcmc:
             _dyad_loglik_full(y[iu], d2, 0.3, 1.2), abs=1e-10
         )
 
+    def test_three_likelihood_evaluations_per_iteration(self, monkeypatch):
+        # one for the state after the position block, one per beta proposal;
+        # the retained log-posterior reuses the state's value
+        from hergmkit import lsm
+
+        full = lsm._dyad_loglik_full
+        calls = []
+
+        def spy(*args):
+            calls.append(None)
+            return full(*args)
+
+        monkeypatch.setattr(lsm, "_dyad_loglik_full", spy)
+        controls = LsmControls(burnin=7, n_samples=5, thin=3)
+        lsm_mcmc(two_cliques(4), 2, controls=controls, seed=1)
+        assert len(calls) == 3 * (7 + 5 * 3)
+
     def test_one_node_graph_rejected(self):
         with pytest.raises(ValueError, match="needs a graph of at least 2 nodes, got 1"):
             lsm_mcmc(Graph(1), 1, controls=LIGHT)

@@ -60,15 +60,16 @@ class TestGibbs:
         )
         n_dyads = 190
         se = math.sqrt(0.25 / (300 * n_dyads))
-        assert abs(res.density_trace.mean() - 0.5) < 4 * se
+        assert abs(res.stats[:, 0].mean() / n_dyads - 0.5) < 4 * se
 
     def test_baseline_density_low(self):
         theta = math.log(0.05 / 0.95)
         res = gibbs_sample(
             30, EDGES, (theta,), SamplerControls(100, 300, 1), np.random.default_rng(2)
         )
-        mc_se = res.density_trace.std(ddof=1) / math.sqrt(300)
-        assert abs(res.density_trace.mean() - 0.05) < 4 * mc_se + 1e-3
+        density = res.stats[:, 0] / 435  # edges over the 30-node graph's dyads
+        mc_se = density.std(ddof=1) / math.sqrt(300)
+        assert abs(density.mean() - 0.05) < 4 * mc_se + 1e-3
 
     def test_determinism(self):
         a = gibbs_sample(8, ET, (-0.5, 0.2), SamplerControls(50, 5, 2), np.random.default_rng(9))

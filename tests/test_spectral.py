@@ -108,6 +108,17 @@ class TestScore:
             res = np.linalg.norm(a @ vecs[:, c] - vals[c] * vecs[:, c])
             assert res <= 1e-8 * norm_a
 
+    def test_arpack_path_repeats_bit_identically(self):
+        # 400 nodes take the ARPACK path, whose start vector must not carry
+        # state from one call to the next
+        g, _ = planted((100,) * 4, 0.1, 0.02, 5)
+        a = g.adjacency_matrix().astype(float)
+        first = _leading_eigenpairs(a, 4)
+        for _ in range(3):
+            again = _leading_eigenpairs(a, 4)
+            np.testing.assert_array_equal(again[0], first[0])
+            np.testing.assert_array_equal(again[1], first[1])
+
     def test_invariant_under_relabeling(self):
         g, truth = planted((25, 25), 0.3, 0.05, 13)
         part1 = score_cluster(g, 2, seed=5)
