@@ -136,13 +136,12 @@ def _cmd_simulate_hergm(args) -> int:
 
 def _cmd_simulate_ergm(args) -> int:
     spec = parse_spec(args.stats)
-    theta = tuple(float(v) for v in args.theta.split(","))
     controls = SamplerControls(
         burnin_sweeps=args.burnin,
         n_samples=args.samples,
         thin_sweeps=args.thin,
     )
-    res = gibbs_sample(args.n, spec, theta, controls, np.random.default_rng(args.seed))
+    res = gibbs_sample(args.n, spec, args.theta, controls, np.random.default_rng(args.seed))
     write_edge_list(res.graphs[-1], args.out)
     if args.stats_out:
         rows = []
@@ -200,8 +199,6 @@ def _cmd_fit_twostage(args) -> int:
     g = read_edge_list(args.graph)
     spec = parse_spec(args.stats)
     given = read_partition(args.partition) if args.partition else None
-    if args.stage1 == "given" and given is None:
-        raise ValueError("--stage1 given requires --partition")
     ts = two_stage_fit(
         g,
         args.K,
@@ -231,13 +228,10 @@ def _cmd_fit_ergm(args) -> int:
         fit = mple(g, spec)
         fit.seed = args.seed
     else:
-        theta0 = (
-            tuple(float(v) for v in args.theta0.split(",")) if args.theta0 else None
-        )
         fit = mcmle(
             g,
             spec,
-            theta0=theta0,
+            theta0=args.theta0,
             controls=McmleControls(n_samples=args.mc_samples, burnin_sweeps=args.mc_burnin),
             seed=args.seed,
         )
@@ -387,19 +381,30 @@ def _cmd_experiment(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(lo: int):
+    """Argument type: an integer no smaller than ``lo``."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= lo:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {text!r}")
+    return parse
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    """Argument type: comma-separated numbers."""
     try:
-        value = int(text)
+        return tuple(float(v) for v in text.split(","))
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated numbers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed")
+    common.add_argument("--seed", type=_int_at_least(0), default=0, help="master seed, >= 0")
 
     parser = argparse.ArgumentParser(
         prog="hergm-kit",
@@ -418,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_se = sim_sub.add_parser("ergm", parents=[common], help="single-block ERGM")
     p_se.add_argument("--n", type=int, required=True)
     p_se.add_argument("--stats", required=True, help="e.g. edges,gwesp(0.5)")
-    p_se.add_argument("--theta", required=True, help="comma-separated values")
+    p_se.add_argument("--theta", type=_floats, required=True, help="comma-separated values")
     p_se.add_argument("--burnin", type=int, default=SamplerControls.burnin_sweeps,
                       help="burn-in sweeps")
     p_se.add_argument("--samples", type=int, default=SamplerControls.n_samples)
@@ -476,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fe.add_argument("--graph", required=True)
     p_fe.add_argument("--stats", required=True)
     p_fe.add_argument("--method", choices=("mcmle", "mple"), default="mcmle")
-    p_fe.add_argument("--theta0", help="comma-separated MCMLE start")
+    p_fe.add_argument("--theta0", type=_floats, help="comma-separated MCMLE start")
     p_fe.add_argument("--mc-samples", type=int, default=McmleControls.n_samples,
                       help=mc_samples_help)
     p_fe.add_argument("--mc-burnin", type=int, default=McmleControls.burnin_sweeps,
@@ -487,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gof = sub.add_parser("gof", parents=[common], help="simulation-envelope fit check")
     p_gof.add_argument("--graph", required=True)
     p_gof.add_argument("--fit", required=True, help="fit JSON from fit/cluster")
-    p_gof.add_argument("--nsim", type=_positive_int, required=True,
+    p_gof.add_argument("--nsim", type=_int_at_least(1), required=True,
                        help="simulated graphs, >= 1")
     p_gof.add_argument(
         "--burnin",
@@ -504,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("kind", choices=("misrate", "sensitivity", "score"))
     p_exp.add_argument(
         "--threads",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=os.cpu_count() or 1,
         help="worker processes, >= 1 (default: all cores)",
     )

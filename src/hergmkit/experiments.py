@@ -28,7 +28,7 @@ misrate
     n_clusters      int >= 2; default 3
     baseline_theta  number (edges coefficient); default logit(0.05)
     between_p       number in [0, 1]; default 0.05
-    decay           number >= 0; default 0.5
+    decay           number in [0, 20] (gw decay); default 0.5
     stage1          "lsm" or "score"; default "lsm"
     dim             int >= 1 (LSM latent dimension); default 2
     lsm             {burnin: int >= 0 = 1000, samples: int >= 1 = 400,

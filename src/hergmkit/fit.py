@@ -14,14 +14,13 @@ between-cluster tie probability.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import Graph, Partition, between_edge_counts
 from .rng import child_rng
-from .sampler import SamplerControls, dyad_order, gibbs_sample
+from .sampler import SamplerControls, check_counts, dyad_order, gibbs_sample
 from .stats import ChangeStatEngine, StatisticSpec, parse_spec, stat_vector
 
 __all__ = [
@@ -195,14 +194,7 @@ class McmleControls:
     burnin_sweeps: int = 200
 
     def __post_init__(self):
-        for name in ("n_samples", "burnin_sweeps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_samples < 4:
-            raise ValueError(f"n_samples must be >= 4, got {self.n_samples}")
-        if self.burnin_sweeps < 0:
-            raise ValueError(f"burnin_sweeps must be >= 0, got {self.burnin_sweeps}")
+        check_counts(self, n_samples=4, burnin_sweeps=0)
 
 
 def _batch_se(s: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ distance coefficient absorbs the scale, leaving the likelihood untouched.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .graph import Graph, Partition
 from .rng import child_rng
+from .sampler import check_counts
 from .spectral import kmeans
 
 __all__ = [
@@ -65,12 +65,7 @@ class LsmControls:
     thin: int = 5
 
     def __post_init__(self):
-        for name in ("burnin", "n_samples", "thin"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.burnin < 0 or self.n_samples < 1 or self.thin < 1:
-            raise ValueError("burnin >= 0, n_samples >= 1, thin >= 1 required")
+        check_counts(self, burnin=0, n_samples=1, thin=1)
 
 
 @dataclass
@@ -269,7 +264,7 @@ def lsm_mcmc(
     g: Graph,
     n_clusters: int,
     dim: int = LSM_DIM,
-    controls: LsmControls | None = None,
+    controls: LsmControls = LsmControls(),
     seed: int = 0,
 ) -> LsmPosterior:
     """Fit the latent position cluster model by MCMC.
@@ -286,7 +281,6 @@ def lsm_mcmc(
         raise ValueError(f"graph has {g.n} nodes, fewer than K={n_clusters}")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    controls = controls or LsmControls()
     n, k, d = g.n, n_clusters, dim
     rng = child_rng(seed, "lsm")
 

@@ -45,6 +45,17 @@ __all__ = [
 _DEGENERACY_BAND = (0.01, 0.99)
 
 
+def check_counts(obj, **least) -> None:
+    """Check that each named field of ``obj`` is an integer, not a bool, and
+    at least its bound; ``least`` maps field names to bounds."""
+    for name, lo in least.items():
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < lo:
+            raise ValueError(f"{name} must be >= {lo}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SamplerControls:
     """Chain length controls; one sweep visits every dyad once."""
@@ -54,14 +65,7 @@ class SamplerControls:
     thin_sweeps: int = 10
 
     def __post_init__(self):
-        for name in ("burnin_sweeps", "n_samples", "thin_sweeps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.burnin_sweeps < 0:
-            raise ValueError("burnin_sweeps must be >= 0")
-        if self.n_samples < 1 or self.thin_sweeps < 1:
-            raise ValueError("n_samples and thin_sweeps must be >= 1")
+        check_counts(self, burnin_sweeps=0, n_samples=1, thin_sweeps=1)
 
 
 @dataclass
@@ -156,8 +160,7 @@ class ClusterSpec:
     theta: tuple[float, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("cluster size must be >= 1")
+        check_counts(self, n=1)
         object.__setattr__(self, "theta", _check_theta(self.theta, self.spec))
 
 
@@ -173,8 +176,7 @@ class BernoulliBlock:
     p: float | np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("cluster size must be >= 1")
+        check_counts(self, n=1)
         p = np.array(self.p, dtype=np.float64)
         n_dyads = self.n * (self.n - 1) // 2
         if p.ndim and p.shape != (n_dyads,):
@@ -216,7 +218,7 @@ class HergmSpec:
 def hergm_draws(
     hspec: HergmSpec,
     seed: int,
-    controls: SamplerControls | None = None,
+    controls: SamplerControls,
 ) -> list[Graph]:
     """Draw ``controls.n_samples`` networks from the block model.
 
@@ -229,8 +231,6 @@ def hergm_draws(
     draw.  Blocks can thus be reproduced in isolation, and draw 0 does not
     depend on ``n_samples``.
     """
-    if controls is None:
-        controls = SamplerControls()
     sizes = [c.n for c in hspec.clusters]
     offsets = np.cumsum([0] + sizes).tolist()
     chains = []
@@ -258,10 +258,10 @@ def hergm_draws(
 def simulate_hergm(
     hspec: HergmSpec,
     seed: int,
-    controls: SamplerControls | None = None,
+    controls: SamplerControls = SamplerControls(),
 ) -> tuple[Graph, Partition]:
     """Draw one network, draw 0 of ``hergm_draws``, and its partition."""
-    g = hergm_draws(hspec, seed, replace(controls or SamplerControls(), n_samples=1))[0]
+    g = hergm_draws(hspec, seed, replace(controls, n_samples=1))[0]
     labels = np.repeat(np.arange(hspec.n_clusters), [c.n for c in hspec.clusters])
     return g, Partition(labels, hspec.n_clusters)
 

@@ -42,10 +42,17 @@ __all__ = [
 
 _KINDS = ("edges", "kstar", "triangles", "gwdsp", "gwesp", "degree")
 
+# largest gw decay: the one-partner weight e^d (1 - (1 - e^-d)), exactly 1,
+# rounds to 1 + 2e-8 at d = 20, 1 + 1.7e-4 at 30, 1.3 at 37 and 0 from 38
+GW_DECAY_MAX = 20.0
+
 
 @dataclass(frozen=True)
 class Term:
-    """One model term: a kind plus its parameter (star size, decay, degree)."""
+    """One model term: a kind plus its parameter (star size, decay, degree).
+
+    A gw decay lies in [0, ``GW_DECAY_MAX``] = [0, 20], where its weights hold.
+    """
 
     kind: str
     param: float | int | None = None
@@ -64,8 +71,9 @@ class Term:
                 raise ValueError(f"degree needs integer k >= 0, got {self.param!r}")
         else:  # gwdsp / gwesp
             p = self.param
-            if not isinstance(p, (int, float)) or not math.isfinite(p) or p < 0:
-                raise ValueError(f"{self.kind} needs finite decay >= 0, got {p!r}")
+            if not isinstance(p, (int, float)) or not 0 <= p <= GW_DECAY_MAX:
+                raise ValueError(f"{self.kind} needs a decay in [0, {GW_DECAY_MAX:g}], "
+                                 f"got {p!r}; larger decays round the weights away")
             object.__setattr__(self, "param", float(p))
 
     def label(self) -> str:
@@ -86,6 +94,9 @@ class StatisticSpec:
         terms = tuple(self.terms)
         if not terms:
             raise ValueError("a statistic spec needs at least one term")
+        for i, t in enumerate(terms):
+            if t in terms[:i]:
+                raise ValueError(f"term {t.label()} appears twice")
         object.__setattr__(self, "terms", terms)
 
     def __len__(self) -> int:

@@ -102,7 +102,7 @@ def cluster(
     method: str,
     seed: int,
     dim: int = LSM_DIM,
-    lsm: LsmControls | None = None,
+    lsm: LsmControls = LsmControls(),
     restarts: int = SCORE_RESTARTS,
 ) -> tuple[Partition, LsmPosterior | None]:
     """Stage 1: the partition of ``g`` recovered by ``method``, and a posterior.
@@ -127,7 +127,7 @@ def two_stage_fit(
     stage1: str = "lsm",
     method: str = "mcmle",
     dim: int = LSM_DIM,
-    lsm: LsmControls | None = None,
+    lsm: LsmControls = LsmControls(),
     mcmle: McmleControls = McmleControls(),
     given_partition: Partition | None = None,
     seed: int = 0,
@@ -149,8 +149,6 @@ def two_stage_fit(
     if stage1 == "given":
         if given_partition is None:
             raise ValueError("stage1='given' requires given_partition")
-        if given_partition.n != g.n:
-            raise ValueError("given partition does not cover the graph")
         if given_partition.n_clusters != n_clusters:
             raise ValueError(
                 f"K={n_clusters} but the given partition has "
@@ -315,8 +313,6 @@ def gof(
     ``flagged_clusters``.  Diagnostics are label-invariant, so blocks are
     laid out contiguously.
     """
-    if n_sim < 1:
-        raise ValueError("n_sim must be >= 1")
     if g.n < 2:
         raise ValueError(f"gof needs a graph of at least 2 nodes, got {g.n}")
     hspec, spec, flagged = _gof_model(fit, g)

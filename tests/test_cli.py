@@ -149,6 +149,26 @@ class TestExitCodes:
         assert "K=2 but the given partition has 3 clusters" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
+    @pytest.mark.parametrize("stats, message", [
+        ("edges,edges", "term edges appears twice"),
+        ("edges,gwesp(0.5),gwesp(0.50)", "term gwesp(0.5) appears twice"),
+        ("edges,gwesp(37)", "gwesp needs a decay in [0, 20], got 37.0"),
+    ])
+    def test_ill_posed_spec_exits_2(self, tmp_path, capsys, stats, message):
+        graph = tmp_path / "g.edges"
+        graph.write_text("n 6\n0 1\n1 2\n0 2\n3 4\n")
+        code = cli.main(["fit", "ergm", "--graph", str(graph), "--stats", stats,
+                         "--method", "mple", "--out", str(tmp_path / "fit.json")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_overflowing_decay_exits_2(self, tmp_path, capsys):
+        code = cli.main(["simulate", "ergm", "--n", "6", "--stats", "edges,gwesp(1e3)",
+                         "--theta=-1,0.1", "--out", str(tmp_path / "g.edges")])
+        assert code == 2
+        assert "gwesp needs a decay in [0, 20], got 1000.0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["mple", "mcmle"])
     def test_spec_too_large_for_the_graph_exits_2(self, tmp_path, capsys, method):
         graph = tmp_path / "g.edges"
@@ -210,6 +230,14 @@ class TestExitCodes:
         assert code == 2
         assert "graph has 30 nodes, fewer than K=40" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_stage1_given_without_partition_exits_2(self, tmp_path, capsys):
+        graph, _ = _simulate(tmp_path, 6)
+        code = cli.main(["fit", "twostage", "--graph", graph, "--K", "3", "--stats", "edges",
+                         "--stage1", "given", "--method", "mple",
+                         "--out", str(tmp_path / "fit.json")])
+        assert code == 2
+        assert "stage1='given' requires given_partition" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stage1", ["lsm", "score"])
     def test_partition_without_stage1_given_exits_2(self, tmp_path, capsys, stage1):
@@ -312,6 +340,26 @@ class TestExitCodes:
                                            "--out", "gof.csv", "--nsim", nsim])
         assert exc.value.code == 2
         assert f"--nsim: must be an integer >= 1, got {nsim!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+    def test_seed_below_zero_rejected(self, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["cluster", "score", "--graph", "g.edges", "--K", "2",
+                                           "--out", "p.csv", "--seed", seed])
+        assert exc.value.code == 2
+        assert f"--seed: must be an integer >= 0, got {seed!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "ergm", "--n", "6", "--stats", "edges", "--out", "g.edges"], "--theta"),
+        (["fit", "ergm", "--graph", "g.edges", "--stats", "edges", "--out", "f.json"],
+         "--theta0"),
+    ])
+    @pytest.mark.parametrize("theta", ["abc", "1,,2"])
+    def test_non_numeric_theta_rejected(self, capsys, argv, flag, theta):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv + [flag, theta])
+        assert exc.value.code == 2
+        assert f"{flag}: must be comma-separated numbers, got {theta!r}" in capsys.readouterr().err
 
 
 class TestMalformedExperimentConfigs:
@@ -573,6 +621,11 @@ def test_ill_typed_config_field_exits_2_naming_it(tmp_path, capsys, command, cfg
      "'sim.thin_sweeps' must be >= 1, got 0"),
     (["experiment", "misrate"], {**MISRATE, "lsm": {"samples": 0}},
      "'lsm.samples' must be >= 1, got 0"),
+    (["experiment", "misrate"], {**MISRATE, "decay": 1000},
+     "'decay': gwdsp needs a decay in [0, 20], got 1000.0"),
+    (["simulate", "hergm"],
+     {"clusters": [{"n": 6, "stats": "edges,edges", "theta": [-1.0, 0.0]}], "between_p": 0.1},
+     "'clusters[0].stats': term edges appears twice"),
 ])
 def test_out_of_range_config_field_exits_2_naming_it(tmp_path, capsys, command, cfg, message):
     assert _run_config(tmp_path, command, cfg) == 2

@@ -393,6 +393,8 @@ class TestMcmle:
         ("n_samples", True, "n_samples must be an integer, got True"),
         ("burnin_sweeps", -1, "burnin_sweeps must be >= 0"),
         ("burnin_sweeps", "10", "burnin_sweeps must be an integer, got '10'"),
+        ("n_samples", 0, "^n_samples must be >= 4, got 0$"),
+        ("burnin_sweeps", -7, "^burnin_sweeps must be >= 0, got -7$"),
     ])
     def test_controls_validated(self, field, value, message):
         with pytest.raises(ValueError, match=message):

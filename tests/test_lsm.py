@@ -296,8 +296,9 @@ class TestLsmMcmc:
             lsm_mcmc(g, 0, controls=LIGHT)
         with pytest.raises(ValueError):
             lsm_mcmc(g, 2, dim=0, controls=LIGHT)
-        with pytest.raises(ValueError):
-            LsmControls(burnin=-1)
+        for field, value, lo in [("burnin", -1, 0), ("n_samples", 0, 1), ("thin", 0, 1)]:
+            with pytest.raises(ValueError, match=f"^{field} must be >= {lo}, got {value}$"):
+                LsmControls(**{field: value})
         for field in ("burnin", "n_samples", "thin"):
             for value in (2.5, "x", False):
                 with pytest.raises(ValueError, match=f"{field} must be an integer"):

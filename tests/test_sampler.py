@@ -33,12 +33,10 @@ ET = parse_spec("edges,triangles")
 
 class TestControls:
     def test_invalid_controls(self):
-        with pytest.raises(ValueError):
-            SamplerControls(burnin_sweeps=-1)
-        with pytest.raises(ValueError):
-            SamplerControls(n_samples=0)
-        with pytest.raises(ValueError):
-            SamplerControls(thin_sweeps=0)
+        for field, value, lo in [("burnin_sweeps", -1, 0), ("n_samples", 0, 1),
+                                 ("thin_sweeps", 0, 1), ("thin_sweeps", -4, 1)]:
+            with pytest.raises(ValueError, match=f"^{field} must be >= {lo}, got {value}$"):
+                SamplerControls(**{field: value})
 
     @pytest.mark.parametrize("field", ["burnin_sweeps", "n_samples", "thin_sweeps"])
     @pytest.mark.parametrize("value", [2.5, "abc", True, None])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hergmkit import (
     stat_vector,
 )
 from hergmkit.sampler import _expit, dyad_order
-from hergmkit.stats import _shared_partners
+from hergmkit.stats import GW_DECAY_MAX, _shared_partners
 
 FULL_SPEC = parse_spec("edges,kstar(2),triangles,gwdsp(0.5),gwesp(0.5)")
 
@@ -78,6 +79,15 @@ class TestSpecParsing:
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError):
             StatisticSpec(())
+
+    @pytest.mark.parametrize("text, label", [
+        ("edges,edges", "edges"),
+        ("edges,gwesp(0.5),gwesp(0.50)", "gwesp(0.5)"),
+        ("kstar(2),triangles,kstar(2)", "kstar(2)"),
+    ])
+    def test_repeated_term_rejected(self, text, label):
+        with pytest.raises(ValueError, match=re.escape(f"term {label} appears twice")):
+            parse_spec(text)
 
     def test_bad_terms(self):
         with pytest.raises(ValueError):
@@ -202,10 +212,11 @@ class TestHistograms:
 
 
 class TestGeometricWeights:
-    @pytest.mark.parametrize("tau", [0.0, 0.25, 0.5, 1.3])
+    @pytest.mark.parametrize("tau", [0.0, 0.25, 0.5, 1.3, GW_DECAY_MAX])
     def test_triangle_gwesp_is_three(self, tau):
         # hand evaluation: each edge has one shared partner, weight
-        # e^tau * (1 - (1 - e^-tau)) = 1
+        # e^tau * (1 - (1 - e^-tau)) = 1; at the decay cap rounding moves it
+        # by 2e-8
         assert stat(triangle_graph(), f"gwesp({tau})") == pytest.approx(3.0)
 
     def test_tau_zero_counts_supported_edges(self):
@@ -229,6 +240,12 @@ class TestGeometricWeights:
     def test_negative_decay_rejected(self):
         with pytest.raises(ValueError):
             parse_spec("gwesp(-0.5)")
+
+    @pytest.mark.parametrize("text", ["gwesp(20.001)", "gwdsp(37)", "gwesp(1e3)",
+                                      "gwdsp(nan)"])
+    def test_decay_above_cap_rejected(self, text):
+        with pytest.raises(ValueError, match=r"needs a decay in \[0, 20\], got"):
+            parse_spec(text)
 
 
 def gw_weight(decay, sp):
