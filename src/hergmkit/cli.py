@@ -222,6 +222,8 @@ def _cmd_fit_twostage(args) -> int:
 
 
 def _cmd_fit_ergm(args) -> int:
+    if args.method == "mple" and args.theta0 is not None:
+        raise ValueError("--theta0 is the MCMLE start; --method mple takes none")
     g = read_edge_list(args.graph)
     spec = parse_spec(args.stats)
     if args.method == "mple":
@@ -423,7 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_se = sim_sub.add_parser("ergm", parents=[common], help="single-block ERGM")
     p_se.add_argument("--n", type=int, required=True)
     p_se.add_argument("--stats", required=True, help="e.g. edges,gwesp(0.5)")
-    p_se.add_argument("--theta", type=_floats, required=True, help="comma-separated values")
+    p_se.add_argument("--theta", type=_floats, required=True,
+                      help="comma-separated values, written --theta=-1,0.1 so that "
+                      "a negative first value is not read as a flag")
     p_se.add_argument("--burnin", type=int, default=SamplerControls.burnin_sweeps,
                       help="burn-in sweeps")
     p_se.add_argument("--samples", type=int, default=SamplerControls.n_samples)
@@ -481,7 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fe.add_argument("--graph", required=True)
     p_fe.add_argument("--stats", required=True)
     p_fe.add_argument("--method", choices=("mcmle", "mple"), default="mcmle")
-    p_fe.add_argument("--theta0", type=_floats, help="comma-separated MCMLE start")
+    p_fe.add_argument("--theta0", type=_floats,
+                      help="comma-separated MCMLE start (--method mcmle only), written "
+                      "--theta0=-1,0.1 so that a negative first value is not read as a flag")
     p_fe.add_argument("--mc-samples", type=int, default=McmleControls.n_samples,
                       help=mc_samples_help)
     p_fe.add_argument("--mc-burnin", type=int, default=McmleControls.burnin_sweeps,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .graph import Graph, Partition, between_edge_counts
 from .rng import child_rng
-from .sampler import SamplerControls, check_counts, dyad_order, gibbs_sample
+from .sampler import SamplerControls, _check_theta, check_counts, dyad_order, gibbs_sample
 from .stats import ChangeStatEngine, StatisticSpec, parse_spec, stat_vector
 
 __all__ = [
@@ -308,9 +308,7 @@ def mcmle(
         except (NonFiniteMleError, MpleNotConvergedError):
             theta = np.zeros(len(spec))
     else:
-        theta = np.asarray(theta0, dtype=np.float64).copy()
-        if theta.shape != (len(spec),) or not np.all(np.isfinite(theta)):
-            raise ValueError(f"theta0 must be {len(spec)} finite values")
+        theta = np.array(_check_theta(theta0, spec, "theta0"))
     m = MCMLE_SAMPLE_BOOST * controls.n_samples
     rng = child_rng(seed, "mcmle")
     chain = None

@@ -88,10 +88,17 @@ class Graph:
 
     def adjacency_matrix(self) -> np.ndarray:
         """The n x n 0/1 adjacency matrix, dtype uint8."""
-        width = (self.n + 7) // 8
-        packed = b"".join(m.to_bytes(width, "little") for m in self._adj)
-        rows = np.frombuffer(packed, dtype=np.uint8).reshape(self.n, width)
-        return np.unpackbits(rows, axis=1, count=self.n, bitorder="little")
+        return Graph.adjacency_stack([self])[0]
+
+    @staticmethod
+    def adjacency_stack(graphs) -> np.ndarray:
+        """The (len(graphs), n, n) 0/1 adjacency matrices of graphs on the
+        same n nodes, dtype uint8."""
+        n = graphs[0].n
+        width = (n + 7) // 8
+        packed = b"".join(m.to_bytes(width, "little") for g in graphs for m in g._adj)
+        rows = np.frombuffer(packed, dtype=np.uint8).reshape(len(graphs), n, width)
+        return np.unpackbits(rows, axis=2, count=n, bitorder="little")
 
     def geodesic_distances(self) -> np.ndarray:
         """The n x n shortest-path lengths in edges; ``inf`` between components."""

@@ -23,7 +23,7 @@ from scipy.special import logsumexp
 
 from .graph import Graph, Partition
 from .rng import child_rng
-from .stats import ChangeStatEngine, StatisticSpec, stat_vector
+from .stats import ChangeStatEngine, StatisticSpec, stat_matrix, stat_vector
 
 __all__ = [
     "SamplerControls",
@@ -75,14 +75,14 @@ class GibbsResult:
     degenerate: bool
 
 
-def _check_theta(theta, spec: StatisticSpec) -> tuple[float, ...]:
+def _check_theta(theta, spec: StatisticSpec, name: str = "theta") -> tuple[float, ...]:
     theta = tuple(float(v) for v in theta)
     if len(theta) != len(spec):
         raise ValueError(
-            f"theta has {len(theta)} entries for a {len(spec)}-term spec"
+            f"{name} has {len(theta)} entries for a {len(spec)}-term spec"
         )
     if not all(math.isfinite(v) for v in theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+        raise ValueError(f"{name} must be finite, got {theta}")
     return theta
 
 
@@ -127,25 +127,22 @@ def gibbs_sample(
     The chain starts from a copy of ``start`` (the caller's graph is not
     changed), or without one from an Erdos-Renyi draw at the edges-term
     density (0.5 without an edges term).  It runs ``burnin_sweeps``, then
-    retains a copy every ``thin_sweeps`` sweeps.  Degenerate parameter values
+    retains a copy every ``thin_sweeps`` sweeps, all in one
+    ``ChangeStatEngine.run`` on one kernel state; the retained graphs'
+    statistics are one ``stat_matrix`` call.  Degenerate parameter values
     do not raise; the result carries a degeneracy flag instead.
     """
     theta = _check_theta(theta, spec)
-    engine = ChangeStatEngine(spec, n)
     if start is None:
         g = bernoulli_graph(n, _init_density(spec, theta), rng)
     elif start.n != n:
         raise ValueError(f"start graph has {start.n} nodes, the chain {n}")
     else:
         g = start.copy()
-    engine.sweep(g, theta, controls.burnin_sweeps, rng)
-
-    graphs: list[Graph] = []
-    rows = np.empty((controls.n_samples, len(spec)), dtype=np.float64)
-    for s in range(controls.n_samples):
-        engine.sweep(g, theta, controls.thin_sweeps, rng)
-        graphs.append(g.copy())
-        rows[s] = stat_vector(g, spec)
+    graphs = ChangeStatEngine(spec, n).run(
+        g, theta, rng, controls.burnin_sweeps, controls.n_samples, controls.thin_sweeps
+    )
+    rows = stat_matrix(graphs, spec)
     density = g.n_edges / max(n * (n - 1) // 2, 1)
     degenerate = not _DEGENERACY_BAND[0] <= density <= _DEGENERACY_BAND[1]
     return GibbsResult(graphs, rows, degenerate)

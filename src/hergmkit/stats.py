@@ -5,17 +5,22 @@ dyadwise/edgewise shared partners (fixed decay), and exact-degree counts.
 A ``StatisticSpec`` is an ordered term list; it fixes the coordinate order
 of every statistic vector and parameter vector in the package.
 
-Whole-graph statistics (``stat_vector`` and the ESP/DSP histograms) come
-from the adjacency matrix A: one shared-partner matrix ``A @ A`` gives every
-dyad's shared-partner count, and so the histograms, the gw terms and the
-triangle count; k-stars and degree counts come from the degree vector.
+Whole-graph statistics come from the adjacency matrix A: one shared-partner
+matrix ``A @ A`` gives every dyad's shared-partner count, and so the ESP/DSP
+histograms, the gw terms and the triangle count; k-stars and degree counts
+come from the degree vector.  ``stat_matrix`` evaluates a list of graphs in
+bounded chunks of stacked adjacency matrices; ``stat_vector`` is its
+one-graph case, so every statistic vector comes from one path.
 
 The change statistic of a dyad is the difference in the statistic vector
 between the graph with that edge present and absent, evaluated without
 recomputing global statistics.  ``ChangeStatEngine`` precomputes per-spec
 lookup tables (binomials, geometric weights); its ``compute`` evaluates one
-dyad and its ``sweep`` runs whole Gibbs sweeps with the same arithmetic
-inline, for the millions of dyad updates a sampler makes.
+dyad from the adjacency bitmasks, and its ``run`` is a whole Gibbs chain
+(burn-in and draws) on one kernel state, with the same arithmetic inline,
+for the millions of dyad updates a sampler makes.  That state keeps a
+shared-partner table up to date across edge toggles, so the gw terms read
+counts instead of recounting mask bits.
 """
 
 from __future__ import annotations
@@ -36,11 +41,13 @@ __all__ = [
     "esp_histogram",
     "dsp_histogram",
     "stat_vector",
+    "stat_matrix",
     "change_statistics",
     "ChangeStatEngine",
 ]
 
 _KINDS = ("edges", "kstar", "triangles", "gwdsp", "gwesp", "degree")
+_GW_KINDS = ("gwdsp", "gwesp")
 
 # largest gw decay: the one-partner weight e^d (1 - (1 - e^-d)), exactly 1,
 # rounds to 1 + 2e-8 at d = 20, 1 + 1.7e-4 at 30, 1.3 at 37 and 0 from 38
@@ -154,12 +161,27 @@ def parse_spec(text: str) -> StatisticSpec:
 
 # -- whole-graph statistics --------------------------------------------------
 
+# adjacency entries per stacked chunk of graphs in ``stat_matrix``: 64 KiB
+# float64 stacks, a bound on the memory of any number of draws
+_CHUNK_ENTRIES = 1 << 13
+
+
+def _partners(a: np.ndarray) -> np.ndarray:
+    """Shared-partner counts ``A @ A`` of one or a stack of adjacency
+    matrices, exact in float64."""
+    a = a.astype(np.float64)
+    return a @ a
+
+
+def _dyad_partners(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each dyad's shared partners and tie flag, in ``dyad_order``, for one
+    adjacency matrix or a stack of them (one row per graph)."""
+    i, j = np.triu_indices(a.shape[-1], 1)
+    return _partners(a)[..., i, j].astype(np.int64), a[..., i, j] != 0
+
 
 def _shared_partners(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Each dyad's shared partners (``A @ A``, exact in float64) and tie flag."""
-    a = g.adjacency_matrix().astype(np.float64)
-    upper = np.triu_indices(g.n, 1)
-    return (a @ a)[upper].astype(np.int64), a[upper] != 0
+    return _dyad_partners(g.adjacency_matrix())
 
 
 def esp_histogram(g: Graph) -> np.ndarray:
@@ -174,42 +196,67 @@ def dsp_histogram(g: Graph) -> np.ndarray:
     return np.bincount(sp, minlength=max(g.n - 1, 0))
 
 
-def _gw_value(hist: np.ndarray, decay: float) -> float:
-    if hist.size == 0:
-        return 0.0
-    ks = np.arange(hist.size)
-    weights = math.exp(decay) * (1.0 - (1.0 - math.exp(-decay)) ** ks)
-    return float(weights @ hist)
+def _gw_weights(decay: float, size: int) -> np.ndarray:
+    ks = np.arange(size)
+    return math.exp(decay) * (1.0 - (1.0 - math.exp(-decay)) ** ks)
+
+
+def stat_matrix(graphs, spec: StatisticSpec) -> np.ndarray:
+    """Evaluate the spec on each of several graphs on the same nodes.
+
+    Returns one row per graph, in spec order.  The graphs are stacked in
+    chunks of at most ``_CHUNK_ENTRIES`` adjacency entries (at least one
+    graph), so memory stays bounded however many graphs there are.  Each gw
+    value is ``weights @ histogram`` of its own row.
+    """
+    graphs = list(graphs)
+    out = np.empty((len(graphs), len(spec)), dtype=np.float64)
+    if not graphs:
+        return out
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise ValueError("stat_matrix needs graphs on the same number of nodes")
+    for t in spec:
+        if t.kind == "degree" and t.param > n - 1:
+            raise ValueError(f"degree {t.param} out of range 0..{n - 1}")
+    size = max(n - 1, 0)  # histogram bins: 0..n-2 shared partners
+    partners = any(t.kind in ("triangles", *_GW_KINDS) for t in spec)
+    chunk = max(_CHUNK_ENTRIES // (n * n), 1)
+    for lo in range(0, len(graphs), chunk):
+        part = graphs[lo:lo + chunk]
+        block = out[lo:lo + len(part)]
+        a = Graph.adjacency_stack(part)
+        degrees = a.sum(axis=2, dtype=np.int64)
+        if partners:
+            sp, tie = _dyad_partners(a)
+            # row r's counts go to bins r*size .. r*size + size - 1
+            binned = sp + size * np.arange(len(part))[:, None]
+            bins = len(part) * size
+            esp = np.bincount(binned[tie], minlength=bins).reshape(len(part), size)
+            dsp = np.bincount(binned.ravel(), minlength=bins).reshape(len(part), size)
+        for pos, t in enumerate(spec):
+            if t.kind == "edges":
+                block[:, pos] = [g.n_edges for g in part]
+            elif t.kind == "kstar":
+                for r, row in enumerate(degrees.tolist()):
+                    block[r, pos] = sum(math.comb(d, t.param) for d in row)
+            elif t.kind == "triangles":
+                # each triangle is counted once per edge
+                block[:, pos] = (sp * tie).sum(axis=1) // 3
+            elif t.kind in _GW_KINDS:
+                weights = _gw_weights(t.param, size)
+                hist = esp if t.kind == "gwesp" else dsp
+                for r, h in enumerate(hist):
+                    block[r, pos] = float(weights @ h)
+            else:
+                block[:, pos] = np.count_nonzero(degrees == t.param, axis=1)
+    return out
 
 
 def stat_vector(g: Graph, spec: StatisticSpec) -> np.ndarray:
-    """Evaluate all terms of the spec on g, in spec order.
-
-    A triangle is counted once per edge: triangles = sum_k k * esp[k] / 3.
-    """
-    out = np.empty(len(spec), dtype=np.float64)
-    degrees = g.degrees()
-    esp = dsp = None
-    for pos, t in enumerate(spec):
-        if t.kind in ("triangles", "gwesp", "gwdsp") and esp is None:
-            sp, tie = _shared_partners(g)
-            esp = np.bincount(sp[tie], minlength=max(g.n - 1, 0))
-            dsp = np.bincount(sp, minlength=max(g.n - 1, 0))
-        if t.kind == "edges":
-            out[pos] = g.n_edges
-        elif t.kind == "kstar":
-            out[pos] = sum(math.comb(d, t.param) for d in degrees.tolist())
-        elif t.kind == "triangles":
-            out[pos] = int(np.arange(esp.size) @ esp) // 3
-        elif t.kind == "gwesp":
-            out[pos] = _gw_value(esp, t.param)
-        elif t.kind == "gwdsp":
-            out[pos] = _gw_value(dsp, t.param)
-        else:
-            if t.param > g.n - 1:
-                raise ValueError(f"degree {t.param} out of range 0..{g.n - 1}")
-            out[pos] = np.count_nonzero(degrees == t.param)
-    return out
+    """Evaluate all terms of the spec on g, in spec order: the one-graph
+    case of ``stat_matrix``."""
+    return stat_matrix([g], spec)[0]
 
 
 class ChangeStatEngine:
@@ -219,16 +266,28 @@ class ChangeStatEngine:
     with edge {i,j} present and absent, as a plain float list.  The present
     state of {i,j} in g is irrelevant: the edge is masked out of the
     adjacency before any neighbor scans.
+
+    ``run`` is the Gibbs chain: one kernel state for a burn-in and all the
+    draws that follow it.  The state is the adjacency masks, ascending
+    neighbour lists and, for a spec with a gw term, the shared-partner table
+    ``sp[u][v] = |N(u) & N(v)|`` (``A @ A`` with a zero diagonal), built once
+    and moved by +-1 on the rows and columns of i and j when {i,j} toggles.
+    The gw scans read counts from the table instead of counting mask bits;
+    for a dyad with tie ``a``, the count of shared partners with {i,j}
+    forced absent is ``sp - a``, which the increment tables absorb by a
+    shift of ``a``.  Other terms read the masks: a table costs O(degree) a
+    toggle, which only the gw scans earn back.
     """
 
     def __init__(self, spec: StatisticSpec, n: int):
         self.spec = spec
         self.n = n
+        self._keeps_sp = any(t.kind in _GW_KINDS for t in spec)
         # geometric weight increments: dw[s] = w(s+1) - w(s), w(s) the weight
         # of a dyad/edge with s shared partners
         self._tables = []
         for t in spec:
-            if t.kind in ("gwesp", "gwdsp"):
+            if t.kind in _GW_KINDS:
                 w = [
                     math.exp(t.param) * (1.0 - (1.0 - math.exp(-t.param)) ** s)
                     for s in range(n + 1)
@@ -292,7 +351,15 @@ class ChangeStatEngine:
         return out
 
     def sweep(self, g: Graph, theta, n_sweeps: int, rng: np.random.Generator):
-        """Run ``n_sweeps`` systematic Gibbs sweeps over g's dyads in place.
+        """Run ``n_sweeps`` Gibbs sweeps over g's dyads in place (``run``
+        without draws)."""
+        self.run(g, theta, rng, n_sweeps)
+
+    def run(self, g: Graph, theta, rng: np.random.Generator, burnin: int,
+            n_draws: int = 0, thin: int = 1) -> list[Graph]:
+        """Run ``burnin + n_draws * thin`` systematic Gibbs sweeps over g's
+        dyads in place, and return a copy of g after each of the last
+        ``n_draws`` blocks of ``thin`` sweeps.
 
         Each sweep draws ``rng.random(C(n, 2))`` and visits the dyads in
         canonical order (0,1), (0,2), ..., setting dyad b present iff
@@ -300,7 +367,8 @@ class ChangeStatEngine:
         the logit and the logistic are computed inline with the same
         floating-point operations, in the same order, as ``compute`` followed
         by a left-to-right dot product, so chains match the per-dyad path bit
-        for bit.
+        for bit.  The kernel state (see the class docstring) lives for the
+        whole call.
         """
         n = self.n
         if g.n != n:
@@ -309,77 +377,115 @@ class ChangeStatEngine:
         # ascending neighbour lists, kept in step with adj; a list walks
         # faster than the set bits of a mask, in the same order
         nbrs = [list(g.neighbors(v)) for v in range(n)]
+        sp = None
+        if self._keeps_sp:
+            counts = _partners(g.adjacency_matrix())
+            np.fill_diagonal(counts, 0.0)
+            sp = counts.astype(np.int64).tolist()
         n_edges = g._n_edges
         tanh = math.tanh
         insort = bisect.insort
         terms = []  # (kind, theta_k, table) in spec order
         for t, table, th in zip(self.spec.terms, self._tables, theta):
-            if t.kind == "gwdsp":
-                table = table[1]  # only the increments dw
+            if t.kind in _GW_KINDS:
+                # increments by tie a of the dyad: dws[a][s] = dw[s - a]; a
+                # count s = 0 under a = 1 is only ever the zero diagonal,
+                # read when v = i is a neighbour of j, and adds exactly 0.0
+                w, dw = table
+                dws = (dw, [0.0] + dw[:-1])
+                table = (w, dws) if t.kind == "gwesp" else dws
             elif t.kind == "degree":
                 table = t.param
             terms.append((t.kind, float(th), table))
         n_dyads = n * (n - 1) // 2
-        for _ in range(n_sweeps):
+        n_sweeps = burnin + n_draws * thin
+        draws = []
+        for sweep in range(1, n_sweeps + 1):
             u = rng.random(n_dyads).tolist()
             b = 0
             for i in range(n - 1):
                 bit_i = 1 << i
+                nbrs_i = nbrs[i]
+                sp_i = sp[i] if sp is not None else None
                 for j in range(i + 1, n):
                     bit_j = 1 << j
                     ai = adj[i]
-                    # adjacency with the focal edge forced absent
-                    mi = ai & ~bit_j
-                    mj = adj[j] & ~bit_i
-                    common = mi & mj
+                    aj = adj[j]
+                    a = ai >> j & 1
                     logit = 0.0
                     for kind, th, table in terms:
                         if kind == "gwdsp":
+                            # dyads {i,v}, v ~ j, gain partner j, and vice versa
+                            dw = table[a]
+                            sp_j = sp[j]
                             delta = 0.0
                             for v in nbrs[j]:
-                                if v != i:
-                                    delta += table[(mi & adj[v]).bit_count()]
-                            for v in nbrs[i]:
-                                if v != j:
-                                    delta += table[(mj & adj[v]).bit_count()]
+                                delta += dw[sp_i[v]]
+                            for v in nbrs_i:
+                                delta += dw[sp_j[v]]
                             logit += th * delta
                         elif kind == "gwesp":
-                            w, dw = table
-                            delta = w[common.bit_count()]
-                            rest = common
+                            w, dws = table
+                            dw = dws[a]
+                            sp_j = sp[j]
+                            delta = w[sp_i[j]]
+                            rest = ai & aj
                             while rest:
                                 low = rest & -rest
-                                mv = adj[low.bit_length() - 1]
+                                v = low.bit_length() - 1
                                 rest ^= low
-                                delta += (dw[(mi & mv).bit_count()]
-                                          + dw[(mj & mv).bit_count()])
+                                delta += dw[sp_i[v]] + dw[sp_j[v]]
                             logit += th * delta
                         elif kind == "edges":
                             logit += th * 1.0
                         elif kind == "triangles":
-                            logit += th * float(common.bit_count())
+                            logit += th * float((ai & aj).bit_count())
                         elif kind == "kstar":
-                            stars = table[mi.bit_count()] + table[mj.bit_count()]
+                            stars = (table[ai.bit_count() - a]
+                                     + table[aj.bit_count() - a])
                             logit += th * float(stars)
                         else:  # degree(k)
-                            di, dj = mi.bit_count(), mj.bit_count()
+                            di = ai.bit_count() - a
+                            dj = aj.bit_count() - a
                             delta = ((di + 1 == table) - (di == table)
                                      + (dj + 1 == table) - (dj == table))
                             logit += th * float(delta)
                     if u[b] < 0.5 * (1.0 + tanh(0.5 * logit)):
-                        if not ai & bit_j:
+                        if not a:
+                            if sp is not None:
+                                # i gains shared partner j with each
+                                # neighbour of j, and j gains i with each
+                                # neighbour of i; a removal takes them back
+                                sp_j = sp[j]
+                                for v in nbrs[j]:
+                                    sp_i[v] += 1
+                                    sp[v][i] += 1
+                                for v in nbrs_i:
+                                    sp_j[v] += 1
+                                    sp[v][j] += 1
                             adj[i] = ai | bit_j
-                            adj[j] |= bit_i
-                            insort(nbrs[i], j)
+                            adj[j] = aj | bit_i
+                            insort(nbrs_i, j)
                             insort(nbrs[j], i)
                             n_edges += 1
-                    elif ai & bit_j:
-                        adj[i] = mi
-                        adj[j] = mj
-                        nbrs[i].remove(j)
+                    elif a:
+                        adj[i] = ai ^ bit_j
+                        adj[j] = aj ^ bit_i
+                        nbrs_i.remove(j)
                         nbrs[j].remove(i)
+                        if sp is not None:
+                            sp_j = sp[j]
+                            for v in nbrs[j]:
+                                sp_i[v] -= 1
+                                sp[v][i] -= 1
+                            for v in nbrs_i:
+                                sp_j[v] -= 1
+                                sp[v][j] -= 1
                         n_edges -= 1
                     b += 1
+            if sweep > burnin and (sweep - burnin) % thin == 0:
+                g._n_edges = n_edges
+                draws.append(g.copy())
         g._n_edges = n_edges
         if n_sweeps and n > 1:
             # compute() is the reference for the arithmetic above.  Recheck
@@ -393,6 +499,7 @@ class ChangeStatEngine:
                     f"fused sweep logit {logit!r} differs from compute()'s "
                     f"{expected!r} on dyad ({n - 2}, {n - 1})"
                 )
+        return draws
 
 
 def change_statistics(g: Graph, d: tuple[int, int], spec: StatisticSpec) -> np.ndarray:

@@ -45,7 +45,7 @@ from .sampler import (
     hergm_draws,
 )
 from .spectral import SCORE_RESTARTS, score_cluster
-from .stats import StatisticSpec, esp_histogram, parse_spec, stat_vector
+from .stats import StatisticSpec, esp_histogram, parse_spec, stat_matrix, stat_vector
 
 __all__ = [
     "TwoStageFit",
@@ -324,12 +324,12 @@ def gof(
         "geodesic": _geodesic_hist(g),
         "stats": stat_vector(g, spec),
     }
-    sims = {name: [] for name in observed}
-    for sim in draws:
-        sims["degree"].append(_degree_hist(sim))
-        sims["esp"].append(_esp_hist(sim))
-        sims["geodesic"].append(_geodesic_hist(sim))
-        sims["stats"].append(stat_vector(sim, spec))
+    sims = {
+        "degree": [_degree_hist(sim) for sim in draws],
+        "esp": [_esp_hist(sim) for sim in draws],
+        "geodesic": [_geodesic_hist(sim) for sim in draws],
+        "stats": stat_matrix(draws, spec),
+    }
 
     diagnostics = {}
     for name, obs in observed.items():

@@ -361,6 +361,33 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert f"{flag}: must be comma-separated numbers, got {theta!r}" in capsys.readouterr().err
 
+    def test_negative_first_theta_in_equals_form(self, tmp_path):
+        out = tmp_path / "g.edges"
+        stats = tmp_path / "s.csv"
+        code = cli.main(["simulate", "ergm", "--n", "6", "--stats", "edges,gwesp(0.5)",
+                         "--theta=-1,0.1", "--burnin", "3", "--samples", "2", "--thin", "1",
+                         "--out", str(out), "--stats-out", str(stats)])
+        assert code == 0 and out.read_text().startswith("n 6")
+        assert len(stats.read_text().splitlines()) == 3
+
+    def test_theta0_with_mple_exits_2(self, tmp_path, capsys):
+        graph = tmp_path / "g.edges"
+        graph.write_text("n 6\n0 1\n1 2\n0 2\n3 4\n")
+        code = cli.main(["fit", "ergm", "--graph", str(graph), "--stats", "edges,triangles",
+                         "--method", "mple", "--theta0=-1,0.1",
+                         "--out", str(tmp_path / "fit.json")])
+        assert code == 2
+        assert "--theta0" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_theta0_of_the_wrong_length_exits_2_naming_it(self, tmp_path, capsys):
+        graph = tmp_path / "g.edges"
+        graph.write_text("n 6\n0 1\n1 2\n0 2\n3 4\n")
+        code = cli.main(["fit", "ergm", "--graph", str(graph), "--stats", "edges,triangles",
+                         "--method", "mcmle", "--theta0=-1", "--out", str(tmp_path / "fit.json")])
+        assert code == 2
+        assert "theta0 has 1 entries for a 2-term spec" in capsys.readouterr().err
+
 
 class TestMalformedExperimentConfigs:
     @pytest.mark.parametrize("kind, cfg, field", [

@@ -20,8 +20,9 @@ from hergmkit import (
     parse_spec,
     stat_vector,
 )
-from hergmkit.sampler import _expit, dyad_order
-from hergmkit.stats import GW_DECAY_MAX, _shared_partners
+from hergmkit import stats as stats_module
+from hergmkit.sampler import SamplerControls, _expit, dyad_order, gibbs_sample
+from hergmkit.stats import GW_DECAY_MAX, _shared_partners, stat_matrix
 
 FULL_SPEC = parse_spec("edges,kstar(2),triangles,gwdsp(0.5),gwesp(0.5)")
 
@@ -413,6 +414,50 @@ class TestFusedSweep:
             reference_sweep(engine, g_ref, theta, rng_ref)
         assert g_fused._adj == g_ref._adj
 
+    @pytest.mark.parametrize("text, n, density", [
+        *((text, n, density) for text in SWEEP_SPECS if "gw" in text
+          for n, density in ((60, 0.1), (60, 0.5))),
+        ("edges,gwesp(0.5),gwdsp(0.5)", 200, 0.05),
+        ("edges,gwesp(0.5),gwdsp(0.5)", 200, 0.3),
+    ])
+    def test_wide_masks_match_reference_sweep(self, text, n, density):
+        # masks wider than 64 bits, where the shared-partner table pays; two
+        # sweeps in one call carry the table from one sweep to the next
+        spec = parse_spec(text)
+        rng = np.random.default_rng(n * 1000 + int(density * 100))
+        theta = [
+            math.log(density / (1 - density)) if t.kind == "edges"
+            else 0.05 * float(rng.standard_normal())
+            for t in spec
+        ]
+        g_ref = random_graph(n, density, n + len(text))
+        g_fused = g_ref.copy()
+        engine = ChangeStatEngine(spec, n)
+        rng_ref, rng_fused = np.random.default_rng(7), np.random.default_rng(7)
+        engine.sweep(g_fused, theta, 2, rng_fused)
+        for _ in range(2):
+            reference_sweep(engine, g_ref, theta, rng_ref)
+        assert g_fused == g_ref and g_fused.n_edges == g_ref.n_edges
+
+    @pytest.mark.parametrize("text", SWEEP_SPECS)
+    def test_gibbs_sample_is_repeated_sweeps(self, text):
+        # one kernel state for the whole chain walks the chain of one sweep
+        # call per draw, and the batch statistics are stat_vector's
+        spec = parse_spec(text)
+        n = 11
+        theta = [-1.0 if t.kind == "edges" else 0.05 * (k + 1) for k, t in enumerate(spec)]
+        start = random_graph(n, 0.3, 5)
+        controls = SamplerControls(burnin_sweeps=3, n_samples=5, thin_sweeps=2)
+        res = gibbs_sample(n, spec, theta, controls, np.random.default_rng(9), start=start)
+        g, rng = start.copy(), np.random.default_rng(9)
+        engine = ChangeStatEngine(spec, n)
+        engine.sweep(g, theta, controls.burnin_sweeps, rng)
+        assert len(res.graphs) == controls.n_samples
+        for draw, row in zip(res.graphs, res.stats):
+            engine.sweep(g, theta, controls.thin_sweeps, rng)
+            assert draw == g and draw.n_edges == g.n_edges
+            assert row.tolist() == stat_vector(g, spec).tolist()
+
     def test_strong_dependence_chain(self):
         spec = parse_spec("edges,gwdsp(0.5),gwesp(0.5),triangles")
         theta = (-2.0, 0.5, 0.5, 0.3)
@@ -447,3 +492,43 @@ class TestFusedSweep:
             ChangeStatEngine(FULL_SPEC, 6).sweep(
                 Graph(5), [0.0] * 5, 1, np.random.default_rng(0)
             )
+
+
+class TestStatMatrix:
+    KINDS = "edges,kstar(2),kstar(3),triangles,gwesp(0.5),gwdsp(0.75),degree(0),degree(2)"
+
+    @pytest.mark.parametrize("chunk_entries", [1, 200, 1 << 16])
+    def test_rows_equal_stat_vector(self, monkeypatch, chunk_entries):
+        # one graph a chunk, partial chunks, and everything in one chunk
+        monkeypatch.setattr(stats_module, "_CHUNK_ENTRIES", chunk_entries)
+        spec = parse_spec(self.KINDS)
+        graphs = [random_graph(9, density, seed)
+                  for seed, density in enumerate([0.0, 0.1, 0.3, 0.5, 0.7, 1.0] * 2)]
+        rows = stat_matrix(graphs, spec)
+        assert rows.shape == (len(graphs), len(spec))
+        for g, row in zip(graphs, rows):
+            assert row.tolist() == stat_vector(g, spec).tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_graphs(self, n):
+        spec = parse_spec("edges,kstar(2),triangles,gwesp(0.5),gwdsp(0.5),degree(0)")
+        graphs = [Graph(n), complete_graph(n)]
+        for g, row in zip(graphs, stat_matrix(graphs, spec)):
+            assert row.tolist() == stat_vector(g, spec).tolist()
+
+    def test_degree_out_of_range_rejected_alike(self):
+        spec = parse_spec("edges,degree(5)")
+        graphs = [random_graph(5, 0.5, 1), random_graph(5, 0.5, 2)]
+        message = re.escape("degree 5 out of range 0..4")
+        with pytest.raises(ValueError, match=message):
+            stat_matrix(graphs, spec)
+        with pytest.raises(ValueError, match=message):
+            stat_vector(graphs[0], spec)
+        # degree(n - 1) is in range, and only the complete graph has it
+        assert stat_matrix([Graph(6), complete_graph(6)], spec).tolist() == [[0, 0], [15, 6]]
+
+    def test_empty_list_and_mixed_sizes(self):
+        spec = parse_spec("edges,triangles")
+        assert stat_matrix([], spec).shape == (0, 2)
+        with pytest.raises(ValueError, match="same number of nodes"):
+            stat_matrix([Graph(4), Graph(5)], spec)
