@@ -9,7 +9,7 @@ Bernoulli ties (``BernoulliBlock``), and between-block ties are i.i.d.
 Bernoulli.  ``simulate_hergm`` (one network and its partition) and the GOF
 envelopes both draw through it.  ``exact_distribution`` enumerates the full
 sample space for small n and is the ground-truth reference for sampler and
-estimator tests.
+estimator tests, apart from the change-statistic kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from scipy.special import logsumexp
 
 from .graph import Graph, Partition
 from .rng import child_rng
-from .stats import ChangeStatEngine, StatisticSpec, stat_matrix, stat_vector
+from .stats import ChangeStatEngine, StatisticSpec, _chunk_rows, _stat_rows, stat_matrix
 
 __all__ = [
     "SamplerControls",
@@ -133,6 +133,7 @@ def gibbs_sample(
     do not raise; the result carries a degeneracy flag instead.
     """
     theta = _check_theta(theta, spec)
+    spec.check_degrees(n)
     if start is None:
         g = bernoulli_graph(n, _init_density(spec, theta), rng)
     elif start.n != n:
@@ -158,6 +159,7 @@ class ClusterSpec:
 
     def __post_init__(self):
         check_counts(self, n=1)
+        self.spec.check_degrees(self.n)
         object.__setattr__(self, "theta", _check_theta(self.theta, self.spec))
 
 
@@ -294,31 +296,26 @@ _ENUM_MAX_DYADS = 21
 def exact_distribution(n: int, spec: StatisticSpec, theta) -> ExactDistribution:
     """Exact ERGM law by enumerating all 2^C(n,2) graphs (C(n,2) <= 21).
 
-    Enumeration walks the sample space in Gray-code order so each step is a
-    single edge toggle; statistics are refreshed from scratch periodically to
-    rule out accumulation drift.
+    Row t of the statistics table is ``stats._stat_rows`` of graph t, built
+    from the bits of t, so it equals ``stat_vector`` of that graph exactly.
     """
     theta = _check_theta(theta, spec)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     dyads = dyad_order(n)
     m = len(dyads)
     if m > _ENUM_MAX_DYADS:
         raise ValueError(
             f"n={n} has {m} dyads; enumeration is capped at {_ENUM_MAX_DYADS}"
         )
-    n_states = 1 << m
+    n_states, chunk = 1 << m, _chunk_rows(n)
     stats = np.empty((n_states, len(spec)), dtype=np.float64)
-    g = Graph(n)
-    engine = ChangeStatEngine(spec, n)
-    s = stat_vector(g, spec)
-    stats[0] = s
-    for t in range(1, n_states):
-        b = (t & -t).bit_length() - 1
-        i, j = dyads[b]
-        c = np.array(engine.compute(g, i, j))
-        s = s + c if g.toggle_edge(i, j) else s - c
-        if t % 4096 == 0:
-            s = stat_vector(g, spec)
-        stats[t ^ (t >> 1)] = s
+    iu, ju = np.triu_indices(n, 1)  # dyads[b] = (iu[b], ju[b])
+    for lo in range(0, n_states, chunk):
+        index = np.arange(lo, min(lo + chunk, n_states))
+        a = np.zeros((len(index), n, n), dtype=np.uint8)
+        a[:, iu, ju] = a[:, ju, iu] = index[:, None] >> np.arange(m) & 1
+        stats[lo:lo + len(index)] = _stat_rows(a, spec)
 
     logp = stats @ np.asarray(theta)
     log_psi = float(logsumexp(logp))

@@ -5,22 +5,19 @@ dyadwise/edgewise shared partners (fixed decay), and exact-degree counts.
 A ``StatisticSpec`` is an ordered term list; it fixes the coordinate order
 of every statistic vector and parameter vector in the package.
 
-Whole-graph statistics come from the adjacency matrix A: one shared-partner
-matrix ``A @ A`` gives every dyad's shared-partner count, and so the ESP/DSP
-histograms, the gw terms and the triangle count; k-stars and degree counts
-come from the degree vector.  ``stat_matrix`` evaluates a list of graphs in
-bounded chunks of stacked adjacency matrices; ``stat_vector`` is its
-one-graph case, so every statistic vector comes from one path.
+Every whole-graph statistic comes from ``_stat_rows``, which takes an
+(M, n, n) stack of adjacency matrices A: one shared-partner product ``A @ A``
+per graph gives every dyad's shared-partner count, and so the ESP/DSP
+histograms, the gw terms and the triangle count; the other terms come from
+the degree vector.  ``stat_matrix`` (and its one-graph case ``stat_vector``),
+the histograms, ``change_statistics`` (two rows: dyad present and absent)
+and ``sampler.exact_distribution`` are all built on it.
 
-The change statistic of a dyad is the difference in the statistic vector
-between the graph with that edge present and absent, evaluated without
-recomputing global statistics.  ``ChangeStatEngine`` precomputes per-spec
-lookup tables (binomials, geometric weights); its ``compute`` evaluates one
-dyad from the adjacency bitmasks, and its ``run`` is a whole Gibbs chain
-(burn-in and draws) on one kernel state, with the same arithmetic inline,
-for the millions of dyad updates a sampler makes.  That state keeps a
-shared-partner table up to date across edge toggles, so the gw terms read
-counts instead of recounting mask bits.
+``ChangeStatEngine`` is the change-statistic kernel for the millions of dyad
+updates a sampler makes.  Its ``run`` is a whole Gibbs chain (burn-in and
+draws) on one kernel state, which keeps a shared-partner table up to date
+across edge toggles; its ``compute`` evaluates one dyad from the adjacency
+bitmasks for the MPLE design and for ``run``'s once-per-call recheck.
 """
 
 from __future__ import annotations
@@ -129,6 +126,12 @@ class StatisticSpec:
                 need = max(need, t.param + 1)
         return need
 
+    def check_degrees(self, n: int) -> None:
+        """Reject a degree(k) term with k > n - 1 on an n-node graph."""
+        for t in self.terms:
+            if t.kind == "degree" and t.param > n - 1:
+                raise ValueError(f"degree {t.param} out of range 0..{n - 1}")
+
     def edges_index(self) -> int | None:
         for idx, t in enumerate(self.terms):
             if t.kind == "edges":
@@ -161,9 +164,13 @@ def parse_spec(text: str) -> StatisticSpec:
 
 # -- whole-graph statistics --------------------------------------------------
 
-# adjacency entries per stacked chunk of graphs in ``stat_matrix``: 64 KiB
-# float64 stacks, a bound on the memory of any number of draws
+# adjacency entries per stacked chunk of ``_chunk_rows(n)`` graphs (at least
+# one): 64 KiB float64 stacks, a bound on the memory of any number of graphs
 _CHUNK_ENTRIES = 1 << 13
+
+
+def _chunk_rows(n: int) -> int:
+    return max(_CHUNK_ENTRIES // (n * n), 1)
 
 
 def _partners(a: np.ndarray) -> np.ndarray:
@@ -173,27 +180,29 @@ def _partners(a: np.ndarray) -> np.ndarray:
     return a @ a
 
 
-def _dyad_partners(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each dyad's shared partners and tie flag, in ``dyad_order``, for one
-    adjacency matrix or a stack of them (one row per graph)."""
-    i, j = np.triu_indices(a.shape[-1], 1)
-    return _partners(a)[..., i, j].astype(np.int64), a[..., i, j] != 0
-
-
-def _shared_partners(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    return _dyad_partners(g.adjacency_matrix())
+def _histograms(a: np.ndarray):
+    """Each dyad's shared partners and tie flag, in ``dyad_order``, and the
+    ESP and DSP histograms (bins 0..n-2 partners) of each graph of the
+    (M, n, n) adjacency stack ``a``, one row per graph."""
+    n = a.shape[-1]
+    i, j = np.triu_indices(n, 1)
+    sp, tie = _partners(a)[:, i, j].astype(np.int64), a[:, i, j] != 0
+    rows, size = len(a), max(n - 1, 0)
+    # row r's counts go to bins r*size .. r*size + size - 1
+    binned = sp + size * np.arange(rows)[:, None]
+    esp = np.bincount(binned[tie], minlength=rows * size).reshape(rows, size)
+    dsp = np.bincount(binned.ravel(), minlength=rows * size).reshape(rows, size)
+    return sp, tie, esp, dsp
 
 
 def esp_histogram(g: Graph) -> np.ndarray:
     """counts[k] = number of edges whose endpoints share exactly k partners."""
-    sp, tie = _shared_partners(g)
-    return np.bincount(sp[tie], minlength=max(g.n - 1, 0))
+    return _histograms(Graph.adjacency_stack([g]))[2][0]
 
 
 def dsp_histogram(g: Graph) -> np.ndarray:
     """counts[k] = number of dyads (edge or not) sharing exactly k partners."""
-    sp, _ = _shared_partners(g)
-    return np.bincount(sp, minlength=max(g.n - 1, 0))
+    return _histograms(Graph.adjacency_stack([g]))[3][0]
 
 
 def _gw_weights(decay: float, size: int) -> np.ndarray:
@@ -201,14 +210,39 @@ def _gw_weights(decay: float, size: int) -> np.ndarray:
     return math.exp(decay) * (1.0 - (1.0 - math.exp(-decay)) ** ks)
 
 
-def stat_matrix(graphs, spec: StatisticSpec) -> np.ndarray:
-    """Evaluate the spec on each of several graphs on the same nodes.
+def _stat_rows(a: np.ndarray, spec: StatisticSpec) -> np.ndarray:
+    """The spec's statistics of each graph in the (M, n, n) 0/1 adjacency
+    stack ``a``, one row per graph.  Each gw value is the dot product of the
+    weights with its own row's histogram, so no row depends on the others."""
+    n = a.shape[-1]
+    spec.check_degrees(n)
+    out = np.empty((len(a), len(spec)), dtype=np.float64)
+    degrees = a.sum(axis=2, dtype=np.int64)
+    if any(t.kind in ("triangles", *_GW_KINDS) for t in spec):
+        sp, tie, esp, dsp = _histograms(a)
+    for pos, t in enumerate(spec):
+        if t.kind == "edges":
+            out[:, pos] = degrees.sum(axis=1) // 2
+        elif t.kind == "kstar":
+            stars = [math.comb(d, t.param) for d in range(n)]
+            for r, row in enumerate(degrees.tolist()):
+                out[r, pos] = sum(map(stars.__getitem__, row))
+        elif t.kind == "triangles":
+            # each triangle is counted once per edge
+            out[:, pos] = (sp * tie).sum(axis=1) // 3
+        elif t.kind in _GW_KINDS:
+            weights = _gw_weights(t.param, max(n - 1, 0))
+            hist = (esp if t.kind == "gwesp" else dsp).astype(np.float64)
+            out[:, pos] = [weights.dot(h) for h in hist]
+        else:
+            out[:, pos] = np.count_nonzero(degrees == t.param, axis=1)
+    return out
 
-    Returns one row per graph, in spec order.  The graphs are stacked in
-    chunks of at most ``_CHUNK_ENTRIES`` adjacency entries (at least one
-    graph), so memory stays bounded however many graphs there are.  Each gw
-    value is ``weights @ histogram`` of its own row.
-    """
+
+def stat_matrix(graphs, spec: StatisticSpec) -> np.ndarray:
+    """Evaluate the spec on each of several graphs on the same nodes, one
+    row per graph in spec order, through ``_stat_rows`` in stacks of
+    ``_chunk_rows(n)`` graphs: memory stays bounded however many there are."""
     graphs = list(graphs)
     out = np.empty((len(graphs), len(spec)), dtype=np.float64)
     if not graphs:
@@ -216,40 +250,10 @@ def stat_matrix(graphs, spec: StatisticSpec) -> np.ndarray:
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError("stat_matrix needs graphs on the same number of nodes")
-    for t in spec:
-        if t.kind == "degree" and t.param > n - 1:
-            raise ValueError(f"degree {t.param} out of range 0..{n - 1}")
-    size = max(n - 1, 0)  # histogram bins: 0..n-2 shared partners
-    partners = any(t.kind in ("triangles", *_GW_KINDS) for t in spec)
-    chunk = max(_CHUNK_ENTRIES // (n * n), 1)
+    chunk = _chunk_rows(n)
     for lo in range(0, len(graphs), chunk):
         part = graphs[lo:lo + chunk]
-        block = out[lo:lo + len(part)]
-        a = Graph.adjacency_stack(part)
-        degrees = a.sum(axis=2, dtype=np.int64)
-        if partners:
-            sp, tie = _dyad_partners(a)
-            # row r's counts go to bins r*size .. r*size + size - 1
-            binned = sp + size * np.arange(len(part))[:, None]
-            bins = len(part) * size
-            esp = np.bincount(binned[tie], minlength=bins).reshape(len(part), size)
-            dsp = np.bincount(binned.ravel(), minlength=bins).reshape(len(part), size)
-        for pos, t in enumerate(spec):
-            if t.kind == "edges":
-                block[:, pos] = [g.n_edges for g in part]
-            elif t.kind == "kstar":
-                for r, row in enumerate(degrees.tolist()):
-                    block[r, pos] = sum(math.comb(d, t.param) for d in row)
-            elif t.kind == "triangles":
-                # each triangle is counted once per edge
-                block[:, pos] = (sp * tie).sum(axis=1) // 3
-            elif t.kind in _GW_KINDS:
-                weights = _gw_weights(t.param, size)
-                hist = esp if t.kind == "gwesp" else dsp
-                for r, h in enumerate(hist):
-                    block[r, pos] = float(weights @ h)
-            else:
-                block[:, pos] = np.count_nonzero(degrees == t.param, axis=1)
+        out[lo:lo + len(part)] = _stat_rows(Graph.adjacency_stack(part), spec)
     return out
 
 
@@ -265,7 +269,8 @@ class ChangeStatEngine:
     ``compute(g, i, j)`` returns the statistic difference between the graph
     with edge {i,j} present and absent, as a plain float list.  The present
     state of {i,j} in g is irrelevant: the edge is masked out of the
-    adjacency before any neighbor scans.
+    adjacency before any neighbor scans.  Its callers are the MPLE design
+    and ``run``'s recheck of its own inline copy of the arithmetic.
 
     ``run`` is the Gibbs chain: one kernel state for a burn-in and all the
     draws that follow it.  The state is the adjacency masks, ascending
@@ -349,11 +354,6 @@ class ChangeStatEngine:
                     rest ^= low
                 out.append(delta)
         return out
-
-    def sweep(self, g: Graph, theta, n_sweeps: int, rng: np.random.Generator):
-        """Run ``n_sweeps`` Gibbs sweeps over g's dyads in place (``run``
-        without draws)."""
-        self.run(g, theta, rng, n_sweeps)
 
     def run(self, g: Graph, theta, rng: np.random.Generator, burnin: int,
             n_draws: int = 0, thin: int = 1) -> list[Graph]:
@@ -503,13 +503,13 @@ class ChangeStatEngine:
 
 
 def change_statistics(g: Graph, d: tuple[int, int], spec: StatisticSpec) -> np.ndarray:
-    """Change statistic vector of dyad d under spec.
-
-    Equals ``stat_vector`` of the graph with d present minus with d absent.
-    For repeated evaluation construct a ``ChangeStatEngine`` once instead.
-    """
+    """Change statistic vector of dyad d under spec: ``stat_vector`` of the
+    graph with d present minus with d absent."""
     i, j = dyad(*d)
     if j >= g.n:
         raise ValueError(f"node id out of range for n={g.n}: ({i}, {j})")
-    engine = ChangeStatEngine(spec, g.n)
-    return np.array(engine.compute(g, i, j), dtype=np.float64)
+    a = Graph.adjacency_stack([g, g])
+    a[0, i, j] = a[0, j, i] = 1
+    a[1, i, j] = a[1, j, i] = 0
+    present, absent = _stat_rows(a, spec)
+    return present - absent

@@ -169,6 +169,27 @@ class TestExitCodes:
         assert code == 2
         assert "gwesp needs a decay in [0, 20], got 1000.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["ergm", "hergm"])
+    def test_degree_out_of_range_exits_2_before_any_sweep(self, tmp_path, capsys,
+                                                          monkeypatch, model):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("chain started")
+
+        monkeypatch.setattr("hergmkit.stats.ChangeStatEngine.run", no_chain)
+        out = str(tmp_path / "g.edges")
+        if model == "ergm":
+            argv = ["simulate", "ergm", "--n", "6", "--stats", "edges,degree(9)",
+                    "--theta=-1,0.1", "--burnin", "200000", "--out", out]
+        else:
+            config = _write_config(tmp_path, {
+                "clusters": [{"n": 6, "stats": "edges,degree(9)", "theta": [-1, 0.1]}],
+                "between_p": 0.05, "burnin_sweeps": 200000,
+            })
+            argv = ["simulate", "hergm", "--config", config, "--out", out,
+                    "--truth", str(tmp_path / "t.csv")]
+        assert cli.main(argv) == 2
+        assert "degree 9 out of range 0..5" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["mple", "mcmle"])
     def test_spec_too_large_for_the_graph_exits_2(self, tmp_path, capsys, method):
         graph = tmp_path / "g.edges"

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from hergmkit import (
+    ChangeStatEngine,
     ClusterSpec,
     Graph,
     HergmSpec,
     SamplerControls,
     between_edge_counts,
+    change_statistics,
     exact_distribution,
     gibbs_sample,
     parse_spec,
@@ -142,6 +144,11 @@ class TestExactDistribution:
         with pytest.raises(ValueError, match="capped"):
             exact_distribution(8, EDGES, (0.0,))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_nodes_rejected(self, n):
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+            exact_distribution(n, EDGES, (0.0,))
+
     def test_mean_value_against_direct_sum(self):
         ex = exact_distribution(4, ET, (-0.8, 0.4))
         mu_direct = np.zeros(2)
@@ -150,20 +157,33 @@ class TestExactDistribution:
         np.testing.assert_allclose(ex.mu, mu_direct, atol=1e-12)
 
     def test_stats_table_matches_fresh_evaluation(self):
-        from hergmkit import Graph
+        # every term kind; row t is stat_vector of graph t bit for bit
+        spec = parse_spec("edges,kstar(2),triangles,gwdsp(0.5),gwesp(0.5),degree(1)")
+        for n in (4, 5):
+            ex = exact_distribution(n, spec, (0.1, -0.2, 0.3, 0.1, -0.1, 0.2))
+            dyads = dyad_order(n)
+            for idx in range(len(ex.probs)):
+                g = Graph(n)
+                for b, (i, j) in enumerate(dyads):
+                    if (idx >> b) & 1:
+                        g.add_edge(i, j)
+                assert graph_index(g, dyads) == idx
+                assert ex.stats[idx].tolist() == stat_vector(g, spec).tolist()
 
-        spec = parse_spec("edges,kstar(2),gwesp(0.5)")
-        ex = exact_distribution(4, spec, (0.1, -0.2, 0.3))
-        dyads = dyad_order(4)
-        rng = np.random.default_rng(0)
-        for idx in rng.integers(0, len(ex.probs), size=40):
-            g = Graph(4)
-            for b, (i, j) in enumerate(dyads):
-                if (int(idx) >> b) & 1:
-                    g.add_edge(i, j)
-            np.testing.assert_allclose(
-                ex.stats[int(idx)], stat_vector(g, spec), atol=1e-10
-            )
+    def test_independent_of_the_change_statistic_kernel(self, monkeypatch):
+        # the oracle and change_statistics must not share the sampler's arithmetic
+        def fail(*args, **kwargs):
+            raise AssertionError("ChangeStatEngine used")
+
+        monkeypatch.setattr(ChangeStatEngine, "compute", fail)
+        monkeypatch.setattr(ChangeStatEngine, "run", fail)
+        spec = parse_spec("edges,kstar(2),triangles,gwdsp(0.5),gwesp(0.5),degree(1)")
+        ex = exact_distribution(5, spec, (-1.0, 0.1, 0.2, 0.1, 0.1, 0.3))
+        assert abs(ex.probs.sum() - 1.0) < 1e-10
+        g = Graph(5)
+        g.add_edge(0, 1)
+        g.add_edge(1, 2)
+        assert change_statistics(g, (0, 2), spec).tolist() == [1, 2, 1, 2, 3, -2]
 
     def test_gibbs_agrees_with_enumeration(self):
         # moderate-length chain; the acceptance suite runs the full version

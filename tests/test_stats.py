@@ -22,7 +22,7 @@ from hergmkit import (
 )
 from hergmkit import stats as stats_module
 from hergmkit.sampler import SamplerControls, _expit, dyad_order, gibbs_sample
-from hergmkit.stats import GW_DECAY_MAX, _shared_partners, stat_matrix
+from hergmkit.stats import GW_DECAY_MAX, _histograms, stat_matrix
 
 FULL_SPEC = parse_spec("edges,kstar(2),triangles,gwdsp(0.5),gwesp(0.5)")
 
@@ -65,6 +65,12 @@ def triangle_graph():
 def stat(g, term):
     """One statistic, through a one-term ``stat_vector`` spec."""
     return stat_vector(g, parse_spec(term))[0]
+
+
+def _shared_partners(g):
+    """Each dyad's shared partners and tie flag, from the statistics core."""
+    sp, tie, _, _ = _histograms(g.adjacency_matrix()[None])
+    return sp[0], tie[0]
 
 
 def common_neighbors(g, i, j):
@@ -313,18 +319,21 @@ class TestChangeStatistics:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_toggle_and_recompute(self, seed):
+        # change_statistics is this difference, so the kernel is what is pinned
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 9))
         g = random_graph(n, float(rng.uniform(0.15, 0.7)), seed + 100)
         spec = parse_spec("edges,kstar(2),kstar(3),triangles,gwdsp(0.5),gwesp(0.7),degree(0),degree(2)")
+        engine = ChangeStatEngine(spec, n)
         for d in dyad_order(n):
             present = g.copy()
             present.add_edge(*d)
             absent = g.copy()
             absent.remove_edge(*d)
             oracle = stat_vector(present, spec) - stat_vector(absent, spec)
-            got = change_statistics(g, d, spec)
+            got = engine.compute(g, *d)
             np.testing.assert_allclose(got, oracle, atol=1e-12)
+            assert change_statistics(g, d, spec).tolist() == oracle.tolist()
 
     def test_out_of_range_dyad(self):
         with pytest.raises(ValueError):
@@ -359,7 +368,7 @@ class TestPermutationInvariance:
 
 def reference_sweep(engine, g, theta, rng):
     """One Gibbs sweep the per-dyad way: ``compute``, dot product, logistic,
-    ``toggle_edge``.  The oracle for ``ChangeStatEngine.sweep``."""
+    ``toggle_edge``.  The oracle for ``ChangeStatEngine.run``."""
     dyads = dyad_order(g.n)
     u = rng.random(len(dyads))
     for b, (i, j) in enumerate(dyads):
@@ -404,12 +413,12 @@ class TestFusedSweep:
         rng_fused = np.random.default_rng(7)
         for _ in range(4):
             reference_sweep(engine, g_ref, theta, rng_ref)
-            engine.sweep(g_fused, theta, 1, rng_fused)
+            engine.run(g_fused, theta, rng_fused, 1)
             assert g_fused._adj == g_ref._adj
             assert g_fused.n_edges == g_ref.n_edges
         assert g_fused.n_edges == sum(g_fused.degrees()) // 2
         # several sweeps in one call walk the same chain
-        engine.sweep(g_fused, theta, 3, rng_fused)
+        engine.run(g_fused, theta, rng_fused, 3)
         for _ in range(3):
             reference_sweep(engine, g_ref, theta, rng_ref)
         assert g_fused._adj == g_ref._adj
@@ -434,7 +443,7 @@ class TestFusedSweep:
         g_fused = g_ref.copy()
         engine = ChangeStatEngine(spec, n)
         rng_ref, rng_fused = np.random.default_rng(7), np.random.default_rng(7)
-        engine.sweep(g_fused, theta, 2, rng_fused)
+        engine.run(g_fused, theta, rng_fused, 2)
         for _ in range(2):
             reference_sweep(engine, g_ref, theta, rng_ref)
         assert g_fused == g_ref and g_fused.n_edges == g_ref.n_edges
@@ -451,10 +460,10 @@ class TestFusedSweep:
         res = gibbs_sample(n, spec, theta, controls, np.random.default_rng(9), start=start)
         g, rng = start.copy(), np.random.default_rng(9)
         engine = ChangeStatEngine(spec, n)
-        engine.sweep(g, theta, controls.burnin_sweeps, rng)
+        engine.run(g, theta, rng, controls.burnin_sweeps)
         assert len(res.graphs) == controls.n_samples
         for draw, row in zip(res.graphs, res.stats):
-            engine.sweep(g, theta, controls.thin_sweeps, rng)
+            engine.run(g, theta, rng, controls.thin_sweeps)
             assert draw == g and draw.n_edges == g.n_edges
             assert row.tolist() == stat_vector(g, spec).tolist()
 
@@ -467,13 +476,13 @@ class TestFusedSweep:
         rng_ref, rng_fused = np.random.default_rng(3), np.random.default_rng(3)
         for _ in range(30):
             reference_sweep(engine, g_ref, theta, rng_ref)
-        engine.sweep(g_fused, theta, 30, rng_fused)
+        engine.run(g_fused, theta, rng_fused, 30)
         assert g_fused == g_ref and g_fused.n_edges == g_ref.n_edges
 
     def test_zero_sweeps_leave_graph(self):
         g = random_graph(6, 0.5, 1)
         before = g.copy()
-        ChangeStatEngine(FULL_SPEC, 6).sweep(g, [0.1] * 5, 0, np.random.default_rng(0))
+        ChangeStatEngine(FULL_SPEC, 6).run(g, [0.1] * 5, np.random.default_rng(0), 0)
         assert g == before
 
     def test_disagreement_with_compute_raises(self):
@@ -483,14 +492,14 @@ class TestFusedSweep:
 
         engine = Drifted(FULL_SPEC, 6)
         with pytest.raises(RuntimeError, match="differs from compute"):
-            engine.sweep(
-                random_graph(6, 0.5, 2), [0.1] * 5, 1, np.random.default_rng(0)
+            engine.run(
+                random_graph(6, 0.5, 2), [0.1] * 5, np.random.default_rng(0), 1
             )
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ChangeStatEngine(FULL_SPEC, 6).sweep(
-                Graph(5), [0.0] * 5, 1, np.random.default_rng(0)
+            ChangeStatEngine(FULL_SPEC, 6).run(
+                Graph(5), [0.0] * 5, np.random.default_rng(0), 1
             )
 
 
