@@ -38,6 +38,7 @@ from .sampler import (
 )
 from .fit import (
     ErgmFit,
+    GraphTooSmallError,
     McmleControls,
     MpleNotConvergedError,
     NonFiniteMleError,

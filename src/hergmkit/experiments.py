@@ -156,7 +156,9 @@ def _clusters(cfg: dict, spec: StatisticSpec | None = None) -> tuple[ClusterSpec
                 f"config field '{at}theta' has {len(theta)} values for a "
                 f"{len(c_spec)}-term spec"
             )
-        out.append(ClusterSpec(n, c_spec, tuple(theta)))
+        # what ClusterSpec still rejects is a degree(k) term too large for n
+        key = at + ("stats" if spec is None else "n")
+        out.append(_as_field(key, ClusterSpec, n, c_spec, tuple(theta)))
     return tuple(out)
 
 

@@ -26,6 +26,7 @@ from .stats import ChangeStatEngine, StatisticSpec, parse_spec, stat_vector
 __all__ = [
     "ErgmFit",
     "FitDiagnostics",
+    "GraphTooSmallError",
     "McmleControls",
     "MpleNotConvergedError",
     "NonFiniteMleError",
@@ -80,10 +81,16 @@ class ErgmFit:
     seed: int | None = None
 
 
+class GraphTooSmallError(ValueError):
+    """The graph has fewer nodes than the spec needs (``StatisticSpec.min_nodes``)."""
+
+
 def _check_size(g: Graph, spec: StatisticSpec) -> None:
     need = spec.min_nodes()
     if g.n < need:
-        raise ValueError(f"spec {spec.to_string()} needs at least {need} nodes, got {g.n}")
+        raise GraphTooSmallError(
+            f"spec {spec.to_string()} needs at least {need} nodes, got {g.n}"
+        )
 
 
 def _inverse_se(h: np.ndarray) -> np.ndarray:
@@ -121,8 +128,8 @@ def mple(g: Graph, spec: StatisticSpec) -> ErgmFit:
     direction of the Newton step along which the pseudo-likelihood keeps
     rising; the dyads that step does not move are left out of the test.
     Raises ``MpleNotConvergedError`` when Newton iteration stops at
-    ``MPLE_MAX_ITER`` iterations, and ``ValueError`` when the graph is
-    smaller than the spec needs (``StatisticSpec.min_nodes``).
+    ``MPLE_MAX_ITER`` iterations, and ``GraphTooSmallError`` when the graph
+    is smaller than the spec needs (``StatisticSpec.min_nodes``).
 
     The standard errors are the inverse of the pseudo-likelihood Hessian.
     They treat dyads as independent, so they are not the standard errors of
@@ -296,7 +303,8 @@ def mcmle(
 
     Raises ``SamplesDegenerateError`` when the sampled statistics carry no
     variation to compare against the observed graph even after repeated
-    damping, and ``ValueError`` when the graph is smaller than the spec needs.
+    damping, and ``GraphTooSmallError`` when the graph is smaller than the
+    spec needs.
     """
     _check_size(g, spec)
     s_obs = stat_vector(g, spec)

@@ -7,19 +7,22 @@ i < j; every public function normalizes order.
 
 Whole-graph work goes through numpy: ``adjacency_matrix`` and
 ``from_adjacency`` convert to and from an n x n matrix by bit (un)packing,
-``geodesic_distances`` runs shortest paths on it, and subgraphs and
-between-cluster counts are slices and masks of it.  Only this module and the
-kernel ``stats.ChangeStatEngine`` touch the bitmasks.
+and subgraphs and between-cluster counts are slices and masks of it.
+``geodesic_distances`` is a breadth-first search on the bitmasks, so this
+module needs no scipy.  Importing scipy is most of the time a CLI command
+takes to start, so only SCORE, the LSM and exact enumeration load it, inside
+the functions that compute with it; ``simulate``, ``fit`` on a given
+partition and ``gof`` never do.  Only this module and the kernel
+``stats.ChangeStatEngine`` touch the bitmasks.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 __all__ = [
     "Graph",
@@ -49,6 +52,22 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _unpack(masks, n: int) -> np.ndarray:
+    """The 0/1 rows of n-bit masks, one row of n columns each, dtype uint8."""
+    width = (n + 7) // 8
+    packed = b"".join(m.to_bytes(width, "little") for m in masks)
+    rows = np.frombuffer(packed, dtype=np.uint8).reshape(-1, width)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little")
+
+
+def _or_all(masks: list[int], idx: list[int]) -> int:
+    """OR of ``masks[i]`` over ``i`` in ``idx``."""
+    out = 0
+    for i in idx:
+        out |= masks[i]
+    return out
 
 
 class Graph:
@@ -95,16 +114,29 @@ class Graph:
         """The (len(graphs), n, n) 0/1 adjacency matrices of graphs on the
         same n nodes, dtype uint8."""
         n = graphs[0].n
-        width = (n + 7) // 8
-        packed = b"".join(m.to_bytes(width, "little") for g in graphs for m in g._adj)
-        rows = np.frombuffer(packed, dtype=np.uint8).reshape(len(graphs), n, width)
-        return np.unpackbits(rows, axis=2, count=n, bitorder="little")
+        masks = chain.from_iterable(g._adj for g in graphs)
+        return _unpack(masks, n).reshape(len(graphs), n, n)
 
     def geodesic_distances(self) -> np.ndarray:
-        """The n x n shortest-path lengths in edges; ``inf`` between components."""
-        return shortest_path(
-            csr_matrix(self.adjacency_matrix()), method="D", directed=False, unweighted=True
-        )
+        """The n x n shortest-path lengths in edges; ``inf`` between components.
+
+        A breadth-first search from every node at once: ``reach[v]`` is the
+        mask of nodes within d edges of v, and each level ORs in the masks
+        of v's neighbours.  The bits a level adds get distance d.
+        """
+        n = self.n
+        dist = np.full((n, n), np.inf)
+        np.fill_diagonal(dist, 0.0)
+        neighbors = [list(_bits(m)) for m in self._adj]
+        reach = [1 << v for v in range(n)]
+        for d in range(1, n):
+            new = [r | _or_all(reach, nbrs) for r, nbrs in zip(reach, neighbors)]
+            if new == reach:
+                break
+            fresh = _unpack((m ^ r for m, r in zip(new, reach)), n)
+            dist[fresh.view(bool)] = d
+            reach = new
+        return dist
 
     @classmethod
     def from_adjacency(cls, a) -> "Graph":

@@ -10,6 +10,11 @@ with conjugate draws (memberships, mixture weights, component means and
 variances).  Retained draws are Procrustes-aligned to the starting
 configuration and rescaled to unit root-mean-square position norm; the
 distance coefficient absorbs the scale, leaving the likelihood untouched.
+
+scipy's ``orthogonal_procrustes`` and ``linear_sum_assignment`` are imported
+inside the functions that call them: every CLI command imports this module,
+and scipy's import is most of a command's start-up, so only LSM runs pay for
+it.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import orthogonal_procrustes
-from scipy.optimize import linear_sum_assignment
 
 from .graph import Graph, Partition
 from .rng import child_rng
@@ -148,6 +151,8 @@ def init_positions(g: Graph, d: int = LSM_DIM) -> np.ndarray:
 
 def procrustes_align(z: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Best rigid motion (rotation/reflection/translation) of z onto reference."""
+    from scipy.linalg import orthogonal_procrustes
+
     z = np.asarray(z, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     if z.shape != reference.shape:
@@ -162,6 +167,8 @@ def _best_permutation(labels: np.ndarray, reference: np.ndarray, k: int):
 
     Exact (an assignment problem); among tied matchings it returns any one.
     """
+    from scipy.optimize import linear_sum_assignment
+
     cont = np.zeros((k, k), dtype=np.int64)
     np.add.at(cont, (labels, reference), 1)
     rows, cols = linear_sum_assignment(-cont)

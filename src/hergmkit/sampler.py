@@ -9,7 +9,9 @@ Bernoulli ties (``BernoulliBlock``), and between-block ties are i.i.d.
 Bernoulli.  ``simulate_hergm`` (one network and its partition) and the GOF
 envelopes both draw through it.  ``exact_distribution`` enumerates the full
 sample space for small n and is the ground-truth reference for sampler and
-estimator tests, apart from the change-statistic kernel.
+estimator tests, apart from the change-statistic kernel; it alone here
+uses scipy (``logsumexp``), imported where it is called, so sampling loads
+no scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .graph import Graph, Partition
 from .rng import child_rng
@@ -299,6 +300,8 @@ def exact_distribution(n: int, spec: StatisticSpec, theta) -> ExactDistribution:
     Row t of the statistics table is ``stats._stat_rows`` of graph t, built
     from the bits of t, so it equals ``stat_vector`` of that graph exactly.
     """
+    from scipy.special import logsumexp
+
     theta = _check_theta(theta, spec)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

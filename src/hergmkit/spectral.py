@@ -4,6 +4,10 @@ Ratios of the leading adjacency eigenvectors cancel node-level degree
 effects, so k-means on the ratio matrix recovers blocks even when hubs and
 low-degree nodes share a block.  Includes a small deterministic k-means
 (restarts, seeded, empty clusters re-seeded to distinct far points).
+
+scipy (ARPACK's ``eigsh``, ``connected_components``) is imported inside the
+functions that call it: every CLI command imports this module, and scipy's
+import is most of a command's start-up, so only SCORE runs pay for it.
 """
 
 from __future__ import annotations
@@ -11,9 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import eigsh
 
 from .graph import Graph, Partition
 
@@ -81,6 +82,9 @@ def _leading_eigenpairs(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if n <= max(3 * k, 50):
         vals, vecs = np.linalg.eigh(a)
     else:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.linalg import eigsh
+
         # a fixed ARPACK start: its own carries state from call to call, and a
         # constant one is nearly orthogonal to balanced block eigenvectors
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
@@ -99,6 +103,9 @@ def score_cluster(
     component's rows; nodes of smaller components are assigned to the
     nearest fitted centroid.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     k = n_clusters
     if k < 2:
         raise ValueError("SCORE needs K >= 2")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .fit import (
     ErgmFit,
+    GraphTooSmallError,
     McmleControls,
     MpleNotConvergedError,
     NonFiniteMleError,
@@ -85,14 +86,12 @@ def stage2_seed(master: int, k: int) -> int:
 def _fit_cluster(sub: Graph, spec: StatisticSpec, method: str,
                  mcmle_controls: McmleControls, seed_k: int):
     """Fit one within-cluster block; returns (fit | None, reason | None)."""
-    need = spec.min_nodes()
-    if sub.n < need:
-        return None, f"cluster has {sub.n} nodes; spec needs at least {need}"
     try:
         if method == "mple":
             return mple(sub, spec), None
         return mcmle(sub, spec, controls=mcmle_controls, seed=seed_k), None
-    except (NonFiniteMleError, SamplesDegenerateError, MpleNotConvergedError) as exc:
+    except (GraphTooSmallError, NonFiniteMleError, SamplesDegenerateError,
+            MpleNotConvergedError) as exc:
         return None, str(exc)
 
 

@@ -2,12 +2,16 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import hergmkit
 from hergmkit import cli, experiments
 
 SENSITIVITY = {
@@ -77,6 +81,42 @@ def _fit(tmp_path, graph: str, truth: str) -> str:
                      "--stats", "edges", "--stage1", "given", "--partition", truth,
                      "--method", "mple", "--out", out]) == 0
     return out
+
+
+# a fresh interpreter runs CLI commands in-process, then lists the scipy
+# modules it has loaded
+_SCIPY_PROBE = """
+import json, sys
+from hergmkit import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_fig3_stages_load_no_scipy(tmp_path):
+    # simulate, fit on the true partition by MCMLE, and gof: the fig3
+    # pipeline needs no scipy, which is most of a command's start-up
+    cfg = _write_config(tmp_path, {
+        "clusters": [{"n": 8, "stats": "edges,gwesp(0.5)", "theta": [-1.0, 0.3]}] * 2,
+        "between_p": 0.05, "burnin_sweeps": 20,
+    })
+    g, t, fit = (str(tmp_path / name) for name in ("g.edges", "t.csv", "fit.json"))
+    runs = [
+        ["simulate", "hergm", "--config", cfg, "--seed", "1", "--out", g, "--truth", t],
+        ["fit", "twostage", "--graph", g, "--K", "2", "--stats", "edges,gwesp(0.5)",
+         "--stage1", "given", "--partition", t, "--method", "mcmle",
+         "--mc-samples", "16", "--mc-burnin", "10", "--out", fit],
+        ["gof", "--graph", g, "--fit", fit, "--nsim", "3", "--burnin", "5",
+         "--out", str(tmp_path / "gof.csv")],
+    ]
+    src = os.path.dirname(os.path.dirname(hergmkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)],
+                         env={**os.environ, "PYTHONPATH": path}, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == []
 
 
 class TestGofGraphMismatch:
@@ -212,7 +252,7 @@ class TestExitCodes:
         clusters = json.loads(out.read_text())["cluster_fits"]
         assert clusters[0]["available"]
         assert clusters[1] == {"available": False,
-                               "reason": "cluster has 1 nodes; spec needs at least 2"}
+                               "reason": "spec degree(0) needs at least 2 nodes, got 1"}
 
     def test_gof_on_a_one_node_graph_exits_2(self, tmp_path, capsys):
         graph, part = tmp_path / "g.edges", tmp_path / "p.csv"
@@ -674,6 +714,14 @@ def test_ill_typed_config_field_exits_2_naming_it(tmp_path, capsys, command, cfg
     (["simulate", "hergm"],
      {"clusters": [{"n": 6, "stats": "edges,edges", "theta": [-1.0, 0.0]}], "between_p": 0.1},
      "'clusters[0].stats': term edges appears twice"),
+    (["simulate", "hergm"],
+     {"clusters": [{"n": 6, "stats": "edges,degree(9)", "theta": [-1.0, 0.1]}],
+      "between_p": 0.1},
+     "'clusters[0].stats': degree 9 out of range 0..5"),
+    (["experiment", "sensitivity"],
+     {**SENSITIVITY, "stats": "edges,degree(8)",
+      "clusters": [{"n": 9, "theta": [-1.0, 0.3]}, {"n": 8, "theta": [-1.2, 0.4]}]},
+     "'clusters[1].n': degree 8 out of range 0..7"),
 ])
 def test_out_of_range_config_field_exits_2_naming_it(tmp_path, capsys, command, cfg, message):
     assert _run_config(tmp_path, command, cfg) == 2

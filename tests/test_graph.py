@@ -299,6 +299,58 @@ class TestFileFormats:
             read_partition(path)
 
 
+class TestGeodesics:
+    """``geodesic_distances`` against scipy's shortest paths as the oracle:
+    equal values, ``inf`` between components, shape and dtype."""
+
+    @staticmethod
+    def check(g):
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import shortest_path
+
+        want = shortest_path(csr_matrix(g.adjacency_matrix()), method="D",
+                             directed=False, unweighted=True)
+        got = g.geodesic_distances()
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        return got
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 9, 200])
+    def test_empty_graph(self, n):
+        d = self.check(Graph(n))
+        assert np.array_equal(d, np.where(np.eye(n, dtype=bool), 0.0, np.inf))
+
+    @pytest.mark.parametrize("n", [2, 5, 64, 65])
+    def test_complete_graph(self, n):
+        d = self.check(Graph.from_adjacency(~np.eye(n, dtype=bool)))
+        assert np.array_equal(d, 1.0 - np.eye(n))
+
+    @pytest.mark.parametrize("n", [3, 200])
+    def test_path(self, n):
+        g = Graph(n)
+        for i in range(n - 1):
+            g.add_edge(i, i + 1)
+        d = self.check(g)
+        ids = np.arange(n)
+        assert np.array_equal(d, np.abs(ids[:, None] - ids[None, :]).astype(float))
+
+    def test_components(self):
+        from scipy.linalg import block_diag
+
+        # two dense blocks, a path, a lone edge and two isolated nodes
+        blocks = [random_graph(m, 0.5, m).adjacency_matrix() for m in (20, 15)]
+        path = np.eye(6, k=1) + np.eye(6, k=-1)
+        edge = np.array([[0, 1], [1, 0]])
+        a = block_diag(blocks[0], path, [[0]], blocks[1], edge, [[0]])
+        d = self.check(Graph.from_adjacency(a))
+        assert np.isinf(d[0, 20]) and d[20, 25] == 5.0
+
+    @pytest.mark.parametrize("n", [3, 7, 30, 120, 200])
+    @pytest.mark.parametrize("density", [0.01, 0.05, 0.2, 0.6])
+    def test_random_graphs(self, n, density):
+        self.check(random_graph(n, density, 1000 * n + int(100 * density)))
+
+
 def test_only_graph_and_kernel_touch_the_bitmasks():
     # every other module goes through Graph's methods and its numpy bridge
     src = Path(hergmkit.__file__).parent
