@@ -10,8 +10,8 @@ Whole-graph work goes through numpy: ``adjacency_matrix`` and
 and subgraphs and between-cluster counts are slices and masks of it.
 ``geodesic_distances`` is a breadth-first search on the bitmasks, so this
 module needs no scipy.  Importing scipy is most of the time a CLI command
-takes to start, so only SCORE, the LSM and exact enumeration load it, inside
-the functions that compute with it; ``simulate``, ``fit`` on a given
+takes to start, so only SCORE and exact enumeration load it, inside the
+functions that compute with it; ``simulate``, the LSM, ``fit`` on a given
 partition and ``gof`` never do.  Only this module and the kernel
 ``stats.ChangeStatEngine`` touch the bitmasks.
 """

@@ -11,10 +11,9 @@ variances).  Retained draws are Procrustes-aligned to the starting
 configuration and rescaled to unit root-mean-square position norm; the
 distance coefficient absorbs the scale, leaving the likelihood untouched.
 
-scipy's ``orthogonal_procrustes`` and ``linear_sum_assignment`` are imported
-inside the functions that call them: every CLI command imports this module,
-and scipy's import is most of a command's start-up, so only LSM runs pay for
-it.
+The module imports no scipy: the Procrustes rotation is numpy's SVD and the
+label matching is a short Hungarian assignment here, so an LSM run never pays
+scipy's import, which costs more memory and start-up than either job.
 """
 
 from __future__ import annotations
@@ -150,31 +149,69 @@ def init_positions(g: Graph, d: int = LSM_DIM) -> np.ndarray:
 
 
 def procrustes_align(z: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Best rigid motion (rotation/reflection/translation) of z onto reference."""
-    from scipy.linalg import orthogonal_procrustes
+    """Best rigid motion (rotation/reflection/translation) of z onto reference.
 
+    The rotation is ``u @ vt`` from the SVD of the centred cross-product
+    (Schoenemann 1966), the formula of scipy's ``orthogonal_procrustes``.
+    """
     z = np.asarray(z, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     if z.shape != reference.shape:
         raise ValueError(f"shape mismatch {z.shape} vs {reference.shape}")
     zm, rm = z.mean(axis=0), reference.mean(axis=0)
-    rot, _ = orthogonal_procrustes(z - zm, reference - rm)
-    return (z - zm) @ rot + rm
+    u, _, vt = np.linalg.svd(((reference - rm).T @ (z - zm)).T)
+    return (z - zm) @ (u @ vt) + rm
 
 
 def _best_permutation(labels: np.ndarray, reference: np.ndarray, k: int):
     """Permutation perm with perm[old] = new maximizing label agreement.
 
-    Exact (an assignment problem); among tied matchings it returns any one.
+    Exact: the Hungarian method (Kuhn 1955) on the K x K contingency table,
+    in the shortest-augmenting-path form of Crouse (2016).  Each row joins
+    the matching through one Dijkstra-like search for the cheapest
+    augmenting path over reduced costs, kept non-negative by integer row and
+    column potentials, so the solve is O(K^3).  Among tied matchings it returns any one; the search breaks
+    ties as scipy's ``linear_sum_assignment`` does.
     """
-    from scipy.optimize import linear_sum_assignment
-
     cont = np.zeros((k, k), dtype=np.int64)
     np.add.at(cont, (labels, reference), 1)
-    rows, cols = linear_sum_assignment(-cont)
-    perm = np.empty(k, dtype=np.int64)
-    perm[rows] = cols
-    return perm
+    cost = (-cont).tolist()
+    u, v = [0] * k, [0] * k  # row and column potentials
+    col4row, row4col, path = [-1] * k, [-1] * k, [-1] * k
+    for cur in range(k):
+        dist = [math.inf] * k  # reduced path cost to each column
+        rows, cols = [], []  # rows and columns the search reached
+        todo = list(range(k - 1, -1, -1))
+        i, low = cur, 0
+        while True:
+            rows.append(i)
+            best, at = math.inf, -1
+            for pos, j in enumerate(todo):
+                r = low + cost[i][j] - u[i] - v[j]
+                if r < dist[j]:
+                    path[j], dist[j] = i, r
+                # on a tie prefer a free column: it ends the search
+                if dist[j] < best or (dist[j] == best and row4col[j] == -1):
+                    best, at = dist[j], pos
+            low, j = best, todo[at]
+            cols.append(j)
+            todo[at] = todo[-1]
+            todo.pop()
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+        u[cur] += low
+        for i in rows[1:]:
+            u[i] += low - dist[col4row[i]]
+        for c in cols:
+            v[c] -= low - dist[c]
+        while True:  # flip the path's matched and unmatched edges
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.array(col4row, dtype=np.int64)
 
 
 # -- the sampler -------------------------------------------------------------

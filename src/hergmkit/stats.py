@@ -289,14 +289,12 @@ class ChangeStatEngine:
         self.n = n
         self._keeps_sp = any(t.kind in _GW_KINDS for t in spec)
         # geometric weight increments: dw[s] = w(s+1) - w(s), w(s) the weight
-        # of a dyad/edge with s shared partners
+        # of a dyad/edge with s shared partners, from the whole-graph
+        # statistics' own table so that the two agree at every decay
         self._tables = []
         for t in spec:
             if t.kind in _GW_KINDS:
-                w = [
-                    math.exp(t.param) * (1.0 - (1.0 - math.exp(-t.param)) ** s)
-                    for s in range(n + 1)
-                ]
+                w = _gw_weights(t.param, n + 1).tolist()
                 dw = [w[s + 1] - w[s] for s in range(n)]
                 self._tables.append((w, dw))
             elif t.kind == "kstar":

@@ -1,5 +1,6 @@
 """Command-line exit codes, flags, and the bundled configs."""
 
+import ast
 import copy
 import json
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +96,17 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
+def _scipy_modules_after(tmp_path, runs) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running ``runs``."""
+    src = os.path.dirname(os.path.dirname(hergmkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)],
+                         env={**os.environ, "PYTHONPATH": path}, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 def test_fig3_stages_load_no_scipy(tmp_path):
     # simulate, fit on the true partition by MCMLE, and gof: the fig3
     # pipeline needs no scipy, which is most of a command's start-up
@@ -110,13 +123,40 @@ def test_fig3_stages_load_no_scipy(tmp_path):
         ["gof", "--graph", g, "--fit", fit, "--nsim", "3", "--burnin", "5",
          "--out", str(tmp_path / "gof.csv")],
     ]
-    src = os.path.dirname(os.path.dirname(hergmkit.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)],
-                         env={**os.environ, "PYTHONPATH": path}, cwd=tmp_path,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout.splitlines()[-1]) == []
+    assert _scipy_modules_after(tmp_path, runs) == []
+
+
+def test_lsm_stage_loads_no_scipy(tmp_path):
+    # the LSM's Procrustes alignment and label matching are numpy and Python,
+    # so the paper's default stage 1 never pays scipy's import either
+    g, _ = _simulate(tmp_path, 6)
+    runs = [
+        ["cluster", "lsm", "--graph", g, "--K", "3", "--burnin", "10",
+         "--samples", "5", "--thin", "1", "--out", str(tmp_path / "lsm.csv")],
+        ["fit", "twostage", "--graph", g, "--K", "3", "--stats", "edges",
+         "--stage1", "lsm", "--lsm-burnin", "10", "--lsm-samples", "5",
+         "--lsm-thin", "1", "--method", "mple", "--out", str(tmp_path / "fit.json")],
+        ["experiment", "misrate", "--config", _write_config(tmp_path, MISRATE),
+         "--threads", "1", "--out", str(tmp_path / "misrate.csv")],
+    ]
+    assert _scipy_modules_after(tmp_path, runs) == []
+
+
+def test_scipy_is_imported_only_by_score_and_exact_enumeration():
+    importers = set()
+    for path in Path(hergmkit.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "scipy" for name in names):
+                    importers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert importers == {"spectral._leading_eigenpairs", "spectral.score_cluster",
+                         "sampler.exact_distribution"}
 
 
 class TestGofGraphMismatch:

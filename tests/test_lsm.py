@@ -196,6 +196,19 @@ class TestProcrustes:
                 best = min(best, np.linalg.norm(zc @ r - ref))
         assert got <= best + 1e-6
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_scipy_orthogonal_procrustes(self, d):
+        from scipy.linalg import orthogonal_procrustes
+
+        rng = np.random.default_rng(9 + d)
+        for n in (1, 2, 5, 30):
+            z = 3.0 * rng.normal(size=(n, d)) + 1.0
+            ref = rng.normal(size=(n, d))
+            rot, _ = orthogonal_procrustes(z - z.mean(axis=0), ref - ref.mean(axis=0))
+            expected = (z - z.mean(axis=0)) @ rot + ref.mean(axis=0)
+            np.testing.assert_allclose(procrustes_align(z, ref), expected,
+                                       rtol=0, atol=1e-12)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             procrustes_align(np.zeros((3, 2)), np.zeros((4, 2)))

@@ -335,6 +335,26 @@ class TestChangeStatistics:
             np.testing.assert_allclose(got, oracle, atol=1e-12)
             assert change_statistics(g, d, spec).tolist() == oracle.tolist()
 
+    @pytest.mark.parametrize("kind", ["gwesp", "gwdsp"])
+    @pytest.mark.parametrize("decay", [0, 0.5, 1.7, GW_DECAY_MAX])
+    def test_kernel_matches_whole_graph_difference_at_every_decay(self, kind, decay):
+        # at decay 20 the weights 1 - (1 - e^-20)^s cancel to a few digits, so
+        # the kernel and the whole-graph statistics agree only on one table;
+        # change_statistics is a difference of two whole-graph values, so its
+        # rounding scales with the larger one
+        spec = parse_spec(f"{kind}({decay:g})")
+        for seed, (n, density) in enumerate([(3, 0.6), (6, 0.3), (9, 0.5),
+                                             (12, 0.8), (15, 0.2), (20, 0.45)]):
+            g = random_graph(n, density, 300 + seed)
+            engine = ChangeStatEngine(spec, n)
+            for d in dyad_order(n):
+                expected = change_statistics(g, d, spec)
+                present = g.copy()
+                present.add_edge(*d)
+                scale = float(stat_vector(present, spec)[0])
+                np.testing.assert_allclose(engine.compute(g, *d), expected,
+                                           rtol=1e-12, atol=1e-12 * scale)
+
     def test_out_of_range_dyad(self):
         with pytest.raises(ValueError):
             change_statistics(Graph(3), (0, 5), FULL_SPEC)

@@ -131,6 +131,23 @@ class TestMisclusteringRate:
                 assert np.count_nonzero(perm[a] == b) == best
                 assert misclustering_rate(Partition(a, k), Partition(b, k)) == 1.0 - best / n
 
+    @pytest.mark.parametrize("k", [1, 10, 15, 20, 25])
+    def test_agreement_matches_scipy_assignment(self, k):
+        # scipy's solver as the oracle where brute force is out of reach;
+        # n = k and n = 2k give many tied matchings
+        rng = np.random.default_rng(k)
+        fewer = max(k // 2, 1)
+        for n, k_est, k_truth in ((k, k, k), (2 * k, k, k), (10 * k, k, k),
+                                  (5 * k, fewer, k), (5 * k, k, fewer)):
+            a = rng.integers(0, k_est, n)
+            b = rng.integers(0, k_truth, n)
+            cont = np.zeros((k, k), dtype=int)
+            np.add.at(cont, (a, b), 1)
+            rows, cols = linear_sum_assignment(-cont)
+            perm = _best_permutation(a, b, k)
+            assert sorted(perm.tolist()) == list(range(k))
+            assert np.count_nonzero(perm[a] == b) == int(cont[rows, cols].sum())
+
     def test_upper_bound(self):
         rng = np.random.default_rng(2)
         a = Partition(rng.integers(0, 3, 30), 3)
