@@ -48,18 +48,11 @@ from .graph import (
     write_edge_list,
     write_partition,
 )
-from .lsm import (
-    LSM_DIM,
-    LsmControls,
-    lsm_posterior_from_dict,
-    lsm_posterior_to_dict,
-)
+from .lsm import LsmControls, lsm_posterior_from_dict, lsm_posterior_to_dict
 from .sampler import SamplerControls, gibbs_sample, simulate_hergm
-from .spectral import SCORE_RESTARTS
 from .stats import parse_spec, stat_vector
 from .svgplot import render_panels
 from .twostage import (
-    GOF_BURNIN_SWEEPS,
     GOF_THIN_SWEEPS,
     cluster,
     gof,
@@ -108,6 +101,40 @@ def _stderr(msg: str):
     print(msg, file=sys.stderr)
 
 
+# -- flags -------------------------------------------------------------------
+# A chain-length, dimension or restart flag is absent from ``args`` unless
+# given, so the default that applies is that of the code that reads it.
+
+_LSM_FLAGS = {"lsm_burnin": "burnin", "lsm_samples": "n_samples", "lsm_thin": "thin"}
+_MCMLE_FLAGS = {"mc_samples": "n_samples", "mc_burnin": "burnin_sweeps"}
+# flags read only under one --stage1 or --method: dest -> (mode dest, value)
+_READ_ONLY_WITH = {
+    **dict.fromkeys(["dim", *_LSM_FLAGS], ("stage1", "lsm")),
+    **dict.fromkeys([*_MCMLE_FLAGS, "theta0"], ("method", "mcmle")),
+}
+
+
+def _refuse_unread(args):
+    """Refuse a flag that the chosen ``--stage1`` or ``--method`` does not read."""
+    for dest, (mode, value) in _READ_ONLY_WITH.items():
+        if dest in args and mode in args and getattr(args, mode) != value:
+            raise ValueError(f"--{dest.replace('_', '-')} read only with --{mode} {value}")
+
+
+def _with_flags(args, flags: dict[str, str], fn, *pos, **kw):
+    """``fn(*pos, **kw)`` plus one keyword for each flag of ``flags`` (dest ->
+    keyword) that was given.  An error whose message starts with such a
+    keyword, as ``sampler.check_counts``'s do, is reported under its flag."""
+    given = {dest: key for dest, key in flags.items() if dest in args}
+    try:
+        return fn(*pos, **kw, **{key: getattr(args, dest) for dest, key in given.items()})
+    except ValueError as exc:
+        named = [dest for dest, key in given.items() if str(exc).startswith(key + " ")]
+        if not named:
+            raise
+        raise ValueError(f"--{named[0].replace('_', '-')}: {exc}") from exc
+
+
 # -- simulate ----------------------------------------------------------------
 
 
@@ -136,11 +163,8 @@ def _cmd_simulate_hergm(args) -> int:
 
 def _cmd_simulate_ergm(args) -> int:
     spec = parse_spec(args.stats)
-    controls = SamplerControls(
-        burnin_sweeps=args.burnin,
-        n_samples=args.samples,
-        thin_sweeps=args.thin,
-    )
+    controls = _with_flags(args, {"burnin": "burnin_sweeps", "samples": "n_samples",
+                                  "thin": "thin_sweeps"}, SamplerControls)
     res = gibbs_sample(args.n, spec, args.theta, controls, np.random.default_rng(args.seed))
     write_edge_list(res.graphs[-1], args.out)
     if args.stats_out:
@@ -162,8 +186,10 @@ def _cmd_simulate_ergm(args) -> int:
 
 def _cmd_cluster_lsm(args) -> int:
     g = read_edge_list(args.graph)
-    controls = LsmControls(burnin=args.burnin, n_samples=args.samples, thin=args.thin)
-    part, post = cluster(g, args.K, "lsm", args.seed, args.dim, controls)
+    controls = _with_flags(args, {"burnin": "burnin", "samples": "n_samples", "thin": "thin"},
+                           LsmControls)
+    part, post = _with_flags(args, {"dim": "dim"}, cluster, g, args.K, "lsm", args.seed,
+                             lsm=controls)
     write_partition(part, args.out)
     if args.posterior:
         _write_json(args.posterior, lsm_posterior_to_dict(post))
@@ -186,7 +212,8 @@ def _cmd_cluster_lsm(args) -> int:
 
 def _cmd_cluster_score(args) -> int:
     g = read_edge_list(args.graph)
-    part, _ = cluster(g, args.K, "score", args.seed, restarts=args.restarts)
+    part, _ = _with_flags(args, {"restarts": "restarts"}, cluster, g, args.K, "score",
+                          args.seed)
     write_partition(part, args.out)
     _stderr(f"clustered {g.n} nodes into K={args.K} -> {args.out}")
     return 0
@@ -199,20 +226,11 @@ def _cmd_fit_twostage(args) -> int:
     g = read_edge_list(args.graph)
     spec = parse_spec(args.stats)
     given = read_partition(args.partition) if args.partition else None
-    ts = two_stage_fit(
-        g,
-        args.K,
-        spec,
-        stage1=args.stage1,
-        method=args.method,
-        dim=args.dim,
-        lsm=LsmControls(
-            burnin=args.lsm_burnin, n_samples=args.lsm_samples, thin=args.lsm_thin
-        ),
-        mcmle=McmleControls(n_samples=args.mc_samples, burnin_sweeps=args.mc_burnin),
-        given_partition=given,
-        seed=args.seed,
-    )
+    ts = _with_flags(args, {"dim": "dim"}, two_stage_fit, g, args.K, spec,
+                     stage1=args.stage1, method=args.method,
+                     lsm=_with_flags(args, _LSM_FLAGS, LsmControls),
+                     mcmle=_with_flags(args, _MCMLE_FLAGS, McmleControls),
+                     given_partition=given, seed=args.seed)
     _write_json(args.out, two_stage_fit_to_dict(ts))
     for k, reason in enumerate(ts.fit_errors):
         if reason is not None:
@@ -222,21 +240,15 @@ def _cmd_fit_twostage(args) -> int:
 
 
 def _cmd_fit_ergm(args) -> int:
-    if args.method == "mple" and args.theta0 is not None:
-        raise ValueError("--theta0 is the MCMLE start; --method mple takes none")
     g = read_edge_list(args.graph)
     spec = parse_spec(args.stats)
     if args.method == "mple":
         fit = mple(g, spec)
         fit.seed = args.seed
     else:
-        fit = mcmle(
-            g,
-            spec,
-            theta0=args.theta0,
-            controls=McmleControls(n_samples=args.mc_samples, burnin_sweeps=args.mc_burnin),
-            seed=args.seed,
-        )
+        fit = _with_flags(args, {"theta0": "theta0"}, mcmle, g, spec,
+                          controls=_with_flags(args, _MCMLE_FLAGS, McmleControls),
+                          seed=args.seed)
         if not fit.diagnostics.converged:
             _stderr("warning: moment condition not met within iteration budget")
     _write_json(args.out, ergm_fit_to_dict(fit))
@@ -271,7 +283,8 @@ def _load_fit(path):
 def _cmd_gof(args) -> int:
     g = read_edge_list(args.graph)
     fit = _load_fit(args.fit)
-    report = gof(g, fit, args.nsim, seed=args.seed, burnin_sweeps=args.burnin)
+    report = _with_flags(args, {"burnin": "burnin_sweeps"}, gof, g, fit, args.nsim,
+                         seed=args.seed)
     rows = []
     for name, diag in report.diagnostics.items():
         for b in range(len(diag.observed)):
@@ -407,6 +420,16 @@ def _floats(text: str) -> tuple[float, ...]:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_int_at_least(0), default=0, help="master seed, >= 0")
+    unset = argparse.SUPPRESS
+    stage2 = argparse.ArgumentParser(add_help=False, argument_default=unset)
+    stage2.add_argument("--method", choices=("mcmle", "mple"), default="mcmle")
+    stage2.add_argument(
+        "--mc-samples", type=int,
+        help=f"MCMLE sample size N: a full-size MCMLE sample holds {MCMLE_SAMPLE_BOOST}N "
+        "draws, taken on consecutive sweeps",
+    )
+    stage2.add_argument("--mc-burnin", type=int, help="MCMLE burn-in sweeps, run once "
+                        "per ERGM fit before its first sample")
 
     parser = argparse.ArgumentParser(
         prog="hergm-kit",
@@ -428,11 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_se.add_argument("--theta", type=_floats, required=True,
                       help="comma-separated values, written --theta=-1,0.1 so that "
                       "a negative first value is not read as a flag")
-    p_se.add_argument("--burnin", type=int, default=SamplerControls.burnin_sweeps,
-                      help="burn-in sweeps")
-    p_se.add_argument("--samples", type=int, default=SamplerControls.n_samples)
-    p_se.add_argument("--thin", type=int, default=SamplerControls.thin_sweeps,
-                      help="sweeps between samples")
+    p_se.add_argument("--burnin", type=int, default=unset, help="burn-in sweeps")
+    p_se.add_argument("--samples", type=int, default=unset)
+    p_se.add_argument("--thin", type=int, default=unset, help="sweeps between samples")
     p_se.add_argument("--out", required=True, help="edge list of the final sample")
     p_se.add_argument("--stats-out", help="CSV of retained statistic vectors")
     p_se.set_defaults(func=_cmd_simulate_ergm)
@@ -442,10 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl_lsm = cl_sub.add_parser("lsm", parents=[common], help="latent position model")
     p_cl_lsm.add_argument("--graph", required=True)
     p_cl_lsm.add_argument("--K", type=int, required=True)
-    p_cl_lsm.add_argument("--dim", type=int, default=LSM_DIM)
-    p_cl_lsm.add_argument("--burnin", type=int, default=LsmControls.burnin)
-    p_cl_lsm.add_argument("--samples", type=int, default=LsmControls.n_samples)
-    p_cl_lsm.add_argument("--thin", type=int, default=LsmControls.thin)
+    for flag in ("--dim", "--burnin", "--samples", "--thin"):
+        p_cl_lsm.add_argument(flag, type=int, default=unset)
     p_cl_lsm.add_argument("--out", required=True, help="partition CSV")
     p_cl_lsm.add_argument("--posterior", help="posterior summary JSON")
     p_cl_lsm.add_argument("--positions", help="posterior-mean positions CSV")
@@ -453,45 +472,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl_sc = cl_sub.add_parser("score", parents=[common], help="SCORE spectral")
     p_cl_sc.add_argument("--graph", required=True)
     p_cl_sc.add_argument("--K", type=int, required=True)
-    p_cl_sc.add_argument("--restarts", type=int, default=SCORE_RESTARTS)
+    p_cl_sc.add_argument("--restarts", type=int, default=unset)
     p_cl_sc.add_argument("--out", required=True, help="partition CSV")
     p_cl_sc.set_defaults(func=_cmd_cluster_score)
 
-    mc_samples_help = (
-        f"MCMLE sample size N: a full-size MCMLE sample holds {MCMLE_SAMPLE_BOOST}N "
-        "draws, taken on consecutive sweeps"
-    )
-    mc_burnin_help = "MCMLE burn-in sweeps, run once per ERGM fit before its first sample"
     p_fit = sub.add_parser("fit", help="estimate model parameters")
     fit_sub = p_fit.add_subparsers(dest="mode", required=True)
-    p_ft = fit_sub.add_parser("twostage", parents=[common], help="full pipeline")
+    p_ft = fit_sub.add_parser("twostage", parents=[common, stage2], help="full pipeline")
     p_ft.add_argument("--graph", required=True)
     p_ft.add_argument("--K", type=int, required=True)
     p_ft.add_argument("--stats", required=True)
     p_ft.add_argument("--stage1", choices=("lsm", "score", "given"), default="lsm")
     p_ft.add_argument("--partition", help="partition CSV for --stage1 given")
-    p_ft.add_argument("--method", choices=("mcmle", "mple"), default="mcmle")
-    p_ft.add_argument("--dim", type=int, default=LSM_DIM)
-    p_ft.add_argument("--lsm-burnin", type=int, default=LsmControls.burnin)
-    p_ft.add_argument("--lsm-samples", type=int, default=LsmControls.n_samples)
-    p_ft.add_argument("--lsm-thin", type=int, default=LsmControls.thin)
-    p_ft.add_argument("--mc-samples", type=int, default=McmleControls.n_samples,
-                      help=mc_samples_help)
-    p_ft.add_argument("--mc-burnin", type=int, default=McmleControls.burnin_sweeps,
-                      help=mc_burnin_help)
+    for flag in ("--dim", "--lsm-burnin", "--lsm-samples", "--lsm-thin"):
+        p_ft.add_argument(flag, type=int, default=unset, help="--stage1 lsm only")
     p_ft.add_argument("--out", required=True, help="fit JSON")
     p_ft.set_defaults(func=_cmd_fit_twostage)
-    p_fe = fit_sub.add_parser("ergm", parents=[common], help="single-block fit")
+    p_fe = fit_sub.add_parser("ergm", parents=[common, stage2], help="single-block fit")
     p_fe.add_argument("--graph", required=True)
     p_fe.add_argument("--stats", required=True)
-    p_fe.add_argument("--method", choices=("mcmle", "mple"), default="mcmle")
-    p_fe.add_argument("--theta0", type=_floats,
+    p_fe.add_argument("--theta0", type=_floats, default=unset,
                       help="comma-separated MCMLE start (--method mcmle only), written "
                       "--theta0=-1,0.1 so that a negative first value is not read as a flag")
-    p_fe.add_argument("--mc-samples", type=int, default=McmleControls.n_samples,
-                      help=mc_samples_help)
-    p_fe.add_argument("--mc-burnin", type=int, default=McmleControls.burnin_sweeps,
-                      help=mc_burnin_help)
     p_fe.add_argument("--out", required=True, help="fit JSON")
     p_fe.set_defaults(func=_cmd_fit_ergm)
 
@@ -500,13 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gof.add_argument("--fit", required=True, help="fit JSON from fit/cluster")
     p_gof.add_argument("--nsim", type=_int_at_least(1), required=True,
                        help="simulated graphs, >= 1")
-    p_gof.add_argument(
-        "--burnin",
-        type=int,
-        default=GOF_BURNIN_SWEEPS,
-        help="burn-in sweeps, run once per cluster chain; draws are then "
-        f"taken every {GOF_THIN_SWEEPS} sweeps of that chain",
-    )
+    p_gof.add_argument("--burnin", type=int, default=unset,
+                       help="burn-in sweeps, run once per cluster chain; draws are then "
+                       f"taken every {GOF_THIN_SWEEPS} sweeps of that chain")
     p_gof.add_argument("--out", required=True, help="envelope CSV")
     p_gof.add_argument("--svg", help="envelope plot")
     p_gof.set_defaults(func=_cmd_gof)
@@ -530,6 +528,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _refuse_unread(args)
         return args.func(args)
     # LinAlgError subclasses ValueError, so it is caught first
     except (np.linalg.LinAlgError, RuntimeError) as exc:

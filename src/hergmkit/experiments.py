@@ -8,9 +8,10 @@ run in a process pool; results are reduced in replication order.
 
 Every config is read here, once, before any replication runs.  A field of
 the wrong type or out of range raises ``ValueError`` naming its path, e.g.
-``'clusters[1].n'``; keys not listed are ignored.  A number is a JSON int or
-float, finite and never a boolean; an integer is a JSON int; a list is
-non-empty.  Fields (type, default, allowed range):
+``'clusters[1].n'``; keys not listed are ignored, and a field marked
+'stage1 "lsm" only' is refused under any other ``stage1``.  A number is a
+JSON int or float, finite and never a boolean; an integer is a JSON int; a
+list is non-empty.  Fields (type, default, allowed range):
 
 block model (``simulate hergm``)
     clusters        list of {n: int >= 1, stats: spec string, theta: list
@@ -30,9 +31,10 @@ misrate
     between_p       number in [0, 1]; default 0.05
     decay           number in [0, 20] (gw decay); default 0.5
     stage1          "lsm" or "score"; default "lsm"
-    dim             int >= 1 (LSM latent dimension); default 2
+    dim             int >= 1 (LSM latent dimension); default 2; stage1
+                    "lsm" only
     lsm             {burnin: int >= 0 = 1000, samples: int >= 1 = 400,
-                    thin: int >= 1 = 2}
+                    thin: int >= 1 = 2}; stage1 "lsm" only
     sim             {burnin_sweeps: int >= 0 = 500, thin_sweeps: int >= 1 = 1}
 
 sensitivity
@@ -228,6 +230,9 @@ def misrate_experiment(config: dict, threads: int = 1) -> list[dict]:
     between_p = _field(config, "between_p", float, 0.05, lo=0, hi=1)
     decay = _field(config, "decay", float, 0.5, lo=0)
     stage1 = _field(config, "stage1", str, "lsm", choices=("lsm", "score"))
+    for key in ("dim", "lsm"):
+        if key in config and stage1 != "lsm":
+            raise ValueError(f"config field {key!r} is read only with stage1 'lsm'")
     dim = _field(config, "dim", int, LSM_DIM, lo=1)
     sim, lsm = _field(config, "sim", dict, {}), _field(config, "lsm", dict, {})
     sim_controls = SamplerControls(

@@ -1,7 +1,9 @@
 """Command-line exit codes, flags, and the bundled configs."""
 
+import argparse
 import ast
 import copy
+import inspect
 import json
 import os
 import subprocess
@@ -15,6 +17,11 @@ import pytest
 
 import hergmkit
 from hergmkit import cli, experiments
+from hergmkit.fit import McmleControls
+from hergmkit.lsm import LSM_DIM, LsmControls
+from hergmkit.sampler import SamplerControls
+from hergmkit.spectral import SCORE_RESTARTS
+from hergmkit.twostage import GOF_BURNIN_SWEEPS
 
 SENSITIVITY = {
     "clusters": [{"n": 8, "theta": [-1.0, 0.3]}, {"n": 8, "theta": [-1.2, 0.4]}],
@@ -75,6 +82,19 @@ def _simulate(tmp_path, n_per: int) -> tuple[str, str]:
     assert cli.main(["simulate", "hergm", "--config", str(cfg), "--seed", "1",
                      "--out", graph, "--truth", truth]) == 0
     return graph, truth
+
+
+def _with_inputs(tmp_path, argv: list[str]) -> list[str]:
+    """``argv`` plus the inputs its command reads, written to tmp_path, and
+    ``--out`` tmp_path/out."""
+    graph, truth = _simulate(tmp_path, 6)
+    if argv[0] != "simulate":
+        argv = argv + ["--graph", graph]
+    if argv[0] == "gof":
+        argv = argv + ["--fit", _fit(tmp_path, graph, truth)]
+    if "given" in argv:
+        argv = argv + ["--partition", truth]
+    return argv + ["--out", str(tmp_path / "out")]
 
 
 def _fit(tmp_path, graph: str, truth: str) -> str:
@@ -471,15 +491,53 @@ class TestExitCodes:
         assert code == 0 and out.read_text().startswith("n 6")
         assert len(stats.read_text().splitlines()) == 3
 
-    def test_theta0_with_mple_exits_2(self, tmp_path, capsys):
-        graph = tmp_path / "g.edges"
-        graph.write_text("n 6\n0 1\n1 2\n0 2\n3 4\n")
-        code = cli.main(["fit", "ergm", "--graph", str(graph), "--stats", "edges,triangles",
-                         "--method", "mple", "--theta0=-1,0.1",
-                         "--out", str(tmp_path / "fit.json")])
-        assert code == 2
-        assert "--theta0" in capsys.readouterr().err
-        assert not (tmp_path / "fit.json").exists()
+    @pytest.mark.parametrize("argv, flag, reader", [
+        pytest.param(["fit", "twostage", "--K", "3", "--stage1", mode, "--method", method],
+                     flag, reader, id=f"twostage-{mode}-{method}{flag.split('=')[0]}")
+        for mode, method, flags, reader in [
+            ("score", "mcmle", ["--dim=2", "--lsm-burnin=10"], "--stage1 lsm"),
+            ("given", "mple", ["--lsm-samples=5", "--lsm-thin=1"], "--stage1 lsm"),
+            ("score", "mple", ["--mc-samples=16", "--mc-burnin=10"], "--method mcmle"),
+        ]
+        for flag in flags
+    ] + [
+        pytest.param(["fit", "ergm", "--method", "mple"], flag, "--method mcmle",
+                     id=f"ergm{flag.split('=')[0]}")
+        for flag in ["--mc-samples=16", "--mc-burnin=10", "--theta0=-1,0.1"]
+    ])
+    def test_flag_its_mode_does_not_read_exits_2(self, tmp_path, capsys, argv, flag, reader):
+        assert cli.main(_with_inputs(tmp_path, argv + ["--stats", "edges,triangles", flag])) == 2
+        assert f"{flag.split('=')[0]} read only with {reader}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "twostage", "--K", "3", "--stats", "edges", "--lsm-burnin", "-1"],
+         "--lsm-burnin: burnin must be >= 0, got -1"),
+        (["fit", "twostage", "--K", "3", "--stats", "edges", "--lsm-samples", "0"],
+         "--lsm-samples: n_samples must be >= 1, got 0"),
+        (["fit", "twostage", "--K", "3", "--stats", "edges", "--lsm-thin", "0"],
+         "--lsm-thin: thin must be >= 1, got 0"),
+        (["fit", "twostage", "--K", "3", "--stats", "edges", "--dim", "0"],
+         "--dim: dim must be >= 1"),
+        (["fit", "ergm", "--stats", "edges", "--mc-burnin", "-1"],
+         "--mc-burnin: burnin_sweeps must be >= 0, got -1"),
+        (["simulate", "ergm", "--n", "6", "--stats", "edges", "--theta=-1", "--burnin", "-1"],
+         "--burnin: burnin_sweeps must be >= 0, got -1"),
+        (["simulate", "ergm", "--n", "6", "--stats", "edges", "--theta=-1", "--samples", "0"],
+         "--samples: n_samples must be >= 1, got 0"),
+        (["simulate", "ergm", "--n", "6", "--stats", "edges", "--theta=-1", "--thin", "0"],
+         "--thin: thin_sweeps must be >= 1, got 0"),
+        (["cluster", "lsm", "--K", "3", "--burnin", "-1"], "--burnin: burnin must be >= 0, got -1"),
+        (["cluster", "lsm", "--K", "3", "--samples", "0"],
+         "--samples: n_samples must be >= 1, got 0"),
+        (["cluster", "lsm", "--K", "3", "--thin", "0"], "--thin: thin must be >= 1, got 0"),
+        (["gof", "--nsim", "2", "--burnin", "-1"],
+         "--burnin: burnin_sweeps must be >= 0, got -1"),
+    ])
+    def test_chain_length_error_names_its_flag(self, tmp_path, capsys, argv, message):
+        assert cli.main(_with_inputs(tmp_path, argv)) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_theta0_of_the_wrong_length_exits_2_naming_it(self, tmp_path, capsys):
         graph = tmp_path / "g.edges"
@@ -488,6 +546,74 @@ class TestExitCodes:
                          "--method", "mcmle", "--theta0=-1", "--out", str(tmp_path / "fit.json")])
         assert code == 2
         assert "theta0 has 1 entries for a 2-term spec" in capsys.readouterr().err
+
+
+# -- each flag reaches the code that reads it ----------------------------------
+
+
+class Spied(Exception):
+    """Raised by a spy in place of the call it recorded."""
+
+
+SIMULATE_ERGM = ["simulate", "ergm", "--n", "6", "--stats", "edges", "--theta=-1"]
+LSM_FLAGS = ["--dim", "3", "--lsm-burnin", "7", "--lsm-samples", "8", "--lsm-thin", "9"]
+MC_FLAGS = ["--mc-samples", "16", "--mc-burnin", "11"]
+
+
+@pytest.mark.parametrize("argv, reader, expected", [
+    (["fit", "twostage", "--K", "3", "--stats", "edges"], "two_stage_fit",
+     {"dim": LSM_DIM, "lsm": LsmControls(), "mcmle": McmleControls()}),
+    (["fit", "twostage", "--K", "3", "--stats", "edges", *LSM_FLAGS, *MC_FLAGS],
+     "two_stage_fit",
+     {"dim": 3, "lsm": LsmControls(7, 8, 9), "mcmle": McmleControls(16, 11)}),
+    (["fit", "ergm", "--stats", "edges"], "mcmle",
+     {"theta0": None, "controls": McmleControls()}),
+    (["fit", "ergm", "--stats", "edges", "--theta0=-1", *MC_FLAGS], "mcmle",
+     {"theta0": (-1.0,), "controls": McmleControls(16, 11)}),
+    (["cluster", "lsm", "--K", "3"], "cluster", {"dim": LSM_DIM, "lsm": LsmControls()}),
+    (["cluster", "lsm", "--K", "3", "--dim", "3", "--burnin", "7", "--samples", "8",
+      "--thin", "9"], "cluster", {"dim": 3, "lsm": LsmControls(7, 8, 9)}),
+    (["cluster", "score", "--K", "3"], "cluster", {"restarts": SCORE_RESTARTS}),
+    (["cluster", "score", "--K", "3", "--restarts", "4"], "cluster", {"restarts": 4}),
+    (SIMULATE_ERGM, "gibbs_sample", {"controls": SamplerControls()}),
+    (SIMULATE_ERGM + ["--burnin", "7", "--samples", "8", "--thin", "9"], "gibbs_sample",
+     {"controls": SamplerControls(7, 8, 9)}),
+    (["gof", "--nsim", "2"], "gof", {"burnin_sweeps": GOF_BURNIN_SWEEPS}),
+    (["gof", "--nsim", "2", "--burnin", "7"], "gof", {"burnin_sweeps": 7}),
+])
+def test_flag_reaches_its_reader_and_absent_flag_leaves_its_default(
+        tmp_path, monkeypatch, argv, reader, expected):
+    argv = _with_inputs(tmp_path, argv)
+    real, calls = getattr(cli, reader), []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        raise Spied
+
+    monkeypatch.setattr(cli, reader, spy)
+    with pytest.raises(Spied):
+        cli.main(argv)
+    assert {key: calls[0][key] for key in expected} == expected
+
+
+def _command_paths(parser, path=()):
+    """The argv prefix of the parser and of each of its subcommands."""
+    yield list(path)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _command_paths(sub, path + (name,))
+
+
+@pytest.mark.parametrize("path", _command_paths(cli.build_parser()),
+                         ids=lambda path: "-".join(["hergm-kit", *path]))
+def test_help_renders(capsys, path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(path + ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(" ".join(["usage: hergm-kit", *path]))
 
 
 class TestMalformedExperimentConfigs:
@@ -507,6 +633,11 @@ class TestMalformedExperimentConfigs:
          "'sim.burnin_sweeps' must be an integer, got 2.5"),
         ("sensitivity", {**SENSITIVITY, "sim": {"burnin_sweeps": True}},
          "'sim.burnin_sweeps' must be an integer, got True"),
+        ("misrate", {**MISRATE, "stage1": "score"},
+         "config field 'lsm' is read only with stage1 'lsm'"),
+        ("misrate", {**{k: v for k, v in MISRATE.items() if k != "lsm"},
+                     "stage1": "score", "dim": 2},
+         "config field 'dim' is read only with stage1 'lsm'"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, kind, cfg, field):
         code = cli.main(["experiment", kind, "--threads", "1",
