@@ -5,13 +5,16 @@ Subcommands: ``simulate`` (hergm | ergm), ``cluster`` (lsm | score), ``fit``
 score).  Configs and fit results are JSON, tables are CSV, plots are SVG.
 Every command embeds a master seed (``--seed``; for ``experiment`` the
 config's ``seed``) and writes byte-identical outputs when rerun with the same
-arguments.  ``experiment`` tables are byte-identical regardless of
-``--threads``, which only ``experiment`` takes.
+arguments.  ``simulate hergm``, ``fit twostage``, ``gof`` and ``experiment``
+take ``--threads`` (default: the cores this process may run on) for their
+clusters or replications, and their outputs are byte-identical regardless of
+it.
 
-Exit codes: 0 success, 2 validation/usage error, 3 numerical failure.  A
-config field that is missing, of the wrong type or out of range exits 2
-with an error naming the field's path (``hergmkit.experiments`` lists the
-fields of every config kind).
+Exit codes: 0 success, 1 a pool worker died (e.g. killed for memory), 2
+validation/usage error, 3 numerical failure.  A config field that is
+missing, of the wrong type or out of range exits 2 with an error naming the
+field's path (``hergmkit.experiments`` lists the fields of every config
+kind).
 Diagnostics go to standard error; data only to files.
 """
 
@@ -22,6 +25,7 @@ import csv
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from importlib import resources
 
 import numpy as np
@@ -141,7 +145,7 @@ def _with_flags(args, flags: dict[str, str], fn, *pos, **kw):
 def _cmd_simulate_hergm(args) -> int:
     cfg = _load_config(args.config)
     hspec, controls = _parse_hergm_config(cfg)
-    g, truth = simulate_hergm(hspec, args.seed, controls)
+    g, truth = simulate_hergm(hspec, args.seed, controls, args.threads)
     write_edge_list(g, args.out)
     write_partition(truth, args.truth)
     if args.stats_out:
@@ -230,7 +234,7 @@ def _cmd_fit_twostage(args) -> int:
                      stage1=args.stage1, method=args.method,
                      lsm=_with_flags(args, _LSM_FLAGS, LsmControls),
                      mcmle=_with_flags(args, _MCMLE_FLAGS, McmleControls),
-                     given_partition=given, seed=args.seed)
+                     given_partition=given, seed=args.seed, threads=args.threads)
     _write_json(args.out, two_stage_fit_to_dict(ts))
     for k, reason in enumerate(ts.fit_errors):
         if reason is not None:
@@ -284,7 +288,7 @@ def _cmd_gof(args) -> int:
     g = read_edge_list(args.graph)
     fit = _load_fit(args.fit)
     report = _with_flags(args, {"burnin": "burnin_sweeps"}, gof, g, fit, args.nsim,
-                         seed=args.seed)
+                         seed=args.seed, threads=args.threads)
     rows = []
     for name, diag in report.diagnostics.items():
         for b in range(len(diag.observed)):
@@ -417,9 +421,20 @@ def _floats(text: str) -> tuple[float, ...]:
             f"must be comma-separated numbers, got {text!r}") from None
 
 
+def _cores() -> int:
+    """The CPUs this process may run on, where the platform says."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_int_at_least(0), default=0, help="master seed, >= 0")
+    pool = argparse.ArgumentParser(add_help=False)
+    pool.add_argument("--threads", type=_int_at_least(1), default=_cores(),
+                      help="worker processes, >= 1 (default: the cores this process may "
+                      "run on); outputs do not depend on it")
     unset = argparse.SUPPRESS
     stage2 = argparse.ArgumentParser(add_help=False, argument_default=unset)
     stage2.add_argument("--method", choices=("mcmle", "mple"), default="mcmle")
@@ -439,14 +454,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="draw networks from a model")
     sim_sub = p_sim.add_subparsers(dest="mode", required=True)
-    p_sh = sim_sub.add_parser("hergm", parents=[common], help="block-structured network")
+    p_sh = sim_sub.add_parser("hergm", parents=[common, pool],
+                              help="block-structured network")
     p_sh.add_argument("--config", required=True, help="JSON config (bundled name ok)")
     p_sh.add_argument("--out", required=True, help="edge-list output")
     p_sh.add_argument("--truth", required=True, help="ground-truth partition CSV")
     p_sh.add_argument("--stats-out", help="per-cluster statistics CSV")
     p_sh.set_defaults(func=_cmd_simulate_hergm)
     p_se = sim_sub.add_parser("ergm", parents=[common], help="single-block ERGM")
-    p_se.add_argument("--n", type=int, required=True)
+    p_se.add_argument("--n", type=_int_at_least(1), required=True, help="nodes, >= 1")
     p_se.add_argument("--stats", required=True, help="e.g. edges,gwesp(0.5)")
     p_se.add_argument("--theta", type=_floats, required=True,
                       help="comma-separated values, written --theta=-1,0.1 so that "
@@ -462,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     cl_sub = p_cl.add_subparsers(dest="mode", required=True)
     p_cl_lsm = cl_sub.add_parser("lsm", parents=[common], help="latent position model")
     p_cl_lsm.add_argument("--graph", required=True)
-    p_cl_lsm.add_argument("--K", type=int, required=True)
+    p_cl_lsm.add_argument("--K", type=_int_at_least(1), required=True, help="clusters, >= 1")
     for flag in ("--dim", "--burnin", "--samples", "--thin"):
         p_cl_lsm.add_argument(flag, type=int, default=unset)
     p_cl_lsm.add_argument("--out", required=True, help="partition CSV")
@@ -471,16 +487,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl_lsm.set_defaults(func=_cmd_cluster_lsm)
     p_cl_sc = cl_sub.add_parser("score", parents=[common], help="SCORE spectral")
     p_cl_sc.add_argument("--graph", required=True)
-    p_cl_sc.add_argument("--K", type=int, required=True)
+    p_cl_sc.add_argument("--K", type=_int_at_least(1), required=True, help="clusters, >= 1")
     p_cl_sc.add_argument("--restarts", type=int, default=unset)
     p_cl_sc.add_argument("--out", required=True, help="partition CSV")
     p_cl_sc.set_defaults(func=_cmd_cluster_score)
 
     p_fit = sub.add_parser("fit", help="estimate model parameters")
     fit_sub = p_fit.add_subparsers(dest="mode", required=True)
-    p_ft = fit_sub.add_parser("twostage", parents=[common, stage2], help="full pipeline")
+    p_ft = fit_sub.add_parser("twostage", parents=[common, stage2, pool],
+                              help="full pipeline")
     p_ft.add_argument("--graph", required=True)
-    p_ft.add_argument("--K", type=int, required=True)
+    p_ft.add_argument("--K", type=_int_at_least(1), required=True, help="clusters, >= 1")
     p_ft.add_argument("--stats", required=True)
     p_ft.add_argument("--stage1", choices=("lsm", "score", "given"), default="lsm")
     p_ft.add_argument("--partition", help="partition CSV for --stage1 given")
@@ -497,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fe.add_argument("--out", required=True, help="fit JSON")
     p_fe.set_defaults(func=_cmd_fit_ergm)
 
-    p_gof = sub.add_parser("gof", parents=[common], help="simulation-envelope fit check")
+    p_gof = sub.add_parser("gof", parents=[common, pool],
+                           help="simulation-envelope fit check")
     p_gof.add_argument("--graph", required=True)
     p_gof.add_argument("--fit", required=True, help="fit JSON from fit/cluster")
     p_gof.add_argument("--nsim", type=_int_at_least(1), required=True,
@@ -509,14 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gof.add_argument("--svg", help="envelope plot")
     p_gof.set_defaults(func=_cmd_gof)
 
-    p_exp = sub.add_parser("experiment", help="batch experiments")
+    p_exp = sub.add_parser("experiment", parents=[pool], help="batch experiments")
     p_exp.add_argument("kind", choices=("misrate", "sensitivity", "score"))
-    p_exp.add_argument(
-        "--threads",
-        type=_int_at_least(1),
-        default=os.cpu_count() or 1,
-        help="worker processes, >= 1 (default: all cores)",
-    )
     p_exp.add_argument("--config", required=True, help="JSON config (bundled name ok)")
     p_exp.add_argument("--out", required=True, help="result CSV")
     p_exp.add_argument("--svg", help="summary plot")
@@ -530,7 +542,11 @@ def main(argv=None) -> int:
     try:
         _refuse_unread(args)
         return args.func(args)
-    # LinAlgError subclasses ValueError, so it is caught first
+    # BrokenProcessPool subclasses RuntimeError and LinAlgError ValueError, so
+    # both are caught first
+    except BrokenProcessPool as exc:
+        _stderr(f"pool failure: a worker process died ({exc}); retry with fewer --threads")
+        return 1
     except (np.linalg.LinAlgError, RuntimeError) as exc:
         _stderr(f"numerical failure: {exc}")
         return 3

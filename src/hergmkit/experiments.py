@@ -3,8 +3,10 @@ to perturbed partitions, and SCORE recovery on planted blocks.
 
 Each experiment takes a plain-dict config carrying one master seed; every
 replication derives its own seed from (master, cell, replication), so tables
-are bit-identical however the replications are scheduled.  Replications can
-run in a process pool; results are reduced in replication order.
+are bit-identical however the replications are scheduled.  Replications run
+through ``rng.parallel_map``, in a process pool at ``threads > 1``, and are
+reduced in replication order; the calls inside a replication keep their
+default ``threads=1``, so pools never nest.
 
 Every config is read here, once, before any replication runs.  A field of
 the wrong type or out of range raises ``ValueError`` naming its path, e.g.
@@ -61,7 +63,6 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import product
 
@@ -69,7 +70,7 @@ import numpy as np
 
 from .graph import Partition
 from .lsm import LSM_DIM, LsmControls
-from .rng import child_rng
+from .rng import child_rng, parallel_map
 from .sampler import BernoulliBlock, ClusterSpec, HergmSpec, SamplerControls, simulate_hergm
 from .spectral import SCORE_RESTARTS
 from .stats import StatisticSpec, parse_spec
@@ -78,13 +79,6 @@ from .twostage import cluster, gof, misclustering_rate, two_stage_fit
 __all__ = [
     "misrate_experiment", "sensitivity_experiment", "score_experiment", "read_hergm_config",
 ]
-
-
-def _parallel_map(fn, tasks, threads: int):
-    if threads <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, tasks, chunksize=1))
 
 
 # -- reading configs -----------------------------------------------------------
@@ -253,7 +247,7 @@ def misrate_experiment(config: dict, threads: int = 1) -> list[dict]:
         for n, t in cells
         for rep in range(reps)
     ]
-    rows = _parallel_map(
+    rows = parallel_map(
         partial(_misrate_one, stage1, dim, sim_controls, lsm_controls, seed),
         tasks, threads,
     )
@@ -335,7 +329,7 @@ def sensitivity_experiment(config: dict, threads: int = 1) -> list[dict]:
     )
     _check_seed_keys("rho_grid", grid, _milli)
     run = partial(_sensitivity_one, hspec, method, nsim_gof, sim_controls, seed)
-    nested = _parallel_map(run, [(rho, rep) for rho in grid for rep in range(reps)], threads)
+    nested = parallel_map(run, [(rho, rep) for rho in grid for rep in range(reps)], threads)
     means = []
     for i, rho in enumerate(grid):
         for k in range(hspec.n_clusters):
@@ -373,7 +367,7 @@ def score_experiment(config: dict, threads: int = 1) -> list[dict]:
     if len(blocks) < 2:
         raise ValueError("config field 'blocks': SCORE needs K >= 2")
     hspec = HergmSpec(tuple(BernoulliBlock(n, p_in) for n in blocks), p_out)
-    rows = _parallel_map(partial(_score_one, hspec, restarts, seed), list(range(reps)), threads)
+    rows = parallel_map(partial(_score_one, hspec, restarts, seed), list(range(reps)), threads)
     rows.append(
         {"replication": "mean", "rate": float(np.mean([r["rate"] for r in rows]))}
     )

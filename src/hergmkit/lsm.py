@@ -25,7 +25,7 @@ import numpy as np
 
 from .graph import Graph, Partition
 from .rng import child_rng
-from .sampler import check_counts
+from .sampler import check_count, check_counts
 from .spectral import kmeans
 
 __all__ = [
@@ -323,8 +323,7 @@ def lsm_mcmc(
         raise ValueError("K must be >= 1")
     if g.n < n_clusters:
         raise ValueError(f"graph has {g.n} nodes, fewer than K={n_clusters}")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    check_count("dim", dim, 1)
     n, k, d = g.n, n_clusters, dim
     rng = child_rng(seed, "lsm")
 

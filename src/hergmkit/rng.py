@@ -1,19 +1,51 @@
-"""Deterministic seed derivation.
+"""Deterministic seed derivation and the one ordered parallel map.
 
 Every stochastic routine takes a master seed; nested work units (cluster
 chains, replications, simulation draws) get child generators derived from
 (master seed, path), so results are reproducible regardless of execution
 order or thread count.  String path elements are hashed with crc32 to keep
 derived keys stable across runs and platforms.
+
+``parallel_map`` runs such units, and returns their results in task order,
+in a pool of worker processes only when the pool can pay for itself:
+``threads > 1``, at least two tasks, and an estimated ``visits`` of at least
+``POOL_MIN_VISITS``.  Work is counted in dyad visits, C(n_k, 2) per sweep of
+each ERGM block, an MPLE fit counting as 3 sweeps; Bernoulli blocks count
+none.  Workers are forked where the platform can fork.  Library calls
+default to ``threads=1`` and so never start a pool, which keeps pools from
+nesting inside the workers of another.
 """
 
 from __future__ import annotations
 
+import math
+import multiprocessing
 import zlib
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-__all__ = ["child_rng", "child_seed"]
+__all__ = ["child_rng", "child_seed", "parallel_map"]
+
+# Serial against a pool of 2 on a 2-vCPU VM, medians of 9 alternating calls:
+# the fig3 model's 3 x 20-node Gibbs chains took 45 against 40 ms at 11,970
+# dyad visits and 127 against 94 ms at 46,170; MCMLE fits of the fig3 graph
+# 170 against 124 ms at 29,640 and 423 against 264 ms at 47,880; MPLE fits of
+# 4 blocks 82 against 109 ms at 9,660 dyads and 134 against 95 ms at 12,640
+# (29,000 and 38,000 visits at 3 a dyad).  An earlier run, the VM slower,
+# found the chains' crossover between 46,170 and 91,770 visits.  The
+# threshold sits above these crossovers because the toy fig3 fit of
+# perfbench/test_smoke.py (42,180 visits) must stay serial: that test counts
+# sampler and fit calls in its own process only.
+POOL_MIN_VISITS = 50_000
+# Workers are forked where the platform can: they start with the parent's
+# modules loaded, where a spawned or forkserver worker (Python 3.14's default
+# on Linux) imports numpy and hergmkit again, which cost the fig3 GOF draws
+# 536-643 ms in a pool of 2 against 356-577 ms serially.  Under fork the
+# executor starts every worker before its own manager thread, and hergmkit
+# starts no thread of its own.
+_FORK = (multiprocessing.get_context("fork")
+         if "fork" in multiprocessing.get_all_start_methods() else None)
 
 
 def _key(path) -> tuple[int, ...]:
@@ -33,3 +65,17 @@ def child_seed(master: int, *path) -> np.random.SeedSequence:
 def child_rng(master: int, *path) -> np.random.Generator:
     """Generator for the work unit identified by (master, *path)."""
     return np.random.default_rng(child_seed(master, *path))
+
+
+def parallel_map(fn, tasks, threads: int = 1, visits: float = math.inf) -> list:
+    """``[fn(t) for t in tasks]``, in a pool of at most ``threads`` worker
+    processes when the rule of the module docstring allows one.
+
+    ``visits`` is the work's estimate in dyad visits; without one the work
+    counts as large enough.  ``fn`` and each task must pickle.
+    """
+    tasks = list(tasks)
+    if threads < 2 or len(tasks) < 2 or visits < POOL_MIN_VISITS:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=min(threads, len(tasks)), mp_context=_FORK) as pool:
+        return list(pool.map(fn, tasks, chunksize=1))

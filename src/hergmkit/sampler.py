@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .graph import Graph, Partition
-from .rng import child_rng
+from .rng import child_rng, parallel_map
 from .stats import ChangeStatEngine, StatisticSpec, _chunk_rows, _stat_rows, stat_matrix
 
 __all__ = [
@@ -50,11 +50,15 @@ def check_counts(obj, **least) -> None:
     """Check that each named field of ``obj`` is an integer, not a bool, and
     at least its bound; ``least`` maps field names to bounds."""
     for name, lo in least.items():
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < lo:
-            raise ValueError(f"{name} must be >= {lo}, got {value!r}")
+        check_count(name, getattr(obj, name), lo)
+
+
+def check_count(name: str, value, lo: int) -> None:
+    """``check_counts`` for one argument ``value`` called ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -215,10 +219,21 @@ class HergmSpec:
         return sum(c.n for c in self.clusters)
 
 
+def _block_draws(task) -> list[Graph]:
+    """The ``n_samples`` draws of block k of ``hergm_draws``; ``task`` is
+    (block, seed, k, controls)."""
+    cl, seed, k, controls = task
+    rng_k = child_rng(seed, "within", k)
+    if isinstance(cl, BernoulliBlock):
+        return [bernoulli_graph(cl.n, cl.p, rng_k) for _ in range(controls.n_samples)]
+    return gibbs_sample(cl.n, cl.spec, cl.theta, controls, rng_k).graphs
+
+
 def hergm_draws(
     hspec: HergmSpec,
     seed: int,
     controls: SamplerControls,
+    threads: int = 1,
 ) -> list[Graph]:
     """Draw ``controls.n_samples`` networks from the block model.
 
@@ -229,18 +244,18 @@ def hergm_draws(
     per draw.  Between-cluster dyads are i.i.d. Bernoulli(between_p) from
     one stream, ``child_rng(seed, "between")``, that carries on from draw to
     draw.  Blocks can thus be reproduced in isolation, and draw 0 does not
-    depend on ``n_samples``.
+    depend on ``n_samples``.  The blocks are drawn by ``rng.parallel_map``
+    with ``threads``, which changes no draw; the between-cluster stream is
+    drawn here.
     """
     sizes = [c.n for c in hspec.clusters]
     offsets = np.cumsum([0] + sizes).tolist()
-    chains = []
-    for k, cl in enumerate(hspec.clusters):
-        rng_k = child_rng(seed, "within", k)
-        if isinstance(cl, BernoulliBlock):
-            chains.append([bernoulli_graph(cl.n, cl.p, rng_k)
-                           for _ in range(controls.n_samples)])
-        else:
-            chains.append(gibbs_sample(cl.n, cl.spec, cl.theta, controls, rng_k).graphs)
+    sweeps = controls.burnin_sweeps + controls.n_samples * controls.thin_sweeps
+    visits = sweeps * sum(c.n * (c.n - 1) // 2 for c in hspec.clusters
+                          if isinstance(c, ClusterSpec))
+    chains = parallel_map(_block_draws, [(cl, seed, k, controls)
+                                         for k, cl in enumerate(hspec.clusters)],
+                          threads, visits)
     rng_b = child_rng(seed, "between")
     blocks = [slice(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
     draws = []
@@ -259,9 +274,10 @@ def simulate_hergm(
     hspec: HergmSpec,
     seed: int,
     controls: SamplerControls = SamplerControls(),
+    threads: int = 1,
 ) -> tuple[Graph, Partition]:
     """Draw one network, draw 0 of ``hergm_draws``, and its partition."""
-    g = hergm_draws(hspec, seed, replace(controls, n_samples=1))[0]
+    g = hergm_draws(hspec, seed, replace(controls, n_samples=1), threads)[0]
     labels = np.repeat(np.arange(hspec.n_clusters), [c.n for c in hspec.clusters])
     return g, Partition(labels, hspec.n_clusters)
 

@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from .graph import Graph, Partition
+from .sampler import check_count
 
 __all__ = ["SCORE_RESTARTS", "kmeans", "score_cluster"]
 
@@ -44,8 +45,7 @@ def kmeans(
     n = pts.shape[0]
     if n_clusters > n:
         raise ValueError(f"K={n_clusters} exceeds {n} points")
-    if restarts < 1:
-        raise ValueError(f"k-means needs restarts >= 1, got {restarts}")
+    check_count("restarts", restarts, 1)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     best_labels = None
     best_wcss = math.inf

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fit import (
+    MCMLE_SAMPLE_BOOST,
     ErgmFit,
     GraphTooSmallError,
     McmleControls,
@@ -37,7 +38,7 @@ from .lsm import (
     lsm_mcmc,
     map_membership,
 )
-from .rng import child_seed
+from .rng import child_seed, parallel_map
 from .sampler import (
     BernoulliBlock,
     ClusterSpec,
@@ -83,9 +84,10 @@ def stage2_seed(master: int, k: int) -> int:
     return int(child_seed(master, "stage2", k).generate_state(1, np.uint32)[0])
 
 
-def _fit_cluster(sub: Graph, spec: StatisticSpec, method: str,
-                 mcmle_controls: McmleControls, seed_k: int):
-    """Fit one within-cluster block; returns (fit | None, reason | None)."""
+def _fit_cluster(job) -> tuple[ErgmFit | None, str | None]:
+    """Fit one within-cluster block; ``job`` is (subgraph, spec, method,
+    MCMLE controls, seed).  Returns (fit | None, reason | None)."""
+    sub, spec, method, mcmle_controls, seed_k = job
     try:
         if method == "mple":
             return mple(sub, spec), None
@@ -130,6 +132,7 @@ def two_stage_fit(
     mcmle: McmleControls = McmleControls(),
     given_partition: Partition | None = None,
     seed: int = 0,
+    threads: int = 1,
 ) -> TwoStageFit:
     """Run the full pipeline on one observed graph.
 
@@ -139,7 +142,9 @@ def two_stage_fit(
     with any other ``stage1`` is an error.  ``method`` is the stage-2
     estimator, ``mcmle`` (chain lengths ``mcmle``) or ``mple``.  A cluster
     that is empty, too small for the spec, or without a finite fit is marked
-    unavailable with its reason rather than failing the run.
+    unavailable with its reason rather than failing the run.  The clusters
+    are fitted by ``rng.parallel_map`` with ``threads``, which changes no
+    fit: each has its own seed, ``stage2_seed(seed, k)``.
     """
     if method not in ("mcmle", "mple"):
         raise ValueError(f"stage-2 method must be mcmle or mple, got {method!r}")
@@ -158,17 +163,18 @@ def two_stage_fit(
         stage1_seed = int(child_seed(seed, "stage1").generate_state(1, np.uint32)[0])
         partition, _ = cluster(g, n_clusters, stage1, stage1_seed, dim, lsm)
 
-    fits: list[ErgmFit | None] = []
-    reasons: list[str | None] = []
-    sizes = partition.sizes()
-    for k in range(partition.n_clusters):
-        if sizes[k] == 0:
-            fit, reason = None, "cluster is empty"
-        else:
-            sub, _ = within_subgraph(g, partition, k)
-            fit, reason = _fit_cluster(sub, spec, method, mcmle, stage2_seed(seed, k))
-        fits.append(fit)
-        reasons.append(reason)
+    sizes = partition.sizes().tolist()
+    jobs = [(within_subgraph(g, partition, k)[0], spec, method, mcmle, stage2_seed(seed, k))
+            for k, nk in enumerate(sizes) if nk]
+    # an MCMLE fit runs at least its burn-in and the full-size sample it ends
+    # on; an MPLE fit builds one design row a dyad, which took as long as 3-5
+    # Gibbs updates (8.5-22 us a dyad on 4 blocks of 70-200 nodes at density
+    # 0.15, against 2.7-4.0 us an update on the fig3 chains)
+    sweeps = (3 if method == "mple"
+              else mcmle.burnin_sweeps + MCMLE_SAMPLE_BOOST * mcmle.n_samples)
+    done = iter(parallel_map(_fit_cluster, jobs, threads,
+                             sweeps * sum(nk * (nk - 1) // 2 for nk in sizes)))
+    fits, reasons = zip(*(next(done) if nk else (None, "cluster is empty") for nk in sizes))
 
     if np.count_nonzero(sizes) >= 2:
         p_hat, p_se = between_density_mle(g, partition)
@@ -178,8 +184,8 @@ def two_stage_fit(
         spec=spec,
         stage1_method=stage1,
         partition=partition,
-        cluster_fits=fits,
-        fit_errors=reasons,
+        cluster_fits=list(fits),
+        fit_errors=list(reasons),
         between_p=p_hat,
         between_se=p_se,
         method=method,
@@ -293,6 +299,7 @@ def gof(
     n_sim: int,
     seed: int = 0,
     burnin_sweeps: int = GOF_BURNIN_SWEEPS,
+    threads: int = 1,
 ) -> GofReport:
     """Simulation-envelope goodness of fit.
 
@@ -307,15 +314,16 @@ def gof(
     The fit becomes a block model (``_gof_model``) and the ``n_sim`` graphs
     are one ``hergm_draws`` call: each ERGM block is one Gibbs chain, as in
     ergm's ``gof``, that burns in ``burnin_sweeps`` sweeps once and keeps a
-    draw every ``GOF_THIN_SWEEPS`` sweeps.  A cluster without a fit falls
-    back to Bernoulli ties at its observed density and is listed in
-    ``flagged_clusters``.  Diagnostics are label-invariant, so blocks are
-    laid out contiguously.
+    draw every ``GOF_THIN_SWEEPS`` sweeps; ``threads`` is passed on and
+    changes no draw.  A cluster without a fit falls back to Bernoulli ties
+    at its observed density and is listed in ``flagged_clusters``.
+    Diagnostics are label-invariant, so blocks are laid out contiguously.
     """
     if g.n < 2:
         raise ValueError(f"gof needs a graph of at least 2 nodes, got {g.n}")
     hspec, spec, flagged = _gof_model(fit, g)
-    draws = hergm_draws(hspec, seed, SamplerControls(burnin_sweeps, n_sim, GOF_THIN_SWEEPS))
+    draws = hergm_draws(hspec, seed, SamplerControls(burnin_sweeps, n_sim, GOF_THIN_SWEEPS),
+                        threads)
 
     observed = {
         "degree": _degree_hist(g),

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import hergmkit
-from hergmkit import cli, experiments
+from hergmkit import cli, experiments, twostage
 from hergmkit.fit import McmleControls
 from hergmkit.lsm import LSM_DIM, LsmControls
 from hergmkit.sampler import SamplerControls
@@ -209,7 +209,7 @@ class TestExitCodes:
         code = cli.main(["cluster", "score", "--graph", graph, "--K", "3",
                          "--restarts", restarts, "--out", str(tmp_path / "part.csv")])
         assert code == 2
-        assert f"restarts >= 1, got {restarts}" in capsys.readouterr().err
+        assert f"--restarts: restarts must be >= 1, got {restarts}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("burnin_sweeps", "abc"), ("burnin_sweeps", 2.5), ("thin_sweeps", True),
@@ -436,8 +436,8 @@ class TestExitCodes:
         assert f"{fit}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["simulate", "hergm", "--config", "fig1.json", "--out", "g.edges",
-         "--truth", "t.csv", "--threads", "2"],
+        ["simulate", "ergm", "--n", "6", "--stats", "edges", "--theta=-1", "--out", "g.edges",
+         "--threads", "2"],
         ["experiment", "misrate", "--config", "fig2.json", "--out", "m.csv",
          "--seed", "1"],
     ])
@@ -453,6 +453,37 @@ class TestExitCodes:
                                            "--out", "s.csv", "--threads", threads])
         assert exc.value.code == 2
         assert f"--threads: must be an integer >= 1, got {threads!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "hergm", "--config", "fig1.json", "--out", "g.edges", "--truth", "t.csv"],
+        ["fit", "twostage", "--graph", "g.edges", "--K", "3", "--stats", "edges",
+         "--out", "f.json"],
+        ["gof", "--graph", "g.edges", "--fit", "f.json", "--nsim", "2", "--out", "gof.csv"],
+    ], ids=["simulate", "fit", "gof"])
+    def test_threads_below_one_rejected_by_every_reader(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv + ["--threads", "0"])
+        assert exc.value.code == 2
+        assert "--threads: must be an integer >= 1, got '0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["0", "-3", "x"])
+    def test_n_below_one_rejected(self, capsys, n):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["simulate", "ergm", "--n", n, "--stats", "edges",
+                                           "--theta=-1", "--out", "g.edges"])
+        assert exc.value.code == 2
+        assert f"--n: must be an integer >= 1, got {n!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["cluster", "lsm"], ["cluster", "score"], ["fit", "twostage", "--stats", "edges"],
+    ], ids=["lsm", "score", "twostage"])
+    @pytest.mark.parametrize("k", ["0", "-3", "x"])
+    def test_K_below_one_rejected(self, capsys, command, k):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(command + ["--graph", "g.edges", "--K", k,
+                                                     "--out", "out"])
+        assert exc.value.code == 2
+        assert f"--K: must be an integer >= 1, got {k!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("nsim", ["0", "-2", "x"])
     def test_nsim_below_one_rejected(self, capsys, nsim):
@@ -699,6 +730,82 @@ class TestExperimentOutputs:
         assert cli.main(["experiment", "score", "--threads", "1", "--config", config,
                          "--out", str(tmp_path / "score.csv"), "--svg", str(svg)]) == 0
         assert _svg_panel_titles(svg) == ["SCORE mis-clustering rate per replication"]
+
+
+class TestThreads:
+    """``--threads`` runs the clusters of ``simulate hergm``, ``fit twostage``
+    and ``gof`` in a process pool, which changes no byte of their outputs."""
+
+    def test_outputs_identical_across_thread_counts(self, tmp_path, pools):
+        # 3 x C(20, 2) = 570 ERGM dyads: simulate 570 x (100 + 10), fit at least
+        # 570 x (30 + 2 x 64) and gof 570 x (70 + 5 x 10) dyad visits, all above
+        # POOL_MIN_VISITS
+        config = _write_config(tmp_path, {
+            "clusters": [{"n": 20, "stats": "edges,gwesp(0.5)", "theta": [-2.0, t]}
+                         for t in (0.2, 0.5, 1.0)],
+            "between_p": 0.05, "burnin_sweeps": 100,
+        })
+        outputs = []
+        for threads in ("1", "2"):
+            out = {name: str(tmp_path / f"{name}{threads}") for name in
+                   ("g.edges", "t.csv", "fit.json", "gof.csv")}
+            runs = [
+                ["simulate", "hergm", "--config", config, "--seed", "3",
+                 "--out", out["g.edges"], "--truth", out["t.csv"]],
+                ["fit", "twostage", "--graph", out["g.edges"], "--K", "3",
+                 "--stats", "edges,gwesp(0.5)", "--stage1", "given", "--partition",
+                 out["t.csv"], "--method", "mcmle", "--mc-samples", "64", "--mc-burnin", "30",
+                 "--seed", "4", "--out", out["fit.json"]],
+                ["gof", "--graph", out["g.edges"], "--fit", out["fit.json"], "--nsim", "5",
+                 "--burnin", "70", "--seed", "5", "--out", out["gof.csv"]],
+            ]
+            for argv in runs:
+                assert cli.main(argv + ["--threads", threads]) == 0
+            outputs.append([Path(path).read_bytes() for path in out.values()])
+        assert pools() == [2, 2, 2]
+        assert outputs[0] == outputs[1]
+
+    def test_worker_runtime_error_exits_3(self, tmp_path, capsys, monkeypatch, pools):
+        def failing(*args, **kwargs):
+            raise RuntimeError("chain failed")
+
+        # the workers are forked, so they see the patched function
+        monkeypatch.setattr(twostage, "mcmle", failing)
+        graph, truth = _simulate(tmp_path, 20)
+        # 3 x C(20, 2) x (100 + 2 x 128) = 202,920 dyad visits: a pool is made
+        code = cli.main(_pooled_fit(tmp_path, graph, truth))
+        assert code == 3 and pools() == [2]
+        assert "numerical failure: chain failed" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_dead_worker_exits_1_as_a_pool_failure(self, tmp_path, capsys, monkeypatch,
+                                                    pools):
+        parent = os.getpid()
+
+        def killed(*args, **kwargs):
+            assert os.getpid() != parent, "the fit ran outside a worker"
+            os._exit(9)  # as the kernel's out-of-memory killer would end it
+
+        monkeypatch.setattr(twostage, "mcmle", killed)
+        graph, truth = _simulate(tmp_path, 20)
+        code = cli.main(_pooled_fit(tmp_path, graph, truth))
+        assert code == 1 and pools() == [2]
+        assert "pool failure: a worker process died" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_default_is_the_cores_this_process_may_run_on(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        args = cli.build_parser().parse_args(["gof", "--graph", "g.edges", "--fit", "f.json",
+                                              "--nsim", "2", "--out", "gof.csv"])
+        assert args.threads == 1
+
+
+def _pooled_fit(tmp_path, graph, truth) -> list[str]:
+    """``fit twostage`` argv whose three 20-node MCMLE fits take a pool of 2."""
+    return ["fit", "twostage", "--graph", graph, "--K", "3", "--stats", "edges",
+            "--stage1", "given", "--partition", truth, "--method", "mcmle",
+            "--mc-samples", "128", "--mc-burnin", "100", "--threads", "2",
+            "--out", str(tmp_path / "fit.json")]
 
 
 def test_gof_svg_has_one_panel_per_diagnostic(tmp_path):

@@ -22,11 +22,13 @@ from hergmkit import (
     two_stage_fit,
     within_subgraph,
 )
-from hergmkit import twostage
+from hergmkit import sampler, twostage
+from hergmkit.experiments import sensitivity_experiment
 from hergmkit.fit import ErgmFit, FitDiagnostics, McmleControls, mple
-from hergmkit.rng import child_rng
+from hergmkit.rng import POOL_MIN_VISITS, child_rng, parallel_map
 from hergmkit.lsm import LsmControls, _best_permutation, lsm_mcmc, map_membership
 from hergmkit.sampler import (
+    BernoulliBlock,
     ClusterSpec,
     HergmSpec,
     SamplerControls,
@@ -502,3 +504,99 @@ class TestSerialization:
         for mine, his in zip(ts.cluster_fits, back.cluster_fits):
             np.testing.assert_allclose(mine.theta_hat, his.theta_hat)
         assert back.spec.to_string() == SPEC.to_string()
+
+
+def _pool_min_visits(_):
+    return hergmkit.rng.POOL_MIN_VISITS
+
+
+class TestClusterPool:
+    """Clusters and block chains run through ``rng.parallel_map``; a pool of
+    two workers writes what one process writes."""
+
+    def test_pool_only_from_two_threads_two_tasks_and_the_threshold(self, pools):
+        at = POOL_MIN_VISITS
+        assert parallel_map(abs, [-1, 2, -3], 2, at - 1) == [1, 2, 3]
+        assert parallel_map(abs, [-1, 2, -3], 1, at) == [1, 2, 3]
+        assert parallel_map(abs, [-4], 2, at) == [4]
+        assert pools() == []
+        assert parallel_map(abs, [-1, 2, -3], 2, at) == [1, 2, 3]
+        assert parallel_map(abs, [-1, 2], 8) == [1, 2]  # no estimate: large
+        assert pools() == [2, 2]
+
+    def test_workers_are_forked_with_the_parents_state(self, monkeypatch, pools):
+        # a spawned or forkserver worker would import rng afresh
+        monkeypatch.setattr(hergmkit.rng, "POOL_MIN_VISITS", 7)
+        assert parallel_map(_pool_min_visits, [0, 1], 2) == [7, 7]
+        assert pools() == [2]
+
+    def test_work_is_ergm_dyads_times_sweeps(self, monkeypatch):
+        estimates = []
+
+        def spy(fn, tasks, threads, visits):
+            estimates.append(visits)
+            return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(sampler, "parallel_map", spy)
+        monkeypatch.setattr(twostage, "parallel_map", spy)
+        blocks = (ClusterSpec(6, parse_spec("edges"), (-1.0,)), BernoulliBlock(30, 0.2),
+                  ClusterSpec(5, parse_spec("edges"), (-1.0,)))
+        hergm_draws(HergmSpec(blocks, 0.1), 1, SamplerControls(3, 2, 4))
+        g, truth = simulate_hergm(HergmSpec(blocks, 0.1), 2, SamplerControls(3))
+        for method in ("mple", "mcmle"):
+            two_stage_fit(g, 3, parse_spec("edges"), stage1="given", method=method,
+                          mcmle=McmleControls(8, 5), given_partition=truth)
+        # 15 + 10 ERGM dyads; Bernoulli blocks count none; an MPLE dyad counts
+        # 3 visits, an MCMLE fit its burn-in and one full-size sample
+        assert estimates == [25 * (3 + 2 * 4), 25 * (3 + 1 * 10),
+                             (15 + 435 + 10) * 3, (15 + 435 + 10) * (5 + 2 * 8)]
+
+    def test_draws_identical_in_a_pool(self, pools):
+        hspec = HergmSpec(tuple(ClusterSpec(20, SPEC, (BASE, t, t)) for t in (0.2, 0.5))
+                          + (BernoulliBlock(20, 0.1),), 0.05)
+        # 2 x C(20, 2) x (130 + 2 x 1) = 50,160 dyad visits
+        controls = SamplerControls(burnin_sweeps=130, n_samples=2, thin_sweeps=1)
+        serial, pooled = (hergm_draws(hspec, 5, controls, threads) for threads in (1, 2))
+        assert pools() == [2]
+        assert [d.adjacency_matrix().tolist() for d in serial] \
+            == [d.adjacency_matrix().tolist() for d in pooled]
+
+    @pytest.mark.parametrize("method, mc", [
+        ("mple", McmleControls()), ("mcmle", McmleControls(n_samples=64, burnin_sweeps=30)),
+    ])
+    def test_fit_identical_in_a_pool(self, pools, method, mc):
+        if method == "mple":  # 4 x C(100, 2) x 3 = 59,400 dyad visits
+            g, truth = simulate_hergm(HergmSpec((BernoulliBlock(100, 0.05),) * 4, 0.01), 3)
+            spec = parse_spec("edges,triangles")
+        else:  # 3 x C(20, 2) x (30 + 2 x 64) = 90,060 dyad visits
+            (g, truth), spec = fig1_like(n_per=20), SPEC
+        fits = [two_stage_fit_to_dict(two_stage_fit(
+            g, truth.n_clusters, spec, stage1="given", method=method, mcmle=mc,
+            given_partition=truth, seed=9, threads=threads)) for threads in (1, 2)]
+        assert pools() == [2]
+        assert fits[0] == fits[1]
+        assert all(c["available"] for c in fits[0]["cluster_fits"])
+
+    def test_gof_identical_in_a_pool(self, pools):
+        g, truth = fig1_like(n_per=20)
+        fit = two_stage_fit(g, 3, SPEC, stage1="given", method="mple", given_partition=truth)
+        # 3 x C(20, 2) x (70 + 5 x 10) = 68,400 dyad visits
+        reports = [gof(g, fit, 5, seed=4, burnin_sweeps=70, threads=threads)
+                   for threads in (1, 2)]
+        assert pools() == [2]
+        for name, diag in reports[0].diagnostics.items():
+            other = reports[1].diagnostics[name]
+            for field in ("observed", "lower", "upper"):
+                assert getattr(diag, field).tobytes() == getattr(other, field).tobytes()
+
+    def test_no_pool_inside_experiment_workers(self, pools, monkeypatch):
+        # any nested call given threads > 1 would now start a pool
+        monkeypatch.setattr(hergmkit.rng, "POOL_MIN_VISITS", 0)
+        config = {
+            "clusters": [{"n": 6, "theta": [-1.0, 0.3]}, {"n": 6, "theta": [-1.2, 0.4]}],
+            "stats": "edges,gwesp(0.5)", "rho_grid": [0.0, 0.25], "replications": 1,
+            "seed": 3, "nsim_gof": 2, "sim": {"burnin_sweeps": 5},
+        }
+        rows = sensitivity_experiment(config, threads=2)
+        assert pools() == [2]
+        assert rows == sensitivity_experiment(config, threads=1)
