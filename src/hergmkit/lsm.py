@@ -11,6 +11,16 @@ variances).  Retained draws are Procrustes-aligned to the starting
 configuration and rescaled to unit root-mean-square position norm; the
 distance coefficient absorbs the scale, leaving the likelihood untouched.
 
+The position block moves one node at a time, in node order, but scores all
+n proposals in one array pass: the coefficients, the mixture and the
+proposal scale are fixed during the block (the scale retunes after a
+multiple of n proposals), so every proposal's distances and log-likelihood
+row are known before the walk.  The walk over the nodes then only adds, to
+the later rows, the change that each accepted move makes to them.  Draws,
+order and distances are those of a node-by-node loop; a row's sum is added
+up in another order, so a decision could differ only where log u falls
+within rounding of the log ratio.
+
 The module imports no scipy: the Procrustes rotation is numpy's SVD and the
 label matching is a short Hungarian assignment here, so an LSM run never pays
 scipy's import, which costs more memory and start-up than either job.
@@ -222,6 +232,53 @@ def _dyad_loglik_full(y_u, d_u, b0, b1) -> float:
     return float(y_u @ eta - np.logaddexp(0.0, eta).sum())
 
 
+def _dyad_terms(y, dist, b0, b1) -> np.ndarray:
+    """Each dyad's log-likelihood term, y * eta - log(1 + e^eta), eta = b0 - b1 * dist."""
+    eta = b0 - b1 * dist
+    return y * eta - np.logaddexp(0.0, eta)
+
+
+def _position_block(z, dmat, props, unif, y, b0, b1, mu, sig2, m) -> list[bool]:
+    """One Metropolis move per node in node order; updates z and dmat in place.
+
+    Node i proposes ``props[i]`` and accepts when log u_i is below the change
+    in its log-likelihood row plus its mixture prior term, given the moves
+    of the nodes before it.  Every proposal is scored against the block's
+    starting state at once; an accepted move then corrects the later rows,
+    whose old and new rows both see the moved node at its proposal: one
+    O(n) column per accepted node, never a proposal-by-proposal matrix.
+    Returns the accept decisions.
+    """
+    dprop = np.sqrt(((z[None, :, :] - props[:, None, :]) ** 2).sum(axis=2))
+    np.fill_diagonal(dprop, 0.0)
+    g_old = _dyad_terms(y, dmat, b0, b1)
+    g_new = _dyad_terms(y, dprop, b0, b1)
+    np.fill_diagonal(g_old, 0.0)
+    np.fill_diagonal(g_new, 0.0)
+    ll_old, ll_new = g_old.sum(axis=1), g_new.sum(axis=1)
+    mu_m, sig2_m = mu[m], sig2[m]
+    pr_old = (-0.5 * ((z - mu_m) ** 2).sum(axis=1) / sig2_m).tolist()
+    pr_new = (-0.5 * ((props - mu_m) ** 2).sum(axis=1) / sig2_m).tolist()
+    accepted = []
+    for i, u in enumerate(unif.tolist()):
+        accept = math.log(u + 1e-300) < (float(ll_new[i]) + pr_new[i]) - (
+            float(ll_old[i]) + pr_old[i]
+        )
+        accepted.append(accept)
+        if accept:
+            later = slice(i + 1, None)
+            ll_old[later] += g_new[i, later] - g_old[i, later]
+            dpp = np.sqrt(((props[later] - props[i]) ** 2).sum(axis=1))
+            ll_new[later] += _dyad_terms(y[later, i], dpp, b0, b1) - g_new[later, i]
+    moved = np.flatnonzero(accepted)
+    z[moved] = props[moved]
+    dmat[moved] = dprop[moved]
+    dmat[:, moved] = dprop[moved].T
+    pm = props[moved]
+    dmat[np.ix_(moved, moved)] = np.sqrt(((pm[:, None, :] - pm[None, :, :]) ** 2).sum(axis=2))
+    return accepted
+
+
 def _log_prior(state) -> float:
     z, b0, b1, lam, mu, sig2, m = state
     n, d = z.shape
@@ -313,9 +370,13 @@ def lsm_mcmc(
 ) -> LsmPosterior:
     """Fit the latent position cluster model by MCMC.
 
-    Deterministic under seed.  Acceptance rates outside [0.1, 0.6] after
-    burn-in are reported in ``warnings``, not raised.  The graph needs at
-    least 2 nodes, and at least ``n_clusters``.
+    Each iteration moves every position once, in node order, then each
+    coefficient, then draws the mixture.  The position block scores all n
+    proposals in a few n x n array passes and walks the nodes with scalar
+    Metropolis decisions (``_position_block``); the position scale retunes
+    only between iterations.  Deterministic under seed.  Acceptance rates
+    outside [0.1, 0.6] after burn-in are reported in ``warnings``, not
+    raised.  The graph needs at least 2 nodes, and at least ``n_clusters``.
     """
     if g.n < 2:
         raise ValueError(f"lsm_mcmc needs a graph of at least 2 nodes, got {g.n}")
@@ -362,31 +423,13 @@ def lsm_mcmc(
     log_posts = np.empty(controls.n_samples)
     draw_probs = np.empty((controls.n_samples, n, k))
 
-    def row_ll(i, drow):
-        eta = b0 - b1 * drow
-        self_term = np.logaddexp(0.0, eta[i])
-        return float(y[i] @ eta - (np.logaddexp(0.0, eta).sum() - self_term))
-
     for it in range(n_iters):
         tuning = it < controls.burnin
 
         # (a) positions, one random-walk move per node
-        steps = rng.normal(size=(n, d))
+        props = z + scale_z.value * rng.normal(size=(n, d))
         unif = rng.random(n)
-        for i in range(n):
-            prop = z[i] + scale_z.value * steps[i]
-            dnew = np.sqrt(((z - prop) ** 2).sum(axis=1))
-            dnew[i] = 0.0
-            ll_old = row_ll(i, dmat[i])
-            ll_new = row_ll(i, dnew)
-            c = m[i]
-            pr_old = -0.5 * ((z[i] - mu[c]) ** 2).sum() / sig2[c]
-            pr_new = -0.5 * ((prop - mu[c]) ** 2).sum() / sig2[c]
-            accept = math.log(unif[i] + 1e-300) < (ll_new + pr_new) - (ll_old + pr_old)
-            if accept:
-                z[i] = prop
-                dmat[i, :] = dnew
-                dmat[:, i] = dnew
+        for accept in _position_block(z, dmat, props, unif, y, b0, b1, mu, sig2, m):
             scale_z.record(accept, tuning)
 
         d_u = dmat[iu]
@@ -452,7 +495,7 @@ def lsm_mcmc(
     }
     warnings = [
         f"{name} acceptance rate {rate:.3f} outside [0.1, 0.6]; "
-        "consider retuning proposal scales"
+        "proposal scales are tuned during burn-in only, so try a longer burn-in"
         for name, rate in acceptance.items()
         if not 0.1 <= rate <= 0.6
     ]

@@ -71,6 +71,14 @@ GOLDEN = {
         "575097af34b02611803fad934dd3a8479ded34dd4b9ab1bdbd666a71785968bc",
     "cluster_lsm_positions.csv":
         "df429bab2a1acb024f5cc534f21b43dab13377cfcde4f73b9e65156f93c7d1af",
+    "cluster_lsm_retune_d1.csv":
+        "65aee5c7f8cdf016bbe25abc79c54aa225ac4714bda3b093888c45f18b47dafe",
+    "cluster_lsm_retune_d1_positions.csv":
+        "8c8ddef5f082f25c2b72c5a8fb73fcf7583bd2e43582c3e8c582e57fc2881202",
+    "cluster_lsm_retune_d3.csv":
+        "1c8e074b6462a8466619365586c273f2b00ec9b3ecd6444224864cb8474d0315",
+    "cluster_lsm_retune_d3_positions.csv":
+        "ef67919a81eb2794b5f3d92e68aeceb30cdefea2983835ad321fc8b56ebda74c",
     "cluster_score.csv":
         "e131c21e52e598ae5812347bb52d83e028da8f6410cdd9131a77b5b17704de09",
     "experiment_misrate.csv":
@@ -129,6 +137,12 @@ def _outputs(work: str) -> dict[str, str]:
     _run(["cluster", "lsm", "--graph", p("sim_graph.edges"), "--K", "3", "--seed", "7",
           "--burnin", "40", "--samples", "20", "--thin", "1",
           "--out", p("cluster_lsm.csv"), "--positions", p("cluster_lsm_positions.csv")])
+    # 120 burn-in iterations cross two retunes of the position proposal scale
+    for dim in ("1", "3"):
+        _run(["cluster", "lsm", "--graph", p("sim_graph.edges"), "--K", "3", "--seed", "8",
+              "--dim", dim, "--burnin", "120", "--samples", "20", "--thin", "1",
+              "--out", p(f"cluster_lsm_retune_d{dim}.csv"),
+              "--positions", p(f"cluster_lsm_retune_d{dim}_positions.csv")])
     _run(["experiment", "misrate", "--config", p("misrate.json"), "--threads", "1",
           "--out", p("experiment_misrate.csv")])
     _run(["experiment", "sensitivity", "--config", p("sensitivity.json"), "--threads", "1",

@@ -299,6 +299,44 @@ class TestLsmMcmc:
         lsm_mcmc(two_cliques(4), 2, controls=controls, seed=1)
         assert len(calls) == 3 * (7 + 5 * 3)
 
+    def test_position_scale_retunes_only_between_iterations(self, monkeypatch):
+        # the position block draws all n proposals at one scale, so the
+        # scale may change only on an iteration's last proposal
+        from hergmkit import lsm
+
+        g = Graph(7)
+        for i in range(6):
+            g.add_edge(i, i + 1)
+        changed = []
+        record = lsm._Scale.record
+
+        def spy(self, accepted, tuning):
+            before = self.value
+            record(self, accepted, tuning)
+            if self.interval == lsm.TUNE_INTERVAL * g.n:
+                changed.append(self.value != before)
+
+        monkeypatch.setattr(lsm._Scale, "record", spy)
+        lsm_mcmc(g, 2, controls=LsmControls(burnin=120, n_samples=5, thin=1), seed=2)
+        assert len(changed) == g.n * 125
+        at = [k for k, c in enumerate(changed) if c]
+        assert at == [g.n * 50 - 1, g.n * 100 - 1]
+
+    def test_acceptance_rates_are_floats(self):
+        post = lsm_mcmc(two_cliques(4), 2, controls=LIGHT, seed=1)
+        assert sorted(post.acceptance) == ["beta0", "beta1", "positions"]
+        assert all(type(rate) is float for rate in post.acceptance.values())
+
+    def test_acceptance_warning_names_a_longer_burnin(self):
+        post = lsm_mcmc(
+            two_cliques(4), 2, controls=LsmControls(burnin=0, n_samples=20, thin=1), seed=1
+        )
+        assert post.warnings == [
+            f"{name} acceptance rate {post.acceptance[name]:.3f} outside [0.1, 0.6]; "
+            "proposal scales are tuned during burn-in only, so try a longer burn-in"
+            for name in ("beta0", "beta1")
+        ]
+
     def test_one_node_graph_rejected(self):
         with pytest.raises(ValueError, match="needs a graph of at least 2 nodes, got 1"):
             lsm_mcmc(Graph(1), 1, controls=LIGHT)
@@ -329,3 +367,84 @@ class TestSerialization:
         np.testing.assert_allclose(back.membership_probs, post.membership_probs)
         assert back.beta1_mean == pytest.approx(post.beta1_mean)
         assert back.map_partition == map_membership(post)
+
+
+def _single_site_block(z, dmat, props, unif, y, b0, b1, mu, sig2, m):
+    """The node-by-node position loop that ``_position_block`` replaced.
+
+    Each node recomputes its own distance row and both log-likelihood rows
+    against the current state; kept as the block's oracle.
+    """
+
+    def row_ll(i, drow):
+        eta = b0 - b1 * drow
+        self_term = np.logaddexp(0.0, eta[i])
+        return float(y[i] @ eta - (np.logaddexp(0.0, eta).sum() - self_term))
+
+    accepted = []
+    for i in range(len(z)):
+        prop = props[i]
+        dnew = np.sqrt(((z - prop) ** 2).sum(axis=1))
+        dnew[i] = 0.0
+        ll_old = row_ll(i, dmat[i])
+        ll_new = row_ll(i, dnew)
+        c = m[i]
+        pr_old = -0.5 * ((z[i] - mu[c]) ** 2).sum() / sig2[c]
+        pr_new = -0.5 * ((prop - mu[c]) ** 2).sum() / sig2[c]
+        accept = bool(math.log(unif[i] + 1e-300) < (ll_new + pr_new) - (ll_old + pr_old))
+        if accept:
+            z[i] = prop
+            dmat[i, :] = dnew
+            dmat[:, i] = dnew
+        accepted.append(accept)
+    return accepted
+
+
+class TestPositionBlock:
+    @staticmethod
+    def _state(n, d, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "edgeless":
+            y = np.zeros((n, n))
+        elif kind == "complete":
+            y = 1.0 - np.eye(n)
+        else:
+            y = np.triu((rng.random((n, n)) < 0.3).astype(float), 1)
+            y = y + y.T
+        z = rng.normal(size=(n, d))
+        dmat = np.sqrt(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2))
+        k = 3
+        m = rng.integers(k, size=n)
+        mu = rng.normal(size=(k, d))
+        sig2 = rng.uniform(0.3, 2.0, size=k)
+        b0, b1 = float(rng.normal()), float(rng.uniform(0.2, 2.0))
+        return z, dmat, y, b0, b1, mu, sig2, m, rng
+
+    @pytest.mark.parametrize("kind", ["edgeless", "complete", "random"])
+    @pytest.mark.parametrize("scale", [1e-4, 0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 12, 40])
+    def test_matches_single_site_loop(self, n, d, scale, kind):
+        from hergmkit.lsm import _position_block
+
+        z, dmat, y, b0, b1, mu, sig2, m, rng = self._state(n, d, kind, seed=n * 100 + d)
+        for _ in range(3):  # later blocks start from states the walk wrote
+            props = z + scale * rng.normal(size=(n, d))
+            unif = rng.random(n)
+            z_ref, dmat_ref = z.copy(), dmat.copy()
+            expected = _single_site_block(z_ref, dmat_ref, props, unif, y, b0, b1, mu, sig2, m)
+            got = _position_block(z, dmat, props, unif, y, b0, b1, mu, sig2, m)
+            assert got == expected
+            assert all(type(a) is bool for a in got)
+            np.testing.assert_array_equal(z, z_ref)
+            np.testing.assert_array_equal(dmat, dmat_ref)
+
+    @pytest.mark.parametrize("scale, low, high", [(1e-4, 0.9, 1.0), (10.0, 0.0, 0.1)])
+    def test_scales_span_accept_all_to_none(self, scale, low, high):
+        # the oracle cases above cover both ends of the acceptance range
+        from hergmkit.lsm import _position_block
+
+        z, dmat, y, b0, b1, mu, sig2, m, rng = self._state(40, 2, "random", seed=1)
+        got = _position_block(z, dmat, z + scale * rng.normal(size=(40, 2)),
+                              rng.random(40), y, b0, b1, mu, sig2, m)
+        assert low <= sum(got) / len(got) <= high
