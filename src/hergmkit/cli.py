@@ -236,6 +236,8 @@ def _cmd_fit_twostage(args) -> int:
                      mcmle=_with_flags(args, _MCMLE_FLAGS, McmleControls),
                      given_partition=given, seed=args.seed, threads=args.threads)
     _write_json(args.out, two_stage_fit_to_dict(ts))
+    for w in ts.stage1_warnings:
+        _stderr(f"warning: {w}")
     for k, reason in enumerate(ts.fit_errors):
         if reason is not None:
             _stderr(f"warning: cluster {k} fit unavailable: {reason}")
@@ -299,9 +301,7 @@ def _cmd_gof(args) -> int:
                     "observed": float(diag.observed[b]),
                     "lower": float(diag.lower[b]),
                     "upper": float(diag.upper[b]),
-                    "inside": int(
-                        diag.lower[b] <= diag.observed[b] <= diag.upper[b]
-                    ),
+                    "inside": int(diag.inside[b]),
                 }
             )
         rows.append(
@@ -336,11 +336,13 @@ def _cmd_gof(args) -> int:
                 }
             )
         render_panels(panels, args.svg)
-    if report.flagged_clusters:
-        _stderr(
-            "warning: clusters simulated as Bernoulli fallback: "
-            f"{report.flagged_clusters}"
-        )
+    # only a two-stage fit flags clusters: those without a fit
+    empty = [k for k in report.flagged_clusters if fit.partition.sizes()[k] == 0]
+    bernoulli = [k for k in report.flagged_clusters if k not in empty]
+    if bernoulli:
+        _stderr(f"warning: clusters simulated as Bernoulli fallback: {bernoulli}")
+    if empty:
+        _stderr(f"warning: empty clusters without a fit, so not simulated: {empty}")
     cov = ", ".join(
         f"{name}={diag.coverage:.3f}" for name, diag in report.diagnostics.items()
     )

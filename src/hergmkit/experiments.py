@@ -296,8 +296,8 @@ def _sensitivity_one(hspec, method, nsim_gof, sim_controls, master, task) -> lis
             "rho": rho, "replication": rep, "cluster": k,
             **{f"theta[{label}]": v for label, v in zip(labels, theta)},
             **{f"bias[{label}]": v for label, v in zip(labels, bias)},
-            "esp_coverage": report.coverage("esp"),
-            "degree_coverage": report.coverage("degree"),
+            "esp_coverage": report.diagnostics["esp"].coverage,
+            "degree_coverage": report.diagnostics["degree"].coverage,
         })
     return out
 

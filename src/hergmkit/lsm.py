@@ -536,22 +536,14 @@ def lsm_posterior_to_dict(post: LsmPosterior) -> dict:
     }
 
 
-@dataclass
-class LsmSummary:
-    """The deserialized form of an LSM posterior summary (no raw draws)."""
+def lsm_posterior_from_dict(data: dict) -> LsmPosterior:
+    """Inverse of ``lsm_posterior_to_dict``, checking the per-node array
+    shapes and that the MAP partition is each node's most probable cluster.
 
-    n_clusters: int
-    dim: int
-    beta0_mean: float
-    beta1_mean: float
-    positions_mean: np.ndarray
-    membership_probs: np.ndarray
-    map_partition: Partition
-    seed: int | None
-
-
-def lsm_posterior_from_dict(data: dict) -> LsmSummary:
-    """Inverse of ``lsm_posterior_to_dict``, checking the per-node array shapes."""
+    The posterior holds one draw, the file's posterior means, with the MAP
+    partition as its memberships and an unknown (nan) log posterior, so
+    writing it back gives the same summary.
+    """
     probs = np.array(data["membership_probs"], dtype=np.float64)
     k, dim = int(data["K"]), int(data["dim"])
     z = np.array(data["positions_mean"], dtype=np.float64)
@@ -560,13 +552,18 @@ def lsm_posterior_from_dict(data: dict) -> LsmSummary:
                             ("membership_probs", probs, (part.n, k))):
         if arr.shape != shape:
             raise ValueError(f"{key} has shape {arr.shape}; {part.n} nodes need {shape}")
-    return LsmSummary(
+    if not np.array_equal(part.assignments, probs.argmax(axis=1)):
+        raise ValueError("map_partition is not the most probable cluster of each node")
+    return LsmPosterior(
         n_clusters=k,
         dim=dim,
-        beta0_mean=float(data["beta0_mean"]),
-        beta1_mean=float(data["beta1_mean"]),
-        positions_mean=z,
+        zs=z[None],
+        beta0s=np.array([float(data["beta0_mean"])]),
+        beta1s=np.array([float(data["beta1_mean"])]),
+        ms=part.assignments[None],
+        log_posts=np.array([math.nan]),
         membership_probs=probs,
-        map_partition=part,
+        acceptance={key: float(val) for key, val in data.get("acceptance", {}).items()},
+        warnings=list(data.get("warnings", [])),
         seed=data.get("seed"),
     )

@@ -10,7 +10,7 @@ observed graph against simulation envelopes from the fitted model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .lsm import (
     LSM_DIM,
     LsmControls,
     LsmPosterior,
-    LsmSummary,
     _best_permutation,
     lsm_mcmc,
     map_membership,
@@ -47,7 +46,7 @@ from .sampler import (
     hergm_draws,
 )
 from .spectral import SCORE_RESTARTS, score_cluster
-from .stats import StatisticSpec, esp_histogram, parse_spec, stat_matrix, stat_vector
+from .stats import StatisticSpec, esp_histogram, parse_spec, stat_matrix
 
 __all__ = [
     "TwoStageFit",
@@ -73,10 +72,8 @@ class TwoStageFit:
     between_se: float | None
     method: str
     seed: int
-
-    @property
-    def n_clusters(self) -> int:
-        return self.partition.n_clusters
+    # the stage-1 LSM chain's acceptance warnings; not written to the fit file
+    stage1_warnings: list[str] = field(default_factory=list)
 
 
 def stage2_seed(master: int, k: int) -> int:
@@ -158,10 +155,10 @@ def two_stage_fit(
                 f"K={n_clusters} but the given partition has "
                 f"{given_partition.n_clusters} clusters"
             )
-        partition = given_partition
+        partition, posterior = given_partition, None
     else:
         stage1_seed = int(child_seed(seed, "stage1").generate_state(1, np.uint32)[0])
-        partition, _ = cluster(g, n_clusters, stage1, stage1_seed, dim, lsm)
+        partition, posterior = cluster(g, n_clusters, stage1, stage1_seed, dim, lsm)
 
     sizes = partition.sizes().tolist()
     jobs = [(within_subgraph(g, partition, k)[0], spec, method, mcmle, stage2_seed(seed, k))
@@ -190,6 +187,7 @@ def two_stage_fit(
         between_se=p_se,
         method=method,
         seed=seed,
+        stage1_warnings=[] if posterior is None else list(posterior.warnings),
     )
 
 
@@ -218,7 +216,11 @@ class GofDiagnostic:
     observed: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    coverage: float
+    inside: np.ndarray  # per bin: lower <= observed <= upper
+
+    @property
+    def coverage(self) -> float:
+        return float(self.inside.mean())
 
 
 @dataclass
@@ -226,28 +228,26 @@ class GofReport:
     diagnostics: dict[str, GofDiagnostic]
     flagged_clusters: list[int]
 
-    def coverage(self, name: str) -> float:
-        return self.diagnostics[name].coverage
 
-
-def _degree_hist(g: Graph) -> np.ndarray:
-    return np.bincount(g.degrees(), minlength=g.n).astype(np.float64)
-
-
-def _esp_hist(g: Graph) -> np.ndarray:
-    return esp_histogram(g).astype(np.float64)
-
-
-def _geodesic_hist(g: Graph) -> np.ndarray:
-    """Dyad counts at geodesic 1..n-1; the last slot counts unreachable pairs."""
-    n = g.n
-    d_u = g.geodesic_distances()[np.triu_indices(n, 1)]
-    out = np.zeros(n, dtype=np.float64)
-    finite = d_u[np.isfinite(d_u)].astype(np.int64)
-    counts = np.bincount(finite, minlength=n)
-    out[: n - 1] = counts[1:n]
-    out[n - 1] = float(np.sum(~np.isfinite(d_u)))
-    return out
+def _diagnostics(graphs: list[Graph], spec: StatisticSpec) -> dict[str, np.ndarray]:
+    """The four GOF diagnostics of ``graphs``, one row a graph: degree counts,
+    edgewise shared partners, dyad counts at geodesic 1..n-1 (the last slot
+    counts unreachable pairs) and the statistics of ``spec``."""
+    n = graphs[0].n
+    pairs = np.triu_indices(n, 1)
+    geodesic = np.zeros((len(graphs), n))
+    for row, g in zip(geodesic, graphs):
+        d_u = g.geodesic_distances()[pairs]
+        finite = np.isfinite(d_u)
+        row[: n - 1] = np.bincount(d_u[finite].astype(np.int64), minlength=n)[1:n]
+        row[n - 1] = np.count_nonzero(~finite)
+    return {
+        "degree": np.array([np.bincount(g.degrees(), minlength=n) for g in graphs],
+                           dtype=np.float64),
+        "esp": np.array([esp_histogram(g) for g in graphs], dtype=np.float64),
+        "geodesic": geodesic,
+        "stats": stat_matrix(graphs, spec),
+    }
 
 
 def _gof_model(fit, g: Graph) -> tuple[HergmSpec, StatisticSpec, list[int]]:
@@ -256,8 +256,8 @@ def _gof_model(fit, g: Graph) -> tuple[HergmSpec, StatisticSpec, list[int]]:
     Returns (model, spec of the statistics panel, clusters without a fit).
     A ``TwoStageFit`` gives one block per non-empty cluster, in label order;
     a cluster without a fit is Bernoulli at its observed density.  An
-    ``ErgmFit`` is one ERGM block, an LSM posterior or summary one Bernoulli
-    block at the posterior-mean tie probabilities.
+    ``ErgmFit`` is one ERGM block, an LSM posterior one Bernoulli block at
+    the posterior-mean tie probabilities.
     """
     if isinstance(fit, TwoStageFit):
         part = fit.partition
@@ -279,8 +279,8 @@ def _gof_model(fit, g: Graph) -> tuple[HergmSpec, StatisticSpec, list[int]]:
         return HergmSpec(tuple(blocks), between_p), fit.spec, flagged
     if isinstance(fit, ErgmFit):
         return HergmSpec((ClusterSpec(g.n, fit.spec, fit.theta_hat),), 0.0), fit.spec, []
-    if isinstance(fit, (LsmPosterior, LsmSummary)):
-        z = np.asarray(fit.positions_mean, dtype=np.float64)
+    if isinstance(fit, LsmPosterior):
+        z = fit.positions_mean
         if z.shape[0] != g.n:
             raise ValueError(
                 f"the fit has latent positions for {z.shape[0]} nodes; the graph has {g.n}"
@@ -304,19 +304,21 @@ def gof(
     """Simulation-envelope goodness of fit.
 
     ``fit`` may be a ``TwoStageFit``, a single ``ErgmFit`` (whole-graph
-    model), or an LSM posterior/summary (ties Bernoulli at the posterior-mean
+    model), or an ``LsmPosterior`` (ties Bernoulli at the posterior-mean
     probabilities); it must be a fit for a graph with ``g``'s node count,
     which must be at least 2.
     Four diagnostics are compared pointwise against the 2.5%/97.5% envelope
-    of ``n_sim`` simulated graphs: degree counts, edgewise shared partners,
-    geodesic distances, and the model statistics.
+    of ``n_sim`` simulated graphs (``_diagnostics``); a bin is inside when
+    its observed value lies in the envelope, and a diagnostic's coverage is
+    the share of its bins inside.
 
     The fit becomes a block model (``_gof_model``) and the ``n_sim`` graphs
     are one ``hergm_draws`` call: each ERGM block is one Gibbs chain, as in
     ergm's ``gof``, that burns in ``burnin_sweeps`` sweeps once and keeps a
     draw every ``GOF_THIN_SWEEPS`` sweeps; ``threads`` is passed on and
-    changes no draw.  A cluster without a fit falls back to Bernoulli ties
-    at its observed density and is listed in ``flagged_clusters``.
+    changes no draw.  Every cluster without a fit is listed in
+    ``flagged_clusters``; a non-empty one falls back to Bernoulli ties at its
+    observed density, and an empty one has nothing to simulate.
     Diagnostics are label-invariant, so blocks are laid out contiguously.
     """
     if g.n < 2:
@@ -325,26 +327,12 @@ def gof(
     draws = hergm_draws(hspec, seed, SamplerControls(burnin_sweeps, n_sim, GOF_THIN_SWEEPS),
                         threads)
 
-    observed = {
-        "degree": _degree_hist(g),
-        "esp": _esp_hist(g),
-        "geodesic": _geodesic_hist(g),
-        "stats": stat_vector(g, spec),
-    }
-    sims = {
-        "degree": [_degree_hist(sim) for sim in draws],
-        "esp": [_esp_hist(sim) for sim in draws],
-        "geodesic": [_geodesic_hist(sim) for sim in draws],
-        "stats": stat_matrix(draws, spec),
-    }
-
+    sims = _diagnostics(draws, spec)
     diagnostics = {}
-    for name, obs in observed.items():
-        arr = np.stack(sims[name])
-        lower = np.quantile(arr, 0.025, axis=0)
-        upper = np.quantile(arr, 0.975, axis=0)
-        inside = (obs >= lower) & (obs <= upper)
-        diagnostics[name] = GofDiagnostic(obs, lower, upper, float(inside.mean()))
+    for name, (obs,) in _diagnostics([g], spec).items():
+        lower = np.quantile(sims[name], 0.025, axis=0)
+        upper = np.quantile(sims[name], 0.975, axis=0)
+        diagnostics[name] = GofDiagnostic(obs, lower, upper, (lower <= obs) & (obs <= upper))
     return GofReport(diagnostics, flagged)
 
 

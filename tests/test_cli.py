@@ -3,6 +3,7 @@
 import argparse
 import ast
 import copy
+import csv
 import inspect
 import json
 import os
@@ -19,6 +20,7 @@ import hergmkit
 from hergmkit import cli, experiments, twostage
 from hergmkit.fit import McmleControls
 from hergmkit.lsm import LSM_DIM, LsmControls
+from hergmkit.rng import child_seed
 from hergmkit.sampler import SamplerControls
 from hergmkit.spectral import SCORE_RESTARTS
 from hergmkit.twostage import GOF_BURNIN_SWEEPS
@@ -402,6 +404,8 @@ class TestExitCodes:
          "malformed lsm fit: membership_probs has shape (4, 1); 4 nodes need (4, 2)"),
         ({**LSM_FIT, "map_partition": [0, 0, 1]},
          "malformed lsm fit: positions_mean has shape (4, 2); 3 nodes need (3, 2)"),
+        ({**LSM_FIT, "map_partition": [0, 1, 1, 1]},
+         "malformed lsm fit: map_partition is not the most probable cluster of each node"),
     ])
     def test_malformed_fit_file_exits_2(self, tmp_path, capsys, doc, field):
         graph, _ = _simulate(tmp_path, 6)
@@ -1004,3 +1008,62 @@ def test_ill_typed_config_field_exits_2_naming_it(tmp_path, capsys, command, cfg
 def test_out_of_range_config_field_exits_2_naming_it(tmp_path, capsys, command, cfg, message):
     assert _run_config(tmp_path, command, cfg) == 2
     assert message in capsys.readouterr().err
+
+
+class TestStage1AndGofMessages:
+    def test_fit_twostage_prints_the_lsm_chain_warnings(self, tmp_path, capsys):
+        # a chain with no burn-in can accept outside [0.1, 0.6]; the fit's
+        # stage 1 is cluster lsm at the seed child_seed(seed, "stage1")
+        graph = str(tmp_path / "g.edges")
+        assert cli.main(["simulate", "hergm", "--config", "fig1.json", "--seed", "3",
+                         "--out", graph, "--truth", str(tmp_path / "t.csv")]) == 0
+        stage1_seed = int(child_seed(3, "stage1").generate_state(1, np.uint32)[0])
+        capsys.readouterr()
+        assert cli.main(["cluster", "lsm", "--graph", graph, "--K", "3", "--burnin", "0",
+                         "--samples", "10", "--thin", "1", "--seed", str(stage1_seed),
+                         "--out", str(tmp_path / "p.csv")]) == 0
+        warned = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("warning: ")]
+        assert warned == ["warning: beta0 acceptance rate 0.800 outside [0.1, 0.6]; proposal "
+                          "scales are tuned during burn-in only, so try a longer burn-in"]
+        assert cli.main(["fit", "twostage", "--graph", graph, "--K", "3", "--stats", "edges",
+                         "--stage1", "lsm", "--lsm-burnin", "0", "--lsm-samples", "10",
+                         "--lsm-thin", "1", "--method", "mple", "--seed", "3",
+                         "--out", str(tmp_path / "fit.json")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "acceptance rate" in line] == warned
+
+    def test_gof_tells_empty_clusters_from_bernoulli_ones(self, tmp_path, capsys):
+        # cluster 2 is emptied into cluster 0, and cluster 1 loses its fit
+        graph, truth = _simulate(tmp_path, 6)
+        fit = Path(_fit(tmp_path, graph, truth))
+        doc = json.loads(fit.read_text())
+        doc["stage1"]["partition"] = [0 if k == 2 else k for k in doc["stage1"]["partition"]]
+        doc["cluster_fits"][1] = {"available": False, "reason": "no finite fit"}
+        doc["cluster_fits"][2] = {"available": False, "reason": "cluster is empty"}
+        fit.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["gof", "--graph", graph, "--fit", str(fit), "--nsim", "2",
+                         "--burnin", "2", "--out", str(tmp_path / "gof.csv")]) == 0
+        warned = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("warning: ")]
+        assert warned == ["warning: clusters simulated as Bernoulli fallback: [1]",
+                          "warning: empty clusters without a fit, so not simulated: [2]"]
+
+    def test_gof_csv_writes_the_report(self, tmp_path):
+        # the inside column is GofDiagnostic.inside and each coverage row its mean
+        graph, truth = _simulate(tmp_path, 6)
+        fit, out = _fit(tmp_path, graph, truth), tmp_path / "gof.csv"
+        assert cli.main(["gof", "--graph", graph, "--fit", fit, "--nsim", "6",
+                         "--burnin", "5", "--seed", "2", "--threads", "1",
+                         "--out", str(out)]) == 0
+        report = twostage.gof(hergmkit.read_edge_list(graph), cli._load_fit(fit), 6, seed=2,
+                              burnin_sweeps=5)
+        with open(out, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for name, diag in report.diagnostics.items():
+            mine = [r for r in rows if r["diagnostic"] == name]
+            assert [int(r["inside"]) for r in mine[:-1]] == diag.inside.astype(int).tolist()
+            assert mine[-1]["bin"] == "coverage"
+            assert float(mine[-1]["observed"]) == diag.coverage == diag.inside.mean()
+        assert len(rows) == sum(len(d.inside) + 1 for d in report.diagnostics.values())

@@ -1,5 +1,6 @@
 """Latent position cluster model: conjugacy, alignment, membership recovery."""
 
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hergmkit import Graph, Partition
 from hergmkit.lsm import (
     DIRICHLET,
     LsmControls,
+    LsmPosterior,
     draw_memberships,
     draw_mixture_params,
     init_positions,
@@ -356,17 +358,38 @@ class TestLsmMcmc:
                     LsmControls(**{field: value})
 
 
+def _read_back(post):
+    """``post`` written as a fit file and read back."""
+    return lsm_posterior_from_dict(json.loads(json.dumps(lsm_posterior_to_dict(post))))
+
+
 class TestSerialization:
     def test_round_trip(self):
-        g = two_cliques(6)
-        post = lsm_mcmc(g, 2, controls=LIGHT, seed=10)
-        doc = lsm_posterior_to_dict(post)
-        back = lsm_posterior_from_dict(doc)
-        assert back.n_clusters == 2 and back.dim == 2
-        np.testing.assert_allclose(back.positions_mean, post.positions_mean)
-        np.testing.assert_allclose(back.membership_probs, post.membership_probs)
-        assert back.beta1_mean == pytest.approx(post.beta1_mean)
-        assert back.map_partition == map_membership(post)
+        post = lsm_mcmc(two_cliques(6), 2, controls=LIGHT, seed=10)
+        back = _read_back(post)
+        assert isinstance(back, LsmPosterior)
+        assert back.n_clusters == 2 and back.dim == 2 and back.seed == 10
+        np.testing.assert_array_equal(back.positions_mean, post.positions_mean)
+        np.testing.assert_array_equal(back.membership_probs, post.membership_probs)
+        assert (back.beta0_mean, back.beta1_mean) == (post.beta0_mean, post.beta1_mean)
+        assert map_membership(back) == map_membership(post)
+        assert back.acceptance == post.acceptance and back.warnings == post.warnings == []
+        assert lsm_posterior_to_dict(back) == lsm_posterior_to_dict(post)
+
+    def test_round_trip_keeps_the_warnings(self):
+        # a chain with no burn-in accepts outside [0.1, 0.6], so it warns
+        post = lsm_mcmc(two_cliques(6), 2, controls=LsmControls(0, 10, 1), seed=10)
+        back = _read_back(post)
+        assert post.warnings and back.warnings == post.warnings
+        assert back.acceptance == post.acceptance
+        assert lsm_posterior_to_dict(back) == lsm_posterior_to_dict(post)
+
+    def test_read_back_is_one_draw_of_the_means(self):
+        post = lsm_mcmc(two_cliques(4), 2, controls=LIGHT, seed=3)
+        back = _read_back(post)
+        assert back.zs.shape == (1, 8, 2) and back.beta0s.shape == back.beta1s.shape == (1,)
+        np.testing.assert_array_equal(back.ms[0], map_membership(post).assignments)
+        assert np.isnan(back.log_posts).all() and back.log_posts.shape == (1,)
 
 
 def _single_site_block(z, dmat, props, unif, y, b0, b1, mu, sig2, m):

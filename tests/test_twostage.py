@@ -1,7 +1,9 @@
 """Two-stage pipeline, mis-clustering metric, and goodness of fit."""
 
 import ast
+import dataclasses
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -25,8 +27,15 @@ from hergmkit import (
 from hergmkit import sampler, twostage
 from hergmkit.experiments import sensitivity_experiment
 from hergmkit.fit import ErgmFit, FitDiagnostics, McmleControls, mple
-from hergmkit.rng import POOL_MIN_VISITS, child_rng, parallel_map
-from hergmkit.lsm import LsmControls, _best_permutation, lsm_mcmc, map_membership
+from hergmkit.rng import POOL_MIN_VISITS, child_rng, child_seed, parallel_map
+from hergmkit.lsm import (
+    LsmControls,
+    _best_permutation,
+    lsm_mcmc,
+    lsm_posterior_from_dict,
+    lsm_posterior_to_dict,
+    map_membership,
+)
 from hergmkit.sampler import (
     BernoulliBlock,
     ClusterSpec,
@@ -361,6 +370,28 @@ class TestUnavailableClusters:
             )
 
 
+class TestStage1Warnings:
+    SHORT = LsmControls(burnin=0, n_samples=10, thin=1)
+
+    def test_lsm_stage1_keeps_the_chain_warnings(self):
+        g, _ = fig1_like(8, seed=3)
+        ts = two_stage_fit(g, 3, SPEC, stage1="lsm", method="mple", lsm=self.SHORT, seed=5)
+        stage1_seed = int(child_seed(5, "stage1").generate_state(1, np.uint32)[0])
+        _, post = cluster(g, 3, "lsm", stage1_seed, lsm=self.SHORT)
+        assert post.warnings and ts.stage1_warnings == post.warnings
+        # the warnings stay in memory: the fit file has no field for them
+        doc = two_stage_fit_to_dict(ts)
+        assert doc == two_stage_fit_to_dict(dataclasses.replace(ts, stage1_warnings=[]))
+        assert two_stage_fit_from_dict(doc).stage1_warnings == []
+
+    @pytest.mark.parametrize("stage1", ["score", "given"])
+    def test_other_stage1_methods_have_none(self, stage1):
+        g, truth = fig1_like(8, seed=3)
+        ts = two_stage_fit(g, 3, SPEC, stage1=stage1, method="mple", seed=5,
+                           given_partition=truth if stage1 == "given" else None)
+        assert ts.stage1_warnings == []
+
+
 class TestGof:
     def make_fit(self, seed=21):
         g, truth = fig1_like(10, seed=seed)
@@ -431,16 +462,36 @@ class TestGof:
         assert set(report.diagnostics) == {"degree", "esp", "geodesic", "stats"}
 
     def test_lsm_fit_for_another_graph_rejected(self):
-        from hergmkit.lsm import LsmSummary
-
-        summary = LsmSummary(
-            n_clusters=1, dim=2, beta0_mean=0.0, beta1_mean=1.0,
-            positions_mean=np.zeros((5, 2)), membership_probs=np.ones((5, 1)),
-            map_partition=Partition(np.zeros(5, dtype=int), 1), seed=None,
-        )
-        gof(Graph(5), summary, 2, burnin_sweeps=1)
+        post = lsm_posterior_from_dict({
+            "kind": "lsm", "K": 1, "dim": 2, "beta0_mean": 0.0, "beta1_mean": 1.0,
+            "positions_mean": [[0.0, 0.0]] * 5, "membership_probs": [[1.0]] * 5,
+            "map_partition": [0] * 5,
+        })
+        gof(Graph(5), post, 2, burnin_sweeps=1)
         with pytest.raises(ValueError, match="latent positions for 5 nodes"):
-            gof(Graph(6), summary, 2)
+            gof(Graph(6), post, 2)
+
+    def test_lsm_gof_same_from_the_fit_file(self):
+        # the posterior read back from its fit file gives gof the same model
+        g, _ = fig1_like(6, seed=25)
+        post = lsm_mcmc(g, 3, controls=LsmControls(burnin=40, n_samples=20, thin=1), seed=3)
+        back = lsm_posterior_from_dict(json.loads(json.dumps(lsm_posterior_to_dict(post))))
+        mine, read = gof(g, post, 12, seed=4), gof(g, back, 12, seed=4)
+        assert set(mine.diagnostics) == set(read.diagnostics)
+        for name, diag in mine.diagnostics.items():
+            for part in ("observed", "lower", "upper", "inside"):
+                np.testing.assert_array_equal(getattr(diag, part),
+                                              getattr(read.diagnostics[name], part))
+
+    def test_inside_is_the_envelope_rule_and_coverage_its_mean(self):
+        g, ts = self.make_fit(seed=26)
+        report = gof(g, ts, 10, seed=3, burnin_sweeps=30)
+        for diag in report.diagnostics.values():
+            assert diag.inside.dtype == bool and diag.inside.shape == diag.observed.shape
+            np.testing.assert_array_equal(
+                diag.inside, (diag.lower <= diag.observed) & (diag.observed <= diag.upper))
+            assert diag.coverage == float(diag.inside.mean())
+        assert not all(diag.inside.all() for diag in report.diagnostics.values())
 
     def test_chain_draws_match_enumeration(self):
         # GOF's draws for an ErgmFit: one chain, burned in once, thinned
