@@ -60,6 +60,7 @@ from .twostage import (
     GOF_THIN_SWEEPS,
     cluster,
     gof,
+    stage1_seed,
     two_stage_fit,
     two_stage_fit_from_dict,
     two_stage_fit_to_dict,
@@ -113,6 +114,7 @@ _LSM_FLAGS = {"lsm_burnin": "burnin", "lsm_samples": "n_samples", "lsm_thin": "t
 _MCMLE_FLAGS = {"mc_samples": "n_samples", "mc_burnin": "burnin_sweeps"}
 # flags read only under one --stage1 or --method: dest -> (mode dest, value)
 _READ_ONLY_WITH = {
+    "partition": ("stage1", "given"),
     **dict.fromkeys(["dim", *_LSM_FLAGS], ("stage1", "lsm")),
     **dict.fromkeys([*_MCMLE_FLAGS, "theta0"], ("method", "mcmle")),
 }
@@ -151,8 +153,7 @@ def _cmd_simulate_hergm(args) -> int:
     if args.stats_out:
         rows = []
         for k, cl in enumerate(hspec.clusters):
-            sub, _ = within_subgraph(g, truth, k)
-            values = stat_vector(sub, cl.spec)
+            values = stat_vector(within_subgraph(g, truth, k), cl.spec)
             for label, value in zip(cl.spec.labels(), values):
                 rows.append({"cluster": k, "stat": label, "value": float(value)})
         if hspec.n_clusters >= 2:
@@ -188,12 +189,22 @@ def _cmd_simulate_ergm(args) -> int:
 # -- cluster -----------------------------------------------------------------
 
 
+def _stage1(args, g, method: str, seed: int, lsm_flags: dict[str, str]):
+    """``cluster`` at ``seed`` with the chain lengths of ``lsm_flags`` (dest ->
+    ``LsmControls`` field) and a given ``--dim`` or ``--restarts``; prints the
+    LSM chain's acceptance warnings."""
+    part, post = _with_flags(args, {"dim": "dim", "restarts": "restarts"}, cluster,
+                             g, args.K, method, seed,
+                             lsm=_with_flags(args, lsm_flags, LsmControls))
+    for w in [] if post is None else post.warnings:
+        _stderr(f"warning: {w}")
+    return part, post
+
+
 def _cmd_cluster_lsm(args) -> int:
     g = read_edge_list(args.graph)
-    controls = _with_flags(args, {"burnin": "burnin", "samples": "n_samples", "thin": "thin"},
-                           LsmControls)
-    part, post = _with_flags(args, {"dim": "dim"}, cluster, g, args.K, "lsm", args.seed,
-                             lsm=controls)
+    part, post = _stage1(args, g, "lsm", args.seed,
+                         {"burnin": "burnin", "samples": "n_samples", "thin": "thin"})
     write_partition(part, args.out)
     if args.posterior:
         _write_json(args.posterior, lsm_posterior_to_dict(post))
@@ -208,16 +219,13 @@ def _cmd_cluster_lsm(args) -> int:
             rows.append(row)
         header = ["node"] + [f"x{a + 1}" for a in range(post.dim)] + ["cluster"]
         _write_csv(args.positions, header, rows)
-    for w in post.warnings:
-        _stderr(f"warning: {w}")
     _stderr(f"clustered {g.n} nodes into K={args.K} -> {args.out}")
     return 0
 
 
 def _cmd_cluster_score(args) -> int:
     g = read_edge_list(args.graph)
-    part, _ = _with_flags(args, {"restarts": "restarts"}, cluster, g, args.K, "score",
-                          args.seed)
+    part, _ = _stage1(args, g, "score", args.seed, {})
     write_partition(part, args.out)
     _stderr(f"clustered {g.n} nodes into K={args.K} -> {args.out}")
     return 0
@@ -229,15 +237,18 @@ def _cmd_cluster_score(args) -> int:
 def _cmd_fit_twostage(args) -> int:
     g = read_edge_list(args.graph)
     spec = parse_spec(args.stats)
-    given = read_partition(args.partition) if args.partition else None
-    ts = _with_flags(args, {"dim": "dim"}, two_stage_fit, g, args.K, spec,
-                     stage1=args.stage1, method=args.method,
-                     lsm=_with_flags(args, _LSM_FLAGS, LsmControls),
-                     mcmle=_with_flags(args, _MCMLE_FLAGS, McmleControls),
-                     given_partition=given, seed=args.seed, threads=args.threads)
+    mcmle_controls = _with_flags(args, _MCMLE_FLAGS, McmleControls)
+    if args.stage1 == "given":
+        if "partition" not in args:
+            raise ValueError("--stage1 given needs --partition")
+        part = read_partition(args.partition)
+        if part.n_clusters != args.K:
+            raise ValueError(f"--K {args.K} but --partition has {part.n_clusters} clusters")
+    else:
+        part, _ = _stage1(args, g, args.stage1, stage1_seed(args.seed), _LSM_FLAGS)
+    ts = two_stage_fit(g, part, spec, method=args.method, mcmle=mcmle_controls,
+                       seed=args.seed, threads=args.threads, stage1=args.stage1)
     _write_json(args.out, two_stage_fit_to_dict(ts))
-    for w in ts.stage1_warnings:
-        _stderr(f"warning: {w}")
     for k, reason in enumerate(ts.fit_errors):
         if reason is not None:
             _stderr(f"warning: cluster {k} fit unavailable: {reason}")
@@ -502,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ft.add_argument("--K", type=_int_at_least(1), required=True, help="clusters, >= 1")
     p_ft.add_argument("--stats", required=True)
     p_ft.add_argument("--stage1", choices=("lsm", "score", "given"), default="lsm")
-    p_ft.add_argument("--partition", help="partition CSV for --stage1 given")
+    p_ft.add_argument("--partition", default=unset, help="partition CSV, --stage1 given only")
     for flag in ("--dim", "--lsm-burnin", "--lsm-samples", "--lsm-thin"):
         p_ft.add_argument(flag, type=int, default=unset, help="--stage1 lsm only")
     p_ft.add_argument("--out", required=True, help="fit JSON")

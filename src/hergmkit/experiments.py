@@ -281,8 +281,7 @@ def _sensitivity_one(hspec, method, nsim_gof, sim_controls, master, task) -> lis
     g, truth = simulate_hergm(hspec, seed, sim_controls)
     perturbed = _perturb_partition(truth, rho, child_rng(seed, "flip"))
     spec = hspec.clusters[0].spec
-    ts = two_stage_fit(g, hspec.n_clusters, spec, stage1="given", method=method,
-                       given_partition=perturbed, seed=seed)
+    ts = two_stage_fit(g, perturbed, spec, method, seed=seed)
     report = gof(g, ts, nsim_gof, seed=seed, burnin_sweeps=sim_controls.burnin_sweeps)
     labels = spec.labels()
     out = []

@@ -19,7 +19,7 @@ partition and ``gof`` never do.  Only this module and the kernel
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -205,13 +205,14 @@ class Partition:
     """Node -> cluster assignment for K clusters, labels 0..K-1."""
 
     assignments: np.ndarray
-    n_clusters: int = field(default=0)
+    n_clusters: int
 
     def __post_init__(self):
         arr = np.asarray(self.assignments, dtype=np.int64)
         object.__setattr__(self, "assignments", arr)
-        k = self.n_clusters if self.n_clusters else int(arr.max()) + 1
-        object.__setattr__(self, "n_clusters", k)
+        k = self.n_clusters
+        if k < 1:
+            raise ValueError(f"n_clusters must be >= 1, got {k}")
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("assignments must be a non-empty 1-d vector")
         if arr.min() < 0 or arr.max() >= k:
@@ -240,17 +241,12 @@ class Partition:
         )
 
 
-def within_subgraph(g: Graph, p: Partition, k: int) -> tuple[Graph, np.ndarray]:
-    """Subgraph induced by cluster k, relabeled 0..n_k-1.
-
-    Returns (subgraph, node_map) where node_map[v] is the original id of
-    subgraph node v (ascending order).
-    """
+def within_subgraph(g: Graph, p: Partition, k: int) -> Graph:
+    """Subgraph induced by cluster k; its node v is ``p.members(k)[v]``."""
     if p.n != g.n:
         raise ValueError(f"partition covers {p.n} nodes, graph has {g.n}")
-    node_map = p.members(k)
-    a = g.adjacency_matrix()
-    return Graph.from_adjacency(a[np.ix_(node_map, node_map)]), node_map
+    members = p.members(k)
+    return Graph.from_adjacency(g.adjacency_matrix()[np.ix_(members, members)])
 
 
 def between_edge_counts(g: Graph, p: Partition) -> tuple[int, int]:

@@ -1,16 +1,16 @@
 """Two-stage estimation: cluster first, then fit per-cluster ERGMs.
 
-Stage 1 recovers a node partition from the observed graph with a working
-model (latent position cluster model, SCORE, or a user-supplied partition).
-Stage 2 fits an ERGM independently inside each recovered cluster and the
-closed-form Binomial density between clusters.  Goodness of fit compares the
-observed graph against simulation envelopes from the fitted model.
+Stage 1 (``cluster``) recovers a node partition from the observed graph with
+a working model, a latent position cluster model or SCORE.  Stage 2
+(``two_stage_fit``) takes a partition, recovered or given, and fits an ERGM
+independently inside each of its clusters and the closed-form Binomial
+density between clusters.  Goodness of fit compares the observed graph
+against simulation envelopes from the fitted model.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,8 +72,11 @@ class TwoStageFit:
     between_se: float | None
     method: str
     seed: int
-    # the stage-1 LSM chain's acceptance warnings; not written to the fit file
-    stage1_warnings: list[str] = field(default_factory=list)
+
+
+def stage1_seed(master: int) -> int:
+    """Deterministic stage-1 seed."""
+    return int(child_seed(master, "stage1").generate_state(1, np.uint32)[0])
 
 
 def stage2_seed(master: int, k: int) -> int:
@@ -120,48 +123,29 @@ def cluster(
 
 def two_stage_fit(
     g: Graph,
-    n_clusters: int,
+    partition: Partition,
     spec: StatisticSpec,
-    stage1: str = "lsm",
     method: str = "mcmle",
-    dim: int = LSM_DIM,
-    lsm: LsmControls = LsmControls(),
     mcmle: McmleControls = McmleControls(),
-    given_partition: Partition | None = None,
     seed: int = 0,
     threads: int = 1,
+    stage1: str = "given",
 ) -> TwoStageFit:
-    """Run the full pipeline on one observed graph.
+    """Stage 2 on ``partition``: an ERGM inside each cluster, the Binomial
+    density between them.
 
-    ``stage1`` is a ``cluster`` method, run with ``dim`` and ``lsm``, or
-    ``given``, which uses ``given_partition`` unchanged and so makes the
-    pipeline identical to fitting each block directly; a partition given
-    with any other ``stage1`` is an error.  ``method`` is the stage-2
-    estimator, ``mcmle`` (chain lengths ``mcmle``) or ``mple``.  A cluster
-    that is empty, too small for the spec, or without a finite fit is marked
+    ``stage1`` names where the partition came from, a ``cluster`` method or
+    ``given``, for the fit's record.  ``method`` is the stage-2 estimator,
+    ``mcmle`` (chain lengths ``mcmle``) or ``mple``.  A cluster that is
+    empty, too small for the spec, or without a finite fit is marked
     unavailable with its reason rather than failing the run.  The clusters
     are fitted by ``rng.parallel_map`` with ``threads``, which changes no
     fit: each has its own seed, ``stage2_seed(seed, k)``.
     """
     if method not in ("mcmle", "mple"):
         raise ValueError(f"stage-2 method must be mcmle or mple, got {method!r}")
-    if stage1 != "given" and given_partition is not None:
-        raise ValueError(f"a given partition needs stage1='given', not {stage1!r}")
-    if stage1 == "given":
-        if given_partition is None:
-            raise ValueError("stage1='given' requires given_partition")
-        if given_partition.n_clusters != n_clusters:
-            raise ValueError(
-                f"K={n_clusters} but the given partition has "
-                f"{given_partition.n_clusters} clusters"
-            )
-        partition, posterior = given_partition, None
-    else:
-        stage1_seed = int(child_seed(seed, "stage1").generate_state(1, np.uint32)[0])
-        partition, posterior = cluster(g, n_clusters, stage1, stage1_seed, dim, lsm)
-
     sizes = partition.sizes().tolist()
-    jobs = [(within_subgraph(g, partition, k)[0], spec, method, mcmle, stage2_seed(seed, k))
+    jobs = [(within_subgraph(g, partition, k), spec, method, mcmle, stage2_seed(seed, k))
             for k, nk in enumerate(sizes) if nk]
     # an MCMLE fit runs at least its burn-in and the full-size sample it ends
     # on; an MPLE fit builds one design row a dyad, which took as long as 3-5
@@ -187,7 +171,6 @@ def two_stage_fit(
         between_se=p_se,
         method=method,
         seed=seed,
-        stage1_warnings=[] if posterior is None else list(posterior.warnings),
     )
 
 
@@ -272,8 +255,8 @@ def _gof_model(fit, g: Graph) -> tuple[HergmSpec, StatisticSpec, list[int]]:
             if cfit is not None:
                 blocks.append(ClusterSpec(nk, cfit.spec, cfit.theta_hat))
             else:
-                sub, _ = within_subgraph(g, part, k)
-                blocks.append(BernoulliBlock(nk, sub.n_edges / max(nk * (nk - 1) // 2, 1)))
+                ties = within_subgraph(g, part, k).n_edges
+                blocks.append(BernoulliBlock(nk, ties / max(nk * (nk - 1) // 2, 1)))
         between_p = 0.0 if fit.between_p is None else fit.between_p
         flagged = [k for k, f in enumerate(fit.cluster_fits) if f is None]
         return HergmSpec(tuple(blocks), between_p), fit.spec, flagged

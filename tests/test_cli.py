@@ -20,10 +20,9 @@ import hergmkit
 from hergmkit import cli, experiments, twostage
 from hergmkit.fit import McmleControls
 from hergmkit.lsm import LSM_DIM, LsmControls
-from hergmkit.rng import child_seed
 from hergmkit.sampler import SamplerControls
 from hergmkit.spectral import SCORE_RESTARTS
-from hergmkit.twostage import GOF_BURNIN_SWEEPS
+from hergmkit.twostage import GOF_BURNIN_SWEEPS, stage1_seed
 
 SENSITIVITY = {
     "clusters": [{"n": 8, "theta": [-1.0, 0.3]}, {"n": 8, "theta": [-1.2, 0.4]}],
@@ -248,7 +247,7 @@ class TestExitCodes:
                          "--stats", "edges", "--stage1", "given", "--partition", truth,
                          "--method", "mple", "--out", str(tmp_path / "fit.json")])
         assert code == 2
-        assert "K=2 but the given partition has 3 clusters" in capsys.readouterr().err
+        assert "--K 2 but --partition has 3 clusters" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
     @pytest.mark.parametrize("stats, message", [
@@ -360,7 +359,8 @@ class TestExitCodes:
                          "--stage1", "given", "--method", "mple",
                          "--out", str(tmp_path / "fit.json")])
         assert code == 2
-        assert "stage1='given' requires given_partition" in capsys.readouterr().err
+        assert "--stage1 given needs --partition" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
 
     @pytest.mark.parametrize("stage1", ["lsm", "score"])
     def test_partition_without_stage1_given_exits_2(self, tmp_path, capsys, stage1):
@@ -370,8 +370,7 @@ class TestExitCodes:
                          "--stats", "edges", "--stage1", stage1, "--partition", truth,
                          "--method", "mple", "--out", str(out)])
         assert code == 2
-        err = capsys.readouterr().err
-        assert f"a given partition needs stage1='given', not '{stage1}'" in err
+        assert "--partition read only with --stage1 given" in capsys.readouterr().err
         assert not out.exists()
 
     def test_malformed_partition_row_exits_2(self, tmp_path, capsys):
@@ -426,7 +425,8 @@ class TestExitCodes:
          "malformed ergm fit: std_errors has shape (1, 1) for a 1-term spec"),
         (lambda doc: doc["cluster_fits"][0].update(spec="triangles"),
          "malformed twostage fit: cluster 0 has spec 'triangles'; the fit's spec is 'edges'"),
-    ], ids=["fit-missing", "fit-extra", "theta-long", "se-nested", "cluster-spec"])
+        (lambda doc: doc["stage1"].update(K=0), "malformed twostage fit: n_clusters must be >= 1"),
+    ], ids=["fit-missing", "fit-extra", "theta-long", "se-nested", "cluster-spec", "K-zero"])
     def test_inconsistent_fit_file_exits_2(self, tmp_path, capsys, edit, message):
         graph, truth = _simulate(tmp_path, 6)
         fit = tmp_path / "fit.json"
@@ -596,11 +596,10 @@ MC_FLAGS = ["--mc-samples", "16", "--mc-burnin", "11"]
 
 
 @pytest.mark.parametrize("argv, reader, expected", [
-    (["fit", "twostage", "--K", "3", "--stats", "edges"], "two_stage_fit",
-     {"dim": LSM_DIM, "lsm": LsmControls(), "mcmle": McmleControls()}),
-    (["fit", "twostage", "--K", "3", "--stats", "edges", *LSM_FLAGS, *MC_FLAGS],
-     "two_stage_fit",
-     {"dim": 3, "lsm": LsmControls(7, 8, 9), "mcmle": McmleControls(16, 11)}),
+    (["fit", "twostage", "--K", "3", "--stats", "edges", "--stage1", "given"], "two_stage_fit",
+     {"mcmle": McmleControls()}),
+    (["fit", "twostage", "--K", "3", "--stats", "edges", "--stage1", "given", *MC_FLAGS],
+     "two_stage_fit", {"mcmle": McmleControls(16, 11)}),
     (["fit", "ergm", "--stats", "edges"], "mcmle",
      {"theta0": None, "controls": McmleControls()}),
     (["fit", "ergm", "--stats", "edges", "--theta0=-1", *MC_FLAGS], "mcmle",
@@ -615,6 +614,10 @@ MC_FLAGS = ["--mc-samples", "16", "--mc-burnin", "11"]
      {"controls": SamplerControls(7, 8, 9)}),
     (["gof", "--nsim", "2"], "gof", {"burnin_sweeps": GOF_BURNIN_SWEEPS}),
     (["gof", "--nsim", "2", "--burnin", "7"], "gof", {"burnin_sweeps": 7}),
+    (["fit", "twostage", "--K", "3", "--stats", "edges"], "cluster",
+     {"dim": LSM_DIM, "lsm": LsmControls()}),
+    (["fit", "twostage", "--K", "3", "--stats", "edges", *LSM_FLAGS], "cluster",
+     {"dim": 3, "lsm": LsmControls(7, 8, 9)}),
 ])
 def test_flag_reaches_its_reader_and_absent_flag_leaves_its_default(
         tmp_path, monkeypatch, argv, reader, expected):
@@ -1013,14 +1016,13 @@ def test_out_of_range_config_field_exits_2_naming_it(tmp_path, capsys, command, 
 class TestStage1AndGofMessages:
     def test_fit_twostage_prints_the_lsm_chain_warnings(self, tmp_path, capsys):
         # a chain with no burn-in can accept outside [0.1, 0.6]; the fit's
-        # stage 1 is cluster lsm at the seed child_seed(seed, "stage1")
+        # stage 1 is cluster lsm at the seed stage1_seed(seed)
         graph = str(tmp_path / "g.edges")
         assert cli.main(["simulate", "hergm", "--config", "fig1.json", "--seed", "3",
                          "--out", graph, "--truth", str(tmp_path / "t.csv")]) == 0
-        stage1_seed = int(child_seed(3, "stage1").generate_state(1, np.uint32)[0])
         capsys.readouterr()
         assert cli.main(["cluster", "lsm", "--graph", graph, "--K", "3", "--burnin", "0",
-                         "--samples", "10", "--thin", "1", "--seed", str(stage1_seed),
+                         "--samples", "10", "--thin", "1", "--seed", str(stage1_seed(3)),
                          "--out", str(tmp_path / "p.csv")]) == 0
         warned = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("warning: ")]
@@ -1032,6 +1034,27 @@ class TestStage1AndGofMessages:
                          "--out", str(tmp_path / "fit.json")]) == 0
         err = capsys.readouterr().err.splitlines()
         assert [line for line in err if "acceptance rate" in line] == warned
+
+    @pytest.mark.parametrize("stage1", ["lsm", "score"])
+    def test_fit_twostage_is_stage2_on_the_stage1_partition(self, tmp_path, capsys, stage1):
+        # the fit file is two_stage_fit on cluster's partition at stage1_seed,
+        # and the printed warnings are that posterior's
+        graph, _ = _simulate(tmp_path, 6)
+        out, want = tmp_path / "fit.json", tmp_path / "want.json"
+        lsm = ["--lsm-burnin", "7", "--lsm-samples", "8", "--lsm-thin", "9"]
+        capsys.readouterr()
+        assert cli.main(["fit", "twostage", "--graph", graph, "--K", "3", "--stats", "edges",
+                         "--stage1", stage1, "--method", "mple", "--seed", "4",
+                         "--out", str(out)] + (lsm if stage1 == "lsm" else [])) == 0
+        g = hergmkit.read_edge_list(graph)
+        part, post = twostage.cluster(g, 3, stage1, stage1_seed(4), lsm=LsmControls(7, 8, 9))
+        fit = twostage.two_stage_fit(g, part, hergmkit.parse_spec("edges"), method="mple",
+                                     seed=4, stage1=stage1)
+        cli._write_json(want, twostage.two_stage_fit_to_dict(fit))
+        assert out.read_bytes() == want.read_bytes()
+        warned = [line for line in capsys.readouterr().err.splitlines()
+                  if "acceptance" in line]
+        assert warned == [f"warning: {w}" for w in (post.warnings if post else [])]
 
     def test_gof_tells_empty_clusters_from_bernoulli_ones(self, tmp_path, capsys):
         # cluster 2 is emptied into cluster 0, and cluster 1 loses its fit

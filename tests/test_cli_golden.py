@@ -89,8 +89,12 @@ GOLDEN = {
         "5418a232e3358aa74ae339f6b44a81da3b4fcd849301cd03add6665e8bfcc985",
     "fit_mcmle.json":
         "219d3a1e2947ec52cb86d990c978a803f6dc8b7b117f298c7d4064f0f5372e78",
+    "fit_lsm.json":
+        "22bf80e88f78fe7d597e4b808c1939df5b6e29cd5e9200bc118d6fff836437fc",
     "fit_mple.json":
         "c5f96dae3d6cff55935ffba5d17ffffadb38c347bac57b903d2467d83606bf3e",
+    "fit_score.json":
+        "e5eaddbea5f96402cadfdd5c74b6299564784336b803091540b1fe2cd9d68948",
     "gof_mple.csv":
         "8342603fdd23237d341633459370a1b1d688a45c1b1400257cd6222ed62eed5b",
     "sim_graph.edges":
@@ -125,11 +129,15 @@ def _outputs(work: str) -> dict[str, str]:
           "--out", p("sim_graph.edges"), "--truth", p("sim_truth.csv"),
           "--stats-out", p("sim_stats.csv")])
     fit_args = ["fit", "twostage", "--graph", p("sim_graph.edges"), "--K", "3",
-                "--stats", "edges,gwdsp(0.5),gwesp(0.5)", "--stage1", "given",
-                "--partition", p("sim_truth.csv"), "--seed", "3"]
-    _run(fit_args + ["--method", "mcmle", "--mc-samples", "64", "--mc-burnin", "20",
-                     "--out", p("fit_mcmle.json")])
-    _run(fit_args + ["--method", "mple", "--out", p("fit_mple.json")])
+                "--stats", "edges,gwdsp(0.5),gwesp(0.5)", "--seed", "3"]
+    given = ["--stage1", "given", "--partition", p("sim_truth.csv")]
+    _run(fit_args + given + ["--method", "mcmle", "--mc-samples", "64", "--mc-burnin", "20",
+                             "--out", p("fit_mcmle.json")])
+    _run(fit_args + given + ["--method", "mple", "--out", p("fit_mple.json")])
+    _run(fit_args + ["--stage1", "score", "--method", "mple", "--out", p("fit_score.json")])
+    # the LSM partition leaves one cluster a singleton and another empty
+    _run(fit_args + ["--stage1", "lsm", "--lsm-burnin", "40", "--lsm-samples", "20",
+                     "--lsm-thin", "1", "--method", "mple", "--out", p("fit_lsm.json")])
     _run(["gof", "--graph", p("sim_graph.edges"), "--fit", p("fit_mple.json"),
           "--nsim", "5", "--burnin", "10", "--seed", "4", "--out", p("gof_mple.csv")])
     _run(["cluster", "score", "--graph", p("sim_graph.edges"), "--K", "3", "--seed", "6",

@@ -252,8 +252,8 @@ class TestHergm:
         g1, t1 = simulate_hergm(hspec, 11, SamplerControls(100))
         altered = HergmSpec(hspec.clusters, 0.9)
         g2, t2 = simulate_hergm(altered, 11, SamplerControls(100))
-        sub1, _ = within_subgraph(g1, t1, 0)
-        sub2, _ = within_subgraph(g2, t2, 0)
+        sub1 = within_subgraph(g1, t1, 0)
+        sub2 = within_subgraph(g2, t2, 0)
         assert sub1 == sub2
 
     def test_invalid_spec(self):
@@ -276,8 +276,8 @@ class TestHergm:
         e0, e1 = [], []
         for rep in range(80):
             g, truth = simulate_hergm(hspec, 1000 + rep, SamplerControls(80))
-            e0.append(within_subgraph(g, truth, 0)[0].n_edges)
-            e1.append(within_subgraph(g, truth, 1)[0].n_edges)
+            e0.append(within_subgraph(g, truth, 0).n_edges)
+            e1.append(within_subgraph(g, truth, 1).n_edges)
         r = np.corrcoef(e0, e1)[0, 1]
         assert abs(r) < 0.25
 
@@ -289,7 +289,7 @@ class TestBernoulliBlock:
         )
         g, truth = simulate_hergm(hspec, 4, SamplerControls(20))
         want = bernoulli_graph(7, 0.3, child_rng(4, "within", 1))
-        assert within_subgraph(g, truth, 1)[0] == want
+        assert within_subgraph(g, truth, 1) == want
 
     def test_per_dyad_p(self):
         n = 9
@@ -303,8 +303,8 @@ class TestBernoulliBlock:
     def test_p_zero_and_one(self):
         hspec = HergmSpec((BernoulliBlock(5, 0), BernoulliBlock(4, 1)), 0.0)
         g, truth = simulate_hergm(hspec, 1)
-        assert within_subgraph(g, truth, 0)[0].n_edges == 0
-        assert within_subgraph(g, truth, 1)[0].n_edges == 6
+        assert within_subgraph(g, truth, 0).n_edges == 0
+        assert within_subgraph(g, truth, 1).n_edges == 6
         assert g.n_edges == 6
 
     @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan, [0.5] * 5, [0.5, 2.0, 0.5]])

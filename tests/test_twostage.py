@@ -1,7 +1,6 @@
 """Two-stage pipeline, mis-clustering metric, and goodness of fit."""
 
 import ast
-import dataclasses
 import itertools
 import json
 import math
@@ -27,7 +26,7 @@ from hergmkit import (
 from hergmkit import sampler, twostage
 from hergmkit.experiments import sensitivity_experiment
 from hergmkit.fit import ErgmFit, FitDiagnostics, McmleControls, mple
-from hergmkit.rng import POOL_MIN_VISITS, child_rng, child_seed, parallel_map
+from hergmkit.rng import POOL_MIN_VISITS, child_rng, parallel_map
 from hergmkit.lsm import (
     LsmControls,
     _best_permutation,
@@ -51,6 +50,7 @@ from hergmkit.spectral import score_cluster
 from hergmkit.stats import stat_vector
 from hergmkit.twostage import (
     TwoStageFit,
+    stage1_seed,
     stage2_seed,
     two_stage_fit_from_dict,
     two_stage_fit_to_dict,
@@ -193,13 +193,10 @@ def test_stage1_has_one_route():
 class TestTwoStageFit:
     def test_given_partition_equals_manual_composition(self):
         g, truth = fig1_like()
-        ts = two_stage_fit(
-            g, 3, SPEC, stage1="given", method="mple",
-            given_partition=truth, seed=42,
-        )
+        ts = two_stage_fit(g, truth, SPEC, method="mple", seed=42)
         assert ts.stage1_method == "given"
         for k in range(3):
-            sub, _ = within_subgraph(g, truth, k)
+            sub = within_subgraph(g, truth, k)
             manual = mple(sub, SPEC)
             np.testing.assert_allclose(
                 ts.cluster_fits[k].theta_hat, manual.theta_hat, atol=1e-12
@@ -209,14 +206,11 @@ class TestTwoStageFit:
 
     def test_mcmle_route_uses_derived_seeds(self):
         g, truth = fig1_like(10, seed=5)
-        ts = two_stage_fit(
-            g, 3, SPEC, stage1="given", method="mcmle", mcmle=LIGHT_MC,
-            given_partition=truth, seed=11,
-        )
+        ts = two_stage_fit(g, truth, SPEC, method="mcmle", mcmle=LIGHT_MC, seed=11)
         from hergmkit.fit import mcmle
 
         k = 2
-        sub, _ = within_subgraph(g, truth, k)
+        sub = within_subgraph(g, truth, k)
         manual = mcmle(sub, SPEC, controls=LIGHT_MC, seed=stage2_seed(11, k))
         np.testing.assert_allclose(
             ts.cluster_fits[k].theta_hat, manual.theta_hat, atol=1e-12
@@ -224,12 +218,7 @@ class TestTwoStageFit:
 
     def test_k1_has_no_between(self):
         g, _ = fig1_like(8, seed=6)
-        ts = two_stage_fit(
-            g, 1, SPEC, stage1="given",
-            method="mple",
-            given_partition=Partition(np.zeros(g.n, dtype=int), 1),
-            seed=1,
-        )
+        ts = two_stage_fit(g, Partition(np.zeros(g.n, dtype=int), 1), SPEC, method="mple", seed=1)
         assert ts.between_p is None and len(ts.cluster_fits) == 1
 
     def test_small_cluster_marked_unavailable(self):
@@ -238,33 +227,25 @@ class TestTwoStageFit:
         g.add_edge(1, 2)
         g.add_edge(0, 2)
         labels = Partition(np.array([0, 0, 0, 0, 1, 1]), 2)
-        ts = two_stage_fit(
-            g, 2, SPEC, stage1="given",
-            method="mple",
-            given_partition=labels, seed=2,
-        )
+        ts = two_stage_fit(g, labels, SPEC, method="mple", seed=2)
         assert ts.cluster_fits[1] is None
         assert "needs at least" in ts.fit_errors[1]
 
     def test_unknown_stage1(self):
         g, _ = fig1_like(8, seed=7)
-        with pytest.raises(ValueError):
-            two_stage_fit(g, 2, SPEC, stage1="magic", seed=0)
+        with pytest.raises(ValueError, match="unknown stage-1 method 'magic'"):
+            cluster(g, 2, "magic", 0)
 
     def test_unknown_stage2_method(self):
         g, truth = fig1_like(8, seed=7)
         with pytest.raises(ValueError, match="stage-2 method must be mcmle or mple"):
-            two_stage_fit(g, 3, SPEC, stage1="given", method="ml",
-                          given_partition=truth, seed=0)
-
-    def test_given_requires_partition(self):
-        g, _ = fig1_like(8, seed=8)
-        with pytest.raises(ValueError):
-            two_stage_fit(g, 2, SPEC, stage1="given", seed=0)
+            two_stage_fit(g, truth, SPEC, method="ml", seed=0)
 
     def test_lsm_stage1_recovers_blocks(self):
         g, truth = fig1_like(12, seed=9)
-        ts = two_stage_fit(g, 3, SPEC, stage1="lsm", method="mple", lsm=LIGHT_LSM, seed=3)
+        part, _ = cluster(g, 3, "lsm", stage1_seed(3), lsm=LIGHT_LSM)
+        ts = two_stage_fit(g, part, SPEC, method="mple", seed=3, stage1="lsm")
+        assert ts.stage1_method == "lsm"
         assert misclustering_rate(ts.partition, truth) <= 0.25
 
     def test_likelihood_factorizes_over_blocks(self):
@@ -280,7 +261,7 @@ class TestTwoStageFit:
         g, truth = simulate_hergm(hspec, 12, SamplerControls(burnin_sweeps=200))
         total = 0.0
         for k, cl in enumerate(hspec.clusters):
-            sub, _ = within_subgraph(g, truth, k)
+            sub = within_subgraph(g, truth, k)
             ex = exact_distribution(cl.n, spec, cl.theta)
             s_obs = stat_vector(sub, spec)
             total += float(np.dot(cl.theta, s_obs)) - ex.log_psi
@@ -292,7 +273,7 @@ class TestTwoStageFit:
         # direct joint probability of the observed graph under the model
         direct = 0.0
         for k, cl in enumerate(hspec.clusters):
-            sub, _ = within_subgraph(g, truth, k)
+            sub = within_subgraph(g, truth, k)
             ex = exact_distribution(cl.n, spec, cl.theta)
             from hergmkit.sampler import graph_index
 
@@ -307,11 +288,7 @@ class TestUnavailableClusters:
         labels = truth.assignments.copy()
         labels[labels == 1] = 2  # label 1 of K = 3 keeps no node
         part = Partition(labels, 3)
-        ts = two_stage_fit(
-            g, 3, SPEC, stage1="given",
-            method="mple",
-            given_partition=part, seed=1,
-        )
+        ts = two_stage_fit(g, part, SPEC, method="mple", seed=1)
         assert ts.cluster_fits[1] is None
         assert ts.fit_errors[1] == "cluster is empty"
         assert ts.cluster_fits[0] is not None and ts.between_p is not None
@@ -322,11 +299,7 @@ class TestUnavailableClusters:
     def test_one_nonempty_cluster_has_no_between_density(self):
         g, _ = fig1_like(6, seed=6)
         part = Partition(np.zeros(g.n, dtype=np.int64), 2)
-        ts = two_stage_fit(
-            g, 2, SPEC, stage1="given",
-            method="mple",
-            given_partition=part, seed=1,
-        )
+        ts = two_stage_fit(g, part, SPEC, method="mple", seed=1)
         assert ts.fit_errors[1] == "cluster is empty"
         assert ts.between_p is None
         gof(g, ts, 3, seed=2, burnin_sweeps=10)
@@ -337,22 +310,15 @@ class TestUnavailableClusters:
         g = Graph(8)
         for i, j in [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)]:
             g.add_edge(i, j)
-        ts = two_stage_fit(
-            g, 2, parse_spec("degree(0)"), stage1="given",
-            method="mple",
-            given_partition=Partition(np.array([0, 0, 0, 0, 1, 1, 1, 1]), 2), seed=1,
-        )
+        ts = two_stage_fit(g, Partition(np.array([0, 0, 0, 0, 1, 1, 1, 1]), 2),
+                           parse_spec("degree(0)"), method="mple", seed=1)
         assert ts.cluster_fits[0] is None and "no finite MPLE" in ts.fit_errors[0]
         assert ts.cluster_fits[1] is not None
 
     def test_nonconverging_mple_marks_cluster_unavailable(self, monkeypatch):
         monkeypatch.setattr("hergmkit.fit.MPLE_MAX_ITER", 1)
         g, truth = fig1_like(8, seed=7)
-        ts = two_stage_fit(
-            g, 3, SPEC, stage1="given",
-            method="mple",
-            given_partition=truth, seed=1,
-        )
+        ts = two_stage_fit(g, truth, SPEC, method="mple", seed=1)
         assert ts.cluster_fits == [None, None, None]
         assert all("did not reach" in r for r in ts.fit_errors)
 
@@ -363,43 +329,13 @@ class TestUnavailableClusters:
         monkeypatch.setattr(twostage, "mple", broken)
         g, truth = fig1_like(8, seed=7)
         with pytest.raises(RuntimeError, match="a bug"):
-            two_stage_fit(
-                g, 3, SPEC, stage1="given",
-                method="mple",
-                given_partition=truth, seed=1,
-            )
-
-
-class TestStage1Warnings:
-    SHORT = LsmControls(burnin=0, n_samples=10, thin=1)
-
-    def test_lsm_stage1_keeps_the_chain_warnings(self):
-        g, _ = fig1_like(8, seed=3)
-        ts = two_stage_fit(g, 3, SPEC, stage1="lsm", method="mple", lsm=self.SHORT, seed=5)
-        stage1_seed = int(child_seed(5, "stage1").generate_state(1, np.uint32)[0])
-        _, post = cluster(g, 3, "lsm", stage1_seed, lsm=self.SHORT)
-        assert post.warnings and ts.stage1_warnings == post.warnings
-        # the warnings stay in memory: the fit file has no field for them
-        doc = two_stage_fit_to_dict(ts)
-        assert doc == two_stage_fit_to_dict(dataclasses.replace(ts, stage1_warnings=[]))
-        assert two_stage_fit_from_dict(doc).stage1_warnings == []
-
-    @pytest.mark.parametrize("stage1", ["score", "given"])
-    def test_other_stage1_methods_have_none(self, stage1):
-        g, truth = fig1_like(8, seed=3)
-        ts = two_stage_fit(g, 3, SPEC, stage1=stage1, method="mple", seed=5,
-                           given_partition=truth if stage1 == "given" else None)
-        assert ts.stage1_warnings == []
+            two_stage_fit(g, truth, SPEC, method="mple", seed=1)
 
 
 class TestGof:
     def make_fit(self, seed=21):
         g, truth = fig1_like(10, seed=seed)
-        ts = two_stage_fit(
-            g, 3, SPEC, stage1="given",
-            method="mple",
-            given_partition=truth, seed=seed,
-        )
+        ts = two_stage_fit(g, truth, SPEC, method="mple", seed=seed)
         return g, ts
 
     def test_nsim_zero_rejected(self):
@@ -434,11 +370,7 @@ class TestGof:
                 g.add_edge(i, j)
         g.add_edge(6, 7)
         labels = Partition(np.array([0] * 6 + [1] * 4, dtype=int), 2)
-        ts = two_stage_fit(
-            g, 2, parse_spec("edges,kstar(5)"), stage1="given",
-            method="mple",
-            given_partition=labels, seed=4,
-        )
+        ts = two_stage_fit(g, labels, parse_spec("edges,kstar(5)"), method="mple", seed=4)
         assert ts.cluster_fits[1] is None
         report = gof(g, ts, 10, seed=6, burnin_sweeps=60)
         assert report.flagged_clusters == [1]
@@ -523,7 +455,7 @@ class TestGof:
         for rep, draw in enumerate(draws):
             # the fitted partition is contiguous, as simulated blocks are
             for k in range(3):
-                assert within_subgraph(draw, ts.partition, k)[0] == chains[k][rep]
+                assert within_subgraph(draw, ts.partition, k) == chains[k][rep]
         # draw 0 is the network simulate_hergm draws from the same model
         assert draws[0] == simulate_hergm(hspec, 8, sim_controls)[0]
         assert chains[0][0] != chains[0][3]
@@ -542,11 +474,7 @@ class TestGof:
 class TestSerialization:
     def test_round_trip(self):
         g, truth = fig1_like(10, seed=33)
-        ts = two_stage_fit(
-            g, 3, SPEC, stage1="given",
-            method="mple",
-            given_partition=truth, seed=7,
-        )
+        ts = two_stage_fit(g, truth, SPEC, method="mple", seed=7)
         doc = two_stage_fit_to_dict(ts)
         back = two_stage_fit_from_dict(doc)
         assert isinstance(back, TwoStageFit)
@@ -595,8 +523,7 @@ class TestClusterPool:
         hergm_draws(HergmSpec(blocks, 0.1), 1, SamplerControls(3, 2, 4))
         g, truth = simulate_hergm(HergmSpec(blocks, 0.1), 2, SamplerControls(3))
         for method in ("mple", "mcmle"):
-            two_stage_fit(g, 3, parse_spec("edges"), stage1="given", method=method,
-                          mcmle=McmleControls(8, 5), given_partition=truth)
+            two_stage_fit(g, truth, parse_spec("edges"), method=method, mcmle=McmleControls(8, 5))
         # 15 + 10 ERGM dyads; Bernoulli blocks count none; an MPLE dyad counts
         # 3 visits, an MCMLE fit its burn-in and one full-size sample
         assert estimates == [25 * (3 + 2 * 4), 25 * (3 + 1 * 10),
@@ -621,16 +548,16 @@ class TestClusterPool:
             spec = parse_spec("edges,triangles")
         else:  # 3 x C(20, 2) x (30 + 2 x 64) = 90,060 dyad visits
             (g, truth), spec = fig1_like(n_per=20), SPEC
-        fits = [two_stage_fit_to_dict(two_stage_fit(
-            g, truth.n_clusters, spec, stage1="given", method=method, mcmle=mc,
-            given_partition=truth, seed=9, threads=threads)) for threads in (1, 2)]
+        fits = [two_stage_fit_to_dict(two_stage_fit(g, truth, spec, method=method, mcmle=mc,
+                                                    seed=9, threads=threads))
+                for threads in (1, 2)]
         assert pools() == [2]
         assert fits[0] == fits[1]
         assert all(c["available"] for c in fits[0]["cluster_fits"])
 
     def test_gof_identical_in_a_pool(self, pools):
         g, truth = fig1_like(n_per=20)
-        fit = two_stage_fit(g, 3, SPEC, stage1="given", method="mple", given_partition=truth)
+        fit = two_stage_fit(g, truth, SPEC, method="mple")
         # 3 x C(20, 2) x (70 + 5 x 10) = 68,400 dyad visits
         reports = [gof(g, fit, 5, seed=4, burnin_sweeps=70, threads=threads)
                    for threads in (1, 2)]
