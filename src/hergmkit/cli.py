@@ -3,6 +3,9 @@
 Subcommands: ``simulate`` (hergm | ergm), ``cluster`` (lsm | score), ``fit``
 (twostage | ergm), ``gof``, and ``experiment`` (misrate | sensitivity |
 score).  Configs and fit results are JSON, tables are CSV, plots are SVG.
+``fit ergm`` is ``fit twostage`` on the one-cluster partition, so a fit
+file is of one of two kinds, ``twostage`` (``fit``) or ``lsm`` (``cluster
+lsm --posterior``), and ``gof`` reads both.
 Every command embeds a master seed (``--seed``; for ``experiment`` the
 config's ``seed``) and writes byte-identical outputs when rerun with the same
 arguments.  ``simulate hergm``, ``fit twostage``, ``gof`` and ``experiment``
@@ -36,15 +39,9 @@ from .experiments import (
     score_experiment,
     sensitivity_experiment,
 )
-from .fit import (
-    MCMLE_SAMPLE_BOOST,
-    McmleControls,
-    ergm_fit_to_dict,
-    ergm_fit_from_dict,
-    mcmle,
-    mple,
-)
+from .fit import MCMLE_SAMPLE_BOOST, McmleControls
 from .graph import (
+    Partition,
     between_edge_counts,
     read_edge_list,
     read_partition,
@@ -234,42 +231,40 @@ def _cmd_cluster_score(args) -> int:
 # -- fit ---------------------------------------------------------------------
 
 
-def _cmd_fit_twostage(args) -> int:
+def _cmd_fit(args) -> int:
+    """``fit twostage`` and ``fit ergm``, whose whole-graph ERGM is the
+    one-cluster fit: ``two_stage_fit`` at ``--method``, the ``--mc-*`` flags
+    and a given ``--theta0`` or ``--threads``, written to ``--out``.  Warns of
+    each cluster without a fit or whose MCMLE missed the moment condition;
+    ``fit ergm``'s one cluster without a fit is the error instead, exit 2
+    below the spec's size rule (``StatisticSpec.min_nodes``), else 3."""
     g = read_edge_list(args.graph)
     spec = parse_spec(args.stats)
-    mcmle_controls = _with_flags(args, _MCMLE_FLAGS, McmleControls)
-    if args.stage1 == "given":
-        if "partition" not in args:
-            raise ValueError("--stage1 given needs --partition")
+    controls = _with_flags(args, _MCMLE_FLAGS, McmleControls)
+    stage1 = getattr(args, "stage1", "given")
+    if args.mode == "ergm":
+        part = Partition(np.zeros(g.n, np.int64), 1)
+    elif stage1 != "given":
+        part, _ = _stage1(args, g, stage1, stage1_seed(args.seed), _LSM_FLAGS)
+    elif "partition" not in args:
+        raise ValueError("--stage1 given needs --partition")
+    else:
         part = read_partition(args.partition)
         if part.n_clusters != args.K:
             raise ValueError(f"--K {args.K} but --partition has {part.n_clusters} clusters")
-    else:
-        part, _ = _stage1(args, g, args.stage1, stage1_seed(args.seed), _LSM_FLAGS)
-    ts = two_stage_fit(g, part, spec, method=args.method, mcmle=mcmle_controls,
-                       seed=args.seed, threads=args.threads, stage1=args.stage1)
-    _write_json(args.out, two_stage_fit_to_dict(ts))
-    for k, reason in enumerate(ts.fit_errors):
+        if part.n != g.n:
+            raise ValueError(f"--partition covers {part.n} nodes but --graph has {g.n}")
+    ts = _with_flags(args, {"theta0": "theta0", "threads": "threads"}, two_stage_fit, g, part,
+                     spec, method=args.method, mcmle=controls, seed=args.seed, stage1=stage1)
+    for k, (cfit, reason) in enumerate(zip(ts.cluster_fits, ts.fit_errors)):
+        if reason is not None and args.mode == "ergm":
+            raise (ValueError if g.n < spec.min_nodes() else RuntimeError)(reason)
         if reason is not None:
             _stderr(f"warning: cluster {k} fit unavailable: {reason}")
-    _stderr(f"two-stage fit ({args.stage1} + {args.method}) -> {args.out}")
-    return 0
-
-
-def _cmd_fit_ergm(args) -> int:
-    g = read_edge_list(args.graph)
-    spec = parse_spec(args.stats)
-    if args.method == "mple":
-        fit = mple(g, spec)
-        fit.seed = args.seed
-    else:
-        fit = _with_flags(args, {"theta0": "theta0"}, mcmle, g, spec,
-                          controls=_with_flags(args, _MCMLE_FLAGS, McmleControls),
-                          seed=args.seed)
-        if not fit.diagnostics.converged:
-            _stderr("warning: moment condition not met within iteration budget")
-    _write_json(args.out, ergm_fit_to_dict(fit))
-    _stderr(f"{args.method} fit of {spec.to_string()} -> {args.out}")
+        elif not cfit.diagnostics.converged:
+            _stderr(f"warning: cluster {k}: moment condition not met within iteration budget")
+    _write_json(args.out, two_stage_fit_to_dict(ts))
+    _stderr(f"two-stage fit ({stage1} + {args.method}, K={part.n_clusters}) -> {args.out}")
     return 0
 
 
@@ -283,7 +278,6 @@ def _load_fit(path):
         raise ValueError(f"{path}: expected a JSON object")
     loaders = {
         "twostage": two_stage_fit_from_dict,
-        "ergm": ergm_fit_from_dict,
         "lsm": lsm_posterior_from_dict,
     }
     kind = doc.get("kind")
@@ -517,20 +511,22 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--dim", "--lsm-burnin", "--lsm-samples", "--lsm-thin"):
         p_ft.add_argument(flag, type=int, default=unset, help="--stage1 lsm only")
     p_ft.add_argument("--out", required=True, help="fit JSON")
-    p_ft.set_defaults(func=_cmd_fit_twostage)
-    p_fe = fit_sub.add_parser("ergm", parents=[common, stage2], help="single-block fit")
+    p_ft.set_defaults(func=_cmd_fit)
+    p_fe = fit_sub.add_parser("ergm", parents=[common, stage2],
+                              help="whole-graph ERGM: fit twostage on one cluster")
     p_fe.add_argument("--graph", required=True)
     p_fe.add_argument("--stats", required=True)
     p_fe.add_argument("--theta0", type=_floats, default=unset,
                       help="comma-separated MCMLE start (--method mcmle only), written "
                       "--theta0=-1,0.1 so that a negative first value is not read as a flag")
     p_fe.add_argument("--out", required=True, help="fit JSON")
-    p_fe.set_defaults(func=_cmd_fit_ergm)
+    p_fe.set_defaults(func=_cmd_fit)
 
     p_gof = sub.add_parser("gof", parents=[common, pool],
                            help="simulation-envelope fit check")
     p_gof.add_argument("--graph", required=True)
-    p_gof.add_argument("--fit", required=True, help="fit JSON from fit/cluster")
+    p_gof.add_argument("--fit", required=True,
+                       help="fit JSON from fit twostage|ergm or cluster lsm --posterior")
     p_gof.add_argument("--nsim", type=_int_at_least(1), required=True,
                        help="simulated graphs, >= 1")
     p_gof.add_argument("--burnin", type=int, default=unset,

@@ -86,12 +86,12 @@ def stage2_seed(master: int, k: int) -> int:
 
 def _fit_cluster(job) -> tuple[ErgmFit | None, str | None]:
     """Fit one within-cluster block; ``job`` is (subgraph, spec, method,
-    MCMLE controls, seed).  Returns (fit | None, reason | None)."""
-    sub, spec, method, mcmle_controls, seed_k = job
+    MCMLE controls, MCMLE start, seed).  Returns (fit | None, reason | None)."""
+    sub, spec, method, mcmle_controls, theta0, seed_k = job
     try:
         if method == "mple":
             return mple(sub, spec), None
-        return mcmle(sub, spec, controls=mcmle_controls, seed=seed_k), None
+        return mcmle(sub, spec, theta0, controls=mcmle_controls, seed=seed_k), None
     except (GraphTooSmallError, NonFiniteMleError, SamplesDegenerateError,
             MpleNotConvergedError) as exc:
         return None, str(exc)
@@ -127,16 +127,19 @@ def two_stage_fit(
     spec: StatisticSpec,
     method: str = "mcmle",
     mcmle: McmleControls = McmleControls(),
+    theta0=None,
     seed: int = 0,
     threads: int = 1,
     stage1: str = "given",
 ) -> TwoStageFit:
     """Stage 2 on ``partition``: an ERGM inside each cluster, the Binomial
-    density between them.
+    density between them.  On the one-cluster partition this is the
+    whole-graph ERGM, with no between-cluster density.
 
     ``stage1`` names where the partition came from, a ``cluster`` method or
     ``given``, for the fit's record.  ``method`` is the stage-2 estimator,
-    ``mcmle`` (chain lengths ``mcmle``) or ``mple``.  A cluster that is
+    ``mcmle`` (chain lengths ``mcmle``, every cluster's chain started at
+    ``theta0`` if given) or ``mple``.  A cluster that is
     empty, too small for the spec, or without a finite fit is marked
     unavailable with its reason rather than failing the run.  The clusters
     are fitted by ``rng.parallel_map`` with ``threads``, which changes no
@@ -145,8 +148,8 @@ def two_stage_fit(
     if method not in ("mcmle", "mple"):
         raise ValueError(f"stage-2 method must be mcmle or mple, got {method!r}")
     sizes = partition.sizes().tolist()
-    jobs = [(within_subgraph(g, partition, k), spec, method, mcmle, stage2_seed(seed, k))
-            for k, nk in enumerate(sizes) if nk]
+    jobs = [(within_subgraph(g, partition, k), spec, method, mcmle, theta0,
+             stage2_seed(seed, k)) for k, nk in enumerate(sizes) if nk]
     # an MCMLE fit runs at least its burn-in and the full-size sample it ends
     # on; an MPLE fit builds one design row a dyad, which took as long as 3-5
     # Gibbs updates (8.5-22 us a dyad on 4 blocks of 70-200 nodes at density
@@ -237,10 +240,10 @@ def _gof_model(fit, g: Graph) -> tuple[HergmSpec, StatisticSpec, list[int]]:
     """The block model ``gof`` simulates for ``fit`` on ``g``.
 
     Returns (model, spec of the statistics panel, clusters without a fit).
-    A ``TwoStageFit`` gives one block per non-empty cluster, in label order;
-    a cluster without a fit is Bernoulli at its observed density.  An
-    ``ErgmFit`` is one ERGM block, an LSM posterior one Bernoulli block at
-    the posterior-mean tie probabilities.
+    A ``TwoStageFit`` gives one block per non-empty cluster, in label order
+    (a whole-graph ERGM is its one-cluster case); a cluster without a fit is
+    Bernoulli at its observed density.  An LSM posterior is one Bernoulli
+    block at the posterior-mean tie probabilities.
     """
     if isinstance(fit, TwoStageFit):
         part = fit.partition
@@ -260,8 +263,6 @@ def _gof_model(fit, g: Graph) -> tuple[HergmSpec, StatisticSpec, list[int]]:
         between_p = 0.0 if fit.between_p is None else fit.between_p
         flagged = [k for k, f in enumerate(fit.cluster_fits) if f is None]
         return HergmSpec(tuple(blocks), between_p), fit.spec, flagged
-    if isinstance(fit, ErgmFit):
-        return HergmSpec((ClusterSpec(g.n, fit.spec, fit.theta_hat),), 0.0), fit.spec, []
     if isinstance(fit, LsmPosterior):
         z = fit.positions_mean
         if z.shape[0] != g.n:
@@ -286,8 +287,8 @@ def gof(
 ) -> GofReport:
     """Simulation-envelope goodness of fit.
 
-    ``fit`` may be a ``TwoStageFit``, a single ``ErgmFit`` (whole-graph
-    model), or an ``LsmPosterior`` (ties Bernoulli at the posterior-mean
+    ``fit`` may be a ``TwoStageFit`` (on one cluster, a whole-graph ERGM)
+    or an ``LsmPosterior`` (ties Bernoulli at the posterior-mean
     probabilities); it must be a fit for a graph with ``g``'s node count,
     which must be at least 2.
     Four diagnostics are compared pointwise against the 2.5%/97.5% envelope

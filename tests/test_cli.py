@@ -373,6 +373,17 @@ class TestExitCodes:
         assert "--partition read only with --stage1 given" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_partition_for_another_node_count_exits_2_naming_both(self, tmp_path, capsys):
+        _, truth = _simulate(tmp_path, 20)
+        graph = tmp_path / "g.edges"
+        graph.write_text("n 10\n0 1\n")
+        code = cli.main(["fit", "twostage", "--graph", str(graph), "--K", "3",
+                         "--stats", "edges", "--stage1", "given", "--partition", truth,
+                         "--method", "mple", "--out", str(tmp_path / "fit.json")])
+        assert code == 2
+        assert "--partition covers 60 nodes but --graph has 10" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_malformed_partition_row_exits_2(self, tmp_path, capsys):
         graph, truth = _simulate(tmp_path, 6)
         with open(truth, "a", encoding="utf-8") as fh:
@@ -384,9 +395,11 @@ class TestExitCodes:
         assert f"{truth}:20: expected 'node,cluster', got ['1']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc, field", [
-        ({"kind": "ergm"}, "ergm fit is missing field 'spec'"),
-        ({"kind": "ergm", "spec": 5, "theta_hat": [0.0], "std_errors": [0.0],
-          "method": "mple"}, "malformed ergm fit"),
+        # a whole-graph ERGM is a one-cluster twostage fit, so a file of the
+        # former ergm kind, well-formed or not, must be refitted
+        ({"kind": "ergm"}, "unknown fit kind 'ergm'"),
+        ({"kind": "ergm", "spec": "edges", "theta_hat": [0.0], "std_errors": [0.0],
+          "method": "mple"}, "unknown fit kind 'ergm'"),
         ({"kind": "twostage", "spec": "edges"}, "twostage fit is missing field 'stage1'"),
         ({"kind": "twostage", "spec": "edges", "cluster_fits": [],
           "stage1": {"partition": ["a"], "K": 1, "method": "given"}},
@@ -419,10 +432,10 @@ class TestExitCodes:
         (lambda doc: doc["cluster_fits"].pop(), "malformed twostage fit: 2 cluster fits for K=3"),
         (lambda doc: doc["cluster_fits"].append({"available": False}),
          "malformed twostage fit: 4 cluster fits for K=3"),
-        (lambda doc: doc.update(kind="ergm", theta_hat=[0.0, 0.0], std_errors=[0.0]),
-         "malformed ergm fit: theta_hat has shape (2,) for a 1-term spec"),
-        (lambda doc: doc.update(kind="ergm", theta_hat=[0.0], std_errors=[[0.0]]),
-         "malformed ergm fit: std_errors has shape (1, 1) for a 1-term spec"),
+        (lambda doc: doc["cluster_fits"][0].update(theta_hat=[0.0, 0.0], std_errors=[0.0]),
+         "malformed twostage fit: theta_hat has shape (2,) for a 1-term spec"),
+        (lambda doc: doc["cluster_fits"][0].update(theta_hat=[0.0], std_errors=[[0.0]]),
+         "malformed twostage fit: std_errors has shape (1, 1) for a 1-term spec"),
         (lambda doc: doc["cluster_fits"][0].update(spec="triangles"),
          "malformed twostage fit: cluster 0 has spec 'triangles'; the fit's spec is 'edges'"),
         (lambda doc: doc["stage1"].update(K=0), "malformed twostage fit: n_clusters must be >= 1"),
@@ -597,13 +610,13 @@ MC_FLAGS = ["--mc-samples", "16", "--mc-burnin", "11"]
 
 @pytest.mark.parametrize("argv, reader, expected", [
     (["fit", "twostage", "--K", "3", "--stats", "edges", "--stage1", "given"], "two_stage_fit",
-     {"mcmle": McmleControls()}),
+     {"theta0": None, "mcmle": McmleControls()}),
     (["fit", "twostage", "--K", "3", "--stats", "edges", "--stage1", "given", *MC_FLAGS],
-     "two_stage_fit", {"mcmle": McmleControls(16, 11)}),
-    (["fit", "ergm", "--stats", "edges"], "mcmle",
-     {"theta0": None, "controls": McmleControls()}),
-    (["fit", "ergm", "--stats", "edges", "--theta0=-1", *MC_FLAGS], "mcmle",
-     {"theta0": (-1.0,), "controls": McmleControls(16, 11)}),
+     "two_stage_fit", {"theta0": None, "mcmle": McmleControls(16, 11)}),
+    (["fit", "ergm", "--stats", "edges"], "two_stage_fit",
+     {"theta0": None, "mcmle": McmleControls()}),
+    (["fit", "ergm", "--stats", "edges", "--theta0=-1", *MC_FLAGS], "two_stage_fit",
+     {"theta0": (-1.0,), "mcmle": McmleControls(16, 11)}),
     (["cluster", "lsm", "--K", "3"], "cluster", {"dim": LSM_DIM, "lsm": LsmControls()}),
     (["cluster", "lsm", "--K", "3", "--dim", "3", "--burnin", "7", "--samples", "8",
       "--thin", "9"], "cluster", {"dim": 3, "lsm": LsmControls(7, 8, 9)}),
@@ -1011,6 +1024,70 @@ def test_ill_typed_config_field_exits_2_naming_it(tmp_path, capsys, command, cfg
 def test_out_of_range_config_field_exits_2_naming_it(tmp_path, capsys, command, cfg, message):
     assert _run_config(tmp_path, command, cfg) == 2
     assert message in capsys.readouterr().err
+
+
+class TestOneStage2Path:
+    """``fit ergm`` is ``fit twostage`` on the one-cluster partition."""
+
+    @pytest.mark.parametrize("method", [["--method", "mple"],
+                                        ["--method", "mcmle", "--mc-samples", "16",
+                                         "--mc-burnin", "10"]], ids=["mple", "mcmle"])
+    def test_fit_ergm_writes_the_one_cluster_twostage_file(self, tmp_path, method):
+        graph, _ = _simulate(tmp_path, 6)
+        zeros = tmp_path / "zeros.csv"
+        zeros.write_text("node,cluster\n" + "".join(f"{v},0\n" for v in range(18)))
+        flags = ["--graph", graph, "--stats", "edges,triangles", "--seed", "5", *method]
+        ergm, twostage_out = tmp_path / "ergm.json", tmp_path / "twostage.json"
+        assert cli.main(["fit", "ergm", *flags, "--out", str(ergm)]) == 0
+        assert cli.main(["fit", "twostage", "--K", "1", "--stage1", "given",
+                         "--partition", str(zeros), *flags, "--out", str(twostage_out)]) == 0
+        assert ergm.read_bytes() == twostage_out.read_bytes()
+        doc = json.loads(ergm.read_text())
+        assert doc["kind"] == "twostage" and doc["between"] is None
+        assert doc["stage1"] == {"method": "given", "partition": [0] * 18, "K": 1}
+
+    def test_theta0_starts_the_one_cluster_mcmle(self, tmp_path):
+        graph, _ = _simulate(tmp_path, 6)
+        out, want = tmp_path / "fit.json", tmp_path / "want.json"
+        assert cli.main(["fit", "ergm", "--graph", graph, "--stats", "edges,triangles",
+                         "--seed", "5", "--method", "mcmle", "--theta0=-1,0.1",
+                         "--mc-samples", "16", "--mc-burnin", "10", "--out", str(out)]) == 0
+        g = hergmkit.read_edge_list(graph)
+        fit = twostage.two_stage_fit(g, hergmkit.Partition(np.zeros(18, np.int64), 1),
+                                     hergmkit.parse_spec("edges,triangles"),
+                                     mcmle=McmleControls(16, 10), theta0=(-1.0, 0.1), seed=5)
+        cli._write_json(want, twostage.two_stage_fit_to_dict(fit))
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_fit_ergm_without_a_fit_exits_3_naming_the_reason_once(self, tmp_path, capsys):
+        graph, out = tmp_path / "g.edges", tmp_path / "fit.json"
+        graph.write_text("n 6\n")
+        capsys.readouterr()
+        code = cli.main(["fit", "ergm", "--graph", str(graph), "--stats", "edges",
+                         "--method", "mple", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: pseudo-likelihood is monotone along a direction (perfect "
+            "separation); no finite MPLE exists"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["twostage", "ergm"])
+    def test_each_unconverged_cluster_is_warned_of(self, tmp_path, capsys, monkeypatch, mode):
+        # one outer iteration only walks toward the MLE, so no cluster converges
+        monkeypatch.setattr("hergmkit.fit.MCMLE_MAX_OUTER", 1)
+        graph, truth = _simulate(tmp_path, 6)
+        out, n_clusters = tmp_path / "fit.json", 3 if mode == "twostage" else 1
+        given = ["--K", "3", "--stage1", "given", "--partition", truth]
+        capsys.readouterr()
+        assert cli.main(["fit", mode, "--graph", graph, "--stats", "edges", "--method", "mcmle",
+                         "--mc-samples", "16", "--mc-burnin", "10", "--out", str(out)]
+                        + (given if mode == "twostage" else [])) == 0
+        clusters = json.loads(out.read_text())["cluster_fits"]
+        assert [c["diagnostics"]["converged"] for c in clusters] == [False] * n_clusters
+        warned = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("warning: ")]
+        assert warned == [f"warning: cluster {k}: moment condition not met within iteration "
+                          "budget" for k in range(n_clusters)]
 
 
 class TestStage1AndGofMessages:

@@ -4,7 +4,7 @@ The simulate, cluster, fit, gof and experiment commands promise
 byte-identical output for a given seed.  These hashes pin that promise
 across changes to the sampler kernel, the Bernoulli fill and the stage-2
 fitting code: a change that moves any random stream or any floating-point
-operation order shows up here.  The GOF envelopes are those of the MPLE fit,
+operation order shows up here.  The GOF envelopes are those of MPLE fits,
 so a change to MCMLE alone leaves them in place.
 
 To regenerate after an intended stream change, run
@@ -95,6 +95,8 @@ GOLDEN = {
         "c5f96dae3d6cff55935ffba5d17ffffadb38c347bac57b903d2467d83606bf3e",
     "fit_score.json":
         "e5eaddbea5f96402cadfdd5c74b6299564784336b803091540b1fe2cd9d68948",
+    "gof_ergm.csv":
+        "1bd6e8c02e797dc857341000ebde320fc545fac3e84f2947b6b70f2c1fbd70e6",
     "gof_mple.csv":
         "8342603fdd23237d341633459370a1b1d688a45c1b1400257cd6222ed62eed5b",
     "sim_graph.edges":
@@ -140,6 +142,11 @@ def _outputs(work: str) -> dict[str, str]:
                      "--lsm-thin", "1", "--method", "mple", "--out", p("fit_lsm.json")])
     _run(["gof", "--graph", p("sim_graph.edges"), "--fit", p("fit_mple.json"),
           "--nsim", "5", "--burnin", "10", "--seed", "4", "--out", p("gof_mple.csv")])
+    _run(["fit", "ergm", "--graph", p("sim_graph.edges"), "--stats",
+          "edges,gwdsp(0.5),gwesp(0.5)", "--method", "mple", "--seed", "3",
+          "--out", p("fit_ergm.json")])
+    _run(["gof", "--graph", p("sim_graph.edges"), "--fit", p("fit_ergm.json"),
+          "--nsim", "5", "--burnin", "10", "--seed", "4", "--out", p("gof_ergm.csv")])
     _run(["cluster", "score", "--graph", p("sim_graph.edges"), "--K", "3", "--seed", "6",
           "--out", p("cluster_score.csv")])
     _run(["cluster", "lsm", "--graph", p("sim_graph.edges"), "--K", "3", "--seed", "7",

@@ -177,17 +177,29 @@ def test_each_stage1_route_is_its_working_model():
     assert post is None and part == score_cluster(g, 3, restarts=3, seed=5)
 
 
-def test_stage1_has_one_route():
-    # the working models are fitted in twostage.cluster and nowhere else
+def _callers(names) -> set[str]:
+    """``module.definition`` of every top-level definition of hergmkit that
+    calls one of ``names`` or passes it to a call."""
     callers = set()
     for path in Path(hergmkit.__file__).parent.glob("*.py"):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
-                func = getattr(node, "func", None)
-                name = getattr(func, "id", getattr(func, "attr", None))
-                if name in ("lsm_mcmc", "score_cluster"):
-                    callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    assert callers == {"twostage.cluster"}
+                for ref in [node.func, *node.args] if isinstance(node, ast.Call) else []:
+                    if getattr(ref, "id", getattr(ref, "attr", None)) in names:
+                        callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return callers
+
+
+def test_stage1_has_one_route():
+    # the working models are fitted in twostage.cluster and nowhere else
+    assert _callers({"lsm_mcmc", "score_cluster"}) == {"twostage.cluster"}
+
+
+def test_stage2_has_one_route():
+    # every ERGM is fitted in twostage._fit_cluster, which two_stage_fit alone
+    # runs; mcmle starts from the MPLE
+    assert _callers({"mple", "mcmle"}) == {"twostage._fit_cluster", "fit.mcmle"}
+    assert _callers({"_fit_cluster"}) == {"twostage.two_stage_fit"}
 
 
 class TestTwoStageFit:
@@ -215,6 +227,17 @@ class TestTwoStageFit:
         np.testing.assert_allclose(
             ts.cluster_fits[k].theta_hat, manual.theta_hat, atol=1e-12
         )
+
+    def test_theta0_starts_every_cluster_mcmle(self):
+        g, truth = fig1_like(8, seed=5)
+        theta0, mc = (-1.0, 0.1, 0.2), McmleControls(16, 10)
+        ts = two_stage_fit(g, truth, SPEC, method="mcmle", mcmle=mc, theta0=theta0, seed=11)
+        from hergmkit.fit import mcmle
+
+        for k in range(3):
+            manual = mcmle(within_subgraph(g, truth, k), SPEC, theta0, controls=mc,
+                           seed=stage2_seed(11, k))
+            np.testing.assert_array_equal(ts.cluster_fits[k].theta_hat, manual.theta_hat)
 
     def test_k1_has_no_between(self):
         g, _ = fig1_like(8, seed=6)
@@ -426,13 +449,17 @@ class TestGof:
         assert not all(diag.inside.all() for diag in report.diagnostics.values())
 
     def test_chain_draws_match_enumeration(self):
-        # GOF's draws for an ErgmFit: one chain, burned in once, thinned
+        # GOF's draws for a whole-graph ERGM, the one-cluster fit: one chain,
+        # burned in once, thinned
         spec = parse_spec("edges,triangles")
         theta = (-1.0, 0.3)
         ex = exact_distribution(5, spec, theta)
-        fit = ErgmFit(spec, np.array(theta), np.zeros(2), "mple", FitDiagnostics())
+        cfit = ErgmFit(spec, np.array(theta), np.zeros(2), "mple", FitDiagnostics())
+        fit = TwoStageFit(spec, "given", Partition(np.zeros(5, np.int64), 1), [cfit], [None],
+                          None, None, "mple", 0)
         n_sim = 30000
         hspec, _, _ = twostage._gof_model(fit, Graph(5))
+        assert hspec == HergmSpec((ClusterSpec(5, spec, theta),), 0.0)
         draws = hergm_draws(
             hspec, 3, SamplerControls(burnin_sweeps=100, n_samples=n_sim)
         )
@@ -466,9 +493,11 @@ class TestGof:
         for i, j in dyad_order(12):
             if rng.random() < 0.3:
                 g.add_edge(i, j)
-        fit = mple(g, parse_spec("edges"))
+        fit = two_stage_fit(g, Partition(np.zeros(12, np.int64), 1), parse_spec("edges"),
+                            method="mple")
         report = gof(g, fit, 20, seed=3, burnin_sweeps=50)
         assert report.diagnostics["stats"].observed[0] == g.n_edges
+        assert report.flagged_clusters == []
 
 
 class TestSerialization:
