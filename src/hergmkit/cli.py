@@ -3,9 +3,11 @@
 Subcommands: ``simulate`` (hergm | ergm), ``cluster`` (lsm | score), ``fit``
 (twostage | ergm), ``gof``, and ``experiment`` (misrate | sensitivity |
 score).  Configs and fit results are JSON, tables are CSV, plots are SVG.
-``fit ergm`` is ``fit twostage`` on the one-cluster partition, so a fit
-file is of one of two kinds, ``twostage`` (``fit``) or ``lsm`` (``cluster
-lsm --posterior``), and ``gof`` reads both.
+A whole-graph ERGM is the one-block HERGM: ``simulate ergm`` is ``simulate
+hergm`` on one block, and ``fit ergm`` is ``fit twostage`` on the
+one-cluster partition.  So a fit file is of one of two kinds, ``twostage``
+(``fit``; ``twostage.two_stage_fit_to_dict`` lists its fields) or ``lsm``
+(``cluster lsm --posterior``), and ``gof`` reads both.
 Every command embeds a master seed (``--seed``; for ``experiment`` the
 config's ``seed``) and writes byte-identical outputs when rerun with the same
 arguments.  ``simulate hergm``, ``fit twostage``, ``gof`` and ``experiment``
@@ -50,11 +52,13 @@ from .graph import (
     write_partition,
 )
 from .lsm import LsmControls, lsm_posterior_from_dict, lsm_posterior_to_dict
-from .sampler import SamplerControls, gibbs_sample, simulate_hergm
-from .stats import parse_spec, stat_vector
+from .sampler import (ClusterSpec, HergmSpec, SamplerControls, hergm_draws, near_degenerate,
+                      simulate_hergm)
+from .stats import parse_spec, stat_matrix, stat_vector
 from .svgplot import render_panels
 from .twostage import (
     GOF_THIN_SWEEPS,
+    TwoStageFit,
     cluster,
     gof,
     stage1_seed,
@@ -164,22 +168,21 @@ def _cmd_simulate_hergm(args) -> int:
 
 
 def _cmd_simulate_ergm(args) -> int:
+    """The one-block ``simulate hergm``: ``hergm_draws`` of the ERGM on
+    ``--n`` nodes, whose last draw is written to ``--out``."""
     spec = parse_spec(args.stats)
     controls = _with_flags(args, {"burnin": "burnin_sweeps", "samples": "n_samples",
                                   "thin": "thin_sweeps"}, SamplerControls)
-    res = gibbs_sample(args.n, spec, args.theta, controls, np.random.default_rng(args.seed))
-    write_edge_list(res.graphs[-1], args.out)
+    draws = hergm_draws(HergmSpec((ClusterSpec(args.n, spec, args.theta),), 0.0), args.seed,
+                        controls)
+    write_edge_list(draws[-1], args.out)
     if args.stats_out:
-        rows = []
-        for s in range(res.stats.shape[0]):
-            row = {"sample": s}
-            for pos, label in enumerate(spec.labels()):
-                row[label] = float(res.stats[s, pos])
-            rows.append(row)
+        rows = [{"sample": s, **dict(zip(spec.labels(), row.tolist()))}
+                for s, row in enumerate(stat_matrix(draws, spec))]
         _write_csv(args.stats_out, ["sample"] + spec.labels(), rows)
-    if res.degenerate:
+    if near_degenerate(draws[-1]):
         _stderr("warning: chain ended near a degenerate (empty/complete) graph")
-    _stderr(f"retained {len(res.graphs)} samples; wrote final graph -> {args.out}")
+    _stderr(f"retained {len(draws)} samples; wrote final graph -> {args.out}")
     return 0
 
 
@@ -256,16 +259,22 @@ def _cmd_fit(args) -> int:
             raise ValueError(f"--partition covers {part.n} nodes but --graph has {g.n}")
     ts = _with_flags(args, {"theta0": "theta0", "threads": "threads"}, two_stage_fit, g, part,
                      spec, method=args.method, mcmle=controls, seed=args.seed, stage1=stage1)
-    for k, (cfit, reason) in enumerate(zip(ts.cluster_fits, ts.fit_errors)):
+    for k, reason in enumerate(ts.fit_errors):
         if reason is not None and args.mode == "ergm":
             raise (ValueError if g.n < spec.min_nodes() else RuntimeError)(reason)
         if reason is not None:
             _stderr(f"warning: cluster {k} fit unavailable: {reason}")
-        elif not cfit.diagnostics.converged:
-            _stderr(f"warning: cluster {k}: moment condition not met within iteration budget")
+    _warn_unconverged(ts)
     _write_json(args.out, two_stage_fit_to_dict(ts))
     _stderr(f"two-stage fit ({stage1} + {args.method}, K={part.n_clusters}) -> {args.out}")
     return 0
+
+
+def _warn_unconverged(ts: TwoStageFit):
+    """Warn of each cluster of ``ts`` whose MCMLE missed the moment condition."""
+    for k, cfit in enumerate(ts.cluster_fits):
+        if cfit is not None and not cfit.diagnostics.converged:
+            _stderr(f"warning: cluster {k}: moment condition not met within iteration budget")
 
 
 # -- gof ---------------------------------------------------------------------
@@ -341,13 +350,14 @@ def _cmd_gof(args) -> int:
                 }
             )
         render_panels(panels, args.svg)
-    # only a two-stage fit flags clusters: those without a fit
-    empty = [k for k in report.flagged_clusters if fit.partition.sizes()[k] == 0]
-    bernoulli = [k for k in report.flagged_clusters if k not in empty]
-    if bernoulli:
-        _stderr(f"warning: clusters simulated as Bernoulli fallback: {bernoulli}")
-    if empty:
-        _stderr(f"warning: empty clusters without a fit, so not simulated: {empty}")
+    if isinstance(fit, TwoStageFit):
+        empty = [k for k in report.flagged_clusters if fit.partition.sizes()[k] == 0]
+        bernoulli = [k for k in report.flagged_clusters if k not in empty]
+        if bernoulli:
+            _stderr(f"warning: clusters simulated as Bernoulli fallback: {bernoulli}")
+        if empty:
+            _stderr(f"warning: empty clusters without a fit, so not simulated: {empty}")
+        _warn_unconverged(fit)
     cov = ", ".join(
         f"{name}={diag.coverage:.3f}" for name, diag in report.diagnostics.items()
     )

@@ -21,7 +21,7 @@ import numpy as np
 from .graph import Graph, Partition, between_edge_counts
 from .rng import child_rng
 from .sampler import SamplerControls, _check_theta, check_counts, dyad_order, gibbs_sample
-from .stats import ChangeStatEngine, StatisticSpec, parse_spec, stat_vector
+from .stats import ChangeStatEngine, StatisticSpec, stat_vector
 
 __all__ = [
     "ErgmFit",
@@ -34,8 +34,6 @@ __all__ = [
     "mple",
     "mcmle",
     "between_density_mle",
-    "ergm_fit_to_dict",
-    "ergm_fit_from_dict",
 ]
 
 
@@ -415,49 +413,3 @@ def between_density_mle(g: Graph, p: Partition) -> tuple[float, float]:
     se = math.sqrt(p_hat * (1.0 - p_hat) / n_b)
     return p_hat, se
 
-
-# -- JSON-friendly serialization --------------------------------------------
-
-
-def ergm_fit_to_dict(fit: ErgmFit) -> dict:
-    d = fit.diagnostics
-    return {
-        "kind": "ergm",
-        "spec": fit.spec.to_string(),
-        "theta_hat": [float(v) for v in fit.theta_hat],
-        "std_errors": [float(v) for v in fit.std_errors],
-        "method": fit.method,
-        "seed": fit.seed,
-        "diagnostics": {
-            "iterations": d.iterations,
-            "grad_norm": d.grad_norm,
-            "mc_samples": d.mc_samples,
-            "mu_hat": None if d.mu_hat is None else [float(v) for v in d.mu_hat],
-            "mc_se": None if d.mc_se is None else [float(v) for v in d.mc_se],
-            "degenerate": d.degenerate,
-            "converged": d.converged,
-            "step_sizes": [float(v) for v in d.step_sizes],
-        },
-    }
-
-
-def ergm_fit_from_dict(data: dict) -> ErgmFit:
-    d = data.get("diagnostics", {})
-    diag = FitDiagnostics(
-        iterations=d.get("iterations", 0),
-        grad_norm=d.get("grad_norm", math.nan),
-        mc_samples=d.get("mc_samples"),
-        mu_hat=None if d.get("mu_hat") is None else np.array(d["mu_hat"]),
-        mc_se=None if d.get("mc_se") is None else np.array(d["mc_se"]),
-        degenerate=d.get("degenerate", False),
-        converged=d.get("converged", True),
-        step_sizes=list(d.get("step_sizes", [])),
-    )
-    spec = parse_spec(data["spec"])
-    arrays = {key: np.array(data[key], dtype=np.float64) for key in ("theta_hat", "std_errors")}
-    for key, values in arrays.items():
-        if values.shape != (len(spec),):
-            raise ValueError(f"{key} has shape {values.shape} for a {len(spec)}-term spec")
-    return ErgmFit(
-        spec=spec, method=data["method"], diagnostics=diag, seed=data.get("seed"), **arrays
-    )

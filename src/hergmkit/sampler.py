@@ -42,8 +42,14 @@ __all__ = [
     "graph_index",
 ]
 
-# a final draw whose density is outside this band flags a near-degenerate chain
 _DEGENERACY_BAND = (0.01, 0.99)
+
+
+def near_degenerate(g: Graph) -> bool:
+    """Whether ``g``'s density lies outside ``_DEGENERACY_BAND``; a chain
+    whose final draw does is flagged near-degenerate."""
+    density = g.n_edges / max(g.n * (g.n - 1) // 2, 1)
+    return not _DEGENERACY_BAND[0] <= density <= _DEGENERACY_BAND[1]
 
 
 def check_counts(obj, **least) -> None:
@@ -135,7 +141,7 @@ def gibbs_sample(
     retains a copy every ``thin_sweeps`` sweeps, all in one
     ``ChangeStatEngine.run`` on one kernel state; the retained graphs'
     statistics are one ``stat_matrix`` call.  Degenerate parameter values
-    do not raise; the result carries a degeneracy flag instead.
+    do not raise; the result carries ``near_degenerate`` of the final state.
     """
     theta = _check_theta(theta, spec)
     spec.check_degrees(n)
@@ -148,10 +154,7 @@ def gibbs_sample(
     graphs = ChangeStatEngine(spec, n).run(
         g, theta, rng, controls.burnin_sweeps, controls.n_samples, controls.thin_sweeps
     )
-    rows = stat_matrix(graphs, spec)
-    density = g.n_edges / max(n * (n - 1) // 2, 1)
-    degenerate = not _DEGENERACY_BAND[0] <= density <= _DEGENERACY_BAND[1]
-    return GibbsResult(graphs, rows, degenerate)
+    return GibbsResult(graphs, stat_matrix(graphs, spec), near_degenerate(g))
 
 
 @dataclass(frozen=True)

@@ -10,21 +10,20 @@ against simulation envelopes from the fitted model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .fit import (
     MCMLE_SAMPLE_BOOST,
     ErgmFit,
+    FitDiagnostics,
     GraphTooSmallError,
     McmleControls,
     MpleNotConvergedError,
     NonFiniteMleError,
     SamplesDegenerateError,
     between_density_mle,
-    ergm_fit_from_dict,
-    ergm_fit_to_dict,
     mcmle,
     mple,
 )
@@ -324,14 +323,30 @@ def gof(
 
 
 def two_stage_fit_to_dict(fit: TwoStageFit) -> dict:
-    clusters = []
-    for cfit, reason in zip(fit.cluster_fits, fit.fit_errors):
+    """The JSON document of ``fit``, a fit file of kind ``twostage``.
+
+    Its fields are ``kind``, ``spec``, ``method`` (the stage-2 estimator),
+    ``stage1`` (``method``, ``partition``, ``K``), ``cluster_fits`` (one
+    entry a cluster, in label order), ``between`` (``p_hat`` and
+    ``std_error``, or null) and ``seed``.  An entry holds only its own
+    cluster's fields: ``theta_hat``, ``std_errors``, ``seed`` (null for
+    MPLE), ``diagnostics`` (the fields of ``FitDiagnostics``) and
+    ``available`` true, or ``available`` false and the ``reason``.
+    """
+    def entry(cfit: ErgmFit | None, reason: str | None) -> dict:
         if cfit is None:
-            clusters.append({"available": False, "reason": reason})
-        else:
-            entry = ergm_fit_to_dict(cfit)
-            entry["available"] = True
-            clusters.append(entry)
+            return {"available": False, "reason": reason}
+        diag = {f.name: getattr(cfit.diagnostics, f.name) for f in fields(FitDiagnostics)}
+        for key in ("mu_hat", "mc_se", "step_sizes"):
+            diag[key] = None if diag[key] is None else [float(v) for v in diag[key]]
+        return {
+            "theta_hat": [float(v) for v in cfit.theta_hat],
+            "std_errors": [float(v) for v in cfit.std_errors],
+            "seed": cfit.seed,
+            "diagnostics": diag,
+            "available": True,
+        }
+
     return {
         "kind": "twostage",
         "spec": fit.spec.to_string(),
@@ -341,7 +356,7 @@ def two_stage_fit_to_dict(fit: TwoStageFit) -> dict:
             "partition": [int(v) for v in fit.partition.assignments],
             "K": fit.partition.n_clusters,
         },
-        "cluster_fits": clusters,
+        "cluster_fits": [entry(*pair) for pair in zip(fit.cluster_fits, fit.fit_errors)],
         "between": (
             None
             if fit.between_p is None
@@ -352,37 +367,43 @@ def two_stage_fit_to_dict(fit: TwoStageFit) -> dict:
 
 
 def two_stage_fit_from_dict(data: dict) -> TwoStageFit:
+    """Inverse of ``two_stage_fit_to_dict``; every field it writes is
+    required.  A cluster entry's ``kind``, ``spec`` and ``method``, which
+    files written before entries held only their own fields repeat, are
+    not read."""
     part = Partition(
         np.array(data["stage1"]["partition"], dtype=np.int64),
         int(data["stage1"]["K"]),
     )
     if len(data["cluster_fits"]) != part.n_clusters:
         raise ValueError(f"{len(data['cluster_fits'])} cluster fits for K={part.n_clusters}")
-    spec = parse_spec(data["spec"])
+    spec, method = parse_spec(data["spec"]), data["method"]
     fits: list[ErgmFit | None] = []
-    reasons: list[str | None] = []
-    for k, entry in enumerate(data["cluster_fits"]):
-        if entry.get("available"):
-            cfit = ergm_fit_from_dict(entry)
-            if cfit.spec != spec:
-                raise ValueError(
-                    f"cluster {k} has spec {cfit.spec.to_string()!r}; "
-                    f"the fit's spec is {spec.to_string()!r}"
-                )
-            fits.append(cfit)
-            reasons.append(None)
-        else:
+    for entry in data["cluster_fits"]:
+        if not entry["available"]:
             fits.append(None)
-            reasons.append(entry.get("reason"))
-    between = data.get("between")
+            continue
+        diag = {f.name: entry["diagnostics"][f.name] for f in fields(FitDiagnostics)}
+        for key in ("mu_hat", "mc_se"):
+            if diag[key] is not None:
+                diag[key] = np.array(diag[key], dtype=np.float64)
+        arrays = {key: np.array(entry[key], dtype=np.float64)
+                  for key in ("theta_hat", "std_errors")}
+        for key, values in arrays.items():
+            if values.shape != (len(spec),):
+                raise ValueError(f"{key} has shape {values.shape} for a {len(spec)}-term spec")
+        fits.append(ErgmFit(spec=spec, method=method, diagnostics=FitDiagnostics(**diag),
+                            seed=entry["seed"], **arrays))
+    between = data["between"]
     return TwoStageFit(
         spec=spec,
         stage1_method=data["stage1"]["method"],
         partition=part,
         cluster_fits=fits,
-        fit_errors=reasons,
+        fit_errors=[None if entry["available"] else entry["reason"]
+                    for entry in data["cluster_fits"]],
         between_p=None if between is None else float(between["p_hat"]),
         between_se=None if between is None else float(between["std_error"]),
-        method=data.get("method", "mcmle"),
-        seed=int(data.get("seed", 0)),
+        method=method,
+        seed=int(data["seed"]),
     )

@@ -20,7 +20,9 @@ import hergmkit
 from hergmkit import cli, experiments, twostage
 from hergmkit.fit import McmleControls
 from hergmkit.lsm import LSM_DIM, LsmControls
-from hergmkit.sampler import SamplerControls
+from hergmkit.sampler import (ClusterSpec, HergmSpec, SamplerControls, hergm_draws,
+                              near_degenerate)
+from hergmkit.stats import stat_matrix
 from hergmkit.spectral import SCORE_RESTARTS
 from hergmkit.twostage import GOF_BURNIN_SWEEPS, stage1_seed
 
@@ -436,10 +438,13 @@ class TestExitCodes:
          "malformed twostage fit: theta_hat has shape (2,) for a 1-term spec"),
         (lambda doc: doc["cluster_fits"][0].update(theta_hat=[0.0], std_errors=[[0.0]]),
          "malformed twostage fit: std_errors has shape (1, 1) for a 1-term spec"),
-        (lambda doc: doc["cluster_fits"][0].update(spec="triangles"),
-         "malformed twostage fit: cluster 0 has spec 'triangles'; the fit's spec is 'edges'"),
         (lambda doc: doc["stage1"].update(K=0), "malformed twostage fit: n_clusters must be >= 1"),
-    ], ids=["fit-missing", "fit-extra", "theta-long", "se-nested", "cluster-spec", "K-zero"])
+        # the reader restates no default of the writer's fields
+        (lambda doc: doc["cluster_fits"][0]["diagnostics"].pop("converged"),
+         "twostage fit is missing field 'converged'"),
+        (lambda doc: doc.pop("method"), "twostage fit is missing field 'method'"),
+    ], ids=["fit-missing", "fit-extra", "theta-long", "se-nested", "K-zero",
+            "converged-missing", "method-missing"])
     def test_inconsistent_fit_file_exits_2(self, tmp_path, capsys, edit, message):
         graph, truth = _simulate(tmp_path, 6)
         fit = tmp_path / "fit.json"
@@ -622,8 +627,8 @@ MC_FLAGS = ["--mc-samples", "16", "--mc-burnin", "11"]
       "--thin", "9"], "cluster", {"dim": 3, "lsm": LsmControls(7, 8, 9)}),
     (["cluster", "score", "--K", "3"], "cluster", {"restarts": SCORE_RESTARTS}),
     (["cluster", "score", "--K", "3", "--restarts", "4"], "cluster", {"restarts": 4}),
-    (SIMULATE_ERGM, "gibbs_sample", {"controls": SamplerControls()}),
-    (SIMULATE_ERGM + ["--burnin", "7", "--samples", "8", "--thin", "9"], "gibbs_sample",
+    (SIMULATE_ERGM, "hergm_draws", {"controls": SamplerControls()}),
+    (SIMULATE_ERGM + ["--burnin", "7", "--samples", "8", "--thin", "9"], "hergm_draws",
      {"controls": SamplerControls(7, 8, 9)}),
     (["gof", "--nsim", "2"], "gof", {"burnin_sweeps": GOF_BURNIN_SWEEPS}),
     (["gof", "--nsim", "2", "--burnin", "7"], "gof", {"burnin_sweeps": 7}),
@@ -1090,6 +1095,49 @@ class TestOneStage2Path:
                           "budget" for k in range(n_clusters)]
 
 
+class TestOneBlockSimulation:
+    """``simulate ergm`` is ``simulate hergm`` on one block."""
+
+    def test_simulate_ergm_writes_the_one_block_hergm_graph(self, tmp_path, capsys):
+        stats, theta = "edges,kstar(2),gwesp(0.5)", [-1.0, 0.1, 0.4]
+        cfg = _write_config(tmp_path, {"clusters": [{"n": 9, "stats": stats, "theta": theta}],
+                                       "between_p": 0.0, "burnin_sweeps": 7, "thin_sweeps": 3})
+        ergm, hergm = tmp_path / "ergm.edges", tmp_path / "hergm.edges"
+        assert cli.main(["simulate", "ergm", "--n", "9", "--stats", stats,
+                         "--theta=" + ",".join(map(str, theta)), "--samples", "1",
+                         "--burnin", "7", "--thin", "3", "--seed", "4", "--out", str(ergm)]) == 0
+        assert cli.main(["simulate", "hergm", "--config", cfg, "--seed", "4", "--threads", "1",
+                         "--out", str(hergm), "--truth", str(tmp_path / "t.csv")]) == 0
+        assert ergm.read_bytes() == hergm.read_bytes()
+
+    def test_stats_out_rows_are_the_statistics_of_the_draws(self, tmp_path):
+        spec = hergmkit.parse_spec("edges,triangles")
+        out, stats_out = tmp_path / "g.edges", tmp_path / "s.csv"
+        assert cli.main(["simulate", "ergm", "--n", "8", "--stats", "edges,triangles",
+                         "--theta=-0.5,0.2", "--burnin", "5", "--samples", "4", "--thin", "2",
+                         "--seed", "3", "--out", str(out), "--stats-out", str(stats_out)]) == 0
+        draws = hergm_draws(HergmSpec((ClusterSpec(8, spec, (-0.5, 0.2)),), 0.0), 3,
+                            SamplerControls(5, 4, 2))
+        with open(stats_out, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["sample"]) for r in rows] == [0, 1, 2, 3]
+        np.testing.assert_array_equal([[float(r[label]) for label in spec.labels()]
+                                       for r in rows], stat_matrix(draws, spec))
+        assert hergmkit.read_edge_list(str(out)) == draws[-1]
+
+    @pytest.mark.parametrize("theta, warned", [("-8", True), ("-1", False), ("8", True)])
+    def test_near_degenerate_warning_is_the_samplers_rule(self, tmp_path, capsys, theta,
+                                                          warned):
+        out = tmp_path / "g.edges"
+        capsys.readouterr()
+        assert cli.main(["simulate", "ergm", "--n", "10", "--stats", "edges",
+                         f"--theta={theta}", "--burnin", "20", "--seed", "1",
+                         "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert near_degenerate(hergmkit.read_edge_list(str(out))) == warned
+        assert ("warning: chain ended near a degenerate" in err) == warned
+
+
 class TestStage1AndGofMessages:
     def test_fit_twostage_prints_the_lsm_chain_warnings(self, tmp_path, capsys):
         # a chain with no burn-in can accept outside [0.1, 0.6]; the fit's
@@ -1149,6 +1197,28 @@ class TestStage1AndGofMessages:
                   if line.startswith("warning: ")]
         assert warned == ["warning: clusters simulated as Bernoulli fallback: [1]",
                           "warning: empty clusters without a fit, so not simulated: [2]"]
+
+    def test_gof_warns_of_each_unconverged_cluster(self, tmp_path, capsys, monkeypatch):
+        # the CSV is that of the same fit with every cluster converged
+        monkeypatch.setattr("hergmkit.fit.MCMLE_MAX_OUTER", 1)
+        graph, truth = _simulate(tmp_path, 6)
+        fit, converged = tmp_path / "fit.json", tmp_path / "converged.json"
+        assert cli.main(["fit", "twostage", "--graph", graph, "--K", "3", "--stats", "edges",
+                         "--stage1", "given", "--partition", truth, "--method", "mcmle",
+                         "--mc-samples", "16", "--mc-burnin", "10", "--out", str(fit)]) == 0
+        doc = json.loads(fit.read_text())
+        for entry in doc["cluster_fits"]:
+            entry["diagnostics"]["converged"] = True
+        converged.write_text(json.dumps(doc))
+        gof = ["gof", "--graph", graph, "--nsim", "3", "--burnin", "5", "--seed", "2"]
+        assert cli.main(gof + ["--fit", str(converged), "--out", str(tmp_path / "c.csv")]) == 0
+        capsys.readouterr()
+        assert cli.main(gof + ["--fit", str(fit), "--out", str(tmp_path / "u.csv")]) == 0
+        warned = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("warning: ")]
+        assert warned == [f"warning: cluster {k}: moment condition not met within iteration "
+                          "budget" for k in range(3)]
+        assert (tmp_path / "u.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
 
     def test_gof_csv_writes_the_report(self, tmp_path):
         # the inside column is GofDiagnostic.inside and each coverage row its mean

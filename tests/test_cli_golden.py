@@ -88,17 +88,21 @@ GOLDEN = {
     "experiment_sensitivity.csv":
         "5418a232e3358aa74ae339f6b44a81da3b4fcd849301cd03add6665e8bfcc985",
     "fit_mcmle.json":
-        "219d3a1e2947ec52cb86d990c978a803f6dc8b7b117f298c7d4064f0f5372e78",
+        "a237d2abb7a788970560d7f34e730e9e6984bd2145566869cfff8d85f7d8b4fc",
     "fit_lsm.json":
-        "22bf80e88f78fe7d597e4b808c1939df5b6e29cd5e9200bc118d6fff836437fc",
+        "b03df36dcfd9ccac220d3e89cf2016c4ca6001703514003f4132782c007c68e2",
     "fit_mple.json":
-        "c5f96dae3d6cff55935ffba5d17ffffadb38c347bac57b903d2467d83606bf3e",
+        "10b5e6ff6c90e14f8026c5e7ebe12d44fa327fd5b3ef2a64951eb61a5c5fbac3",
     "fit_score.json":
-        "e5eaddbea5f96402cadfdd5c74b6299564784336b803091540b1fe2cd9d68948",
+        "68c2262c6588f51eefd90c1b5a4c63b75c9c330bb2c57930435b6f0a0ba1f7d9",
     "gof_ergm.csv":
         "1bd6e8c02e797dc857341000ebde320fc545fac3e84f2947b6b70f2c1fbd70e6",
     "gof_mple.csv":
         "8342603fdd23237d341633459370a1b1d688a45c1b1400257cd6222ed62eed5b",
+    "sim_ergm.edges":
+        "dc1082021915d08339876c6309281c65447ebee412bc3cd9ef3686f3989baf96",
+    "sim_ergm_stats.csv":
+        "b489cf2bc0bb27be2bb410069d5a479cc71472b378eccecc61c703bc885782d0",
     "sim_graph.edges":
         "1e88b7644bf2fd3eb9f18ac746b606661ecf1eeb13f75e19bffd659a449748d3",
     "sim_stats.csv":
@@ -147,6 +151,9 @@ def _outputs(work: str) -> dict[str, str]:
           "--out", p("fit_ergm.json")])
     _run(["gof", "--graph", p("sim_graph.edges"), "--fit", p("fit_ergm.json"),
           "--nsim", "5", "--burnin", "10", "--seed", "4", "--out", p("gof_ergm.csv")])
+    _run(["simulate", "ergm", "--n", "10", "--stats", "edges,kstar(2),gwesp(0.5)",
+          "--theta=-1,0.1,0.4", "--burnin", "30", "--samples", "4", "--thin", "5",
+          "--seed", "9", "--out", p("sim_ergm.edges"), "--stats-out", p("sim_ergm_stats.csv")])
     _run(["cluster", "score", "--graph", p("sim_graph.edges"), "--K", "3", "--seed", "6",
           "--out", p("cluster_score.csv")])
     _run(["cluster", "lsm", "--graph", p("sim_graph.edges"), "--K", "3", "--seed", "7",

@@ -24,8 +24,6 @@ from hergmkit.fit import (
     SamplesDegenerateError,
     _dyad_design,
     _weighted_newton,
-    ergm_fit_from_dict,
-    ergm_fit_to_dict,
 )
 from hergmkit.sampler import dyad_order
 
@@ -431,15 +429,3 @@ class TestBetweenDensity:
         assert p_hat == 0.25
         assert se == pytest.approx(math.sqrt(0.25 * 0.75 / 4))
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        g = random_graph(7, 0.4, 11)
-        fit = mple(g, ET)
-        doc = ergm_fit_to_dict(fit)
-        back = ergm_fit_from_dict(doc)
-        assert back.spec.to_string() == fit.spec.to_string()
-        np.testing.assert_allclose(back.theta_hat, fit.theta_hat)
-        np.testing.assert_allclose(back.std_errors, fit.std_errors)
-        assert back.method == "mple"
-        assert back.diagnostics.iterations == fit.diagnostics.iterations

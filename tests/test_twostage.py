@@ -1,9 +1,11 @@
 """Two-stage pipeline, mis-clustering metric, and goodness of fit."""
 
 import ast
+import copy
 import itertools
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +202,14 @@ def test_stage2_has_one_route():
     # runs; mcmle starts from the MPLE
     assert _callers({"mple", "mcmle"}) == {"twostage._fit_cluster", "fit.mcmle"}
     assert _callers({"_fit_cluster"}) == {"twostage.two_stage_fit"}
+
+
+def test_graphs_from_a_block_model_have_one_route():
+    # a Gibbs chain runs for a block of hergm_draws (simulate, gof) or for
+    # mcmle, which continues its own chain; simulate ergm is a one-block model
+    assert _callers({"gibbs_sample"}) == {"sampler._block_draws", "fit.mcmle"}
+    assert _callers({"hergm_draws"}) == {"sampler.simulate_hergm", "twostage.gof",
+                                         "cli._cmd_simulate_ergm"}
 
 
 class TestTwoStageFit:
@@ -501,17 +511,71 @@ class TestGof:
 
 
 class TestSerialization:
+    @staticmethod
+    def make_fit(method):
+        # cluster 0 has a fit, the one node of cluster 1 is too few for SPEC,
+        # and cluster 2 is empty
+        g, _ = fig1_like(6, seed=33)
+        part = Partition(np.array([0] * (g.n - 1) + [1]), 3)
+        return two_stage_fit(g, part, SPEC, method=method, mcmle=McmleControls(16, 10), seed=7)
+
+    @staticmethod
+    def assert_same_fit(a: TwoStageFit, b: TwoStageFit):
+        assert a.partition == b.partition and a.spec == b.spec
+        assert (a.stage1_method, a.method, a.seed) == (b.stage1_method, b.method, b.seed)
+        assert (a.between_p, a.between_se, a.fit_errors) == (b.between_p, b.between_se,
+                                                              b.fit_errors)
+        assert [f is None for f in a.cluster_fits] == [f is None for f in b.cluster_fits]
+        for mine, his in zip(a.cluster_fits, b.cluster_fits):
+            if mine is None:
+                continue
+            assert (mine.spec, mine.method, mine.seed) == (his.spec, his.method, his.seed)
+            np.testing.assert_array_equal(mine.theta_hat, his.theta_hat)
+            np.testing.assert_array_equal(mine.std_errors, his.std_errors)
+            for name in [f.name for f in fields(FitDiagnostics)]:
+                np.testing.assert_array_equal(getattr(mine.diagnostics, name),
+                                              getattr(his.diagnostics, name))
+
     def test_round_trip(self):
-        g, truth = fig1_like(10, seed=33)
-        ts = two_stage_fit(g, truth, SPEC, method="mple", seed=7)
+        for method in ("mple", "mcmle"):
+            ts = self.make_fit(method)
+            assert ts.fit_errors[1:] == ["spec edges,gwdsp(0.5),gwesp(0.5) needs at least 3 "
+                                         "nodes, got 1", "cluster is empty"]
+            doc = json.loads(json.dumps(two_stage_fit_to_dict(ts)))
+            back = two_stage_fit_from_dict(doc)
+            self.assert_same_fit(back, ts)
+            assert two_stage_fit_to_dict(back) == doc
+            assert back.cluster_fits[0].method == method
+            assert (back.cluster_fits[0].seed is None) == (method == "mple")
+
+    def test_entry_holds_only_its_own_fields(self):
+        doc = two_stage_fit_to_dict(self.make_fit("mcmle"))
+        assert list(doc["cluster_fits"][0]) == ["theta_hat", "std_errors", "seed",
+                                                "diagnostics", "available"]
+        assert list(doc["cluster_fits"][0]["diagnostics"]) == [
+            f.name for f in fields(FitDiagnostics)]
+        assert doc["cluster_fits"][2] == {"available": False, "reason": "cluster is empty"}
+
+    def test_entries_that_repeat_spec_and_method_still_read(self):
+        # files written before entries held only their own fields repeat the
+        # file's kind of fit, spec and method in every entry
+        ts = self.make_fit("mcmle")
         doc = two_stage_fit_to_dict(ts)
-        back = two_stage_fit_from_dict(doc)
-        assert isinstance(back, TwoStageFit)
-        assert back.partition == ts.partition
-        assert back.between_p == ts.between_p
-        for mine, his in zip(ts.cluster_fits, back.cluster_fits):
-            np.testing.assert_allclose(mine.theta_hat, his.theta_hat)
-        assert back.spec.to_string() == SPEC.to_string()
+        old = copy.deepcopy(doc)
+        old["cluster_fits"][0] = {"kind": "ergm", "spec": doc["spec"],
+                                  "method": doc["method"], **doc["cluster_fits"][0]}
+        self.assert_same_fit(two_stage_fit_from_dict(old), ts)
+        assert two_stage_fit_to_dict(two_stage_fit_from_dict(old)) == doc
+
+    def test_benchmark_reference_fit_reads(self):
+        # a fit file of that earlier format, kept as a benchmark input
+        path = Path(__file__).parents[1] / "perfbench" / "data" / "fig3" / "ref_fit.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert all("kind" in entry for entry in doc["cluster_fits"])
+        for entry in doc["cluster_fits"]:
+            for key in ("kind", "spec", "method"):
+                entry.pop(key)
+        assert two_stage_fit_to_dict(two_stage_fit_from_dict(doc)) == doc
 
 
 def _pool_min_visits(_):
