@@ -8,12 +8,9 @@ i < j; every public function normalizes order.
 Whole-graph work goes through numpy: ``adjacency_matrix`` and
 ``from_adjacency`` convert to and from an n x n matrix by bit (un)packing,
 and subgraphs and between-cluster counts are slices and masks of it.
-``geodesic_distances`` is a breadth-first search on the bitmasks, so this
-module needs no scipy.  Importing scipy is most of the time a CLI command
-takes to start, so only SCORE and exact enumeration load it, inside the
-functions that compute with it; ``simulate``, the LSM, ``fit`` on a given
-partition and ``gof`` never do.  Only this module and the kernel
-``stats.ChangeStatEngine`` touch the bitmasks.
+``geodesic_distances`` and ``components`` are breadth-first searches on the
+bitmasks.  Only this module and the kernel ``stats.ChangeStatEngine`` touch
+the bitmasks.
 """
 
 from __future__ import annotations
@@ -62,7 +59,7 @@ def _unpack(masks, n: int) -> np.ndarray:
     return np.unpackbits(rows, axis=1, count=n, bitorder="little")
 
 
-def _or_all(masks: list[int], idx: list[int]) -> int:
+def _or_all(masks: list[int], idx) -> int:
     """OR of ``masks[i]`` over ``i`` in ``idx``."""
     out = 0
     for i in idx:
@@ -137,6 +134,26 @@ class Graph:
             dist[fresh.view(bool)] = d
             reach = new
         return dist
+
+    def components(self) -> np.ndarray:
+        """Connected-component label of each node, dtype int64; components
+        are numbered from 0 in the order of their lowest node.
+
+        A breadth-first search on the bitmasks from the lowest unlabelled
+        node: each level ORs in the masks of the frontier's nodes.
+        """
+        labels = np.empty(self.n, dtype=np.int64)
+        unseen = (1 << self.n) - 1
+        c = 0
+        while unseen:
+            seen = frontier = unseen & -unseen
+            while frontier:
+                frontier = _or_all(self._adj, _bits(frontier)) & ~seen
+                seen |= frontier
+            labels[list(_bits(seen))] = c
+            unseen ^= seen
+            c += 1
+        return labels
 
     @classmethod
     def from_adjacency(cls, a) -> "Graph":

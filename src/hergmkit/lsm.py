@@ -20,10 +20,6 @@ the later rows, the change that each accepted move makes to them.  Draws,
 order and distances are those of a node-by-node loop; a row's sum is added
 up in another order, so a decision could differ only where log u falls
 within rounding of the log ratio.
-
-The module imports no scipy: the Procrustes rotation is numpy's SVD and the
-label matching is a short Hungarian assignment here, so an LSM run never pays
-scipy's import, which costs more memory and start-up than either job.
 """
 
 from __future__ import annotations

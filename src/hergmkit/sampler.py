@@ -9,9 +9,7 @@ Bernoulli ties (``BernoulliBlock``), and between-block ties are i.i.d.
 Bernoulli.  ``simulate_hergm`` (one network and its partition) and the GOF
 envelopes both draw through it.  ``exact_distribution`` enumerates the full
 sample space for small n and is the ground-truth reference for sampler and
-estimator tests, apart from the change-statistic kernel; it alone here
-uses scipy (``logsumexp``), imported where it is called, so sampling loads
-no scipy.
+estimator tests, apart from the change-statistic kernel.
 """
 
 from __future__ import annotations
@@ -47,8 +45,11 @@ _DEGENERACY_BAND = (0.01, 0.99)
 
 def near_degenerate(g: Graph) -> bool:
     """Whether ``g``'s density lies outside ``_DEGENERACY_BAND``; a chain
-    whose final draw does is flagged near-degenerate."""
-    density = g.n_edges / max(g.n * (g.n - 1) // 2, 1)
+    whose final draw does is flagged near-degenerate.  A one-node graph has
+    no dyad, so it is never flagged."""
+    if g.n < 2:
+        return False
+    density = g.n_edges / (g.n * (g.n - 1) // 2)
     return not _DEGENERACY_BAND[0] <= density <= _DEGENERACY_BAND[1]
 
 
@@ -319,8 +320,6 @@ def exact_distribution(n: int, spec: StatisticSpec, theta) -> ExactDistribution:
     Row t of the statistics table is ``stats._stat_rows`` of graph t, built
     from the bits of t, so it equals ``stat_vector`` of that graph exactly.
     """
-    from scipy.special import logsumexp
-
     theta = _check_theta(theta, spec)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -340,7 +339,8 @@ def exact_distribution(n: int, spec: StatisticSpec, theta) -> ExactDistribution:
         stats[lo:lo + len(index)] = _stat_rows(a, spec)
 
     logp = stats @ np.asarray(theta)
-    log_psi = float(logsumexp(logp))
+    top = logp.max()
+    log_psi = float(top + np.log(np.exp(logp - top).sum()))
     probs = np.exp(logp - log_psi)
     mu = probs @ stats
     return ExactDistribution(n, spec, theta, probs, stats, log_psi, mu, dyads)

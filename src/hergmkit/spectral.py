@@ -4,10 +4,6 @@ Ratios of the leading adjacency eigenvectors cancel node-level degree
 effects, so k-means on the ratio matrix recovers blocks even when hubs and
 low-degree nodes share a block.  Includes a small deterministic k-means
 (restarts, seeded, empty clusters re-seeded to distinct far points).
-
-scipy (ARPACK's ``eigsh``, ``connected_components``) is imported inside the
-functions that call it: every CLI command imports this module, and scipy's
-import is most of a command's start-up, so only SCORE runs pay for it.
 """
 
 from __future__ import annotations
@@ -78,17 +74,7 @@ def kmeans(
 
 def _leading_eigenpairs(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k leading eigenpairs of a symmetric matrix by eigenvalue magnitude."""
-    n = a.shape[0]
-    if n <= max(3 * k, 50):
-        vals, vecs = np.linalg.eigh(a)
-    else:
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.linalg import eigsh
-
-        # a fixed ARPACK start: its own carries state from call to call, and a
-        # constant one is nearly orthogonal to balanced block eigenvectors
-        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-        vals, vecs = eigsh(csr_matrix(a), k=min(2 * k, n - 1), which="LM", v0=v0)
+    vals, vecs = np.linalg.eigh(a)
     order = np.argsort(-np.abs(vals))[:k]
     return vals[order], vecs[:, order]
 
@@ -103,9 +89,6 @@ def score_cluster(
     component's rows; nodes of smaller components are assigned to the
     nearest fitted centroid.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
     k = n_clusters
     if k < 2:
         raise ValueError("SCORE needs K >= 2")
@@ -128,7 +111,7 @@ def score_cluster(
             r[near_zero | ~np.isfinite(r)] = cap
             ratios[:, c - 1] = np.clip(r, -cap, cap)
 
-    _, comp = connected_components(csr_matrix(a), directed=False)
+    comp = g.components()
     sizes = np.bincount(comp)
     # fit on components large enough to host a cluster; satellites are
     # assigned to the nearest centroid afterwards

@@ -108,22 +108,30 @@ def _fit(tmp_path, graph: str, truth: str) -> str:
     return out
 
 
-# a fresh interpreter runs CLI commands in-process, then lists the scipy
-# modules it has loaded
+# a fresh interpreter runs CLI commands in-process, then the Python code
+# given, then lists the scipy modules it has loaded; with ``block`` it first
+# maps scipy to None in sys.modules, so that any import of scipy raises
 _SCIPY_PROBE = """
 import json, sys
+runs, block, code = json.loads(sys.argv[1])
+if block:
+    sys.modules["scipy"] = None
 from hergmkit import cli
-for argv in json.loads(sys.argv[1]):
+for argv in runs:
     assert cli.main(argv) == 0, argv
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+exec(code)
+print(json.dumps(sorted(m for m, mod in sys.modules.items()
+                        if mod is not None and m.split(".")[0] == "scipy")))
 """
 
 
-def _scipy_modules_after(tmp_path, runs) -> list[str]:
-    """The scipy modules a fresh interpreter holds after running ``runs``."""
+def _scipy_modules_after(tmp_path, runs, block=False, code="") -> list[str]:
+    """The scipy modules a fresh interpreter holds after running ``runs``
+    and then ``code``, with scipy blocked if ``block``."""
     src = os.path.dirname(os.path.dirname(hergmkit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)],
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
+                          json.dumps([runs, block, code])],
                          env={**os.environ, "PYTHONPATH": path}, cwd=tmp_path,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
@@ -165,21 +173,37 @@ def test_lsm_stage_loads_no_scipy(tmp_path):
     assert _scipy_modules_after(tmp_path, runs) == []
 
 
-def test_scipy_is_imported_only_by_score_and_exact_enumeration():
+def test_score_and_exact_enumeration_run_with_scipy_blocked(tmp_path):
+    # SCORE, up to the bundled score.json's 100 nodes, and exact
+    # enumeration run with every import of scipy failing
+    g, _ = _simulate(tmp_path, 6)
+    runs = [
+        ["cluster", "score", "--graph", g, "--K", "3", "--out", str(tmp_path / "s.csv")],
+        ["fit", "twostage", "--graph", g, "--K", "3", "--stats", "edges",
+         "--stage1", "score", "--method", "mple", "--out", str(tmp_path / "fit.json")],
+        ["experiment", "score", "--config", "score.json", "--threads", "1",
+         "--out", str(tmp_path / "score.csv")],
+    ]
+    code = ("import hergmkit\n"
+            "d = hergmkit.exact_distribution(4, hergmkit.parse_spec('edges,triangles'),"
+            " (-0.5, 0.3))\n"
+            "assert abs(d.probs.sum() - 1.0) < 1e-12")
+    assert _scipy_modules_after(tmp_path, runs, block=True, code=code) == []
+
+
+def test_no_module_imports_scipy():
     importers = set()
     for path in Path(hergmkit.__file__).parent.glob("*.py"):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    names = [node.module or ""]
-                else:
-                    continue
-                if any(name.split(".")[0] == "scipy" for name in names):
-                    importers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    assert importers == {"spectral._leading_eigenpairs", "spectral.score_cluster",
-                         "sampler.exact_distribution"}
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.stem)
+    assert importers == set()
 
 
 class TestGofGraphMismatch:
@@ -735,7 +759,7 @@ class TestExperimentOutputs:
         assert len(lines) == 1 + 2 * 2 * 2 + 2 * 2
 
     def test_score_table_identical_across_thread_counts(self, tmp_path):
-        # 60 nodes, so SCORE takes the ARPACK path
+        # four replications of SCORE on two 30-node blocks
         config = _write_config(tmp_path, {
             "blocks": [30, 30], "p_in": 0.3, "p_out": 0.05, "replications": 4, "seed": 2,
         })
@@ -1136,6 +1160,13 @@ class TestOneBlockSimulation:
         err = capsys.readouterr().err
         assert near_degenerate(hergmkit.read_edge_list(str(out))) == warned
         assert ("warning: chain ended near a degenerate" in err) == warned
+
+    def test_one_node_chain_is_not_near_degenerate(self, tmp_path, capsys):
+        # a one-node graph has no dyad to be empty or complete
+        capsys.readouterr()
+        assert cli.main(["simulate", "ergm", "--n", "1", "--stats", "edges",
+                         "--theta=-1", "--burnin", "2", "--out", str(tmp_path / "g.edges")]) == 0
+        assert "warning" not in capsys.readouterr().err
 
 
 class TestStage1AndGofMessages:

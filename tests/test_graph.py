@@ -358,6 +358,47 @@ class TestGeodesics:
         self.check(random_graph(n, density, 1000 * n + int(100 * density)))
 
 
+class TestComponents:
+    """``components`` against scipy's connected components as the oracle:
+    the same labels, numbered in the order of each component's lowest node."""
+
+    @staticmethod
+    def check(g):
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        _, want = connected_components(csr_matrix(g.adjacency_matrix()), directed=False)
+        got = g.components()
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        return got
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 200])
+    def test_edgeless_graph(self, n):
+        assert np.array_equal(self.check(Graph(n)), np.arange(n))
+
+    def test_complete_graph(self):
+        assert not self.check(Graph.from_adjacency(~np.eye(65, dtype=bool))).any()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shuffled_components(self, seed):
+        from scipy.linalg import block_diag
+
+        # two dense blocks, a path, a lone edge and isolated nodes, with the
+        # node ids shuffled so that no component is a run of ids
+        blocks = [random_graph(m, 0.5, m + seed).adjacency_matrix() for m in (20, 15)]
+        path = np.eye(6, k=1) + np.eye(6, k=-1)
+        edge = np.array([[0, 1], [1, 0]])
+        a = block_diag(blocks[0], [[0]], path, [[0]], blocks[1], edge, [[0]])
+        perm = np.random.default_rng(seed).permutation(a.shape[0])
+        labels = self.check(Graph.from_adjacency(a[np.ix_(perm, perm)]))
+        assert np.bincount(labels).tolist().count(1) == 3
+
+    @pytest.mark.parametrize("n", [3, 30, 120, 200])
+    @pytest.mark.parametrize("density", [0.005, 0.02, 0.1])
+    def test_random_graphs(self, n, density):
+        self.check(random_graph(n, density, 1000 * n + int(1000 * density)))
+
+
 def test_only_graph_and_kernel_touch_the_bitmasks():
     # every other module goes through Graph's methods and its numpy bridge
     src = Path(hergmkit.__file__).parent

@@ -27,6 +27,7 @@ from hergmkit.sampler import (
     dyad_order,
     graph_index,
     hergm_draws,
+    near_degenerate,
 )
 
 EDGES = parse_spec("edges")
@@ -54,6 +55,11 @@ class TestControls:
 
 
 class TestGibbs:
+    def test_one_node_graph_is_not_near_degenerate(self):
+        # no dyad, so no density to be empty or complete about
+        assert not near_degenerate(Graph(1))
+        assert near_degenerate(Graph(2))
+
     def test_theta_zero_density_half(self):
         res = gibbs_sample(
             20, EDGES, (0.0,), SamplerControls(100, 300, 1), np.random.default_rng(1)
@@ -148,6 +154,19 @@ class TestExactDistribution:
     def test_no_nodes_rejected(self, n):
         with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
             exact_distribution(n, EDGES, (0.0,))
+
+    @pytest.mark.parametrize("n, terms, theta", [
+        (2, "edges", (-1.0,)),
+        (4, "edges,triangles", (-0.8, 0.4)),
+        (6, "edges,triangles", (2.0, 1.5)),
+        (6, "edges,kstar(2),gwesp(0.5)", (-3.0, 0.5, 4.0)),
+    ])
+    def test_log_psi_matches_scipy_logsumexp(self, n, terms, theta):
+        from scipy.special import logsumexp
+
+        ex = exact_distribution(n, parse_spec(terms), theta)
+        want = logsumexp(ex.stats @ np.asarray(theta))
+        assert ex.log_psi == pytest.approx(want, rel=1e-12)
 
     def test_mean_value_against_direct_sum(self):
         ex = exact_distribution(4, ET, (-0.8, 0.4))

@@ -108,9 +108,9 @@ class TestScore:
             res = np.linalg.norm(a @ vecs[:, c] - vals[c] * vecs[:, c])
             assert res <= 1e-8 * norm_a
 
-    def test_arpack_path_repeats_bit_identically(self):
-        # 400 nodes take the ARPACK path, whose start vector must not carry
-        # state from one call to the next
+    def test_eigenpairs_repeat_bit_identically(self):
+        # 400 nodes: the dense eigensolver carries no state from one call to
+        # the next
         g, _ = planted((100,) * 4, 0.1, 0.02, 5)
         a = g.adjacency_matrix().astype(float)
         first = _leading_eigenpairs(a, 4)
