@@ -57,7 +57,6 @@ from .lsm import (
 )
 from .spectral import kmeans, score_cluster
 from .twostage import (
-    GofReport,
     TwoStageFit,
     cluster,
     gof,

@@ -306,7 +306,7 @@ def _cmd_gof(args) -> int:
     report = _with_flags(args, {"burnin": "burnin_sweeps"}, gof, g, fit, args.nsim,
                          seed=args.seed, threads=args.threads)
     rows = []
-    for name, diag in report.diagnostics.items():
+    for name, diag in report.items():
         for b in range(len(diag.observed)):
             rows.append(
                 {
@@ -333,7 +333,7 @@ def _cmd_gof(args) -> int:
     )
     if args.svg:
         panels = []
-        for name, diag in report.diagnostics.items():
+        for name, diag in report.items():
             xs = list(range(len(diag.observed)))
             panels.append(
                 {
@@ -351,15 +351,16 @@ def _cmd_gof(args) -> int:
             )
         render_panels(panels, args.svg)
     if isinstance(fit, TwoStageFit):
-        empty = [k for k in report.flagged_clusters if fit.partition.sizes()[k] == 0]
-        bernoulli = [k for k in report.flagged_clusters if k not in empty]
+        unfit = [k for k, cfit in enumerate(fit.cluster_fits) if cfit is None]
+        bernoulli = [k for k in unfit if fit.partition.sizes()[k]]
+        empty = [k for k in unfit if not fit.partition.sizes()[k]]
         if bernoulli:
             _stderr(f"warning: clusters simulated as Bernoulli fallback: {bernoulli}")
         if empty:
             _stderr(f"warning: empty clusters without a fit, so not simulated: {empty}")
         _warn_unconverged(fit)
     cov = ", ".join(
-        f"{name}={diag.coverage:.3f}" for name, diag in report.diagnostics.items()
+        f"{name}={diag.coverage:.3f}" for name, diag in report.items()
     )
     _stderr(f"gof coverage: {cov} -> {args.out}")
     return 0

@@ -20,7 +20,9 @@ block model (``simulate hergm``)
                     of numbers, one per term}; required
     between_p       number in [0, 1]; required
     burnin_sweeps   int >= 0; default 2000
-    thin_sweeps     int >= 1; default 10
+    thin_sweeps     int >= 1; default 10; ``simulate hergm`` keeps one draw,
+                    after burnin_sweeps + thin_sweeps sweeps, so this only
+                    lengthens the chain
 
 misrate
     n_per_cluster   list of int >= 1; required
@@ -37,7 +39,8 @@ misrate
                     "lsm" only
     lsm             {burnin: int >= 0 = 1000, samples: int >= 1 = 400,
                     thin: int >= 1 = 2}; stage1 "lsm" only
-    sim             {burnin_sweeps: int >= 0 = 500, thin_sweeps: int >= 1 = 1}
+    sim             {burnin_sweeps: int >= 0 = 500, thin_sweeps: int >= 1 = 1};
+                    thin_sweeps only lengthens the chain, as above
 
 sensitivity
     clusters        list of {n: int >= 1, theta: list of numbers, one per
@@ -295,8 +298,8 @@ def _sensitivity_one(hspec, method, nsim_gof, sim_controls, master, task) -> lis
             "rho": rho, "replication": rep, "cluster": k,
             **{f"theta[{label}]": v for label, v in zip(labels, theta)},
             **{f"bias[{label}]": v for label, v in zip(labels, bias)},
-            "esp_coverage": report.diagnostics["esp"].coverage,
-            "degree_coverage": report.diagnostics["degree"].coverage,
+            "esp_coverage": report["esp"].coverage,
+            "degree_coverage": report["degree"].coverage,
         })
     return out
 

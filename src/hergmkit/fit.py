@@ -71,12 +71,10 @@ class FitDiagnostics:
 
 @dataclass
 class ErgmFit:
-    spec: StatisticSpec
     theta_hat: np.ndarray
     std_errors: np.ndarray
-    method: str  # "mple" | "mcmle"
     diagnostics: FitDiagnostics
-    seed: int | None = None
+    seed: int | None = None  # the chain's seed; None for MPLE
 
 
 class GraphTooSmallError(ValueError):
@@ -176,7 +174,7 @@ def mple(g: Graph, spec: StatisticSpec) -> ErgmFit:
         grad_norm=float(np.linalg.norm(grad)),
         step_sizes=step_log,
     )
-    return ErgmFit(spec, beta, _inverse_se(hess), "mple", diag)
+    return ErgmFit(beta, _inverse_se(hess), diag)
 
 
 MCMLE_MAX_SAMPLES = 8192
@@ -399,7 +397,7 @@ def mcmle(
         converged=converged,
         step_sizes=step_log,
     )
-    return ErgmFit(spec, theta, se, "mcmle", diag, seed=seed)
+    return ErgmFit(theta, se, diag, seed)
 
 
 def between_density_mle(g: Graph, p: Partition) -> tuple[float, float]:

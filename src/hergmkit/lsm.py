@@ -533,8 +533,9 @@ def lsm_posterior_to_dict(post: LsmPosterior) -> dict:
 
 
 def lsm_posterior_from_dict(data: dict) -> LsmPosterior:
-    """Inverse of ``lsm_posterior_to_dict``, checking the per-node array
-    shapes and that the MAP partition is each node's most probable cluster.
+    """Inverse of ``lsm_posterior_to_dict``, requiring every field it writes
+    and checking the per-node array shapes and that the MAP partition is
+    each node's most probable cluster.
 
     The posterior holds one draw, the file's posterior means, with the MAP
     partition as its memberships and an unknown (nan) log posterior, so
@@ -559,7 +560,7 @@ def lsm_posterior_from_dict(data: dict) -> LsmPosterior:
         ms=part.assignments[None],
         log_posts=np.array([math.nan]),
         membership_probs=probs,
-        acceptance={key: float(val) for key, val in data.get("acceptance", {}).items()},
-        warnings=list(data.get("warnings", [])),
-        seed=data.get("seed"),
+        acceptance={key: float(val) for key, val in data["acceptance"].items()},
+        warnings=list(data["warnings"]),
+        seed=data["seed"],
     )

@@ -73,10 +73,13 @@ def kmeans(
 
 
 def _leading_eigenpairs(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k leading eigenpairs of a symmetric matrix by eigenvalue magnitude."""
+    """k leading eigenpairs of a symmetric matrix by eigenvalue magnitude, each
+    eigenvector signed so that its largest-magnitude entry (the first, on
+    ties) is positive, whatever signs the solver picks."""
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(-np.abs(vals))[:k]
-    return vals[order], vecs[:, order]
+    vecs = vecs[:, order]
+    return vals[order], vecs * np.sign(vecs[np.abs(vecs).argmax(axis=0), np.arange(k)])
 
 
 def score_cluster(
@@ -97,10 +100,7 @@ def score_cluster(
     cap = math.log(g.n)
     a = g.adjacency_matrix().astype(np.float64)
     _, vecs = _leading_eigenpairs(a, k)
-    lead = vecs[:, 0].copy()
-    # fix the global sign so ratios are reproducible
-    if lead[np.abs(lead).argmax()] < 0:
-        lead = -lead
+    lead = vecs[:, 0]
     # entries that are numerically zero (nodes invisible to the leading
     # eigenvector) would produce sign-noise ratios; pin them to the cap
     near_zero = np.abs(lead) < 1e-8 * max(float(np.abs(lead).max()), 1e-300)

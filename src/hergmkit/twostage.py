@@ -50,7 +50,6 @@ from .stats import StatisticSpec, esp_histogram, parse_spec, stat_matrix
 __all__ = [
     "TwoStageFit",
     "GofDiagnostic",
-    "GofReport",
     "cluster",
     "two_stage_fit",
     "misclustering_rate",
@@ -208,12 +207,6 @@ class GofDiagnostic:
         return float(self.inside.mean())
 
 
-@dataclass
-class GofReport:
-    diagnostics: dict[str, GofDiagnostic]
-    flagged_clusters: list[int]
-
-
 def _diagnostics(graphs: list[Graph], spec: StatisticSpec) -> dict[str, np.ndarray]:
     """The four GOF diagnostics of ``graphs``, one row a graph: degree counts,
     edgewise shared partners, dyad counts at geodesic 1..n-1 (the last slot
@@ -235,10 +228,10 @@ def _diagnostics(graphs: list[Graph], spec: StatisticSpec) -> dict[str, np.ndarr
     }
 
 
-def _gof_model(fit, g: Graph) -> tuple[HergmSpec, StatisticSpec, list[int]]:
+def _gof_model(fit, g: Graph) -> tuple[HergmSpec, StatisticSpec]:
     """The block model ``gof`` simulates for ``fit`` on ``g``.
 
-    Returns (model, spec of the statistics panel, clusters without a fit).
+    Returns (model, spec of the statistics panel).
     A ``TwoStageFit`` gives one block per non-empty cluster, in label order
     (a whole-graph ERGM is its one-cluster case); a cluster without a fit is
     Bernoulli at its observed density.  An LSM posterior is one Bernoulli
@@ -255,13 +248,12 @@ def _gof_model(fit, g: Graph) -> tuple[HergmSpec, StatisticSpec, list[int]]:
             if nk == 0:
                 continue
             if cfit is not None:
-                blocks.append(ClusterSpec(nk, cfit.spec, cfit.theta_hat))
+                blocks.append(ClusterSpec(nk, fit.spec, cfit.theta_hat))
             else:
                 ties = within_subgraph(g, part, k).n_edges
                 blocks.append(BernoulliBlock(nk, ties / max(nk * (nk - 1) // 2, 1)))
         between_p = 0.0 if fit.between_p is None else fit.between_p
-        flagged = [k for k, f in enumerate(fit.cluster_fits) if f is None]
-        return HergmSpec(tuple(blocks), between_p), fit.spec, flagged
+        return HergmSpec(tuple(blocks), between_p), fit.spec
     if isinstance(fit, LsmPosterior):
         z = fit.positions_mean
         if z.shape[0] != g.n:
@@ -272,7 +264,7 @@ def _gof_model(fit, g: Graph) -> tuple[HergmSpec, StatisticSpec, list[int]]:
         p = 0.5 * (1.0 + np.tanh(0.5 * (fit.beta0_mean - fit.beta1_mean * dmat)))
         block = BernoulliBlock(g.n, p[np.triu_indices(g.n, 1)])
         # model statistics panel: density only
-        return HergmSpec((block,), 0.0), parse_spec("edges"), []
+        return HergmSpec((block,), 0.0), parse_spec("edges")
     raise TypeError(f"cannot run gof on {type(fit).__name__}")
 
 
@@ -283,8 +275,8 @@ def gof(
     seed: int = 0,
     burnin_sweeps: int = GOF_BURNIN_SWEEPS,
     threads: int = 1,
-) -> GofReport:
-    """Simulation-envelope goodness of fit.
+) -> dict[str, GofDiagnostic]:
+    """Simulation-envelope goodness of fit, one ``GofDiagnostic`` a diagnostic.
 
     ``fit`` may be a ``TwoStageFit`` (on one cluster, a whole-graph ERGM)
     or an ``LsmPosterior`` (ties Bernoulli at the posterior-mean
@@ -299,14 +291,14 @@ def gof(
     are one ``hergm_draws`` call: each ERGM block is one Gibbs chain, as in
     ergm's ``gof``, that burns in ``burnin_sweeps`` sweeps once and keeps a
     draw every ``GOF_THIN_SWEEPS`` sweeps; ``threads`` is passed on and
-    changes no draw.  Every cluster without a fit is listed in
-    ``flagged_clusters``; a non-empty one falls back to Bernoulli ties at its
-    observed density, and an empty one has nothing to simulate.
+    changes no draw.  A non-empty cluster without a fit falls back to
+    Bernoulli ties at its observed density, and an empty one has nothing to
+    simulate.
     Diagnostics are label-invariant, so blocks are laid out contiguously.
     """
     if g.n < 2:
         raise ValueError(f"gof needs a graph of at least 2 nodes, got {g.n}")
-    hspec, spec, flagged = _gof_model(fit, g)
+    hspec, spec = _gof_model(fit, g)
     draws = hergm_draws(hspec, seed, SamplerControls(burnin_sweeps, n_sim, GOF_THIN_SWEEPS),
                         threads)
 
@@ -316,7 +308,7 @@ def gof(
         lower = np.quantile(sims[name], 0.025, axis=0)
         upper = np.quantile(sims[name], 0.975, axis=0)
         diagnostics[name] = GofDiagnostic(obs, lower, upper, (lower <= obs) & (obs <= upper))
-    return GofReport(diagnostics, flagged)
+    return diagnostics
 
 
 # -- serialization -----------------------------------------------------------
@@ -369,15 +361,14 @@ def two_stage_fit_to_dict(fit: TwoStageFit) -> dict:
 def two_stage_fit_from_dict(data: dict) -> TwoStageFit:
     """Inverse of ``two_stage_fit_to_dict``; every field it writes is
     required.  A cluster entry's ``kind``, ``spec`` and ``method``, which
-    files written before entries held only their own fields repeat, are
-    not read."""
+    older files repeat in each entry, are not read."""
     part = Partition(
         np.array(data["stage1"]["partition"], dtype=np.int64),
         int(data["stage1"]["K"]),
     )
     if len(data["cluster_fits"]) != part.n_clusters:
         raise ValueError(f"{len(data['cluster_fits'])} cluster fits for K={part.n_clusters}")
-    spec, method = parse_spec(data["spec"]), data["method"]
+    spec = parse_spec(data["spec"])
     fits: list[ErgmFit | None] = []
     for entry in data["cluster_fits"]:
         if not entry["available"]:
@@ -392,8 +383,7 @@ def two_stage_fit_from_dict(data: dict) -> TwoStageFit:
         for key, values in arrays.items():
             if values.shape != (len(spec),):
                 raise ValueError(f"{key} has shape {values.shape} for a {len(spec)}-term spec")
-        fits.append(ErgmFit(spec=spec, method=method, diagnostics=FitDiagnostics(**diag),
-                            seed=entry["seed"], **arrays))
+        fits.append(ErgmFit(**arrays, diagnostics=FitDiagnostics(**diag), seed=entry["seed"]))
     between = data["between"]
     return TwoStageFit(
         spec=spec,
@@ -404,6 +394,6 @@ def two_stage_fit_from_dict(data: dict) -> TwoStageFit:
                     for entry in data["cluster_fits"]],
         between_p=None if between is None else float(between["p_hat"]),
         between_se=None if between is None else float(between["std_error"]),
-        method=method,
+        method=data["method"],
         seed=int(data["seed"]),
     )

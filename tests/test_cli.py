@@ -53,6 +53,7 @@ LSM_FIT = {
     "positions_mean": [[0, 0], [1, 0], [2, 0], [3, 0]],
     "membership_probs": [[1, 0], [1, 0], [0, 1], [0, 1]],
     "map_partition": [0, 0, 1, 1],
+    "acceptance": {"positions": 0.3}, "warnings": [], "seed": 1,
 }
 
 
@@ -444,6 +445,9 @@ class TestExitCodes:
          "malformed lsm fit: positions_mean has shape (4, 2); 3 nodes need (3, 2)"),
         ({**LSM_FIT, "map_partition": [0, 1, 1, 1]},
          "malformed lsm fit: map_partition is not the most probable cluster of each node"),
+        # the reader restates no default of the writer's fields
+        *[({k: v for k, v in LSM_FIT.items() if k != key},
+           f"lsm fit is missing field '{key}'") for key in ("acceptance", "warnings", "seed")],
     ])
     def test_malformed_fit_file_exits_2(self, tmp_path, capsys, doc, field):
         graph, _ = _simulate(tmp_path, 6)
@@ -1262,9 +1266,9 @@ class TestStage1AndGofMessages:
                               burnin_sweeps=5)
         with open(out, encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        for name, diag in report.diagnostics.items():
+        for name, diag in report.items():
             mine = [r for r in rows if r["diagnostic"] == name]
             assert [int(r["inside"]) for r in mine[:-1]] == diag.inside.astype(int).tolist()
             assert mine[-1]["bin"] == "coverage"
             assert float(mine[-1]["observed"]) == diag.coverage == diag.inside.mean()
-        assert len(rows) == sum(len(d.inside) + 1 for d in report.diagnostics.values())
+        assert len(rows) == sum(len(d.inside) + 1 for d in report.values())

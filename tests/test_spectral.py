@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from hergmkit import Graph, Partition, parse_spec
-from hergmkit.sampler import ClusterSpec, HergmSpec, SamplerControls, simulate_hergm
+from hergmkit.rng import child_rng
+from hergmkit.sampler import (
+    BernoulliBlock,
+    ClusterSpec,
+    HergmSpec,
+    SamplerControls,
+    simulate_hergm,
+)
 from hergmkit.spectral import _leading_eigenpairs, kmeans, score_cluster
 from hergmkit.twostage import misclustering_rate
 
@@ -92,8 +99,6 @@ class TestScore:
         a = g.adjacency_matrix().astype(float)
         _, vecs = _leading_eigenpairs(a, 2)
         lead = vecs[:, 0]
-        if lead[np.abs(lead).argmax()] < 0:
-            lead = -lead
         with np.errstate(divide="ignore", invalid="ignore"):
             r = vecs[:, 1] / lead
         r[~np.isfinite(r)] = cap
@@ -130,6 +135,26 @@ class TestScore:
         part2 = score_cluster(h, 2, seed=5)
         mapped = Partition(part2.assignments[perm], 2)
         assert misclustering_rate(part1, mapped) == 0.0
+
+    def test_partition_ignores_the_solver_eigenvector_signs(self, monkeypatch):
+        # 3 x 30 sparse blocks leave 2-9 isolated nodes, which the leading
+        # eigenvector misses; their ratios are pinned to +log(n), so a sign
+        # flip of eigenvectors 2..K would move nodes unless the signs are fixed
+        hspec = HergmSpec(tuple(BernoulliBlock(30, 0.08) for _ in range(3)), 0.005)
+        graphs = [simulate_hergm(hspec, int(child_rng(9, "score", rep).integers(2**31)))[0]
+                  for rep in range(6)]
+        assert all(np.any(g.degrees() == 0) for g in graphs)
+        expected = [score_cluster(g, 3, seed=rep).assignments
+                    for rep, g in enumerate(graphs)]
+        eigh = np.linalg.eigh
+        for pattern in ([-1.0], [1.0, -1.0], [-1.0, 1.0]):
+            def flipped(a, pattern=pattern):
+                vals, vecs = eigh(a)
+                return vals, vecs * np.resize(pattern, vecs.shape[1])
+            monkeypatch.setattr(np.linalg, "eigh", flipped)
+            for rep, g in enumerate(graphs):
+                np.testing.assert_array_equal(
+                    score_cluster(g, 3, seed=rep).assignments, expected[rep])
 
     def test_small_components_assigned(self):
         g = two_cliques(8)

@@ -326,8 +326,7 @@ class TestUnavailableClusters:
         assert ts.fit_errors[1] == "cluster is empty"
         assert ts.cluster_fits[0] is not None and ts.between_p is not None
         report = gof(g, ts, 5, seed=2, burnin_sweeps=20)
-        assert report.flagged_clusters == [1]
-        assert report.diagnostics["degree"].observed.sum() == g.n
+        assert report["degree"].observed.sum() == g.n
 
     def test_one_nonempty_cluster_has_no_between_density(self):
         g, _ = fig1_like(6, seed=6)
@@ -379,21 +378,21 @@ class TestGof:
     def test_report_shapes_and_bounds(self):
         g, ts = self.make_fit()
         report = gof(g, ts, 20, seed=1, burnin_sweeps=150)
-        assert set(report.diagnostics) == {"degree", "esp", "geodesic", "stats"}
-        for diag in report.diagnostics.values():
+        assert set(report) == {"degree", "esp", "geodesic", "stats"}
+        for diag in report.values():
             assert (diag.lower <= diag.upper + 1e-12).all()
             assert 0.0 <= diag.coverage <= 1.0
-        assert report.diagnostics["degree"].observed.sum() == g.n
-        assert report.diagnostics["stats"].observed.shape == (3,)
+        assert report["degree"].observed.sum() == g.n
+        assert report["stats"].observed.shape == (3,)
 
     def test_self_consistency_coverage_reasonable(self):
         # simulate from the fitted model itself: observed should mostly sit
         # inside its own envelopes
         g, ts = self.make_fit(seed=22)
-        hspec, _, _ = twostage._gof_model(ts, g)
+        hspec, _ = twostage._gof_model(ts, g)
         g_self = hergm_draws(hspec, 999, SamplerControls(burnin_sweeps=150))[0]
         report = gof(g_self, ts, 60, seed=5, burnin_sweeps=150)
-        mean_cov = np.mean([d.coverage for d in report.diagnostics.values()])
+        mean_cov = np.mean([d.coverage for d in report.values()])
         assert mean_cov > 0.7
 
     def test_unavailable_cluster_flagged_and_simulated(self):
@@ -404,19 +403,19 @@ class TestGof:
         g.add_edge(6, 7)
         labels = Partition(np.array([0] * 6 + [1] * 4, dtype=int), 2)
         ts = two_stage_fit(g, labels, parse_spec("edges,kstar(5)"), method="mple", seed=4)
-        assert ts.cluster_fits[1] is None
-        report = gof(g, ts, 10, seed=6, burnin_sweeps=60)
-        assert report.flagged_clusters == [1]
+        assert [f is None for f in ts.cluster_fits] == [False, True]
+        hspec, _ = twostage._gof_model(ts, g)
+        block = hspec.clusters[1]
+        assert isinstance(block, BernoulliBlock) and (block.n, block.p) == (4, 1 / 6)
+        gof(g, ts, 10, seed=6, burnin_sweeps=60)
 
     def test_deterministic(self):
         g, ts = self.make_fit(seed=23)
         r1 = gof(g, ts, 15, seed=9, burnin_sweeps=100)
         r2 = gof(g, ts, 15, seed=9, burnin_sweeps=100)
-        for name in r1.diagnostics:
-            np.testing.assert_array_equal(
-                r1.diagnostics[name].lower, r2.diagnostics[name].lower
-            )
-            assert r1.diagnostics[name].coverage == r2.diagnostics[name].coverage
+        for name in r1:
+            np.testing.assert_array_equal(r1[name].lower, r2[name].lower)
+            assert r1[name].coverage == r2[name].coverage
 
     def test_lsm_gof_runs(self):
         from hergmkit.lsm import lsm_mcmc
@@ -424,13 +423,13 @@ class TestGof:
         g, _ = fig1_like(10, seed=24)
         post = lsm_mcmc(g, 3, controls=LsmControls(burnin=300, n_samples=100, thin=2), seed=1)
         report = gof(g, post, 15, seed=2)
-        assert set(report.diagnostics) == {"degree", "esp", "geodesic", "stats"}
+        assert set(report) == {"degree", "esp", "geodesic", "stats"}
 
     def test_lsm_fit_for_another_graph_rejected(self):
         post = lsm_posterior_from_dict({
             "kind": "lsm", "K": 1, "dim": 2, "beta0_mean": 0.0, "beta1_mean": 1.0,
             "positions_mean": [[0.0, 0.0]] * 5, "membership_probs": [[1.0]] * 5,
-            "map_partition": [0] * 5,
+            "map_partition": [0] * 5, "acceptance": {}, "warnings": [], "seed": None,
         })
         gof(Graph(5), post, 2, burnin_sweeps=1)
         with pytest.raises(ValueError, match="latent positions for 5 nodes"):
@@ -442,21 +441,20 @@ class TestGof:
         post = lsm_mcmc(g, 3, controls=LsmControls(burnin=40, n_samples=20, thin=1), seed=3)
         back = lsm_posterior_from_dict(json.loads(json.dumps(lsm_posterior_to_dict(post))))
         mine, read = gof(g, post, 12, seed=4), gof(g, back, 12, seed=4)
-        assert set(mine.diagnostics) == set(read.diagnostics)
-        for name, diag in mine.diagnostics.items():
+        assert set(mine) == set(read)
+        for name, diag in mine.items():
             for part in ("observed", "lower", "upper", "inside"):
-                np.testing.assert_array_equal(getattr(diag, part),
-                                              getattr(read.diagnostics[name], part))
+                np.testing.assert_array_equal(getattr(diag, part), getattr(read[name], part))
 
     def test_inside_is_the_envelope_rule_and_coverage_its_mean(self):
         g, ts = self.make_fit(seed=26)
         report = gof(g, ts, 10, seed=3, burnin_sweeps=30)
-        for diag in report.diagnostics.values():
+        for diag in report.values():
             assert diag.inside.dtype == bool and diag.inside.shape == diag.observed.shape
             np.testing.assert_array_equal(
                 diag.inside, (diag.lower <= diag.observed) & (diag.observed <= diag.upper))
             assert diag.coverage == float(diag.inside.mean())
-        assert not all(diag.inside.all() for diag in report.diagnostics.values())
+        assert not all(diag.inside.all() for diag in report.values())
 
     def test_chain_draws_match_enumeration(self):
         # GOF's draws for a whole-graph ERGM, the one-cluster fit: one chain,
@@ -464,11 +462,11 @@ class TestGof:
         spec = parse_spec("edges,triangles")
         theta = (-1.0, 0.3)
         ex = exact_distribution(5, spec, theta)
-        cfit = ErgmFit(spec, np.array(theta), np.zeros(2), "mple", FitDiagnostics())
+        cfit = ErgmFit(np.array(theta), np.zeros(2), FitDiagnostics())
         fit = TwoStageFit(spec, "given", Partition(np.zeros(5, np.int64), 1), [cfit], [None],
                           None, None, "mple", 0)
         n_sim = 30000
-        hspec, _, _ = twostage._gof_model(fit, Graph(5))
+        hspec, _ = twostage._gof_model(fit, Graph(5))
         assert hspec == HergmSpec((ClusterSpec(5, spec, theta),), 0.0)
         draws = hergm_draws(
             hspec, 3, SamplerControls(burnin_sweeps=100, n_samples=n_sim)
@@ -482,7 +480,7 @@ class TestGof:
     def test_draw_rep_is_chain_sample_rep(self):
         g, ts = self.make_fit(seed=26)
         sim_controls = SamplerControls(burnin_sweeps=30, n_samples=4, thin_sweeps=2)
-        hspec, _, _ = twostage._gof_model(ts, g)
+        hspec, _ = twostage._gof_model(ts, g)
         draws = hergm_draws(hspec, 8, sim_controls)
         chains = [
             gibbs_sample(cl.n, cl.spec, cl.theta, sim_controls,
@@ -506,8 +504,8 @@ class TestGof:
         fit = two_stage_fit(g, Partition(np.zeros(12, np.int64), 1), parse_spec("edges"),
                             method="mple")
         report = gof(g, fit, 20, seed=3, burnin_sweeps=50)
-        assert report.diagnostics["stats"].observed[0] == g.n_edges
-        assert report.flagged_clusters == []
+        assert report["stats"].observed[0] == g.n_edges
+        assert fit.cluster_fits[0] is not None
 
 
 class TestSerialization:
@@ -529,7 +527,7 @@ class TestSerialization:
         for mine, his in zip(a.cluster_fits, b.cluster_fits):
             if mine is None:
                 continue
-            assert (mine.spec, mine.method, mine.seed) == (his.spec, his.method, his.seed)
+            assert mine.seed == his.seed
             np.testing.assert_array_equal(mine.theta_hat, his.theta_hat)
             np.testing.assert_array_equal(mine.std_errors, his.std_errors)
             for name in [f.name for f in fields(FitDiagnostics)]:
@@ -545,7 +543,7 @@ class TestSerialization:
             back = two_stage_fit_from_dict(doc)
             self.assert_same_fit(back, ts)
             assert two_stage_fit_to_dict(back) == doc
-            assert back.cluster_fits[0].method == method
+            assert back.method == method
             assert (back.cluster_fits[0].seed is None) == (method == "mple")
 
     def test_entry_holds_only_its_own_fields(self):
@@ -555,6 +553,10 @@ class TestSerialization:
         assert list(doc["cluster_fits"][0]["diagnostics"]) == [
             f.name for f in fields(FitDiagnostics)]
         assert doc["cluster_fits"][2] == {"available": False, "reason": "cluster is empty"}
+
+    def test_cluster_fit_holds_the_fields_of_an_entry(self):
+        entry = two_stage_fit_to_dict(self.make_fit("mcmle"))["cluster_fits"][0]
+        assert {f.name for f in fields(ErgmFit)} == set(entry) - {"available"}
 
     def test_entries_that_repeat_spec_and_method_still_read(self):
         # files written before entries held only their own fields repeat the
@@ -655,8 +657,8 @@ class TestClusterPool:
         reports = [gof(g, fit, 5, seed=4, burnin_sweeps=70, threads=threads)
                    for threads in (1, 2)]
         assert pools() == [2]
-        for name, diag in reports[0].diagnostics.items():
-            other = reports[1].diagnostics[name]
+        for name, diag in reports[0].items():
+            other = reports[1][name]
             for field in ("observed", "lower", "upper"):
                 assert getattr(diag, field).tobytes() == getattr(other, field).tobytes()
 
