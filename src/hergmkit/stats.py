@@ -18,11 +18,20 @@ updates a sampler makes.  Its ``run`` is a whole Gibbs chain (burn-in and
 draws) on one kernel state, which keeps a shared-partner table up to date
 across edge toggles; its ``compute`` evaluates one dyad from the adjacency
 bitmasks for the MPLE design and for ``run``'s once-per-call recheck.
+
+Each sweep of ``run`` is one Python loop put together for the spec's tuple
+of term kinds and compiled once per process (``_sweep_loop``).  The kinds
+fix the loop's lines: one snippet per term, in spec order, and whether the
+neighbour lists and the shared-partner table are kept.  Everything else,
+theta, the degree targets, the star counts and the gw increment tables, is
+passed as values, so one loop serves every theta and every decay.
+``compute`` stays the reference for the loop's arithmetic.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -270,11 +279,11 @@ class ChangeStatEngine:
     with edge {i,j} present and absent, as a plain float list.  The present
     state of {i,j} in g is irrelevant: the edge is masked out of the
     adjacency before any neighbor scans.  Its callers are the MPLE design
-    and ``run``'s recheck of its own inline copy of the arithmetic.
+    and ``run``'s recheck of the sweep loop's copy of the arithmetic.
 
     ``run`` is the Gibbs chain: one kernel state for a burn-in and all the
-    draws that follow it.  The state is the adjacency masks, ascending
-    neighbour lists and, for a spec with a gw term, the shared-partner table
+    draws that follow it.  The state is the adjacency masks and, for a spec
+    with a gw term, ascending neighbour lists and the shared-partner table
     ``sp[u][v] = |N(u) & N(v)|`` (``A @ A`` with a zero diagonal), built once
     and moved by +-1 on the rows and columns of i and j when {i,j} toggles.
     The gw scans read counts from the table instead of counting mask bits;
@@ -361,29 +370,30 @@ class ChangeStatEngine:
 
         Each sweep draws ``rng.random(C(n, 2))`` and visits the dyads in
         canonical order (0,1), (0,2), ..., setting dyad b present iff
-        ``u[b] < expit(theta . compute(g, i, j))``.  The change statistics,
-        the logit and the logistic are computed inline with the same
-        floating-point operations, in the same order, as ``compute`` followed
-        by a left-to-right dot product, so chains match the per-dyad path bit
-        for bit.  The kernel state (see the class docstring) lives for the
-        whole call.
+        ``u[b] < expit(theta . compute(g, i, j))``.  A sweep is one call of
+        the loop built for the spec's term kinds (see the module docstring),
+        given theta and the terms' tables as values.  The loop computes the
+        change statistics, the logit and the logistic with the same
+        floating-point operations, in the same order, as ``compute``
+        followed by a left-to-right dot product, so chains match the
+        per-dyad path bit for bit; each call rechecks one dyad against
+        ``compute``, the reference.  The kernel state (see the class
+        docstring) lives for the whole call.
         """
         n = self.n
         if g.n != n:
             raise ValueError(f"engine built for n={n}, graph has n={g.n}")
+        sweep = _sweep_loop(tuple(t.kind for t in self.spec))
         adj = g._adj
-        # ascending neighbour lists, kept in step with adj; a list walks
-        # faster than the set bits of a mask, in the same order
-        nbrs = [list(g.neighbors(v)) for v in range(n)]
-        sp = None
+        nbrs = sp = None
         if self._keeps_sp:
+            # ascending neighbour lists, kept in step with adj; a list walks
+            # faster than the set bits of a mask, in the same order
+            nbrs = [list(g.neighbors(v)) for v in range(n)]
             counts = _partners(g.adjacency_matrix())
             np.fill_diagonal(counts, 0.0)
             sp = counts.astype(np.int64).tolist()
-        n_edges = g._n_edges
-        tanh = math.tanh
-        insort = bisect.insort
-        terms = []  # (kind, theta_k, table) in spec order
+        terms = []  # (theta, table) per term, as its snippet unpacks them
         for t, table, th in zip(self.spec.terms, self._tables, theta):
             if t.kind in _GW_KINDS:
                 # increments by tie a of the dyad: dws[a][s] = dw[s - a]; a
@@ -394,99 +404,20 @@ class ChangeStatEngine:
                 table = (w, dws) if t.kind == "gwesp" else dws
             elif t.kind == "degree":
                 table = t.param
-            terms.append((t.kind, float(th), table))
+            terms.append((float(th), table))
         n_dyads = n * (n - 1) // 2
         n_sweeps = burnin + n_draws * thin
+        n_edges = g._n_edges
         draws = []
-        for sweep in range(1, n_sweeps + 1):
+        for sweep_no in range(1, n_sweeps + 1):
             u = rng.random(n_dyads).tolist()
-            b = 0
-            for i in range(n - 1):
-                bit_i = 1 << i
-                nbrs_i = nbrs[i]
-                sp_i = sp[i] if sp is not None else None
-                for j in range(i + 1, n):
-                    bit_j = 1 << j
-                    ai = adj[i]
-                    aj = adj[j]
-                    a = ai >> j & 1
-                    logit = 0.0
-                    for kind, th, table in terms:
-                        if kind == "gwdsp":
-                            # dyads {i,v}, v ~ j, gain partner j, and vice versa
-                            dw = table[a]
-                            sp_j = sp[j]
-                            delta = 0.0
-                            for v in nbrs[j]:
-                                delta += dw[sp_i[v]]
-                            for v in nbrs_i:
-                                delta += dw[sp_j[v]]
-                            logit += th * delta
-                        elif kind == "gwesp":
-                            w, dws = table
-                            dw = dws[a]
-                            sp_j = sp[j]
-                            delta = w[sp_i[j]]
-                            rest = ai & aj
-                            while rest:
-                                low = rest & -rest
-                                v = low.bit_length() - 1
-                                rest ^= low
-                                delta += dw[sp_i[v]] + dw[sp_j[v]]
-                            logit += th * delta
-                        elif kind == "edges":
-                            logit += th * 1.0
-                        elif kind == "triangles":
-                            logit += th * float((ai & aj).bit_count())
-                        elif kind == "kstar":
-                            stars = (table[ai.bit_count() - a]
-                                     + table[aj.bit_count() - a])
-                            logit += th * float(stars)
-                        else:  # degree(k)
-                            di = ai.bit_count() - a
-                            dj = aj.bit_count() - a
-                            delta = ((di + 1 == table) - (di == table)
-                                     + (dj + 1 == table) - (dj == table))
-                            logit += th * float(delta)
-                    if u[b] < 0.5 * (1.0 + tanh(0.5 * logit)):
-                        if not a:
-                            if sp is not None:
-                                # i gains shared partner j with each
-                                # neighbour of j, and j gains i with each
-                                # neighbour of i; a removal takes them back
-                                sp_j = sp[j]
-                                for v in nbrs[j]:
-                                    sp_i[v] += 1
-                                    sp[v][i] += 1
-                                for v in nbrs_i:
-                                    sp_j[v] += 1
-                                    sp[v][j] += 1
-                            adj[i] = ai | bit_j
-                            adj[j] = aj | bit_i
-                            insort(nbrs_i, j)
-                            insort(nbrs[j], i)
-                            n_edges += 1
-                    elif a:
-                        adj[i] = ai ^ bit_j
-                        adj[j] = aj ^ bit_i
-                        nbrs_i.remove(j)
-                        nbrs[j].remove(i)
-                        if sp is not None:
-                            sp_j = sp[j]
-                            for v in nbrs[j]:
-                                sp_i[v] -= 1
-                                sp[v][i] -= 1
-                            for v in nbrs_i:
-                                sp_j[v] -= 1
-                                sp[v][j] -= 1
-                        n_edges -= 1
-                    b += 1
-            if sweep > burnin and (sweep - burnin) % thin == 0:
+            n_edges, logit = sweep(n, adj, nbrs, sp, u, n_edges, terms)
+            if sweep_no > burnin and (sweep_no - burnin) % thin == 0:
                 g._n_edges = n_edges
                 draws.append(g.copy())
         g._n_edges = n_edges
         if n_sweeps and n > 1:
-            # compute() is the reference for the arithmetic above.  Recheck
+            # compute() is the reference for the loop's arithmetic.  Recheck
             # the last dyad: its own update is the only change since its
             # logit was taken, and compute() masks the focal dyad out.
             expected = 0.0
@@ -498,6 +429,129 @@ class ChangeStatEngine:
                     f"{expected!r} on dyad ({n - 2}, {n - 1})"
                 )
         return draws
+
+
+# -- the sweep loop -----------------------------------------------------------
+
+# Per term kind: how the loop unpacks its term's (theta, table), the tags of
+# the loop lines it reads, and the lines that add theta times its change
+# statistic to ``logit``, the arithmetic of ``compute`` on the dyad's state.
+# ``{k}`` is the term's position in the spec.
+_SNIPPETS = {
+    # th * 1.0 is th exactly
+    "edges": ("(th{k}, _)", set(), ["logit += th{k}"]),
+    "kstar": ("(th{k}, stars{k})", {"degrees"}, [
+        "logit += th{k} * (stars{k}[di] + stars{k}[dj])",
+    ]),
+    "triangles": ("(th{k}, _)", {"common"}, ["logit += th{k} * common.bit_count()"]),
+    "degree": ("(th{k}, deg{k})", {"degrees"}, [
+        "logit += th{k} * ((di + 1 == deg{k}) - (di == deg{k})",
+        "                  + (dj + 1 == deg{k}) - (dj == deg{k}))",
+    ]),
+    # dyads {i,v}, v ~ j, gain partner j, and vice versa
+    "gwdsp": ("(th{k}, dws{k})", {"sp"}, [
+        "dw = dws{k}[a]",
+        "delta = 0.0",
+        "for v in nbrs[j]:",
+        "    delta += dw[sp_i[v]]",
+        "for v in nbrs_i:",
+        "    delta += dw[sp_j[v]]",
+        "logit += th{k} * delta",
+    ]),
+    # the edge enters with esp = sp[i][j]; each edge from i or j to a common
+    # neighbour gains one shared partner
+    "gwesp": ("(th{k}, (w{k}, dws{k}))", {"sp", "common"}, [
+        "dw = dws{k}[a]",
+        "delta = w{k}[sp_i[j]]",
+        "rest = common",
+        "while rest:",
+        "    low = rest & -rest",
+        "    v = low.bit_length() - 1",
+        "    rest ^= low",
+        "    delta += dw[sp_i[v]] + dw[sp_j[v]]",
+        "logit += th{k} * delta",
+    ]),
+}
+
+# One systematic sweep over the dyads in canonical order, returning the edge
+# count and the last dyad's logit; ``tanh`` and ``insort`` are defaults so
+# that the loop reads them as locals.  A line tagged ``#:tag`` is kept only
+# for a spec whose kinds read it: ``common`` and ``di``, ``dj`` are the
+# dyad's common neighbours and its endpoints' degrees with the dyad forced
+# absent, and the ``sp`` lines keep the neighbour lists and the
+# shared-partner table in step with a toggle: i gains shared partner j with
+# each neighbour of j, and j gains i with each neighbour of i; a removal
+# takes them back.
+_SWEEP = """\
+def sweep(n, adj, nbrs, sp, u, n_edges, terms, tanh=tanh, insort=insort):
+    [{unpack}] = terms
+    logit = 0.0
+    draws = iter(u)
+    for i in range(n - 1):
+        ai = adj[i]
+        bit_i = 1 << i
+        nbrs_i = nbrs[i]  #:sp
+        sp_i = sp[i]  #:sp
+        for j, x in zip(range(i + 1, n), draws):
+            aj = adj[j]
+            a = ai >> j & 1
+            sp_j = sp[j]  #:sp
+            common = ai & aj  #:common
+            di = ai.bit_count() - a  #:degrees
+            dj = aj.bit_count() - a  #:degrees
+            logit = 0.0
+{terms}
+            if x < 0.5 * (1.0 + tanh(0.5 * logit)):
+                if not a:
+                    ai |= 1 << j
+                    adj[i] = ai
+                    adj[j] = aj | bit_i
+                    for v in nbrs[j]:  #:sp
+                        sp_i[v] += 1  #:sp
+                        sp[v][i] += 1  #:sp
+                    for v in nbrs_i:  #:sp
+                        sp_j[v] += 1  #:sp
+                        sp[v][j] += 1  #:sp
+                    insort(nbrs_i, j)  #:sp
+                    insort(nbrs[j], i)  #:sp
+                    n_edges += 1
+            elif a:
+                ai ^= 1 << j
+                adj[i] = ai
+                adj[j] = aj ^ bit_i
+                nbrs_i.remove(j)  #:sp
+                nbrs[j].remove(i)  #:sp
+                for v in nbrs[j]:  #:sp
+                    sp_i[v] -= 1  #:sp
+                    sp[v][i] -= 1  #:sp
+                for v in nbrs_i:  #:sp
+                    sp_j[v] -= 1  #:sp
+                    sp[v][j] -= 1  #:sp
+                n_edges -= 1
+    return n_edges, logit
+"""
+
+
+def _sweep_source(kinds: tuple[str, ...]) -> str:
+    """Source of the sweep loop of a spec whose term kinds are ``kinds``."""
+    tags = set().union(*(_SNIPPETS[kind][1] for kind in kinds))
+    lines = [line for line in _SWEEP.splitlines()
+             if "#:" not in line or line.split("#:")[1] in tags]
+    return "\n".join(lines).format(
+        unpack=", ".join(_SNIPPETS[kind][0].format(k=k) for k, kind in enumerate(kinds)),
+        terms="\n".join(" " * 12 + line.format(k=k) for k, kind in enumerate(kinds)
+                        for line in _SNIPPETS[kind][2]),
+    )
+
+
+@functools.cache
+def _sweep_loop(kinds: tuple[str, ...]):
+    """The sweep loop of ``kinds``, compiled on its first use in a process,
+    which keeps one loop per tuple of kinds it runs; the filename in the
+    loop's tracebacks names the kinds."""
+    namespace = {"tanh": math.tanh, "insort": bisect.insort}
+    exec(compile(_sweep_source(kinds), f"<sweep {','.join(kinds)}>", "exec"), namespace)
+    return namespace["sweep"]
 
 
 def change_statistics(g: Graph, d: tuple[int, int], spec: StatisticSpec) -> np.ndarray:

@@ -149,9 +149,11 @@ def two_stage_fit(
     jobs = [(within_subgraph(g, partition, k), spec, method, mcmle, theta0,
              stage2_seed(seed, k)) for k, nk in enumerate(sizes) if nk]
     # an MCMLE fit runs at least its burn-in and the full-size sample it ends
-    # on; an MPLE fit builds one design row a dyad, which took as long as 3-5
-    # Gibbs updates (8.5-22 us a dyad on 4 blocks of 70-200 nodes at density
-    # 0.15, against 2.7-4.0 us an update on the fig3 chains)
+    # on; an MPLE fit builds one design row a dyad, which took as long as 3-8
+    # Gibbs updates (6.2-16 us a dyad on blocks of 70 and 200 nodes at
+    # density 0.15, against 2.0 us an update on a fig3 chain, medians of 9
+    # calls); at 3 visits a dyad the MPLE crossovers timed in the comment of
+    # rng.POOL_MIN_VISITS lie below that threshold
     sweeps = (3 if method == "mple"
               else mcmle.burnin_sweeps + MCMLE_SAMPLE_BOOST * mcmle.n_samples)
     done = iter(parallel_map(_fit_cluster, jobs, threads,

@@ -522,6 +522,82 @@ class TestFusedSweep:
                 Graph(5), [0.0] * 5, np.random.default_rng(0), 1
             )
 
+    @pytest.mark.parametrize("first, second", [
+        ("edges,gwesp(0.25)", "edges,gwesp(1.2)"),
+        ("edges,kstar(2)", "edges,kstar(3)"),
+        ("edges,degree(1)", "edges,degree(3)"),
+        ("edges,gwesp(0.5),gwdsp(0.5)", "gwdsp(0.5),gwesp(0.5),edges"),
+    ])
+    def test_specs_sharing_kinds_walk_their_own_chains(self, first, second):
+        # one process runs specs with the same kinds but other parameters, or
+        # the same terms in another order, one after another; the loop built
+        # for the first must not carry its parameters or its order into the
+        # second
+        start = random_graph(12, 0.3, 8)
+        chains = []
+        for text in (first, second, first):
+            spec = parse_spec(text)
+            theta = [-0.4, 0.1, -0.05][:len(spec)]
+            engine = ChangeStatEngine(spec, 12)
+            g_fused, g_ref = start.copy(), start.copy()
+            engine.run(g_fused, theta, np.random.default_rng(11), 4)
+            rng_ref = np.random.default_rng(11)
+            for _ in range(4):
+                reference_sweep(engine, g_ref, theta, rng_ref)
+            assert g_fused == g_ref and g_fused.n_edges == g_ref.n_edges
+            chains.append(g_fused)
+        # the two specs' chains differ, so a loop shared wrongly would show
+        assert chains[0] != chains[1] and chains[0] == chains[2]
+
+    def test_one_loop_build_per_kind_tuple(self, monkeypatch):
+        # theta and the term parameters are values of the loop, not its
+        # source: an MCMLE fit moves theta at every outer iteration
+        built = []
+        source = stats_module._sweep_source
+        monkeypatch.setattr(stats_module, "_sweep_source",
+                            lambda kinds: built.append(kinds) or source(kinds))
+        stats_module._sweep_loop.cache_clear()
+        controls = SamplerControls(burnin_sweeps=2, n_samples=2, thin_sweeps=1)
+        for text in ("edges,gwesp(0.25)", "edges,gwesp(1.2)", "edges,kstar(2)"):
+            for theta in ((-1.0, 0.1), (-0.5, 0.3), (0.2, -0.2)):
+                gibbs_sample(8, parse_spec(text), theta, controls,
+                             np.random.default_rng(0))
+        assert built == [("edges", "gwesp"), ("edges", "kstar")]
+        loop = stats_module._sweep_loop(("edges", "gwesp"))
+        assert loop.__code__.co_filename == "<sweep edges,gwesp>"
+
+    @pytest.mark.parametrize("text", SWEEP_SPECS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_graphs_match_reference_sweep(self, text, n):
+        # n = 1 has no dyad, so the loop body never runs; at n = 2 the one
+        # dyad is also the rechecked one
+        spec = parse_spec(text)
+        theta = [0.3 if t.kind == "edges" else -0.2 for t in spec]
+        for density in (0.0, 1.0):
+            g_ref = random_graph(n, density, 1)
+            g_fused = g_ref.copy()
+            engine = ChangeStatEngine(spec, n)
+            draws = engine.run(g_fused, theta, np.random.default_rng(5), 2, 3, 1)
+            rng_ref = np.random.default_rng(5)
+            for _ in range(5):
+                reference_sweep(engine, g_ref, theta, rng_ref)
+            assert g_fused == g_ref and g_fused.n_edges == g_ref.n_edges
+            assert len(draws) == 3 and draws[-1] == g_ref
+
+    @pytest.mark.parametrize("n, raises", [(1, False), (2, True), (3, True)])
+    def test_recheck_on_tiny_graphs(self, n, raises):
+        class Drifted(ChangeStatEngine):
+            def compute(self, g, i, j):
+                return [c + 1e-9 for c in super().compute(g, i, j)]
+
+        run = Drifted(FULL_SPEC, n).run
+        args = (random_graph(n, 0.5, 2), [0.1] * 5, np.random.default_rng(0), 1)
+        if raises:
+            with pytest.raises(RuntimeError, match=rf"dyad \({n - 2}, {n - 1}\)"):
+                run(*args)
+        else:
+            assert run(*args) == []
+
 
 class TestStatMatrix:
     KINDS = "edges,kstar(2),kstar(3),triangles,gwesp(0.5),gwdsp(0.75),degree(0),degree(2)"
