@@ -183,6 +183,7 @@ MCMLE_MAX_OUTER = 50
 MCMLE_WALK_DIVISOR = 8
 TRUST_RADIUS = 0.5
 MOMENT_BAND = 3.0
+POLISH_MIN_ESS = 0.8
 
 
 @dataclass(frozen=True)
@@ -285,12 +286,18 @@ def mcmle(
     The fit has three exits.  Each reports the outer iteration it ended at
     and the size and batch-means standard errors of its last sample:
 
-    * polished (``converged``): a full-size sample in the band is polished,
-      i.e. the surrogate is maximized without a trust radius, so the estimate
-      is that sample's MLE.  ``mu_hat`` is the weighted mean statistic there,
-      ``grad_norm`` its distance from the observed one, and the SEs invert
-      the weighted covariance.  A polish whose importance weights collapse,
-      or that does not settle, counts as an ordinary step.
+    * polished (``converged``): every full-size sample with variation is
+      polished, i.e. the surrogate is maximized without a trust radius, and
+      the estimate is that sample's MLE when the polish settles and either
+      the sample is in the band or the importance weights at the polished
+      parameter keep an effective sample size of at least ``POLISH_MIN_ESS
+      * m``.  Such weights barely differ from uniform, so the sample
+      supports its MLE about as well as a new sample drawn there would; a
+      statistic that the sample holds constant away from its observed value
+      never lets the polish settle.  ``mu_hat`` is the weighted mean
+      statistic, equal to the observed one up to ``grad_norm``, and the SEs
+      invert the weighted covariance.  Any other sample takes an ordinary
+      step.
     * frozen (``converged``, ``degenerate``): a full-size sample in the band
       without variation; chain and observation agree on a boundary graph.
       The parameter is reported as it is, with ``grad_norm`` 0 and zero SEs.
@@ -343,25 +350,25 @@ def mcmle(
         gap = np.abs(mean - s_obs)
         in_band = bool(np.all(gap <= MOMENT_BAND * mc_se + 1e-12))
         frozen = bool(np.all(s.std(axis=0, ddof=1) == 0.0))
-        if in_band and not walking:
-            if frozen:
-                degenerate = True
-                mu_hat, grad_norm, se = mean, 0.0, np.zeros(len(spec))
-                break
-            # polish: solve the sample moment equation exactly so the
-            # estimate is the sample MLE, not wherever the band was entered
+        if in_band and frozen and not walking:
+            degenerate = True
+            mu_hat, grad_norm, se = mean, 0.0, np.zeros(len(spec))
+            break
+        if not (walking or frozen):
+            # polish: solve the sample moment equation exactly, so the
+            # estimate is the sample MLE, not wherever the walk stopped
             delta, _, settled = _weighted_newton(s_c, s_obs - mean, math.inf)
-            if settled:
+            w = _weights(s_c, delta)
+            if settled and (in_band or 1.0 / float(w @ w) >= POLISH_MIN_ESS * m):
                 theta = theta + delta
                 if np.linalg.norm(delta) > 0:
                     step_log.append(float(np.linalg.norm(delta)))
-                w = _weights(s_c, delta)
                 mu_hat = w @ s
                 centered = s - mu_hat
                 se = _inverse_se(centered.T @ (centered * w[:, None]))
                 grad_norm = float(np.linalg.norm(mu_hat - s_obs))
                 break
-        elif frozen and not in_band:
+        if frozen and not in_band:
             # frozen chain: importance weights carry nothing, but damping the
             # parameter toward the uniform model restores variation
             contractions += 1

@@ -30,10 +30,13 @@ __all__ = ["child_rng", "child_seed", "parallel_map"]
 # Serial against a pool of 2 on a 2-vCPU VM, medians of 9 alternating calls,
 # a Gibbs update on the fig3 chains taking 2.4-2.9 us: the fig3 model's
 # 3 x 20-node chains took 32 against 31 ms at 11,970 dyad visits and 67
-# against 47 ms at 23,370; MCMLE fits of the fig3 graph 66 against 56 ms at
-# 10,260 and 97 against 68 ms at 20,520; MPLE fits of 4 blocks 82 against
-# 109 ms at 9,660 dyads and 134 against 95 ms at 12,640 (29,000 and 38,000
-# visits at 3 a dyad).  While the VM ran two busy processes no faster than
+# against 47 ms at 23,370; MCMLE fits of the fig3 graph, most of them
+# ending on their first full-size sample, 63 against 80 ms at 10,260
+# estimated visits, 127 against 122 ms at 20,520 and 142 against 114 ms at
+# 30,780 (medians of 15; at these sizes the walk takes a fit to 1.5-1.8
+# times its estimate); MPLE fits of 4 blocks 82 against 109 ms at 9,660
+# dyads and 134 against 95 ms at 12,640 (29,000 and 38,000 visits at 3 a
+# dyad).  While the VM ran two busy processes no faster than
 # one, the chains found no crossover up to 91,770 visits.  The threshold
 # sits above these crossovers because the toy fig3 fit of
 # perfbench/test_smoke.py (42,180 visits) must stay serial: that test counts

@@ -18,10 +18,12 @@ from hergmkit import (
     stat_vector,
 )
 from hergmkit.fit import (
+    MOMENT_BAND,
     McmleControls,
     MpleNotConvergedError,
     NonFiniteMleError,
     SamplesDegenerateError,
+    _batch_se,
     _dyad_design,
     _weighted_newton,
 )
@@ -191,6 +193,22 @@ def interior_instance():
     return res.graphs[-1]
 
 
+def spy_samples(monkeypatch, alter=None):
+    """Record the statistics of each sample ``mcmle`` draws; ``alter`` may
+    edit them in place before ``mcmle`` sees them."""
+    samples = []
+
+    def spy(n, spec, theta, controls, rng, start=None):
+        res = gibbs_sample(n, spec, theta, controls, rng, start=start)
+        if alter is not None:
+            alter(res.stats)
+        samples.append(res.stats.copy())
+        return res
+
+    monkeypatch.setattr("hergmkit.fit.gibbs_sample", spy)
+    return samples
+
+
 class TestMcmle:
     def test_edges_only_agrees_with_mple(self):
         g = graph_with_edges(12, 20, 6)
@@ -245,9 +263,9 @@ class TestMcmle:
             controls=McmleControls(n_samples=2048, burnin_sweeps=200),
             seed=2,
         )
-        if fit.diagnostics.converged:
-            gap = np.abs(fit.diagnostics.mu_hat - stat_vector(g, ET))
-            assert np.all(gap <= 3.0 * fit.diagnostics.mc_se + 0.15)
+        assert fit.diagnostics.converged
+        gap = np.abs(fit.diagnostics.mu_hat - stat_vector(g, ET))
+        assert np.all(gap <= 3.0 * fit.diagnostics.mc_se + 0.15)
 
     def test_std_errors_match_exact(self):
         # the exact SEs invert the covariance of the statistics at the exact
@@ -336,6 +354,50 @@ class TestMcmle:
         assert walks > 0
         assert sizes == [max(2 * n // 8, 4)] * walks + [2 * n] * (len(sizes) - walks)
         assert fit.diagnostics.mc_samples == 2 * n
+
+    def test_polished_exit_on_an_out_of_band_sample(self, monkeypatch):
+        # the second full-size sample misses the moment band (3.1 MC SEs on
+        # edges), but its importance weights keep an ESS of at least
+        # POLISH_MIN_ESS * m at the polished theta, so the fit ends on it
+        samples = spy_samples(monkeypatch)
+        g = interior_instance()
+        fit = mcmle(g, ET, controls=McmleControls(256, 100), seed=6)
+        d = fit.diagnostics
+        assert [len(s) for s in samples] == [64] * 3 + [512] * 2
+        last = samples[-1]
+        gap = np.abs(last.mean(axis=0) - stat_vector(g, ET))
+        assert np.any(gap > MOMENT_BAND * _batch_se(last))
+        assert (d.converged, d.iterations, d.mc_samples) == (True, 5, 512)
+        assert d.grad_norm < 1e-6
+
+    def test_polished_exit_needs_effective_weights(self, monkeypatch):
+        # with no ESS high enough, only in-band samples end the fit: the
+        # schedule and estimate of the rule without the ESS exit
+        monkeypatch.setattr("hergmkit.fit.POLISH_MIN_ESS", 1.01)
+        samples = spy_samples(monkeypatch)
+        fit = mcmle(interior_instance(), ET, controls=McmleControls(256, 100), seed=6)
+        assert [len(s) for s in samples] == [64] * 3 + [512] * 4
+        assert fit.diagnostics.converged
+        assert fit.theta_hat.tolist() == [-1.541504548597011, 1.2763523686188374]
+
+    def test_constant_statistic_with_a_gap_does_not_end_the_fit(self, monkeypatch):
+        # the sample that ends the fit above, with triangles held at a count
+        # the observed graph does not have: edges alone keep the importance
+        # weights effective, but the polish cannot settle, so the fit takes a
+        # step and samples again
+        g = interior_instance()
+        s_obs = stat_vector(g, ET)
+
+        def constant_triangles(stats):
+            if len(samples) == 4:
+                stats[:, 1] = s_obs[1] + 1.0
+
+        samples = spy_samples(monkeypatch, constant_triangles)
+        fit = mcmle(g, ET, controls=McmleControls(256, 100), seed=6)
+        assert np.all(samples[4][:, 1] == s_obs[1] + 1.0)
+        assert len(samples) > 5
+        assert fit.diagnostics.converged and fit.diagnostics.grad_norm < 1e-6
+        assert np.all(np.abs(fit.theta_hat) < 10.0)
 
     def test_unconverged_exit_reports_last_walk_sample(self, monkeypatch):
         # one outer iteration ends in the walk: the fit is reported as not
