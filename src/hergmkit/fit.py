@@ -20,7 +20,7 @@ import numpy as np
 
 from .graph import Graph, Partition, between_edge_counts
 from .rng import child_rng
-from .sampler import SamplerControls, _check_theta, check_counts, dyad_order, gibbs_sample
+from .sampler import SamplerControls, _check_theta, check_counts, gibbs_sample
 from .stats import ChangeStatEngine, StatisticSpec, stat_vector
 
 __all__ = [
@@ -99,15 +99,10 @@ def _inverse_se(h: np.ndarray) -> np.ndarray:
 
 
 def _dyad_design(g: Graph, spec: StatisticSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize (X, y): one row of change statistics per dyad."""
-    engine = ChangeStatEngine(spec, g.n)
-    dyads = dyad_order(g.n)
-    x = np.empty((len(dyads), len(spec)), dtype=np.float64)
-    y = np.empty(len(dyads), dtype=np.float64)
-    for r, (i, j) in enumerate(dyads):
-        x[r] = engine.compute(g, i, j)
-        y[r] = 1.0 if g.has_edge(i, j) else 0.0
-    return x, y
+    """(X, y): one row of change statistics per dyad, in ``dyad_order``, and
+    the dyads' tie flags; ``ChangeStatEngine.design`` builds both in one
+    call of the loop generated for the spec's term kinds."""
+    return ChangeStatEngine(spec, g.n).design(g)
 
 
 _SEPARATION_NORM = 50.0
@@ -117,6 +112,11 @@ MPLE_GRAD_TOL = 1e-8
 
 def mple(g: Graph, spec: StatisticSpec) -> ErgmFit:
     """Maximum pseudo-likelihood estimate via Newton iteration.
+
+    The logistic regression's design is ``_dyad_design``'s; the first fit
+    of a new tuple of term kinds in a process compiles its loop.  A design
+    whose rechecked row differs from ``ChangeStatEngine.compute`` raises
+    ``RuntimeError``.
 
     Newton iteration stops once the gradient norm is below ``MPLE_GRAD_TOL``.
     Raises ``NonFiniteMleError`` on perfect or quasi-complete separation

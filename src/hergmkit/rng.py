@@ -10,7 +10,7 @@ derived keys stable across runs and platforms.
 in a pool of worker processes only when the pool can pay for itself:
 ``threads > 1``, at least two tasks, and an estimated ``visits`` of at least
 ``POOL_MIN_VISITS``.  Work is counted in dyad visits, C(n_k, 2) per sweep of
-each ERGM block, an MPLE fit counting as 3 sweeps; Bernoulli blocks count
+each ERGM block, an MPLE fit counting as 2 sweeps; Bernoulli blocks count
 none.  Workers are forked where the platform can fork.  Library calls
 default to ``threads=1`` and so never start a pool, which keeps pools from
 nesting inside the workers of another.
@@ -34,13 +34,16 @@ __all__ = ["child_rng", "child_seed", "parallel_map"]
 # ending on their first full-size sample, 63 against 80 ms at 10,260
 # estimated visits, 127 against 122 ms at 20,520 and 142 against 114 ms at
 # 30,780 (medians of 15; at these sizes the walk takes a fit to 1.5-1.8
-# times its estimate); MPLE fits of 4 blocks 82 against 109 ms at 9,660
-# dyads and 134 against 95 ms at 12,640 (29,000 and 38,000 visits at 3 a
-# dyad).  While the VM ran two busy processes no faster than
-# one, the chains found no crossover up to 91,770 visits.  The threshold
-# sits above these crossovers because the toy fig3 fit of
-# perfbench/test_smoke.py (42,180 visits) must stay serial: that test counts
-# sampler and fit calls in its own process only.
+# times its estimate); MPLE fits of 4 blocks at density 0.15 (fig3 spec,
+# medians of 9) 41 against 59 ms at 19,800 dyads, 55-58 against 40-67 ms
+# at 23,980, 66-86 against 49-60 ms at 28,560 and 275-334 against 152-213
+# ms at 79,600 (large_mple's 4 x 200 blocks, which pool at 2 visits a
+# dyad), a crossover between 39,600 and 48,000 visits at 2 a dyad.  While
+# the VM ran two busy processes no faster than one, the chains found no
+# crossover up to 91,770 visits.  The threshold sits above these crossovers
+# because the toy fig3 fit of perfbench/test_smoke.py (42,180 visits) must
+# stay serial: that test counts sampler and fit calls in its own process
+# only.
 POOL_MIN_VISITS = 50_000
 # Workers are forked where the platform can: they start with the parent's
 # modules loaded, where a spawned or forkserver worker (Python 3.14's default

@@ -14,18 +14,23 @@ the histograms, ``change_statistics`` (two rows: dyad present and absent)
 and ``sampler.exact_distribution`` are all built on it.
 
 ``ChangeStatEngine`` is the change-statistic kernel for the millions of dyad
-updates a sampler makes.  Its ``run`` is a whole Gibbs chain (burn-in and
-draws) on one kernel state, which keeps a shared-partner table up to date
-across edge toggles; its ``compute`` evaluates one dyad from the adjacency
-bitmasks for the MPLE design and for ``run``'s once-per-call recheck.
+updates a sampler makes and for the MPLE design.  Its ``run`` is a whole
+Gibbs chain (burn-in and draws) on one kernel state, which keeps a
+shared-partner table up to date across edge toggles; its ``design`` is every
+dyad's row of change statistics on a fixed graph, read from the same state.
 
-Each sweep of ``run`` is one Python loop put together for the spec's tuple
-of term kinds and compiled once per process (``_sweep_loop``).  The kinds
-fix the loop's lines: one snippet per term, in spec order, and whether the
-neighbour lists and the shared-partner table are kept.  Everything else,
-theta, the degree targets, the star counts and the gw increment tables, is
-passed as values, so one loop serves every theta and every decay.
-``compute`` stays the reference for the loop's arithmetic.
+Both are one Python loop put together for the spec's tuple of term kinds
+and compiled once per process (``_sweep_loop``, ``_design_loop``), from one
+``_SNIPPETS`` entry per term kind: the lines that compute its change
+statistic ``c{k}``.  The kinds fix the loop's lines: one snippet per term,
+in spec order, and whether the neighbour lists and the shared-partner table
+are kept.  The sweep adds ``th{k} * c{k}`` to the logit, and the design
+appends ``c{k}`` to the dyad's row.  Everything else, theta, the degree
+targets, the star counts and the gw increment tables, is passed as values,
+so one loop serves every theta and every decay.  The hand-written
+``compute`` evaluates one dyad from the adjacency bitmasks; it is the
+reference for the snippets' arithmetic, which ``run`` and ``design`` each
+recheck on one dyad per call and the tests check dyad by dyad.
 """
 
 from __future__ import annotations
@@ -273,43 +278,55 @@ def stat_vector(g: Graph, spec: StatisticSpec) -> np.ndarray:
 
 
 class ChangeStatEngine:
-    """Evaluates change statistics for one spec with precomputed tables.
+    """Change statistics of one spec on n-node graphs, with precomputed tables.
 
     ``compute(g, i, j)`` returns the statistic difference between the graph
     with edge {i,j} present and absent, as a plain float list.  The present
     state of {i,j} in g is irrelevant: the edge is masked out of the
-    adjacency before any neighbor scans.  Its callers are the MPLE design
-    and ``run``'s recheck of the sweep loop's copy of the arithmetic.
+    adjacency before any neighbor scans.  It is the hand-written reference
+    for the generated loops: ``run`` and ``design`` each recheck one dyad
+    against it per call, and the tests and the benchmark's kernel check
+    compare it with ``stat_vector``.
 
-    ``run`` is the Gibbs chain: one kernel state for a burn-in and all the
-    draws that follow it.  The state is the adjacency masks and, for a spec
-    with a gw term, ascending neighbour lists and the shared-partner table
-    ``sp[u][v] = |N(u) & N(v)|`` (``A @ A`` with a zero diagonal), built once
-    and moved by +-1 on the rows and columns of i and j when {i,j} toggles.
-    The gw scans read counts from the table instead of counting mask bits;
-    for a dyad with tie ``a``, the count of shared partners with {i,j}
-    forced absent is ``sp - a``, which the increment tables absorb by a
-    shift of ``a``.  Other terms read the masks: a table costs O(degree) a
-    toggle, which only the gw scans earn back.
+    ``run`` (the Gibbs chain) and ``design`` (the MPLE design) are each one
+    call of a loop generated for the spec's term kinds from the same
+    ``_SNIPPETS`` entries, reading the same kernel state (``_state``): the
+    adjacency masks and, for a spec with a gw term, ascending neighbour
+    lists and the shared-partner table ``sp[u][v] = |N(u) & N(v)|``
+    (``A @ A`` with a zero diagonal).  ``run`` builds the state once for a
+    burn-in and all the draws that follow it, and moves the table by +-1 on
+    the rows and columns of i and j when {i,j} toggles.  The gw scans read
+    counts from the table instead of counting mask bits; for a dyad with tie
+    ``a``, the count of shared partners with {i,j} forced absent is
+    ``sp - a``, which the increment tables absorb by a shift of ``a``.
+    Other terms read the masks: a table costs O(degree) a toggle, which only
+    the gw scans earn back.
     """
 
     def __init__(self, spec: StatisticSpec, n: int):
         self.spec = spec
         self.n = n
-        self._keeps_sp = any(t.kind in _GW_KINDS for t in spec)
-        # geometric weight increments: dw[s] = w(s+1) - w(s), w(s) the weight
+        self._kinds = tuple(t.kind for t in spec)
+        self._keeps_sp = any(kind in _GW_KINDS for kind in self._kinds)
+        # each term's table as its snippet unpacks it.  gw: w[s] the weight
         # of a dyad/edge with s shared partners, from the whole-graph
-        # statistics' own table so that the two agree at every decay
+        # statistics' own table so that the two agree at every decay, and
+        # its increments by tie a of the dyad, dws[a][s] = w(s+1-a) - w(s-a);
+        # a count s = 0 under a = 1 is only ever the zero diagonal, read when
+        # v = i is a neighbour of j, and adds exactly 0.0
         self._tables = []
         for t in spec:
             if t.kind in _GW_KINDS:
                 w = _gw_weights(t.param, n + 1).tolist()
                 dw = [w[s + 1] - w[s] for s in range(n)]
-                self._tables.append((w, dw))
+                dws = (dw, [0.0] + dw[:-1])
+                self._tables.append((w, dws) if t.kind == "gwesp" else dws)
             elif t.kind == "kstar":
                 self._tables.append(
                     [math.comb(d, t.param - 1) for d in range(n + 1)]
                 )
+            elif t.kind == "degree":
+                self._tables.append(t.param)
             else:
                 self._tables.append(None)
 
@@ -320,8 +337,7 @@ class ChangeStatEngine:
         mj = adj[j] & ~(1 << i)
         common = mi & mj
         out = []
-        for t, table in zip(self.spec.terms, self._tables):
-            kind = t.kind
+        for kind, table in zip(self._kinds, self._tables):
             if kind == "edges":
                 out.append(1.0)
             elif kind == "triangles":
@@ -329,14 +345,13 @@ class ChangeStatEngine:
             elif kind == "kstar":
                 out.append(float(table[mi.bit_count()] + table[mj.bit_count()]))
             elif kind == "degree":
-                k = t.param
                 di, dj = mi.bit_count(), mj.bit_count()
-                delta = (di + 1 == k) - (di == k) + (dj + 1 == k) - (dj == k)
+                delta = (di + 1 == table) - (di == table) + (dj + 1 == table) - (dj == table)
                 out.append(float(delta))
             elif kind == "gwesp":
                 # the new edge enters with esp = |common|; each edge from i or
                 # j to a common neighbor gains one shared partner
-                w, dw = table
+                w, (dw, _) = table
                 delta = w[common.bit_count()]
                 rest = common
                 while rest:
@@ -347,7 +362,7 @@ class ChangeStatEngine:
                 out.append(delta)
             else:  # gwdsp
                 # dyads {i,v} for v adjacent to j gain partner j, and vice versa
-                w, dw = table
+                dw = table[0]
                 delta = 0.0
                 rest = mj
                 while rest:
@@ -361,6 +376,45 @@ class ChangeStatEngine:
                     rest ^= low
                 out.append(delta)
         return out
+
+    def _state(self, g: Graph):
+        """g's kernel state (see the class docstring) as the loops read it:
+        ``(adj, nbrs, sp)``, where ``adj`` is g's own mask list, which a
+        sweep moves, and ``nbrs`` and ``sp`` are None unless a gw term reads
+        them."""
+        if g.n != self.n:
+            raise ValueError(f"engine built for n={self.n}, graph has n={g.n}")
+        nbrs = sp = None
+        if self._keeps_sp:
+            # ascending neighbour lists, kept in step with adj; a list walks
+            # faster than the set bits of a mask, in the same order
+            nbrs = [list(g.neighbors(v)) for v in range(self.n)]
+            counts = _partners(g.adjacency_matrix())
+            np.fill_diagonal(counts, 0.0)
+            sp = counts.astype(np.int64).tolist()
+        return g._adj, nbrs, sp
+
+    def design(self, g: Graph) -> tuple[np.ndarray, np.ndarray]:
+        """The MPLE design of g: X, one row of change statistics per dyad in
+        canonical order (0,1), (0,2), ..., and y, the dyads' tie flags as
+        1.0/0.0.
+
+        Both come from one call of the loop built for the spec's term kinds
+        (see the module docstring) on g's kernel state.  Its rows equal
+        ``compute``'s byte for byte; each call rechecks the last one.
+        """
+        n, p = self.n, len(self.spec)
+        rows, ties = [], []
+        _design_loop(self._kinds)(n, *self._state(g), self._tables, rows, ties)
+        x = np.array(rows, dtype=np.float64).reshape(len(ties), p)
+        if ties:
+            got, expected = x[-1].tolist(), self.compute(g, n - 2, n - 1)
+            if got != expected:
+                raise RuntimeError(
+                    f"design row {got!r} differs from compute()'s {expected!r} "
+                    f"on dyad ({n - 2}, {n - 1})"
+                )
+        return x, np.array(ties, dtype=np.float64)
 
     def run(self, g: Graph, theta, rng: np.random.Generator, burnin: int,
             n_draws: int = 0, thin: int = 1) -> list[Graph]:
@@ -381,37 +435,16 @@ class ChangeStatEngine:
         docstring) lives for the whole call.
         """
         n = self.n
-        if g.n != n:
-            raise ValueError(f"engine built for n={n}, graph has n={g.n}")
-        sweep = _sweep_loop(tuple(t.kind for t in self.spec))
-        adj = g._adj
-        nbrs = sp = None
-        if self._keeps_sp:
-            # ascending neighbour lists, kept in step with adj; a list walks
-            # faster than the set bits of a mask, in the same order
-            nbrs = [list(g.neighbors(v)) for v in range(n)]
-            counts = _partners(g.adjacency_matrix())
-            np.fill_diagonal(counts, 0.0)
-            sp = counts.astype(np.int64).tolist()
-        terms = []  # (theta, table) per term, as its snippet unpacks them
-        for t, table, th in zip(self.spec.terms, self._tables, theta):
-            if t.kind in _GW_KINDS:
-                # increments by tie a of the dyad: dws[a][s] = dw[s - a]; a
-                # count s = 0 under a = 1 is only ever the zero diagonal,
-                # read when v = i is a neighbour of j, and adds exactly 0.0
-                w, dw = table
-                dws = (dw, [0.0] + dw[:-1])
-                table = (w, dws) if t.kind == "gwesp" else dws
-            elif t.kind == "degree":
-                table = t.param
-            terms.append((float(th), table))
+        adj, nbrs, sp = self._state(g)
+        sweep = _sweep_loop(self._kinds)
+        thetas = [float(th) for th in theta]
         n_dyads = n * (n - 1) // 2
         n_sweeps = burnin + n_draws * thin
         n_edges = g._n_edges
         draws = []
         for sweep_no in range(1, n_sweeps + 1):
             u = rng.random(n_dyads).tolist()
-            n_edges, logit = sweep(n, adj, nbrs, sp, u, n_edges, terms)
+            n_edges, logit = sweep(n, adj, nbrs, sp, u, n_edges, thetas, self._tables)
             if sweep_no > burnin and (sweep_no - burnin) % thin == 0:
                 g._n_edges = n_edges
                 draws.append(g.copy())
@@ -431,60 +464,69 @@ class ChangeStatEngine:
         return draws
 
 
-# -- the sweep loop -----------------------------------------------------------
+# -- the generated loops -------------------------------------------------------
 
-# Per term kind: how the loop unpacks its term's (theta, table), the tags of
-# the loop lines it reads, and the lines that add theta times its change
-# statistic to ``logit``, the arithmetic of ``compute`` on the dyad's state.
-# ``{k}`` is the term's position in the spec.
+# Per term kind: the name its loop table unpacks to (see
+# ``ChangeStatEngine.__init__``), the tags of the loop lines it reads, and
+# the lines that set ``c{k}``, its change statistic at the dyad, with the
+# arithmetic of ``compute`` on the kernel state.  ``{k}`` is the term's
+# position in the spec.  The sweep adds ``th{k} * c{k}`` to the logit, and
+# the design appends ``c{k}`` to the dyad's row.
 _SNIPPETS = {
     # th * 1.0 is th exactly
-    "edges": ("(th{k}, _)", set(), ["logit += th{k}"]),
-    "kstar": ("(th{k}, stars{k})", {"degrees"}, [
-        "logit += th{k} * (stars{k}[di] + stars{k}[dj])",
-    ]),
-    "triangles": ("(th{k}, _)", {"common"}, ["logit += th{k} * common.bit_count()"]),
-    "degree": ("(th{k}, deg{k})", {"degrees"}, [
-        "logit += th{k} * ((di + 1 == deg{k}) - (di == deg{k})",
-        "                  + (dj + 1 == deg{k}) - (dj == deg{k}))",
+    "edges": ("_", set(), ["c{k} = 1.0"]),
+    "kstar": ("stars{k}", {"degrees"}, ["c{k} = stars{k}[di] + stars{k}[dj]"]),
+    "triangles": ("_", {"common"}, ["c{k} = common.bit_count()"]),
+    "degree": ("deg{k}", {"degrees"}, [
+        "c{k} = ((di + 1 == deg{k}) - (di == deg{k})",
+        "        + (dj + 1 == deg{k}) - (dj == deg{k}))",
     ]),
     # dyads {i,v}, v ~ j, gain partner j, and vice versa
-    "gwdsp": ("(th{k}, dws{k})", {"sp"}, [
+    "gwdsp": ("dws{k}", {"sp"}, [
         "dw = dws{k}[a]",
-        "delta = 0.0",
+        "c{k} = 0.0",
         "for v in nbrs[j]:",
-        "    delta += dw[sp_i[v]]",
+        "    c{k} += dw[sp_i[v]]",
         "for v in nbrs_i:",
-        "    delta += dw[sp_j[v]]",
-        "logit += th{k} * delta",
+        "    c{k} += dw[sp_j[v]]",
     ]),
     # the edge enters with esp = sp[i][j]; each edge from i or j to a common
     # neighbour gains one shared partner
-    "gwesp": ("(th{k}, (w{k}, dws{k}))", {"sp", "common"}, [
+    "gwesp": ("(w{k}, dws{k})", {"sp", "common"}, [
         "dw = dws{k}[a]",
-        "delta = w{k}[sp_i[j]]",
+        "c{k} = w{k}[sp_i[j]]",
         "rest = common",
         "while rest:",
         "    low = rest & -rest",
         "    v = low.bit_length() - 1",
         "    rest ^= low",
-        "    delta += dw[sp_i[v]] + dw[sp_j[v]]",
-        "logit += th{k} * delta",
+        "    c{k} += dw[sp_i[v]] + dw[sp_j[v]]",
     ]),
 }
 
+# The state both loops read at dyad (i, j), i < j, in an i-loop that has set
+# ``ai``, ``nbrs_i`` and ``sp_i``.  A line tagged ``#:tag`` is kept only for
+# a spec whose kinds read it: ``common`` and ``di``, ``dj`` are the dyad's
+# common neighbours and its endpoints' degrees with the dyad forced absent.
+_VISIT = """\
+            aj = adj[j]
+            a = ai >> j & 1
+            sp_j = sp[j]  #:sp
+            common = ai & aj  #:common
+            di = ai.bit_count() - a  #:degrees
+            dj = aj.bit_count() - a  #:degrees
+{terms}"""
+
 # One systematic sweep over the dyads in canonical order, returning the edge
 # count and the last dyad's logit; ``tanh`` and ``insort`` are defaults so
-# that the loop reads them as locals.  A line tagged ``#:tag`` is kept only
-# for a spec whose kinds read it: ``common`` and ``di``, ``dj`` are the
-# dyad's common neighbours and its endpoints' degrees with the dyad forced
-# absent, and the ``sp`` lines keep the neighbour lists and the
-# shared-partner table in step with a toggle: i gains shared partner j with
-# each neighbour of j, and j gains i with each neighbour of i; a removal
-# takes them back.
+# that the loop reads them as locals.  The ``sp`` lines after the draw keep
+# the neighbour lists and the shared-partner table in step with a toggle:
+# i gains shared partner j with each neighbour of j, and j gains i with each
+# neighbour of i; a removal takes them back.
 _SWEEP = """\
-def sweep(n, adj, nbrs, sp, u, n_edges, terms, tanh=tanh, insort=insort):
-    [{unpack}] = terms
+def sweep(n, adj, nbrs, sp, u, n_edges, theta, tables, tanh=tanh, insort=insort):
+    [{thetas}] = theta
+    [{tables}] = tables
     logit = 0.0
     draws = iter(u)
     for i in range(n - 1):
@@ -493,14 +535,8 @@ def sweep(n, adj, nbrs, sp, u, n_edges, terms, tanh=tanh, insort=insort):
         nbrs_i = nbrs[i]  #:sp
         sp_i = sp[i]  #:sp
         for j, x in zip(range(i + 1, n), draws):
-            aj = adj[j]
-            a = ai >> j & 1
-            sp_j = sp[j]  #:sp
-            common = ai & aj  #:common
-            di = ai.bit_count() - a  #:degrees
-            dj = aj.bit_count() - a  #:degrees
-            logit = 0.0
-{terms}
+{visit}
+            logit = {logit}
             if x < 0.5 * (1.0 + tanh(0.5 * logit)):
                 if not a:
                     ai |= 1 << j
@@ -531,27 +567,67 @@ def sweep(n, adj, nbrs, sp, u, n_edges, terms, tanh=tanh, insort=insort):
     return n_edges, logit
 """
 
+# The MPLE design of a fixed graph, in canonical dyad order: each dyad's
+# row of change statistics onto the flat list ``rows``, its tie onto ``ties``.
+_DESIGN = """\
+def design(n, adj, nbrs, sp, tables, rows, ties):
+    [{tables}] = tables
+    for i in range(n - 1):
+        ai = adj[i]
+        nbrs_i = nbrs[i]  #:sp
+        sp_i = sp[i]  #:sp
+        for j in range(i + 1, n):
+{visit}
+            rows.extend(({row},))
+            ties.append(a)
+"""
+
+
+def _loop_source(template: str, kinds: tuple[str, ...]) -> str:
+    """Source of ``template``'s loop for a spec whose term kinds are ``kinds``."""
+    tags = set().union(*(_SNIPPETS[kind][1] for kind in kinds))
+    terms = "\n".join(" " * 12 + line.format(k=k) for k, kind in enumerate(kinds)
+                      for line in _SNIPPETS[kind][2])
+    source = template.format(
+        visit=_VISIT.format(terms=terms),
+        thetas=", ".join(f"th{k}" for k in range(len(kinds))),
+        tables=", ".join(_SNIPPETS[kind][0].format(k=k) for k, kind in enumerate(kinds)),
+        logit=" + ".join(f"th{k} * c{k}" for k in range(len(kinds))),
+        row=", ".join(f"c{k}" for k in range(len(kinds))),
+    )
+    return "\n".join(line for line in source.splitlines()
+                     if "#:" not in line or line.split("#:")[1] in tags)
+
 
 def _sweep_source(kinds: tuple[str, ...]) -> str:
     """Source of the sweep loop of a spec whose term kinds are ``kinds``."""
-    tags = set().union(*(_SNIPPETS[kind][1] for kind in kinds))
-    lines = [line for line in _SWEEP.splitlines()
-             if "#:" not in line or line.split("#:")[1] in tags]
-    return "\n".join(lines).format(
-        unpack=", ".join(_SNIPPETS[kind][0].format(k=k) for k, kind in enumerate(kinds)),
-        terms="\n".join(" " * 12 + line.format(k=k) for k, kind in enumerate(kinds)
-                        for line in _SNIPPETS[kind][2]),
-    )
+    return _loop_source(_SWEEP, kinds)
+
+
+def _design_source(kinds: tuple[str, ...]) -> str:
+    """Source of the design loop of a spec whose term kinds are ``kinds``."""
+    return _loop_source(_DESIGN, kinds)
+
+
+def _compile(name: str, source: str, kinds: tuple[str, ...]):
+    """The function ``name`` defined by ``source``; the filename in its
+    tracebacks names the loop and the kinds."""
+    namespace = {"tanh": math.tanh, "insort": bisect.insort}
+    exec(compile(source, f"<{name} {','.join(kinds)}>", "exec"), namespace)
+    return namespace[name]
 
 
 @functools.cache
 def _sweep_loop(kinds: tuple[str, ...]):
     """The sweep loop of ``kinds``, compiled on its first use in a process,
-    which keeps one loop per tuple of kinds it runs; the filename in the
-    loop's tracebacks names the kinds."""
-    namespace = {"tanh": math.tanh, "insort": bisect.insort}
-    exec(compile(_sweep_source(kinds), f"<sweep {','.join(kinds)}>", "exec"), namespace)
-    return namespace["sweep"]
+    which keeps one loop per tuple of kinds it runs."""
+    return _compile("sweep", _sweep_source(kinds), kinds)
+
+
+@functools.cache
+def _design_loop(kinds: tuple[str, ...]):
+    """The design loop of ``kinds``, compiled and kept as ``_sweep_loop``'s."""
+    return _compile("design", _design_source(kinds), kinds)
 
 
 def change_statistics(g: Graph, d: tuple[int, int], spec: StatisticSpec) -> np.ndarray:

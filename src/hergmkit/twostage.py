@@ -149,12 +149,12 @@ def two_stage_fit(
     jobs = [(within_subgraph(g, partition, k), spec, method, mcmle, theta0,
              stage2_seed(seed, k)) for k, nk in enumerate(sizes) if nk]
     # an MCMLE fit runs at least its burn-in and the full-size sample it ends
-    # on; an MPLE fit builds one design row a dyad, which took as long as 3-8
-    # Gibbs updates (6.2-16 us a dyad on blocks of 70 and 200 nodes at
-    # density 0.15, against 2.0 us an update on a fig3 chain, medians of 9
-    # calls); at 3 visits a dyad the MPLE crossovers timed in the comment of
-    # rng.POOL_MIN_VISITS lie below that threshold
-    sweeps = (3 if method == "mple"
+    # on; an MPLE fit, design row and Newton steps, took as long as 0.9-1.6
+    # Gibbs updates a dyad (1.8-3.1 us on blocks of 70 and 200 nodes at
+    # density 0.15, against 1.9 us an update on a fig3 chain, medians of 9
+    # calls); it counts 2 visits a dyad, which puts the threshold of
+    # rng.POOL_MIN_VISITS at the MPLE crossover timed in its comment
+    sweeps = (2 if method == "mple"
               else mcmle.burnin_sweeps + MCMLE_SAMPLE_BOOST * mcmle.n_samples)
     done = iter(parallel_map(_fit_cluster, jobs, threads,
                              sweeps * sum(nk * (nk - 1) // 2 for nk in sizes)))

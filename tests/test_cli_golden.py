@@ -93,6 +93,8 @@ GOLDEN = {
         "b03df36dcfd9ccac220d3e89cf2016c4ca6001703514003f4132782c007c68e2",
     "fit_mple.json":
         "10b5e6ff6c90e14f8026c5e7ebe12d44fa327fd5b3ef2a64951eb61a5c5fbac3",
+    "fit_mple_markov.json":
+        "e6bf687191ecd31c05bec41a2b3b37d23a3a7988018d52274043611ec5011005",
     "fit_score.json":
         "68c2262c6588f51eefd90c1b5a4c63b75c9c330bb2c57930435b6f0a0ba1f7d9",
     "gof_ergm.csv":
@@ -140,6 +142,16 @@ def _outputs(work: str) -> dict[str, str]:
     _run(fit_args + given + ["--method", "mcmle", "--mc-samples", "64", "--mc-burnin", "20",
                              "--out", p("fit_mcmle.json")])
     _run(fit_args + given + ["--method", "mple", "--out", p("fit_mple.json")])
+    # the kstar, triangles and degree columns of the MPLE design, on the
+    # one-cluster partition: the triangles term separates cluster 1 alone
+    with open(p("sim_truth.csv"), encoding="utf-8") as src, \
+            open(p("one_cluster.csv"), "w", encoding="utf-8") as dst:
+        header, *rows = src.read().splitlines()
+        dst.write("\n".join([header] + [row.split(",")[0] + ",0" for row in rows]) + "\n")
+    _run(["fit", "twostage", "--graph", p("sim_graph.edges"), "--K", "1",
+          "--stats", "edges,kstar(3),triangles,degree(2)", "--stage1", "given",
+          "--partition", p("one_cluster.csv"), "--method", "mple",
+          "--out", p("fit_mple_markov.json")])
     _run(fit_args + ["--stage1", "score", "--method", "mple", "--out", p("fit_score.json")])
     # the LSM partition leaves one cluster a singleton and another empty
     _run(fit_args + ["--stage1", "lsm", "--lsm-burnin", "40", "--lsm-samples", "20",

@@ -21,6 +21,7 @@ from hergmkit import (
     stat_vector,
 )
 from hergmkit import stats as stats_module
+from hergmkit.fit import mple
 from hergmkit.sampler import SamplerControls, _expit, dyad_order, gibbs_sample
 from hergmkit.stats import GW_DECAY_MAX, _histograms, stat_matrix
 
@@ -597,6 +598,99 @@ class TestFusedSweep:
                 run(*args)
         else:
             assert run(*args) == []
+
+
+def reference_design(engine, g):
+    """The MPLE design the per-dyad way: one ``compute`` row and one
+    ``has_edge`` flag per dyad.  The oracle for ``ChangeStatEngine.design``."""
+    dyads = dyad_order(g.n)
+    x = np.array([engine.compute(g, i, j) for i, j in dyads], dtype=np.float64)
+    y = np.array([1.0 if g.has_edge(i, j) else 0.0 for i, j in dyads])
+    return x.reshape(len(dyads), len(engine.spec)), y
+
+
+DESIGN_SPECS = [
+    "edges,kstar(2),kstar(3),kstar(5),triangles,degree(0),degree(1),degree(4)",
+    "gwesp(0),gwdsp(0),gwesp(0.5),gwdsp(1.7),edges,gwesp(20),gwdsp(20)",
+    "edges,kstar(2),kstar(3),triangles,degree(1),degree(3),"
+    "gwesp(0.25),gwdsp(0.75),gwesp(1.2),gwdsp(0.0)",
+    "triangles",
+]
+
+
+class TestDesign:
+    @pytest.mark.parametrize("text", DESIGN_SPECS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 20, 50])
+    @pytest.mark.parametrize("density", [0.0, 0.03, 0.5, 0.97, 1.0])
+    def test_rows_equal_compute(self, text, n, density):
+        # every term kind at several decays, star sizes and degree targets,
+        # down to the graph with no dyad and the one whose one dyad is rechecked
+        spec = parse_spec(text)
+        g = random_graph(n, density, n + len(text))
+        before = g.copy()
+        engine = ChangeStatEngine(spec, n)
+        x, y = engine.design(g)
+        x_ref, y_ref = reference_design(engine, g)
+        assert x.shape == (n * (n - 1) // 2, len(spec)) and y.shape == (len(x),)
+        assert x.tobytes() == x_ref.tobytes() and y.tobytes() == y_ref.tobytes()
+        assert g == before and g.n_edges == before.n_edges
+
+    @pytest.mark.parametrize("first, second", [
+        ("edges,gwesp(0.25)", "edges,gwesp(1.2)"),
+        ("edges,kstar(2)", "edges,kstar(3)"),
+        ("edges,degree(1)", "edges,degree(3)"),
+        ("edges,gwesp(0.5),gwdsp(0.5)", "gwdsp(0.5),gwesp(0.5),edges"),
+    ])
+    def test_specs_sharing_kinds_get_their_own_rows(self, first, second):
+        # the loop built for the first spec's kinds must not carry its
+        # parameters or its order into the second
+        g = random_graph(12, 0.3, 8)
+        designs = []
+        for text in (first, second, first):
+            engine = ChangeStatEngine(parse_spec(text), 12)
+            x, y = engine.design(g)
+            x_ref, y_ref = reference_design(engine, g)
+            assert x.tobytes() == x_ref.tobytes() and y.tobytes() == y_ref.tobytes()
+            designs.append(x)
+        assert designs[0].tobytes() != designs[1].tobytes()
+        assert designs[0].tobytes() == designs[2].tobytes()
+
+    def test_one_design_build_per_kind_tuple(self, monkeypatch):
+        built = []
+        source = stats_module._design_source
+        monkeypatch.setattr(stats_module, "_design_source",
+                            lambda kinds: built.append(kinds) or source(kinds))
+        stats_module._design_loop.cache_clear()
+        for seed in (1, 2):
+            g = random_graph(14, 0.35, seed)
+            for text in ("edges,gwesp(0.25)", "edges,gwesp(1.2)", "edges,kstar(2)"):
+                mple(g, parse_spec(text))
+        assert built == [("edges", "gwesp"), ("edges", "kstar")]
+        loop = stats_module._design_loop(("edges", "gwesp"))
+        assert loop.__code__.co_filename == "<design edges,gwesp>"
+
+    @pytest.fixture
+    def drifted_compute(self, monkeypatch):
+        """``compute`` moved by 1e-9 in every entry."""
+        compute = ChangeStatEngine.compute
+        monkeypatch.setattr(ChangeStatEngine, "compute", lambda self, g, i, j: [
+            c + 1e-9 for c in compute(self, g, i, j)])
+
+    @pytest.mark.parametrize("n, raises", [(1, False), (2, True)])
+    def test_recheck_on_tiny_graphs(self, drifted_compute, n, raises):
+        # n = 1 has no row to recheck; at n = 2 the one row is the rechecked one
+        engine = ChangeStatEngine(FULL_SPEC, n)
+        g = random_graph(n, 0.5, 2)
+        if raises:
+            with pytest.raises(RuntimeError, match=rf"dyad \({n - 2}, {n - 1}\)"):
+                engine.design(g)
+        else:
+            x, y = engine.design(g)
+            assert x.shape == (0, len(FULL_SPEC)) and y.shape == (0,)
+
+    def test_drifted_compute_makes_mple_raise(self, drifted_compute):
+        with pytest.raises(RuntimeError, match="differs from compute"):
+            mple(random_graph(12, 0.4, 3), FULL_SPEC)
 
 
 class TestStatMatrix:
