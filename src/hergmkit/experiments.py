@@ -195,28 +195,30 @@ def read_hergm_config(cfg: dict) -> tuple[HergmSpec, SamplerControls]:
 # -- mis-clustering rate vs cluster size and transitivity --------------------
 
 
-def _misrate_one(stage1, dim, sim_controls, lsm_controls, master, task) -> dict:
+def _misrate_one(stage1, dim, sim_controls, lsm_controls, master, task) -> tuple[dict, list]:
+    """One replication's row, and its LSM chain's acceptance warnings."""
     hspec, n_per_cluster, transitivity, rep = task
     seed = int(
         child_rng(master, "misrate", n_per_cluster, _milli(transitivity), rep)
         .integers(2**31)
     )
     g, truth = simulate_hergm(hspec, seed, sim_controls)
-    est, _ = cluster(g, hspec.n_clusters, stage1, seed, dim, lsm_controls)
+    est, post = cluster(g, hspec.n_clusters, stage1, seed, dim, lsm_controls)
     rate = misclustering_rate(est, truth)
     return {
         "n_per_cluster": n_per_cluster,
         "transitivity": transitivity,
         "replication": rep,
         "rate": rate,
-    }
+    }, [] if post is None else post.warnings
 
 
 def misrate_experiment(config: dict, threads: int = 1) -> list[dict]:
     """Stage-1 recovery error over a (cluster size x transitivity) grid.
 
     Returns per-replication rows followed by one mean row per cell
-    (replication == "mean").
+    (replication == "mean").  Each LSM chain's acceptance warnings are
+    written to stderr, naming the replication, in replication order.
     """
     sizes = _field(config, "n_per_cluster", [int], lo=1)
     grid = _field(config, "transitivity", [float], lo=0)
@@ -250,10 +252,16 @@ def misrate_experiment(config: dict, threads: int = 1) -> list[dict]:
         for n, t in cells
         for rep in range(reps)
     ]
-    rows = parallel_map(
+    rows = []
+    for row, warnings in parallel_map(
         partial(_misrate_one, stage1, dim, sim_controls, lsm_controls, seed),
         tasks, threads,
-    )
+    ):
+        rows.append(row)
+        for w in warnings:
+            print(f"warning: n_per_cluster={row['n_per_cluster']} transitivity="
+                  f"{row['transitivity']} replication {row['replication']}: {w}",
+                  file=sys.stderr)
     means = [
         {"n_per_cluster": n, "transitivity": t, "replication": "mean",
          "rate": float(np.mean([r["rate"] for r in rows[c * reps:(c + 1) * reps]]))}

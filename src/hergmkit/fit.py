@@ -20,8 +20,9 @@ import numpy as np
 
 from .graph import Graph, Partition, between_edge_counts
 from .rng import child_rng
-from .sampler import SamplerControls, _check_theta, check_counts, gibbs_sample
-from .stats import ChangeStatEngine, StatisticSpec, stat_vector
+from .sampler import (SamplerControls, _check_theta, check_counts, gibbs_sample,
+                      near_degenerate)
+from .stats import ChangeStatEngine, StatisticSpec, stat_matrix, stat_vector
 
 __all__ = [
     "ErgmFit",
@@ -98,13 +99,6 @@ def _inverse_se(h: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
 
-def _dyad_design(g: Graph, spec: StatisticSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(X, y): one row of change statistics per dyad, in ``dyad_order``, and
-    the dyads' tie flags; ``ChangeStatEngine.design`` builds both in one
-    call of the loop generated for the spec's term kinds."""
-    return ChangeStatEngine(spec, g.n).design(g)
-
-
 _SEPARATION_NORM = 50.0
 MPLE_MAX_ITER = 100
 MPLE_GRAD_TOL = 1e-8
@@ -113,10 +107,10 @@ MPLE_GRAD_TOL = 1e-8
 def mple(g: Graph, spec: StatisticSpec) -> ErgmFit:
     """Maximum pseudo-likelihood estimate via Newton iteration.
 
-    The logistic regression's design is ``_dyad_design``'s; the first fit
-    of a new tuple of term kinds in a process compiles its loop.  A design
-    whose rechecked row differs from ``ChangeStatEngine.compute`` raises
-    ``RuntimeError``.
+    The logistic regression's design is ``ChangeStatEngine.design``'s; the
+    first fit of a new tuple of term kinds in a process compiles its loop.
+    A design whose rechecked row differs from ``ChangeStatEngine.compute``
+    raises ``RuntimeError``.
 
     Newton iteration stops once the gradient norm is below ``MPLE_GRAD_TOL``.
     Raises ``NonFiniteMleError`` on perfect or quasi-complete separation
@@ -133,7 +127,7 @@ def mple(g: Graph, spec: StatisticSpec) -> ErgmFit:
     can badly understate the uncertainty when the model has dependence terms.
     """
     _check_size(g, spec)
-    x, y = _dyad_design(g, spec)
+    x, y = ChangeStatEngine(spec, g.n).design(g)
     beta = np.zeros(len(spec))
     step_log: list[float] = []
     for it in range(1, MPLE_MAX_ITER + 1):
@@ -281,7 +275,9 @@ def mcmle(
     batches for the standard error); its first sample in the band takes its
     step, and from then on every sample is full size.  ``m`` doubles (up to
     ``MCMLE_MAX_SAMPLES``) whenever the effective sample size of the
-    importance weights drops below a tenth of the sample.
+    importance weights drops below a tenth of the sample.  Each sample's
+    statistics are one ``stat_matrix`` call on its draws, and a sample whose
+    last draw is ``near_degenerate`` flags the fit ``degenerate``.
 
     The fit has three exits.  Each reports the outer iteration it ended at
     and the size and batch-means standard errors of its last sample:
@@ -329,7 +325,7 @@ def mcmle(
     converged = True
     contractions = 0
     for outer in range(1, MCMLE_MAX_OUTER + 1):
-        res = gibbs_sample(
+        draws = gibbs_sample(
             g.n,
             spec,
             theta,
@@ -341,9 +337,9 @@ def mcmle(
             rng,
             start=chain,
         )
-        chain = res.graphs[-1]
-        degenerate = degenerate or res.degenerate
-        s = res.stats
+        chain = draws[-1]
+        degenerate = degenerate or near_degenerate(chain)
+        s = stat_matrix(draws, spec)
         mean = s.mean(axis=0)
         mc_se = _batch_se(s)
         s_c = s - mean

@@ -1,15 +1,17 @@
 """Sampling from ERGM distributions and block-structured network simulation.
 
-``gibbs_sample`` runs a single-site Gibbs chain over dyads: each update draws
-the dyad from its full conditional, a Bernoulli whose logit is the inner
-product of the parameter vector with the dyad's change statistics given the
-current rest of the graph.  ``hergm_draws`` is the one simulator of block
-models: each block is a Gibbs chain (``ClusterSpec``) or independent
-Bernoulli ties (``BernoulliBlock``), and between-block ties are i.i.d.
-Bernoulli.  ``simulate_hergm`` (one network and its partition) and the GOF
-envelopes both draw through it.  ``exact_distribution`` enumerates the full
-sample space for small n and is the ground-truth reference for sampler and
-estimator tests, apart from the change-statistic kernel.
+``gibbs_sample`` runs a single-site Gibbs chain over dyads and returns its
+retained draws: each update draws the dyad from its full conditional, a
+Bernoulli whose logit is the inner product of the parameter vector with the
+dyad's change statistics given the current rest of the graph.  The one
+reader of the draws' statistics, ``fit.mcmle``, computes them.
+``hergm_draws`` is the one simulator of block models: each block is a Gibbs
+chain (``ClusterSpec``) or independent Bernoulli ties (``BernoulliBlock``),
+and between-block ties are i.i.d. Bernoulli.  ``simulate_hergm`` (one
+network and its partition) and the GOF envelopes both draw through it.
+``exact_distribution`` enumerates the full sample space for small n and is
+the ground-truth reference for sampler and estimator tests, apart from the
+change-statistic kernel.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ import numpy as np
 
 from .graph import Graph, Partition
 from .rng import child_rng, parallel_map
-from .stats import ChangeStatEngine, StatisticSpec, _chunk_rows, _stat_rows, stat_matrix
+from .stats import ChangeStatEngine, StatisticSpec, _chunk_rows, _stat_rows
 
 __all__ = [
     "SamplerControls",
-    "GibbsResult",
     "ClusterSpec",
     "BernoulliBlock",
     "HergmSpec",
@@ -80,13 +81,6 @@ class SamplerControls:
         check_counts(self, burnin_sweeps=0, n_samples=1, thin_sweeps=1)
 
 
-@dataclass
-class GibbsResult:
-    graphs: list[Graph]
-    stats: np.ndarray  # n_samples x n_terms, spec order
-    degenerate: bool
-
-
 def _check_theta(theta, spec: StatisticSpec, name: str = "theta") -> tuple[float, ...]:
     theta = tuple(float(v) for v in theta)
     if len(theta) != len(spec):
@@ -133,16 +127,18 @@ def gibbs_sample(
     controls: SamplerControls,
     rng: np.random.Generator,
     start: Graph | None = None,
-) -> GibbsResult:
-    """Sample graphs from the ERGM on n nodes defined by (spec, theta).
+) -> list[Graph]:
+    """The ``n_samples`` draws of the ERGM chain on n nodes defined by
+    (spec, theta).
 
     The chain starts from a copy of ``start`` (the caller's graph is not
     changed), or without one from an Erdos-Renyi draw at the edges-term
     density (0.5 without an edges term).  It runs ``burnin_sweeps``, then
     retains a copy every ``thin_sweeps`` sweeps, all in one
-    ``ChangeStatEngine.run`` on one kernel state; the retained graphs'
-    statistics are one ``stat_matrix`` call.  Degenerate parameter values
-    do not raise; the result carries ``near_degenerate`` of the final state.
+    ``ChangeStatEngine.run`` on one kernel state; the last draw is the
+    chain's final state.  Degenerate parameter values do not raise; a caller
+    checks ``near_degenerate`` of the last draw, and ``mcmle`` computes the
+    draws' statistics.
     """
     theta = _check_theta(theta, spec)
     spec.check_degrees(n)
@@ -152,10 +148,9 @@ def gibbs_sample(
         raise ValueError(f"start graph has {start.n} nodes, the chain {n}")
     else:
         g = start.copy()
-    graphs = ChangeStatEngine(spec, n).run(
+    return ChangeStatEngine(spec, n).run(
         g, theta, rng, controls.burnin_sweeps, controls.n_samples, controls.thin_sweeps
     )
-    return GibbsResult(graphs, stat_matrix(graphs, spec), near_degenerate(g))
 
 
 @dataclass(frozen=True)
@@ -230,7 +225,7 @@ def _block_draws(task) -> list[Graph]:
     rng_k = child_rng(seed, "within", k)
     if isinstance(cl, BernoulliBlock):
         return [bernoulli_graph(cl.n, cl.p, rng_k) for _ in range(controls.n_samples)]
-    return gibbs_sample(cl.n, cl.spec, cl.theta, controls, rng_k).graphs
+    return gibbs_sample(cl.n, cl.spec, cl.theta, controls, rng_k)
 
 
 def hergm_draws(

@@ -599,16 +599,6 @@ def _loop_source(template: str, kinds: tuple[str, ...]) -> str:
                      if "#:" not in line or line.split("#:")[1] in tags)
 
 
-def _sweep_source(kinds: tuple[str, ...]) -> str:
-    """Source of the sweep loop of a spec whose term kinds are ``kinds``."""
-    return _loop_source(_SWEEP, kinds)
-
-
-def _design_source(kinds: tuple[str, ...]) -> str:
-    """Source of the design loop of a spec whose term kinds are ``kinds``."""
-    return _loop_source(_DESIGN, kinds)
-
-
 def _compile(name: str, source: str, kinds: tuple[str, ...]):
     """The function ``name`` defined by ``source``; the filename in its
     tracebacks names the loop and the kinds."""
@@ -621,13 +611,13 @@ def _compile(name: str, source: str, kinds: tuple[str, ...]):
 def _sweep_loop(kinds: tuple[str, ...]):
     """The sweep loop of ``kinds``, compiled on its first use in a process,
     which keeps one loop per tuple of kinds it runs."""
-    return _compile("sweep", _sweep_source(kinds), kinds)
+    return _compile("sweep", _loop_source(_SWEEP, kinds), kinds)
 
 
 @functools.cache
 def _design_loop(kinds: tuple[str, ...]):
     """The design loop of ``kinds``, compiled and kept as ``_sweep_loop``'s."""
-    return _compile("design", _design_source(kinds), kinds)
+    return _compile("design", _loop_source(_DESIGN, kinds), kinds)
 
 
 def change_statistics(g: Graph, d: tuple[int, int], spec: StatisticSpec) -> np.ndarray:

@@ -1195,6 +1195,26 @@ class TestStage1AndGofMessages:
         err = capsys.readouterr().err.splitlines()
         assert [line for line in err if "acceptance rate" in line] == warned
 
+    def test_experiment_misrate_prints_the_lsm_chain_warnings(self, tmp_path, capsys):
+        # each replication's short LSM chain warns; the warnings are written
+        # in replication order, so a pool of two prints the same text
+        config = _write_config(tmp_path, {**MISRATE, "replications": 2})
+        out = tmp_path / "misrate.csv"
+        errs, tables = [], []
+        for threads in ("1", "2"):
+            assert cli.main(["experiment", "misrate", "--config", config,
+                             "--threads", threads, "--out", str(out)]) == 0
+            errs.append(capsys.readouterr().err)
+            tables.append(out.read_bytes())
+        assert errs[0] == errs[1] and tables[0] == tables[1]
+        warned = [line for line in errs[0].splitlines() if line.startswith("warning: ")]
+        assert warned == [
+            f"warning: n_per_cluster=6 transitivity=0.5 replication {rep}: beta0 acceptance "
+            "rate 0.800 outside [0.1, 0.6]; proposal scales are tuned during burn-in only, "
+            "so try a longer burn-in"
+            for rep in (0, 1)
+        ]
+
     @pytest.mark.parametrize("stage1", ["lsm", "score"])
     def test_fit_twostage_is_stage2_on_the_stage1_partition(self, tmp_path, capsys, stage1):
         # the fit file is two_stage_fit on cluster's partition at stage1_seed,

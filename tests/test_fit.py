@@ -24,10 +24,10 @@ from hergmkit.fit import (
     NonFiniteMleError,
     SamplesDegenerateError,
     _batch_se,
-    _dyad_design,
     _weighted_newton,
 )
 from hergmkit.sampler import dyad_order
+from hergmkit.stats import ChangeStatEngine, stat_matrix
 
 EDGES = parse_spec("edges")
 ET = parse_spec("edges,triangles")
@@ -96,7 +96,7 @@ class TestMple:
         g = random_graph(8, 0.45, 3)
         spec = parse_spec("edges,kstar(2),triangles")
         fit = mple(g, spec)
-        x, y = _dyad_design(g, spec)
+        x, y = ChangeStatEngine(spec, g.n).design(g)
         p = 1.0 / (1.0 + np.exp(-(x @ fit.theta_hat)))
         score = x.T @ (y - p)
         assert np.linalg.norm(score) < 1e-6
@@ -187,10 +187,10 @@ def exact_mle(n, spec, s_obs, max_norm=15.0):
 
 def interior_instance():
     """A 6-node graph with an interior MLE under ``edges,triangles``."""
-    res = gibbs_sample(
+    draws = gibbs_sample(
         6, ET, (-1.0, 0.3), SamplerControls(500, 1, 1), np.random.default_rng(7)
     )
-    return res.graphs[-1]
+    return draws[-1]
 
 
 def spy_samples(monkeypatch, alter=None):
@@ -198,14 +198,14 @@ def spy_samples(monkeypatch, alter=None):
     edit them in place before ``mcmle`` sees them."""
     samples = []
 
-    def spy(n, spec, theta, controls, rng, start=None):
-        res = gibbs_sample(n, spec, theta, controls, rng, start=start)
+    def spy(graphs, spec):
+        stats = stat_matrix(graphs, spec)
         if alter is not None:
-            alter(res.stats)
-        samples.append(res.stats.copy())
-        return res
+            alter(stats)
+        samples.append(stats.copy())
+        return stats
 
-    monkeypatch.setattr("hergmkit.fit.gibbs_sample", spy)
+    monkeypatch.setattr("hergmkit.fit.stat_matrix", spy)
     return samples
 
 
@@ -224,10 +224,10 @@ class TestMcmle:
         assert abs(fit.theta_hat[0] - pseudo.theta_hat[0]) < 0.05
 
     def test_matches_exact_mle_single_instance(self):
-        res = gibbs_sample(
+        draws = gibbs_sample(
             6, ET, (-1.0, 0.3), SamplerControls(500, 1, 1), np.random.default_rng(7)
         )
-        g = res.graphs[-1]
+        g = draws[-1]
         s_obs = stat_vector(g, ET)
         oracle = exact_mle(6, ET, s_obs)
         assert oracle is not None, "instance should be interior for this seed"
@@ -241,10 +241,10 @@ class TestMcmle:
         np.testing.assert_allclose(fit.theta_hat, oracle, atol=0.05)
 
     def test_self_consistent_from_exact_start(self):
-        res = gibbs_sample(
+        draws = gibbs_sample(
             6, ET, (-1.0, 0.3), SamplerControls(500, 1, 1), np.random.default_rng(7)
         )
-        g = res.graphs[-1]
+        g = draws[-1]
         oracle = exact_mle(6, ET, stat_vector(g, ET))
         fit = mcmle(
             g,

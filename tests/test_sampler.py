@@ -20,6 +20,7 @@ from hergmkit import (
     stat_vector,
     within_subgraph,
 )
+from hergmkit import stats as stats_module
 from hergmkit.rng import child_rng
 from hergmkit.sampler import (
     BernoulliBlock,
@@ -29,6 +30,7 @@ from hergmkit.sampler import (
     hergm_draws,
     near_degenerate,
 )
+from hergmkit.stats import stat_matrix
 
 EDGES = parse_spec("edges")
 ET = parse_spec("edges,triangles")
@@ -61,50 +63,55 @@ class TestGibbs:
         assert near_degenerate(Graph(2))
 
     def test_theta_zero_density_half(self):
-        res = gibbs_sample(
+        draws = gibbs_sample(
             20, EDGES, (0.0,), SamplerControls(100, 300, 1), np.random.default_rng(1)
         )
         n_dyads = 190
         se = math.sqrt(0.25 / (300 * n_dyads))
-        assert abs(res.stats[:, 0].mean() / n_dyads - 0.5) < 4 * se
+        assert abs(np.mean([g.n_edges for g in draws]) / n_dyads - 0.5) < 4 * se
 
     def test_baseline_density_low(self):
         theta = math.log(0.05 / 0.95)
-        res = gibbs_sample(
+        draws = gibbs_sample(
             30, EDGES, (theta,), SamplerControls(100, 300, 1), np.random.default_rng(2)
         )
-        density = res.stats[:, 0] / 435  # edges over the 30-node graph's dyads
+        density = np.array([g.n_edges for g in draws]) / 435  # over the 30-node graph's dyads
         mc_se = density.std(ddof=1) / math.sqrt(300)
         assert abs(density.mean() - 0.05) < 4 * mc_se + 1e-3
 
     def test_determinism(self):
         a = gibbs_sample(8, ET, (-0.5, 0.2), SamplerControls(50, 5, 2), np.random.default_rng(9))
         b = gibbs_sample(8, ET, (-0.5, 0.2), SamplerControls(50, 5, 2), np.random.default_rng(9))
-        assert all(x == y for x, y in zip(a.graphs, b.graphs))
-        np.testing.assert_array_equal(a.stats, b.stats)
+        assert len(a) == 5 and a == b
 
     def test_degeneracy_flag(self):
-        res = gibbs_sample(10, EDGES, (-9.0,), SamplerControls(50, 5, 1), np.random.default_rng(3))
-        assert res.degenerate
-        res2 = gibbs_sample(10, EDGES, (0.0,), SamplerControls(50, 5, 1), np.random.default_rng(3))
-        assert not res2.degenerate
+        draws = gibbs_sample(10, EDGES, (-9.0,), SamplerControls(50, 5, 1),
+                             np.random.default_rng(3))
+        assert near_degenerate(draws[-1])
+        draws = gibbs_sample(10, EDGES, (0.0,), SamplerControls(50, 5, 1),
+                             np.random.default_rng(3))
+        assert not near_degenerate(draws[-1])
 
     def test_start_graph_is_copied_not_changed(self):
         start = Graph(6)
         for i, j in dyad_order(6):
             start.add_edge(i, j)
         before = start.copy()
-        res = gibbs_sample(6, ET, (-1.0, 0.3), SamplerControls(0, 3, 1),
-                           np.random.default_rng(6), start=start)
-        assert res.graphs[-1] != start  # the chain moved, its start did not
+        draws = gibbs_sample(6, ET, (-1.0, 0.3), SamplerControls(0, 3, 1),
+                             np.random.default_rng(6), start=start)
+        assert draws[-1] != start  # the chain moved, its start did not
         assert start == before and start.n_edges == 15
         with pytest.raises(ValueError, match="start graph has 6 nodes"):
             gibbs_sample(5, ET, (-1.0, 0.3), SamplerControls(0, 1, 1),
                          np.random.default_rng(6), start=start)
 
     def test_stats_align_with_graphs(self):
-        res = gibbs_sample(7, ET, (-1.0, 0.3), SamplerControls(50, 10, 2), np.random.default_rng(4))
-        for g, row in zip(res.graphs, res.stats):
+        # the statistics mcmle computes for a sample, one row per draw
+        draws = gibbs_sample(7, ET, (-1.0, 0.3), SamplerControls(50, 10, 2),
+                             np.random.default_rng(4))
+        rows = stat_matrix(draws, ET)
+        assert len(draws) == len(rows) == 10
+        for g, row in zip(draws, rows):
             np.testing.assert_array_equal(stat_vector(g, ET), row)
 
 
@@ -207,11 +214,11 @@ class TestExactDistribution:
     def test_gibbs_agrees_with_enumeration(self):
         # moderate-length chain; the acceptance suite runs the full version
         ex = exact_distribution(5, ET, (-1.0, 0.3))
-        res = gibbs_sample(
+        draws = gibbs_sample(
             5, ET, (-1.0, 0.3), SamplerControls(500, 20000, 1), np.random.default_rng(5)
         )
         counts = np.zeros(len(ex.probs))
-        for g in res.graphs:
+        for g in draws:
             counts[graph_index(g, ex.dyads)] += 1
         tv = 0.5 * np.abs(counts / counts.sum() - ex.probs).sum()
         assert tv < 0.08
@@ -222,12 +229,12 @@ class TestExactDistribution:
         start = Graph(5)
         for i, j in dyad_order(5):
             start.add_edge(i, j)
-        res = gibbs_sample(
+        draws = gibbs_sample(
             5, ET, (-1.0, 0.3), SamplerControls(0, 30000, 1), np.random.default_rng(8),
             start=start,
         )
         counts = np.zeros(len(ex.probs))
-        for g in res.graphs:
+        for g in draws:
             counts[graph_index(g, ex.dyads)] += 1
         tv = 0.5 * np.abs(counts / counts.sum() - ex.probs).sum()
         assert tv < 0.08
@@ -263,6 +270,16 @@ class TestHergm:
         a = simulate_hergm(self.spec3(), 7, SamplerControls(100))
         b = simulate_hergm(self.spec3(), 7, SamplerControls(100))
         assert a[0] == b[0] and a[1] == b[1]
+
+    def test_no_statistics_of_the_draws(self, monkeypatch):
+        # a simulation reads graphs only: no block chain computes the
+        # statistics of its draws
+        rows = []
+        stat_rows = stats_module._stat_rows
+        monkeypatch.setattr(stats_module, "_stat_rows",
+                            lambda a, spec: rows.append(len(a)) or stat_rows(a, spec))
+        g, _ = simulate_hergm(self.spec3(), 7, SamplerControls(20, thin_sweeps=2))
+        assert g.n == 36 and rows == []
 
     def test_within_blocks_reproducible_in_isolation(self):
         # the per-cluster stream depends only on (seed, cluster), so the

@@ -478,12 +478,12 @@ class TestFusedSweep:
         theta = [-1.0 if t.kind == "edges" else 0.05 * (k + 1) for k, t in enumerate(spec)]
         start = random_graph(n, 0.3, 5)
         controls = SamplerControls(burnin_sweeps=3, n_samples=5, thin_sweeps=2)
-        res = gibbs_sample(n, spec, theta, controls, np.random.default_rng(9), start=start)
+        draws = gibbs_sample(n, spec, theta, controls, np.random.default_rng(9), start=start)
         g, rng = start.copy(), np.random.default_rng(9)
         engine = ChangeStatEngine(spec, n)
         engine.run(g, theta, rng, controls.burnin_sweeps)
-        assert len(res.graphs) == controls.n_samples
-        for draw, row in zip(res.graphs, res.stats):
+        assert len(draws) == controls.n_samples
+        for draw, row in zip(draws, stat_matrix(draws, spec)):
             engine.run(g, theta, rng, controls.thin_sweeps)
             assert draw == g and draw.n_edges == g.n_edges
             assert row.tolist() == stat_vector(g, spec).tolist()
@@ -554,16 +554,16 @@ class TestFusedSweep:
         # theta and the term parameters are values of the loop, not its
         # source: an MCMLE fit moves theta at every outer iteration
         built = []
-        source = stats_module._sweep_source
-        monkeypatch.setattr(stats_module, "_sweep_source",
-                            lambda kinds: built.append(kinds) or source(kinds))
+        build = stats_module._compile
+        monkeypatch.setattr(stats_module, "_compile", lambda name, source, kinds: (
+            built.append((name, kinds)) or build(name, source, kinds)))
         stats_module._sweep_loop.cache_clear()
         controls = SamplerControls(burnin_sweeps=2, n_samples=2, thin_sweeps=1)
         for text in ("edges,gwesp(0.25)", "edges,gwesp(1.2)", "edges,kstar(2)"):
             for theta in ((-1.0, 0.1), (-0.5, 0.3), (0.2, -0.2)):
                 gibbs_sample(8, parse_spec(text), theta, controls,
                              np.random.default_rng(0))
-        assert built == [("edges", "gwesp"), ("edges", "kstar")]
+        assert built == [("sweep", ("edges", "gwesp")), ("sweep", ("edges", "kstar"))]
         loop = stats_module._sweep_loop(("edges", "gwesp"))
         assert loop.__code__.co_filename == "<sweep edges,gwesp>"
 
@@ -657,15 +657,15 @@ class TestDesign:
 
     def test_one_design_build_per_kind_tuple(self, monkeypatch):
         built = []
-        source = stats_module._design_source
-        monkeypatch.setattr(stats_module, "_design_source",
-                            lambda kinds: built.append(kinds) or source(kinds))
+        build = stats_module._compile
+        monkeypatch.setattr(stats_module, "_compile", lambda name, source, kinds: (
+            built.append((name, kinds)) or build(name, source, kinds)))
         stats_module._design_loop.cache_clear()
         for seed in (1, 2):
             g = random_graph(14, 0.35, seed)
             for text in ("edges,gwesp(0.25)", "edges,gwesp(1.2)", "edges,kstar(2)"):
                 mple(g, parse_spec(text))
-        assert built == [("edges", "gwesp"), ("edges", "kstar")]
+        assert built == [("design", ("edges", "gwesp")), ("design", ("edges", "kstar"))]
         loop = stats_module._design_loop(("edges", "gwesp"))
         assert loop.__code__.co_filename == "<design edges,gwesp>"
 

@@ -484,7 +484,7 @@ class TestGof:
         draws = hergm_draws(hspec, 8, sim_controls)
         chains = [
             gibbs_sample(cl.n, cl.spec, cl.theta, sim_controls,
-                         rng=child_rng(8, "within", k)).graphs
+                         rng=child_rng(8, "within", k))
             for k, cl in enumerate(hspec.clusters)
         ]
         for rep, draw in enumerate(draws):
