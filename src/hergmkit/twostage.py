@@ -33,6 +33,7 @@ from .lsm import (
     LsmControls,
     LsmPosterior,
     _best_permutation,
+    _distances,
     lsm_mcmc,
     map_membership,
 )
@@ -262,7 +263,7 @@ def _gof_model(fit, g: Graph) -> tuple[HergmSpec, StatisticSpec]:
             raise ValueError(
                 f"the fit has latent positions for {z.shape[0]} nodes; the graph has {g.n}"
             )
-        dmat = np.sqrt(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2))
+        dmat = _distances(z, z)
         p = 0.5 * (1.0 + np.tanh(0.5 * (fit.beta0_mean - fit.beta1_mean * dmat)))
         block = BernoulliBlock(g.n, p[np.triu_indices(g.n, 1)])
         # model statistics panel: density only

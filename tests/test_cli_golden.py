@@ -71,6 +71,8 @@ GOLDEN = {
         "575097af34b02611803fad934dd3a8479ded34dd4b9ab1bdbd666a71785968bc",
     "cluster_lsm_positions.csv":
         "df429bab2a1acb024f5cc534f21b43dab13377cfcde4f73b9e65156f93c7d1af",
+    "cluster_lsm_posterior.json":
+        "a2f166cf7eb8b2be1d084eadef134114c0eaa1a27ac6d48e3681a2a9509065cd",
     "cluster_lsm_retune_d1.csv":
         "65aee5c7f8cdf016bbe25abc79c54aa225ac4714bda3b093888c45f18b47dafe",
     "cluster_lsm_retune_d1_positions.csv":
@@ -97,6 +99,8 @@ GOLDEN = {
         "e6bf687191ecd31c05bec41a2b3b37d23a3a7988018d52274043611ec5011005",
     "fit_score.json":
         "68c2262c6588f51eefd90c1b5a4c63b75c9c330bb2c57930435b6f0a0ba1f7d9",
+    "gof_lsm.csv":
+        "57d3105441ffd8744cfd90dce25a04e73f164e334ee9ed34a7851aa848383d6e",
     "gof_ergm.csv":
         "1bd6e8c02e797dc857341000ebde320fc545fac3e84f2947b6b70f2c1fbd70e6",
     "gof_mple.csv":
@@ -170,7 +174,11 @@ def _outputs(work: str) -> dict[str, str]:
           "--out", p("cluster_score.csv")])
     _run(["cluster", "lsm", "--graph", p("sim_graph.edges"), "--K", "3", "--seed", "7",
           "--burnin", "40", "--samples", "20", "--thin", "1",
-          "--out", p("cluster_lsm.csv"), "--positions", p("cluster_lsm_positions.csv")])
+          "--out", p("cluster_lsm.csv"), "--positions", p("cluster_lsm_positions.csv"),
+          "--posterior", p("cluster_lsm_posterior.json")])
+    # one Bernoulli block at the posterior-mean tie probabilities
+    _run(["gof", "--graph", p("sim_graph.edges"), "--fit", p("cluster_lsm_posterior.json"),
+          "--nsim", "5", "--burnin", "10", "--seed", "4", "--out", p("gof_lsm.csv")])
     # 120 burn-in iterations cross two retunes of the position proposal scale
     for dim in ("1", "3"):
         _run(["cluster", "lsm", "--graph", p("sim_graph.edges"), "--K", "3", "--seed", "8",

@@ -302,8 +302,9 @@ class TestLsmMcmc:
         assert len(calls) == 3 * (7 + 5 * 3)
 
     def test_position_scale_retunes_only_between_iterations(self, monkeypatch):
-        # the position block draws all n proposals at one scale, so the
-        # scale may change only on an iteration's last proposal
+        # the position block draws all n proposals at one scale and records
+        # them in one call, so the scale changes only after burn-in
+        # iterations 50 and 100
         from hergmkit import lsm
 
         g = Graph(7)
@@ -312,17 +313,18 @@ class TestLsmMcmc:
         changed = []
         record = lsm._Scale.record
 
-        def spy(self, accepted, tuning):
+        def spy(self, accepted, tuning, proposed=1):
             before = self.value
-            record(self, accepted, tuning)
+            record(self, accepted, tuning, proposed)
             if self.interval == lsm.TUNE_INTERVAL * g.n:
+                assert proposed == g.n and 0 <= accepted <= g.n
                 changed.append(self.value != before)
 
         monkeypatch.setattr(lsm._Scale, "record", spy)
         lsm_mcmc(g, 2, controls=LsmControls(burnin=120, n_samples=5, thin=1), seed=2)
-        assert len(changed) == g.n * 125
+        assert len(changed) == 125
         at = [k for k, c in enumerate(changed) if c]
-        assert at == [g.n * 50 - 1, g.n * 100 - 1]
+        assert at == [49, 99]
 
     def test_acceptance_rates_are_floats(self):
         post = lsm_mcmc(two_cliques(4), 2, controls=LIGHT, seed=1)
@@ -471,3 +473,54 @@ class TestPositionBlock:
         got = _position_block(z, dmat, z + scale * rng.normal(size=(40, 2)),
                               rng.random(40), y, b0, b1, mu, sig2, m)
         assert low <= sum(got) / len(got) <= high
+
+
+class TestHelpers:
+    """``_softplus`` against ``np.logaddexp`` and ``_distances`` against the
+    broadcast form it replaced."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 300.0])
+    def test_softplus_within_4_ulp_of_logaddexp(self, scale):
+        from hergmkit.lsm import _softplus
+
+        x = scale * np.random.default_rng(int(scale * 1000)).normal(size=100_000)
+        np.testing.assert_array_max_ulp(_softplus(x.copy()), np.logaddexp(0.0, x), maxulp=4)
+
+    def test_softplus_equals_logaddexp_at_edge_values(self):
+        from hergmkit.lsm import _softplus
+
+        pos = np.array([0.0, 1e-300, 37.0, 709.0, 710.0, 1e4, np.inf])
+        x = np.concatenate([pos, -pos])
+        np.testing.assert_array_equal(_softplus(x.copy()), np.logaddexp(0.0, x))
+
+    def test_softplus_maps_nan_to_nan(self):
+        # every warning is an error here, so a warning would fail the test
+        from hergmkit.lsm import _softplus
+
+        out = _softplus(np.array([np.nan, -np.nan, 1.0]))
+        assert np.isnan(out[:2]).all() and out[2] == np.logaddexp(0.0, 1.0)
+
+    @staticmethod
+    def _broadcast(a, b):
+        return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+
+    @pytest.mark.parametrize("m", [1, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
+    def test_distances_bit_equal_to_broadcast_below_dim_8(self, d, m):
+        from hergmkit.lsm import _distances
+
+        rng = np.random.default_rng(10 * d + m)
+        a, b = 3.0 * rng.normal(size=(9, d)), rng.normal(size=(m, d))
+        got = _distances(a, b)
+        assert got.shape == (9, m)
+        np.testing.assert_array_equal(got, self._broadcast(a, b))
+        np.testing.assert_array_equal(_distances(a, a), self._broadcast(a, a))
+
+    @pytest.mark.parametrize("d", [8, 9])
+    def test_distances_close_to_broadcast_from_dim_8(self, d):
+        # numpy reduces 8 or more terms in partial sums, so the order differs
+        from hergmkit.lsm import _distances
+
+        rng = np.random.default_rng(d)
+        a, b = rng.normal(size=(9, d)), rng.normal(size=(4, d))
+        np.testing.assert_allclose(_distances(a, b), self._broadcast(a, b), rtol=1e-14)
