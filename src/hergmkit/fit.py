@@ -107,10 +107,10 @@ MPLE_GRAD_TOL = 1e-8
 def mple(g: Graph, spec: StatisticSpec) -> ErgmFit:
     """Maximum pseudo-likelihood estimate via Newton iteration.
 
-    The logistic regression's design is ``ChangeStatEngine.design``'s; the
-    first fit of a new tuple of term kinds in a process compiles its loop.
-    A design whose rechecked row differs from ``ChangeStatEngine.compute``
-    raises ``RuntimeError``.
+    The logistic regression's design is ``ChangeStatEngine.design``'s, dense
+    algebra on the adjacency matrix and its square.  A design whose
+    rechecked row differs from ``ChangeStatEngine.compute`` by more than
+    ``stats.DESIGN_RTOL`` relative raises ``RuntimeError``.
 
     Newton iteration stops once the gradient norm is below ``MPLE_GRAD_TOL``.
     Raises ``NonFiniteMleError`` on perfect or quasi-complete separation

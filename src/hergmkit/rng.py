@@ -10,8 +10,8 @@ derived keys stable across runs and platforms.
 in a pool of worker processes only when the pool can pay for itself:
 ``threads > 1``, at least two tasks, and an estimated ``visits`` of at least
 ``POOL_MIN_VISITS``.  Work is counted in dyad visits, C(n_k, 2) per sweep of
-each ERGM block, an MPLE fit counting as 2 sweeps; Bernoulli blocks count
-none.  Workers are forked where the platform can fork.  Library calls
+each ERGM block, an MPLE fit counting as a fifth of a sweep; Bernoulli blocks
+count none.  Workers are forked where the platform can fork.  Library calls
 default to ``threads=1`` and so never start a pool, which keeps pools from
 nesting inside the workers of another.
 """
@@ -34,16 +34,21 @@ __all__ = ["child_rng", "child_seed", "parallel_map"]
 # ending on their first full-size sample, 63 against 80 ms at 10,260
 # estimated visits, 127 against 122 ms at 20,520 and 142 against 114 ms at
 # 30,780 (medians of 15; at these sizes the walk takes a fit to 1.5-1.8
-# times its estimate); MPLE fits of 4 blocks at density 0.15 (fig3 spec,
-# medians of 9) 41 against 59 ms at 19,800 dyads, 55-58 against 40-67 ms
-# at 23,980, 66-86 against 49-60 ms at 28,560 and 275-334 against 152-213
-# ms at 79,600 (large_mple's 4 x 200 blocks, which pool at 2 visits a
-# dyad), a crossover between 39,600 and 48,000 visits at 2 a dyad.  While
-# the VM ran two busy processes no faster than one, the chains found no
-# crossover up to 91,770 visits.  The threshold sits above these crossovers
-# because the toy fig3 fit of perfbench/test_smoke.py (42,180 visits) must
-# stay serial: that test counts sampler and fit calls in its own process
-# only.
+# times its estimate of burn-in and full-size sample).  MPLE fits of 4
+# blocks at density 0.15 (fig3 spec, BLAS at one thread), whose design is
+# dense algebra: 26-27 against 53-55 ms at 79,600 dyads (4 x 200 nodes),
+# 64-69 against 67-110 at 179,400, 93-126 against 78-106 at 244,300,
+# 119-175 against 98-139 at 319,200 and 741 against 553-564 at 1,278,400
+# (4 x 800); whole ``fit twostage`` runs (medians of 5) took 0.33 against
+# 0.37 s at 216,780 dyads and 0.44 against 0.40 s at 319,200.  A fifth of a
+# visit a dyad puts the threshold at 250,000 dyads, inside that crossover.
+# With BLAS at two threads a serial fit already keeps both vCPUs busy, and
+# the pool lost at every size: whole runs 0.45 against 0.65 s at 319,200
+# dyads and 1.14 against 1.36 s at 4 x 800.  While the VM ran two busy
+# processes no faster than one, the chains found no crossover up to 91,770
+# visits.  The threshold sits above the chains' crossovers because the toy
+# fig3 fit of perfbench/test_smoke.py (46,740 visits) must stay serial:
+# that test counts sampler and fit calls in its own process only.
 POOL_MIN_VISITS = 50_000
 # Workers are forked where the platform can: they start with the parent's
 # modules loaded, where a spawned or forkserver worker (Python 3.14's default

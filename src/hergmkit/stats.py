@@ -17,20 +17,21 @@ and ``sampler.exact_distribution`` are all built on it.
 updates a sampler makes and for the MPLE design.  Its ``run`` is a whole
 Gibbs chain (burn-in and draws) on one kernel state, which keeps a
 shared-partner table up to date across edge toggles; its ``design`` is every
-dyad's row of change statistics on a fixed graph, read from the same state.
+dyad's row of change statistics on a fixed graph, in dense algebra on A and
+the shared partners ``A @ A``.
 
-Both are one Python loop put together for the spec's tuple of term kinds
-and compiled once per process (``_sweep_loop``, ``_design_loop``), from one
+A sweep of ``run`` is one Python loop put together for the spec's tuple of
+term kinds and compiled once per process (``_sweep_loop``), from one
 ``_SNIPPETS`` entry per term kind: the lines that compute its change
 statistic ``c{k}``.  The kinds fix the loop's lines: one snippet per term,
 in spec order, and whether the neighbour lists and the shared-partner table
-are kept.  The sweep adds ``th{k} * c{k}`` to the logit, and the design
-appends ``c{k}`` to the dyad's row.  Everything else, theta, the degree
-targets, the star counts and the gw increment tables, is passed as values,
-so one loop serves every theta and every decay.  The hand-written
-``compute`` evaluates one dyad from the adjacency bitmasks; it is the
-reference for the snippets' arithmetic, which ``run`` and ``design`` each
-recheck on one dyad per call and the tests check dyad by dyad.
+are kept.  The sweep adds ``th{k} * c{k}`` to the logit.  Everything else,
+theta, the degree targets, the star counts and the gw increment tables, is
+passed as values, so one loop serves every theta and every decay.  The
+hand-written ``compute`` evaluates one dyad from the adjacency bitmasks; it
+is the reference for the snippets' arithmetic and for the design's, which
+``run`` and ``design`` each recheck on one dyad per call and the tests check
+dyad by dyad.
 """
 
 from __future__ import annotations
@@ -59,6 +60,10 @@ __all__ = [
 
 _KINDS = ("edges", "kstar", "triangles", "gwdsp", "gwesp", "degree")
 _GW_KINDS = ("gwdsp", "gwesp")
+
+# relative tolerance of the design's recheck against ``compute``: its gw
+# columns sum in BLAS's order, a few ulps from ``compute``'s
+DESIGN_RTOL = 1e-12
 
 # largest gw decay: the one-partner weight e^d (1 - (1 - e^-d)), exactly 1,
 # rounds to 1 + 2e-8 at d = 20, 1 + 1.7e-4 at 30, 1.3 at 37 and 0 from 38
@@ -284,23 +289,25 @@ class ChangeStatEngine:
     with edge {i,j} present and absent, as a plain float list.  The present
     state of {i,j} in g is irrelevant: the edge is masked out of the
     adjacency before any neighbor scans.  It is the hand-written reference
-    for the generated loops: ``run`` and ``design`` each recheck one dyad
-    against it per call, and the tests and the benchmark's kernel check
-    compare it with ``stat_vector``.
+    for the generated sweep loop and for the dense design: ``run`` and
+    ``design`` each recheck one dyad against it per call, and the tests and
+    the benchmark's kernel check compare it with ``stat_vector``.
 
-    ``run`` (the Gibbs chain) and ``design`` (the MPLE design) are each one
-    call of a loop generated for the spec's term kinds from the same
-    ``_SNIPPETS`` entries, reading the same kernel state (``_state``): the
-    adjacency masks and, for a spec with a gw term, ascending neighbour
-    lists and the shared-partner table ``sp[u][v] = |N(u) & N(v)|``
-    (``A @ A`` with a zero diagonal).  ``run`` builds the state once for a
-    burn-in and all the draws that follow it, and moves the table by +-1 on
-    the rows and columns of i and j when {i,j} toggles.  The gw scans read
+    ``run`` (the Gibbs chain) is one call of a loop generated for the spec's
+    term kinds from the ``_SNIPPETS`` entries, reading the kernel state
+    (``_state``): the adjacency masks and, for a spec with a gw term,
+    ascending neighbour lists and the shared-partner table
+    ``sp[u][v] = |N(u) & N(v)|`` (``A @ A`` with a zero diagonal).  ``run``
+    builds the state once for a burn-in and all the draws that follow it,
+    and moves the table by +-1 on the rows and columns of i and j when {i,j}
+    toggles.  The gw scans read
     counts from the table instead of counting mask bits; for a dyad with tie
     ``a``, the count of shared partners with {i,j} forced absent is
     ``sp - a``, which the increment tables absorb by a shift of ``a``.
     Other terms read the masks: a table costs O(degree) a toggle, which only
-    the gw scans earn back.
+    the gw scans earn back.  ``design`` (the MPLE design) reads no kernel
+    state: its graph is fixed, so it takes every dyad at once from A and
+    ``A @ A``.
     """
 
     def __init__(self, spec: StatisticSpec, n: int):
@@ -377,13 +384,16 @@ class ChangeStatEngine:
                 out.append(delta)
         return out
 
-    def _state(self, g: Graph):
-        """g's kernel state (see the class docstring) as the loops read it:
-        ``(adj, nbrs, sp)``, where ``adj`` is g's own mask list, which a
-        sweep moves, and ``nbrs`` and ``sp`` are None unless a gw term reads
-        them."""
+    def _check_size(self, g: Graph) -> None:
         if g.n != self.n:
             raise ValueError(f"engine built for n={self.n}, graph has n={g.n}")
+
+    def _state(self, g: Graph):
+        """g's kernel state (see the class docstring) as the sweep loop reads
+        it: ``(adj, nbrs, sp)``, where ``adj`` is g's own mask list, which a
+        sweep moves, and ``nbrs`` and ``sp`` are None unless a gw term reads
+        them."""
+        self._check_size(g)
         nbrs = sp = None
         if self._keeps_sp:
             # ascending neighbour lists, kept in step with adj; a list walks
@@ -399,22 +409,72 @@ class ChangeStatEngine:
         canonical order (0,1), (0,2), ..., and y, the dyads' tie flags as
         1.0/0.0.
 
-        Both come from one call of the loop built for the spec's term kinds
-        (see the module docstring) on g's kernel state.  Its rows equal
-        ``compute``'s byte for byte; each call rechecks the last one.
+        Each column is dense algebra on the adjacency A and the shared
+        partners SP = A @ A, read on the upper triangle.  With dyad {i,j}
+        of tie a forced absent, its endpoints have degrees d - a, and a
+        neighbour v of j (v != i) shares SP[i,v] - a partners with i.
+        edges is 1 and triangles SP; kstar and degree(k) read the degrees
+        d - a.  gwesp is ``w[SP] + M + M.T`` with ``M = (A * dw[SP - a]) @ A``:
+        the new edge's own weight, and one partner more for each edge from i
+        or j to a common neighbour.  gwdsp is ``G + G.T`` with
+        ``G = dw[SP - a] @ A`` taken with a zero diagonal, which drops the
+        own-tie term v = i of a present dyad.  Each gw product is taken at
+        a = 0 and a = 1, and a dyad reads the one of its tie.
+
+        The Markov columns are integer-exact and equal ``compute``'s byte for
+        byte.  The gw columns add the same nonnegative increments as
+        ``compute`` in BLAS's order, so they agree up to rounding; each call
+        rechecks the last row within ``DESIGN_RTOL``.
         """
-        n, p = self.n, len(self.spec)
-        rows, ties = [], []
-        _design_loop(self._kinds)(n, *self._state(g), self._tables, rows, ties)
-        x = np.array(rows, dtype=np.float64).reshape(len(ties), p)
-        if ties:
-            got, expected = x[-1].tolist(), self.compute(g, n - 2, n - 1)
-            if got != expected:
+        self._check_size(g)
+        n = self.n
+        a = g.adjacency_matrix().astype(np.float64)
+        sp = _partners(a)
+        counts = sp.astype(np.int64)
+        # each dyad's entry of an n x n matrix, and its transpose's
+        i, j = np.triu_indices(n, 1)
+        upper, lower = i * n + j, j * n + i
+        tie = a.take(upper).astype(np.int64)
+        degrees = counts.diagonal()
+        di, dj = degrees[i] - tie, degrees[j] - tie
+        cols = []
+        for kind, table in zip(self._kinds, self._tables):
+            if kind == "edges":
+                col = np.ones(len(upper))
+            elif kind == "triangles":
+                col = sp.take(upper)
+            elif kind == "kstar":
+                # object entries once a count outgrows int64, summed exactly
+                # and rounded once, as ``compute`` does
+                stars = np.array(table, dtype=None if table[-1] < 1 << 62 else object)
+                col = (stars[di] + stars[dj]).astype(np.float64)
+            elif kind == "degree":
+                col = ((di + 1 == table) * 1.0 - (di == table)
+                       + (dj + 1 == table) - (dj == table))
+            else:
+                w, dws = table if kind == "gwesp" else (None, table)
+                sums = []
+                for shift in (0, 1):
+                    d = np.array(dws[shift])[counts]
+                    if kind == "gwesp":
+                        d *= a
+                    else:
+                        np.fill_diagonal(d, 0.0)
+                    m = d @ a
+                    sums.append(m.take(upper) + m.take(lower))
+                col = np.where(tie, sums[1], sums[0])
+                if kind == "gwesp":
+                    col = np.array(w)[counts.take(upper)] + col
+            cols.append(col)
+        x = np.column_stack(cols)
+        if len(upper):
+            got, expected = x[-1], self.compute(g, n - 2, n - 1)
+            if not np.allclose(got, expected, rtol=DESIGN_RTOL, atol=0.0):
                 raise RuntimeError(
-                    f"design row {got!r} differs from compute()'s {expected!r} "
-                    f"on dyad ({n - 2}, {n - 1})"
+                    f"design row {got.tolist()!r} differs from compute()'s "
+                    f"{expected!r} on dyad ({n - 2}, {n - 1})"
                 )
-        return x, np.array(ties, dtype=np.float64)
+        return x, tie.astype(np.float64)
 
     def run(self, g: Graph, theta, rng: np.random.Generator, burnin: int,
             n_draws: int = 0, thin: int = 1) -> list[Graph]:
@@ -470,8 +530,7 @@ class ChangeStatEngine:
 # ``ChangeStatEngine.__init__``), the tags of the loop lines it reads, and
 # the lines that set ``c{k}``, its change statistic at the dyad, with the
 # arithmetic of ``compute`` on the kernel state.  ``{k}`` is the term's
-# position in the spec.  The sweep adds ``th{k} * c{k}`` to the logit, and
-# the design appends ``c{k}`` to the dyad's row.
+# position in the spec.  The sweep adds ``th{k} * c{k}`` to the logit.
 _SNIPPETS = {
     # th * 1.0 is th exactly
     "edges": ("_", set(), ["c{k} = 1.0"]),
@@ -504,25 +563,15 @@ _SNIPPETS = {
     ]),
 }
 
-# The state both loops read at dyad (i, j), i < j, in an i-loop that has set
-# ``ai``, ``nbrs_i`` and ``sp_i``.  A line tagged ``#:tag`` is kept only for
-# a spec whose kinds read it: ``common`` and ``di``, ``dj`` are the dyad's
-# common neighbours and its endpoints' degrees with the dyad forced absent.
-_VISIT = """\
-            aj = adj[j]
-            a = ai >> j & 1
-            sp_j = sp[j]  #:sp
-            common = ai & aj  #:common
-            di = ai.bit_count() - a  #:degrees
-            dj = aj.bit_count() - a  #:degrees
-{terms}"""
-
 # One systematic sweep over the dyads in canonical order, returning the edge
 # count and the last dyad's logit; ``tanh`` and ``insort`` are defaults so
-# that the loop reads them as locals.  The ``sp`` lines after the draw keep
-# the neighbour lists and the shared-partner table in step with a toggle:
-# i gains shared partner j with each neighbour of j, and j gains i with each
-# neighbour of i; a removal takes them back.
+# that the loop reads them as locals.  A line tagged ``#:tag`` is kept only
+# for a spec whose kinds read it: at dyad (i, j), ``common`` and ``di``,
+# ``dj`` are its common neighbours and its endpoints' degrees with the dyad
+# forced absent.  The ``sp`` lines after the draw keep the neighbour lists
+# and the shared-partner table in step with a toggle: i gains shared partner
+# j with each neighbour of j, and j gains i with each neighbour of i; a
+# removal takes them back.
 _SWEEP = """\
 def sweep(n, adj, nbrs, sp, u, n_edges, theta, tables, tanh=tanh, insort=insort):
     [{thetas}] = theta
@@ -535,7 +584,13 @@ def sweep(n, adj, nbrs, sp, u, n_edges, theta, tables, tanh=tanh, insort=insort)
         nbrs_i = nbrs[i]  #:sp
         sp_i = sp[i]  #:sp
         for j, x in zip(range(i + 1, n), draws):
-{visit}
+            aj = adj[j]
+            a = ai >> j & 1
+            sp_j = sp[j]  #:sp
+            common = ai & aj  #:common
+            di = ai.bit_count() - a  #:degrees
+            dj = aj.bit_count() - a  #:degrees
+{terms}
             logit = {logit}
             if x < 0.5 * (1.0 + tanh(0.5 * logit)):
                 if not a:
@@ -567,57 +622,30 @@ def sweep(n, adj, nbrs, sp, u, n_edges, theta, tables, tanh=tanh, insort=insort)
     return n_edges, logit
 """
 
-# The MPLE design of a fixed graph, in canonical dyad order: each dyad's
-# row of change statistics onto the flat list ``rows``, its tie onto ``ties``.
-_DESIGN = """\
-def design(n, adj, nbrs, sp, tables, rows, ties):
-    [{tables}] = tables
-    for i in range(n - 1):
-        ai = adj[i]
-        nbrs_i = nbrs[i]  #:sp
-        sp_i = sp[i]  #:sp
-        for j in range(i + 1, n):
-{visit}
-            rows.extend(({row},))
-            ties.append(a)
-"""
 
-
-def _loop_source(template: str, kinds: tuple[str, ...]) -> str:
-    """Source of ``template``'s loop for a spec whose term kinds are ``kinds``."""
+def _loop_source(kinds: tuple[str, ...]) -> str:
+    """Source of the sweep loop for a spec whose term kinds are ``kinds``."""
     tags = set().union(*(_SNIPPETS[kind][1] for kind in kinds))
     terms = "\n".join(" " * 12 + line.format(k=k) for k, kind in enumerate(kinds)
                       for line in _SNIPPETS[kind][2])
-    source = template.format(
-        visit=_VISIT.format(terms=terms),
+    source = _SWEEP.format(
+        terms=terms,
         thetas=", ".join(f"th{k}" for k in range(len(kinds))),
         tables=", ".join(_SNIPPETS[kind][0].format(k=k) for k, kind in enumerate(kinds)),
         logit=" + ".join(f"th{k} * c{k}" for k in range(len(kinds))),
-        row=", ".join(f"c{k}" for k in range(len(kinds))),
     )
     return "\n".join(line for line in source.splitlines()
                      if "#:" not in line or line.split("#:")[1] in tags)
 
 
-def _compile(name: str, source: str, kinds: tuple[str, ...]):
-    """The function ``name`` defined by ``source``; the filename in its
-    tracebacks names the loop and the kinds."""
-    namespace = {"tanh": math.tanh, "insort": bisect.insort}
-    exec(compile(source, f"<{name} {','.join(kinds)}>", "exec"), namespace)
-    return namespace[name]
-
-
 @functools.cache
 def _sweep_loop(kinds: tuple[str, ...]):
     """The sweep loop of ``kinds``, compiled on its first use in a process,
-    which keeps one loop per tuple of kinds it runs."""
-    return _compile("sweep", _loop_source(_SWEEP, kinds), kinds)
-
-
-@functools.cache
-def _design_loop(kinds: tuple[str, ...]):
-    """The design loop of ``kinds``, compiled and kept as ``_sweep_loop``'s."""
-    return _compile("design", _loop_source(_DESIGN, kinds), kinds)
+    which keeps one loop per tuple of kinds it runs; the filename in its
+    tracebacks names the kinds."""
+    namespace = {"tanh": math.tanh, "insort": bisect.insort}
+    exec(compile(_loop_source(kinds), f"<sweep {','.join(kinds)}>", "exec"), namespace)
+    return namespace["sweep"]
 
 
 def change_statistics(g: Graph, d: tuple[int, int], spec: StatisticSpec) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .fit import (
     MCMLE_SAMPLE_BOOST,
+    MCMLE_WALK_DIVISOR,
     ErgmFit,
     FitDiagnostics,
     GraphTooSmallError,
@@ -149,14 +150,13 @@ def two_stage_fit(
     sizes = partition.sizes().tolist()
     jobs = [(within_subgraph(g, partition, k), spec, method, mcmle, theta0,
              stage2_seed(seed, k)) for k, nk in enumerate(sizes) if nk]
-    # an MCMLE fit runs at least its burn-in and the full-size sample it ends
-    # on; an MPLE fit, design row and Newton steps, took as long as 0.9-1.6
-    # Gibbs updates a dyad (1.8-3.1 us on blocks of 70 and 200 nodes at
-    # density 0.15, against 1.9 us an update on a fig3 chain, medians of 9
-    # calls); it counts 2 visits a dyad, which puts the threshold of
-    # rng.POOL_MIN_VISITS at the MPLE crossover timed in its comment
-    sweeps = (2 if method == "mple"
-              else mcmle.burnin_sweeps + MCMLE_SAMPLE_BOOST * mcmle.n_samples)
+    # an MCMLE fit runs at least its burn-in, the walk's first sample and
+    # the full-size sample it ends on; an MPLE fit counts a fifth of a visit
+    # a dyad, which puts the threshold of rng.POOL_MIN_VISITS at the MPLE
+    # crossover timed in its comment
+    m = MCMLE_SAMPLE_BOOST * mcmle.n_samples
+    sweeps = (0.2 if method == "mple"
+              else mcmle.burnin_sweeps + max(m // MCMLE_WALK_DIVISOR, 4) + m)
     done = iter(parallel_map(_fit_cluster, jobs, threads,
                              sweeps * sum(nk * (nk - 1) // 2 for nk in sizes)))
     fits, reasons = zip(*(next(done) if nk else (None, "cluster is empty") for nk in sizes))

@@ -791,8 +791,8 @@ class TestThreads:
 
     def test_outputs_identical_across_thread_counts(self, tmp_path, pools):
         # 3 x C(20, 2) = 570 ERGM dyads: simulate 570 x (100 + 10), fit at least
-        # 570 x (30 + 2 x 64) and gof 570 x (70 + 5 x 10) dyad visits, all above
-        # POOL_MIN_VISITS
+        # 570 x (30 + 16 + 2 x 64) and gof 570 x (70 + 5 x 10) dyad visits, all
+        # above POOL_MIN_VISITS
         config = _write_config(tmp_path, {
             "clusters": [{"n": 20, "stats": "edges,gwesp(0.5)", "theta": [-2.0, t]}
                          for t in (0.2, 0.5, 1.0)],

@@ -88,17 +88,17 @@ GOLDEN = {
     "experiment_score.csv":
         "d61858812327b2926ff425503af41913e7730109fddad459c65de6269938036d",
     "experiment_sensitivity.csv":
-        "5418a232e3358aa74ae339f6b44a81da3b4fcd849301cd03add6665e8bfcc985",
+        "f4982540da2f5fcd936b01217b56fa652cc7553ca48ff2b38bc890956092e0c1",
     "fit_mcmle.json":
-        "a237d2abb7a788970560d7f34e730e9e6984bd2145566869cfff8d85f7d8b4fc",
+        "022c80e48c90803078d330221847e43442c2d16c9ae635085e8b56412ac20cac",
     "fit_lsm.json":
-        "b03df36dcfd9ccac220d3e89cf2016c4ca6001703514003f4132782c007c68e2",
+        "649bdd7da6870c7e408840f0488ca65857c69bb6d3ca9f19ed873664d36da6be",
     "fit_mple.json":
-        "10b5e6ff6c90e14f8026c5e7ebe12d44fa327fd5b3ef2a64951eb61a5c5fbac3",
+        "4a43463350eeea522435ac0e772ec41505e0fa8eb9946b74a65c3c544c39cd46",
     "fit_mple_markov.json":
         "e6bf687191ecd31c05bec41a2b3b37d23a3a7988018d52274043611ec5011005",
     "fit_score.json":
-        "68c2262c6588f51eefd90c1b5a4c63b75c9c330bb2c57930435b6f0a0ba1f7d9",
+        "cc41ebdae54d6d0b657ebe3f176793a1f8f0832a017cab0790144ccedd6be427",
     "gof_lsm.csv":
         "57d3105441ffd8744cfd90dce25a04e73f164e334ee9ed34a7851aa848383d6e",
     "gof_ergm.csv":

@@ -554,16 +554,16 @@ class TestFusedSweep:
         # theta and the term parameters are values of the loop, not its
         # source: an MCMLE fit moves theta at every outer iteration
         built = []
-        build = stats_module._compile
-        monkeypatch.setattr(stats_module, "_compile", lambda name, source, kinds: (
-            built.append((name, kinds)) or build(name, source, kinds)))
+        source = stats_module._loop_source
+        monkeypatch.setattr(stats_module, "_loop_source", lambda kinds: (
+            built.append(kinds) or source(kinds)))
         stats_module._sweep_loop.cache_clear()
         controls = SamplerControls(burnin_sweeps=2, n_samples=2, thin_sweeps=1)
         for text in ("edges,gwesp(0.25)", "edges,gwesp(1.2)", "edges,kstar(2)"):
             for theta in ((-1.0, 0.1), (-0.5, 0.3), (0.2, -0.2)):
                 gibbs_sample(8, parse_spec(text), theta, controls,
                              np.random.default_rng(0))
-        assert built == [("sweep", ("edges", "gwesp")), ("sweep", ("edges", "kstar"))]
+        assert built == [("edges", "gwesp"), ("edges", "kstar")]
         loop = stats_module._sweep_loop(("edges", "gwesp"))
         assert loop.__code__.co_filename == "<sweep edges,gwesp>"
 
@@ -609,6 +609,15 @@ def reference_design(engine, g):
     return x.reshape(len(dyads), len(engine.spec)), y
 
 
+def assert_design_matches(spec, x, y, x_ref, y_ref):
+    """Markov columns and ties byte-equal to the oracle's, gw columns within
+    1e-12 relative (a zero stays an exact zero)."""
+    assert x.shape == x_ref.shape and y.tobytes() == y_ref.tobytes()
+    gw = np.array([t.kind in ("gwesp", "gwdsp") for t in spec])
+    assert x[:, ~gw].tobytes() == x_ref[:, ~gw].tobytes()
+    np.testing.assert_allclose(x[:, gw], x_ref[:, gw], rtol=1e-12, atol=0.0)
+
+
 DESIGN_SPECS = [
     "edges,kstar(2),kstar(3),kstar(5),triangles,degree(0),degree(1),degree(4)",
     "gwesp(0),gwdsp(0),gwesp(0.5),gwdsp(1.7),edges,gwesp(20),gwdsp(20)",
@@ -620,7 +629,7 @@ DESIGN_SPECS = [
 
 class TestDesign:
     @pytest.mark.parametrize("text", DESIGN_SPECS)
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 20, 50])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 20, 50, 200])
     @pytest.mark.parametrize("density", [0.0, 0.03, 0.5, 0.97, 1.0])
     def test_rows_equal_compute(self, text, n, density):
         # every term kind at several decays, star sizes and degree targets,
@@ -630,10 +639,17 @@ class TestDesign:
         before = g.copy()
         engine = ChangeStatEngine(spec, n)
         x, y = engine.design(g)
-        x_ref, y_ref = reference_design(engine, g)
         assert x.shape == (n * (n - 1) // 2, len(spec)) and y.shape == (len(x),)
-        assert x.tobytes() == x_ref.tobytes() and y.tobytes() == y_ref.tobytes()
+        assert_design_matches(spec, x, y, *reference_design(engine, g))
         assert g == before and g.n_edges == before.n_edges
+
+    def test_wide_star_counts_round_once(self):
+        # C(80, 39) outgrows int64: the two endpoints' counts are summed
+        # exactly and rounded once, as compute() does
+        spec = parse_spec("kstar(40)")
+        g = random_graph(82, 0.97, 5)
+        engine = ChangeStatEngine(spec, g.n)
+        assert_design_matches(spec, *engine.design(g), *reference_design(engine, g))
 
     @pytest.mark.parametrize("first, second", [
         ("edges,gwesp(0.25)", "edges,gwesp(1.2)"),
@@ -642,32 +658,28 @@ class TestDesign:
         ("edges,gwesp(0.5),gwdsp(0.5)", "gwdsp(0.5),gwesp(0.5),edges"),
     ])
     def test_specs_sharing_kinds_get_their_own_rows(self, first, second):
-        # the loop built for the first spec's kinds must not carry its
-        # parameters or its order into the second
+        # an engine's columns follow its own spec's parameters and order,
+        # and a design repeats byte for byte
         g = random_graph(12, 0.3, 8)
         designs = []
         for text in (first, second, first):
             engine = ChangeStatEngine(parse_spec(text), 12)
             x, y = engine.design(g)
-            x_ref, y_ref = reference_design(engine, g)
-            assert x.tobytes() == x_ref.tobytes() and y.tobytes() == y_ref.tobytes()
+            assert_design_matches(engine.spec, x, y, *reference_design(engine, g))
             designs.append(x)
         assert designs[0].tobytes() != designs[1].tobytes()
         assert designs[0].tobytes() == designs[2].tobytes()
 
-    def test_one_design_build_per_kind_tuple(self, monkeypatch):
-        built = []
-        build = stats_module._compile
-        monkeypatch.setattr(stats_module, "_compile", lambda name, source, kinds: (
-            built.append((name, kinds)) or build(name, source, kinds)))
-        stats_module._design_loop.cache_clear()
-        for seed in (1, 2):
-            g = random_graph(14, 0.35, seed)
-            for text in ("edges,gwesp(0.25)", "edges,gwesp(1.2)", "edges,kstar(2)"):
-                mple(g, parse_spec(text))
-        assert built == [("design", ("edges", "gwesp")), ("design", ("edges", "kstar"))]
-        loop = stats_module._design_loop(("edges", "gwesp"))
-        assert loop.__code__.co_filename == "<design edges,gwesp>"
+    def test_mple_equals_oracle_design_fit(self, monkeypatch):
+        # a fig3-spec block of the benchmark's size: the gw columns' last
+        # digits do not move the estimate
+        spec = parse_spec("edges,gwdsp(0.5),gwesp(0.5)")
+        g = random_graph(200, 0.15, 4)
+        fit = mple(g, spec)
+        monkeypatch.setattr(ChangeStatEngine, "design", reference_design)
+        oracle = mple(g, spec)
+        np.testing.assert_allclose(fit.theta_hat, oracle.theta_hat, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(fit.std_errors, oracle.std_errors, rtol=1e-10)
 
     @pytest.fixture
     def drifted_compute(self, monkeypatch):
@@ -691,6 +703,10 @@ class TestDesign:
     def test_drifted_compute_makes_mple_raise(self, drifted_compute):
         with pytest.raises(RuntimeError, match="differs from compute"):
             mple(random_graph(12, 0.4, 3), FULL_SPEC)
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="engine built for n=5"):
+            ChangeStatEngine(FULL_SPEC, 5).design(random_graph(6, 0.5, 1))
 
 
 class TestStatMatrix:

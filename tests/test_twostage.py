@@ -620,9 +620,10 @@ class TestClusterPool:
         for method in ("mple", "mcmle"):
             two_stage_fit(g, truth, parse_spec("edges"), method=method, mcmle=McmleControls(8, 5))
         # 15 + 10 ERGM dyads; Bernoulli blocks count none; an MPLE dyad counts
-        # 2 visits, an MCMLE fit its burn-in and one full-size sample
+        # a fifth of a visit, an MCMLE fit its burn-in, the walk's first sample
+        # (a full-size sample of 16 over 8, at least 4) and one full-size sample
         assert estimates == [25 * (3 + 2 * 4), 25 * (3 + 1 * 10),
-                             (15 + 435 + 10) * 2, (15 + 435 + 10) * (5 + 2 * 8)]
+                             (15 + 435 + 10) * 0.2, (15 + 435 + 10) * (5 + 4 + 2 * 8)]
 
     def test_draws_identical_in_a_pool(self, pools):
         hspec = HergmSpec(tuple(ClusterSpec(20, SPEC, (BASE, t, t)) for t in (0.2, 0.5))
@@ -638,10 +639,10 @@ class TestClusterPool:
         ("mple", McmleControls()), ("mcmle", McmleControls(n_samples=64, burnin_sweeps=30)),
     ])
     def test_fit_identical_in_a_pool(self, pools, method, mc):
-        if method == "mple":  # 4 x C(120, 2) x 2 = 57,120 dyad visits
-            g, truth = simulate_hergm(HergmSpec((BernoulliBlock(120, 0.05),) * 4, 0.01), 3)
+        if method == "mple":  # 4 x C(360, 2) / 5 = 51,696 dyad visits
+            g, truth = simulate_hergm(HergmSpec((BernoulliBlock(360, 0.05),) * 4, 0.01), 3)
             spec = parse_spec("edges,triangles")
-        else:  # 3 x C(20, 2) x (30 + 2 x 64) = 90,060 dyad visits
+        else:  # 3 x C(20, 2) x (30 + 16 + 2 x 64) = 99,180 dyad visits
             (g, truth), spec = fig1_like(n_per=20), SPEC
         fits = [two_stage_fit_to_dict(two_stage_fit(g, truth, spec, method=method, mcmle=mc,
                                                     seed=9, threads=threads))
