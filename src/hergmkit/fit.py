@@ -99,7 +99,6 @@ def _inverse_se(h: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
 
-_SEPARATION_NORM = 50.0
 MPLE_MAX_ITER = 100
 MPLE_GRAD_TOL = 1e-8
 
@@ -112,11 +111,15 @@ def mple(g: Graph, spec: StatisticSpec) -> ErgmFit:
     rechecked row differs from ``ChangeStatEngine.compute`` by more than
     ``stats.DESIGN_RTOL`` relative raises ``RuntimeError``.
 
-    Newton iteration stops once the gradient norm is below ``MPLE_GRAD_TOL``.
-    Raises ``NonFiniteMleError`` on perfect or quasi-complete separation
-    (including the empty/complete graph with an edges term), reporting the
-    direction of the Newton step along which the pseudo-likelihood keeps
-    rising; the dyads that step does not move are left out of the test.
+    Newton iteration stops once the gradient norm is below ``MPLE_GRAD_TOL``,
+    however large the estimate; a nearly collinear design can have a
+    finite MPLE far from the origin.  Raises ``NonFiniteMleError`` on
+    perfect or quasi-complete separation (including the empty/complete
+    graph with an edges term): once the dyads a Newton step moves have
+    fitted probabilities within 1e-3 of their ties, with |beta| above 10.
+    The error reports the direction of that step, along which the
+    pseudo-likelihood keeps rising; the dyads it does not move are left
+    out of the test.
     Raises ``MpleNotConvergedError`` when Newton iteration stops at
     ``MPLE_MAX_ITER`` iterations, and ``GraphTooSmallError`` when the graph
     is smaller than the spec needs (``StatisticSpec.min_nodes``).
@@ -148,9 +151,7 @@ def mple(g: Graph, spec: StatisticSpec) -> ErgmFit:
         # probability however far beta goes, so only the moved ones must fit
         moved = np.abs(x @ step) > 1e-3
         perfect_fit = bool(moved.any()) and float(np.max(np.abs(y - p_new)[moved])) < 1e-3
-        if np.linalg.norm(beta) > _SEPARATION_NORM or (
-            perfect_fit and np.linalg.norm(beta) > 10.0
-        ):
+        if perfect_fit and np.linalg.norm(beta) > 10.0:
             # fitted probabilities can reach the data only as beta diverges
             direction = step / np.linalg.norm(step)
             raise NonFiniteMleError(

@@ -292,7 +292,52 @@ def write_edge_list(g: Graph, path):
 
 def read_edge_list(path) -> Graph:
     """Read ``n <count>`` then one ``i j`` line per edge; every error names
-    the file and line."""
+    the file and line.
+
+    The body after the header is parsed by one ``np.loadtxt`` call, and
+    self-loops, negative ids, ids >= n and repeated dyads are found by
+    array operations.  A file whose header does not parse, whose body holds
+    a ``#`` or refuses the bulk parse, or in which those checks find a bad
+    row, is read line by line by ``_read_edge_lines``; it names the first
+    bad line, and reads the ids ``int`` accepts and ``np.loadtxt`` does not.
+    """
+    head = ""
+    with open(path, encoding="utf-8") as fh:
+        for raw in iter(fh.readline, ""):
+            head = raw.strip()
+            if head and not head.startswith("#"):
+                break
+        body = fh.read()
+    header = head.split()
+    if len(header) != 2 or header[0] != "n" or not header[1].isdecimal() or "#" in body:
+        return _read_edge_lines(path)
+    n = int(header[1])
+    try:
+        ij = (np.loadtxt(body.split("\n"), dtype=np.int64, ndmin=2, comments=None)
+              if body.strip() else np.empty((0, 2), dtype=np.int64))
+    except ValueError:
+        return _read_edge_lines(path)
+    if n < 1 or ij.shape[1] != 2:
+        return _read_edge_lines(path)
+    i, j = np.minimum(ij[:, 0], ij[:, 1]), np.maximum(ij[:, 0], ij[:, 1])
+    if np.any((i == j) | (i < 0) | (j >= n)):
+        return _read_edge_lines(path)
+    codes = np.sort(i * n + j)
+    if np.any(codes[1:] == codes[:-1]):
+        # a repeated dyad
+        return _read_edge_lines(path)
+    # row i's bit j, in from_adjacency's packing
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    np.bitwise_or.at(packed, (rows, cols >> 3), np.left_shift(1, cols & 7).astype(np.uint8))
+    g = Graph(n)
+    g._adj = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    g._n_edges = len(i)
+    return g
+
+
+def _read_edge_lines(path) -> Graph:
+    """``read_edge_list`` one line at a time, raising at the first bad line."""
     g = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):

@@ -195,7 +195,7 @@ def _chunk_rows(n: int) -> int:
 def _partners(a: np.ndarray) -> np.ndarray:
     """Shared-partner counts ``A @ A`` of one or a stack of adjacency
     matrices, exact in float64."""
-    a = a.astype(np.float64)
+    a = a.astype(np.float64, copy=False)
     return a @ a
 
 
@@ -429,28 +429,29 @@ class ChangeStatEngine:
         self._check_size(g)
         n = self.n
         a = g.adjacency_matrix().astype(np.float64)
-        sp = _partners(a)
-        counts = sp.astype(np.int64)
-        # each dyad's entry of an n x n matrix, and its transpose's
+        counts = _partners(a).astype(np.int64)
+        # each dyad's entry of an n x n matrix, and its transpose's; the
+        # triangle indices and each gw product are freed after their last use
         i, j = np.triu_indices(n, 1)
         upper, lower = i * n + j, j * n + i
         tie = a.take(upper).astype(np.int64)
         degrees = counts.diagonal()
         di, dj = degrees[i] - tie, degrees[j] - tie
-        cols = []
-        for kind, table in zip(self._kinds, self._tables):
+        del i, j
+        x = np.empty((len(upper), len(self._kinds)))
+        for c, (kind, table) in enumerate(zip(self._kinds, self._tables)):
             if kind == "edges":
-                col = np.ones(len(upper))
+                x[:, c] = 1.0
             elif kind == "triangles":
-                col = sp.take(upper)
+                x[:, c] = counts.take(upper)
             elif kind == "kstar":
                 # object entries once a count outgrows int64, summed exactly
                 # and rounded once, as ``compute`` does
                 stars = np.array(table, dtype=None if table[-1] < 1 << 62 else object)
-                col = (stars[di] + stars[dj]).astype(np.float64)
+                x[:, c] = (stars[di] + stars[dj]).astype(np.float64)
             elif kind == "degree":
-                col = ((di + 1 == table) * 1.0 - (di == table)
-                       + (dj + 1 == table) - (dj == table))
+                x[:, c] = ((di + 1 == table) * 1.0 - (di == table)
+                           + (dj + 1 == table) - (dj == table))
             else:
                 w, dws = table if kind == "gwesp" else (None, table)
                 sums = []
@@ -461,12 +462,13 @@ class ChangeStatEngine:
                     else:
                         np.fill_diagonal(d, 0.0)
                     m = d @ a
+                    del d
                     sums.append(m.take(upper) + m.take(lower))
-                col = np.where(tie, sums[1], sums[0])
+                    del m
+                x[:, c] = np.where(tie, sums[1], sums[0])
+                del sums
                 if kind == "gwesp":
-                    col = np.array(w)[counts.take(upper)] + col
-            cols.append(col)
-        x = np.column_stack(cols)
+                    x[:, c] += np.array(w)[counts.take(upper)]
         if len(upper):
             got, expected = x[-1], self.compute(g, n - 2, n - 1)
             if not np.allclose(got, expected, rtol=DESIGN_RTOL, atol=0.0):

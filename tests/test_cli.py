@@ -775,6 +775,26 @@ class TestExperimentOutputs:
             tables.append(out.read_bytes())
         assert tables[0] == tables[1]
 
+    def test_cluster_score_on_four_360_node_blocks(self, tmp_path):
+        # the graph of the CI step's MPLE pool check; at 1,440 nodes the
+        # Krylov basis of SCORE's eigenpairs does not span the whole space
+        config = _write_config(tmp_path, {
+            "clusters": [{"n": 360, "stats": "edges", "theta": [-1.7]}] * 4,
+            "between_p": 0.01, "burnin_sweeps": 0,
+        })
+        graph, truth = str(tmp_path / "big.edges"), str(tmp_path / "big.csv")
+        assert cli.main(["simulate", "hergm", "--config", config, "--seed", "6",
+                         "--out", graph, "--truth", truth]) == 0
+        outs = []
+        for run in (1, 2):
+            out = tmp_path / f"bigscore{run}.csv"
+            assert cli.main(["cluster", "score", "--graph", graph, "--K", "4", "--seed", "3",
+                             "--out", str(out)]) == 0
+            outs.append(out)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        part = hergmkit.read_partition(outs[0])
+        assert twostage.misclustering_rate(part, hergmkit.read_partition(truth)) == 0.0
+
     def test_score_svg_has_one_panel(self, tmp_path):
         config = _write_config(tmp_path, {
             "blocks": [8, 8], "p_in": 0.5, "p_out": 0.05, "replications": 2, "seed": 1,

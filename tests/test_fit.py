@@ -19,6 +19,7 @@ from hergmkit import (
 )
 from hergmkit.fit import (
     MOMENT_BAND,
+    MPLE_GRAD_TOL,
     McmleControls,
     MpleNotConvergedError,
     NonFiniteMleError,
@@ -121,6 +122,29 @@ class TestMple:
         with pytest.raises(NonFiniteMleError) as err:
             mple(g, parse_spec(stats))
         np.testing.assert_allclose(err.value.direction, direction, atol=1e-6)
+
+    def test_finite_mple_of_a_nearly_collinear_design(self):
+        # on a dense Bernoulli graph every dyad has many shared partners, so
+        # the gwesp column is nearly constant, nearly collinear with edges,
+        # and the MPLE is finite but far from the origin.  The
+        # pseudo-likelihood is strictly concave, so a stationary point is its
+        # maximizer; textbook IRLS gets no higher
+        a = np.triu(np.random.default_rng(0).random((150, 150)) < 0.4, 1)
+        g = Graph.from_adjacency(a | a.T)
+        spec = parse_spec("edges,gwdsp(0.5),gwesp(0.5)")
+        x, y = ChangeStatEngine(spec, g.n).design(g)
+        assert np.ptp(x[:, 2]) < 0.01
+        fit = mple(g, spec)
+        assert np.linalg.norm(fit.theta_hat) > 50.0
+        assert fit.diagnostics.grad_norm < MPLE_GRAD_TOL
+
+        def log_pl(beta):
+            eta = x @ beta
+            return float(y @ eta - np.logaddexp(0.0, eta).sum())
+
+        p = 1.0 / (1.0 + np.exp(-(x @ fit.theta_hat)))
+        assert np.linalg.norm(x.T @ (y - p)) < 1e-6
+        assert log_pl(fit.theta_hat) >= log_pl(irls_logistic(x, y)) - 1e-9
 
     def test_complete_graph_separation(self):
         g = Graph(5)

@@ -20,6 +20,7 @@ from hergmkit import (
     write_edge_list,
     write_partition,
 )
+from hergmkit import graph
 from hergmkit.sampler import dyad_order
 
 
@@ -304,6 +305,62 @@ class TestFileFormats:
         path.write_text("node,cluster\n0,0\n2,1\n")
         with pytest.raises(ValueError, match="missing"):
             read_partition(path)
+
+
+class TestBulkEdgeListRead:
+    """``read_edge_list`` against ``_read_edge_lines``, the line-by-line
+    reader, as the reference: the same graph from every file it reads, and
+    the same error from every file it refuses."""
+
+    @staticmethod
+    def read_both(tmp_path, text):
+        path = tmp_path / "g.edges"
+        path.write_text(text, newline="")
+        return path, read_edge_list(path), graph._read_edge_lines(path)
+
+    @pytest.mark.parametrize("n, density", [(1, 0.0), (2, 1.0), (9, 0.4), (64, 0.1), (200, 0.05)])
+    def test_written_graphs(self, tmp_path, n, density):
+        g = random_graph(n, density, n)
+        write_edge_list(g, tmp_path / "w.edges")
+        _, got, want = self.read_both(tmp_path, (tmp_path / "w.edges").read_text())
+        assert got == want == g and got.n_edges == want.n_edges == g.n_edges
+
+    @pytest.mark.parametrize("text", [
+        "# c\n\n  n 4  \n0 1\n\n \t\n3  2\t\n",
+        "n 4\r\n0 1\r\n2 3\r\n",
+        "n 4\n+0 01\n2 3",
+        "n 4\n0 1\n# a comment in the body\n1 2\n",
+        "n 40\n1_0 3\n",
+        "n 4\n\u0663 0\n",
+        "n 4\n0 1\x0c\n",
+        "n 3\n",
+        "n 3\n\n  \n",
+    ], ids=["blank-lines", "crlf", "signs-zeros-no-newline", "body-comment",
+            "underscore", "arabic-digit", "form-feed", "header-only", "blank-body"])
+    def test_unusual_files(self, tmp_path, text):
+        _, got, want = self.read_both(tmp_path, text)
+        assert got == want and got.n_edges == want.n_edges
+
+    def test_fig3_benchmark_graph(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "fig3" / "graph.edges"
+        got, want = read_edge_list(path), graph._read_edge_lines(path)
+        assert got == want and got.n_edges == want.n_edges > 0
+
+    @pytest.mark.parametrize("text", [
+        "", "# only a comment\n", "n\n", "m 3\n", "n x\n", "n 0\n", "n -2\n",
+        "n 4\n0 1\n1 2 3\n", "n 4\n0 1\n2\n", "n 4\n0 x\n", "n 4\n0 1.0\n",
+        "n 4\n0 1\n2 2\n", "n 4\n0 1\n-1 2\n", "n 4\n-1 -1\n", "n 4\n0 1\n1 4\n",
+        "n 4\n0 1\n1 0\n", "n 4\n0 1 # inline\n", "n 4\n0 1\n0 99999999999999999999\n",
+        "n 4\n1 2\n0 9\n2 1\n3 3\n",
+    ])
+    def test_same_errors(self, tmp_path, text):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        with pytest.raises(ValueError) as got:
+            read_edge_list(path)
+        with pytest.raises(ValueError) as want:
+            graph._read_edge_lines(path)
+        assert str(got.value) == str(want.value)
 
 
 class TestGeodesics:

@@ -14,7 +14,13 @@ from hergmkit.sampler import (
     SamplerControls,
     simulate_hergm,
 )
-from hergmkit.spectral import _leading_eigenpairs, kmeans, score_cluster
+from hergmkit.spectral import (
+    KRYLOV_COLUMNS,
+    KRYLOV_RTOL,
+    _leading_eigenpairs,
+    kmeans,
+    score_cluster,
+)
 from hergmkit.twostage import misclustering_rate
 
 
@@ -34,6 +40,106 @@ def planted(blocks, p_in, p_out, seed):
         tuple(ClusterSpec(b, spec, (theta,)) for b in blocks), p_out
     )
     return simulate_hergm(hspec, seed, SamplerControls(burnin_sweeps=20))
+
+
+def bernoulli_blocks(blocks, p_in, p_out, seed):
+    hspec = HergmSpec(tuple(BernoulliBlock(b, p_in) for b in blocks), p_out)
+    return simulate_hergm(hspec, seed)[0]
+
+
+def adjacency(g):
+    return g.adjacency_matrix().astype(np.float64)
+
+
+class TestLeadingEigenpairs:
+    """``_leading_eigenpairs`` against numpy's dense ``eigh`` as the oracle:
+    eigenvalues, residuals, orthonormality and the span of the vectors."""
+
+    @staticmethod
+    def check(a, k, span=None):
+        """The first ``span`` vectors (all k by default) must span the dense
+        solver's; past them an eigenspace may be cut anywhere."""
+        vals, vecs = _leading_eigenpairs(a, k)
+        dense_vals, dense_vecs = np.linalg.eigh(a)
+        order = np.argsort(-np.abs(dense_vals), kind="stable")
+        lam1 = abs(dense_vals[order[0]])
+        assert vals.shape == (k,) and vecs.shape == (a.shape[0], k)
+        assert np.all(np.diff(np.abs(vals)) <= 1e-12 * max(lam1, 1.0))
+        # Weyl: every Ritz value lies within its residual of an eigenvalue
+        np.testing.assert_allclose(np.sort(vals), np.sort(dense_vals[order[:k]]),
+                                   rtol=0.0, atol=KRYLOV_RTOL * lam1 + 1e-12)
+        residuals = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
+        assert residuals.max() <= KRYLOV_RTOL * lam1 + 1e-12
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(k), rtol=0.0, atol=1e-12)
+        span = k if span is None else span
+        want = dense_vecs[:, order[:span]]
+        got = vecs[:, :span]
+        # sine of the largest principal angle between the two spans
+        assert np.linalg.norm(got - want @ (want.T @ got), 2) <= 1e-8
+        return vals, vecs
+
+    @pytest.mark.parametrize("blocks, p_in, p_out", [
+        ((100, 100), 0.3, 0.05),
+        ((100,) * 4, 0.2, 0.02),
+        ((50,) * 10, 0.3, 0.01),
+        ((25,) * 20, 0.4, 0.01),
+    ], ids=["K2", "K4", "K10", "K20"])
+    def test_planted_blocks(self, blocks, p_in, p_out):
+        g = bernoulli_blocks(blocks, p_in, p_out, len(blocks))
+        self.check(adjacency(g), len(blocks))
+
+    def test_weak_blocks(self):
+        g = bernoulli_blocks((20,) * 3, 0.25, 0.05, 3)
+        self.check(adjacency(g), 3)
+
+    def test_isolated_nodes(self):
+        g = bernoulli_blocks((30,) * 3, 0.08, 0.005, 9)
+        assert np.any(g.degrees() == 0)
+        self.check(adjacency(g), 3)
+
+    def test_empty_graph(self):
+        vals, _ = self.check(np.zeros((30, 30)), 3, span=0)
+        assert not vals.any()
+
+    def test_complete_graph(self):
+        # n - 1 once, then -1 in an (n - 1)-dimensional eigenspace
+        n = 30
+        vals, vecs = self.check(1.0 - np.eye(n), 3, span=1)
+        np.testing.assert_allclose(vals, [n - 1, -1.0, -1.0], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(vecs[:, 0], np.full(n, n ** -0.5), rtol=0.0, atol=1e-12)
+
+    def test_two_identical_cliques(self):
+        # lambda_1 = 7 twice: the two leading vectors span the clique indicators
+        vals, _ = self.check(adjacency(two_cliques(8)), 2)
+        np.testing.assert_allclose(vals, [7.0, 7.0], rtol=0.0, atol=1e-12)
+
+    def test_bipartite_graph(self):
+        # the spectrum of a bipartite graph is symmetric, so |lambda| ties
+        # in pairs +-lambda
+        rng = np.random.default_rng(4)
+        a = np.zeros((45, 45))
+        a[:20, 20:] = rng.random((20, 25)) < 0.3
+        a += a.T
+        vals, _ = self.check(a, 4)
+        np.testing.assert_allclose(vals[0::2], -vals[1::2], rtol=0.0, atol=1e-9)
+
+    def test_buffers_grow(self, monkeypatch):
+        # a buffer of two columns per eigenpair doubles several times
+        monkeypatch.setattr("hergmkit.spectral.KRYLOV_COLUMNS", 2)
+        g = bernoulli_blocks((100,) * 4, 0.2, 0.02, 4)
+        self.check(adjacency(g), 4)
+
+    def test_score_takes_no_dense_eigendecomposition(self, monkeypatch):
+        g = bernoulli_blocks((200,) * 4, 0.15, 0.02, 1)
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def spy(a):
+            sizes.append(a.shape[0])
+            return eigh(a)
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        score_cluster(g, 4, seed=2)
+        assert sizes and max(sizes) <= KRYLOV_COLUMNS * 4 < g.n
 
 
 class TestKmeans:
@@ -114,8 +220,8 @@ class TestScore:
             assert res <= 1e-8 * norm_a
 
     def test_eigenpairs_repeat_bit_identically(self):
-        # 400 nodes: the dense eigensolver carries no state from one call to
-        # the next
+        # 400 nodes: the Krylov iteration draws its start block afresh from
+        # its own seed stream on every call
         g, _ = planted((100,) * 4, 0.1, 0.02, 5)
         a = g.adjacency_matrix().astype(float)
         first = _leading_eigenpairs(a, 4)
