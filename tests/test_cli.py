@@ -193,8 +193,12 @@ def test_score_and_exact_enumeration_run_with_scipy_blocked(tmp_path):
 
 
 def test_no_module_imports_scipy():
+    # the CLI test modules, and the fixtures they load, also run on the
+    # installed package with scipy absent
+    tests = Path(__file__).parent
     importers = set()
-    for path in Path(hergmkit.__file__).parent.glob("*.py"):
+    for path in [*Path(hergmkit.__file__).parent.glob("*.py"), tests / "conftest.py",
+                 tests / "test_cli.py", tests / "test_cli_golden.py"]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -341,6 +345,8 @@ class TestExitCodes:
         assert clusters[0]["available"]
         assert clusters[1] == {"available": False,
                                "reason": "spec degree(0) needs at least 2 nodes, got 1"}
+        assert ("warning: cluster 1 fit unavailable: spec degree(0) needs at least 2 nodes, "
+                "got 1") in capsys.readouterr().err.splitlines()
 
     def test_gof_on_a_one_node_graph_exits_2(self, tmp_path, capsys):
         graph, part = tmp_path / "g.edges", tmp_path / "p.csv"
@@ -775,26 +781,6 @@ class TestExperimentOutputs:
             tables.append(out.read_bytes())
         assert tables[0] == tables[1]
 
-    def test_cluster_score_on_four_360_node_blocks(self, tmp_path):
-        # the graph of the CI step's MPLE pool check; at 1,440 nodes the
-        # Krylov basis of SCORE's eigenpairs does not span the whole space
-        config = _write_config(tmp_path, {
-            "clusters": [{"n": 360, "stats": "edges", "theta": [-1.7]}] * 4,
-            "between_p": 0.01, "burnin_sweeps": 0,
-        })
-        graph, truth = str(tmp_path / "big.edges"), str(tmp_path / "big.csv")
-        assert cli.main(["simulate", "hergm", "--config", config, "--seed", "6",
-                         "--out", graph, "--truth", truth]) == 0
-        outs = []
-        for run in (1, 2):
-            out = tmp_path / f"bigscore{run}.csv"
-            assert cli.main(["cluster", "score", "--graph", graph, "--K", "4", "--seed", "3",
-                             "--out", str(out)]) == 0
-            outs.append(out)
-        assert outs[0].read_bytes() == outs[1].read_bytes()
-        part = hergmkit.read_partition(outs[0])
-        assert twostage.misclustering_rate(part, hergmkit.read_partition(truth)) == 0.0
-
     def test_score_svg_has_one_panel(self, tmp_path):
         config = _write_config(tmp_path, {
             "blocks": [8, 8], "p_in": 0.5, "p_out": 0.05, "replications": 2, "seed": 1,
@@ -837,6 +823,66 @@ class TestThreads:
             outputs.append([Path(path).read_bytes() for path in out.values()])
         assert pools() == [2, 2, 2]
         assert outputs[0] == outputs[1]
+        fits = json.loads(outputs[0][2])["cluster_fits"]
+        assert all(c["available"] and c["diagnostics"]["converged"] for c in fits)
+
+    def test_every_term_kind_sweeps_in_forked_workers(self, tmp_path, pools):
+        # the two specs hold all six term kinds; 150 burn-in sweeps of two
+        # 20-node blocks are 58,900 dyad visits, above POOL_MIN_VISITS
+        specs = ["edges,kstar(2),triangles,degree(1)", "gwdsp(0.75),gwesp(0.25),edges"]
+        config = _write_config(tmp_path, {
+            "clusters": [{"n": 20, "stats": specs[0], "theta": [-1.5, 0.02, 0.3, 0.5]},
+                         {"n": 20, "stats": specs[1], "theta": [-0.1, 0.4, -1.5]}],
+            "between_p": 0.05, "burnin_sweeps": 150, "thin_sweeps": 5,
+        })
+        outputs = []
+        for threads in ("1", "2"):
+            graph, truth = tmp_path / f"g{threads}.edges", tmp_path / f"t{threads}.csv"
+            assert cli.main(["simulate", "hergm", "--config", config, "--seed", "5",
+                             "--threads", threads, "--out", str(graph),
+                             "--truth", str(truth)]) == 0
+            outputs.append([graph.read_bytes(), truth.read_bytes()])
+        assert pools() == [2]
+        assert outputs[0] == outputs[1]
+        # every kind's column of the MPLE design, on the cluster drawn from
+        # its spec; under the gw spec cluster 0 has no finite MPLE
+        for k, spec in enumerate(specs):
+            out = tmp_path / f"fit{k}.json"
+            assert cli.main(["fit", "twostage", "--graph", str(graph), "--K", "2",
+                             "--stats", spec, "--stage1", "given", "--partition", str(truth),
+                             "--method", "mple", "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["cluster_fits"][k]["available"]
+
+    def test_score_and_pooled_mple_on_four_360_node_blocks(self, tmp_path, pools):
+        # at 1,440 nodes the Krylov basis of SCORE's eigenpairs does not span
+        # the whole space; the MPLE fits count 0.2 x 4 x C(360, 2) = 51,696
+        # dyad visits, so they run in a pool
+        config = _write_config(tmp_path, {
+            "clusters": [{"n": 360, "stats": "edges", "theta": [-1.7]}] * 4,
+            "between_p": 0.01, "burnin_sweeps": 0,
+        })
+        graph, truth = str(tmp_path / "big.edges"), str(tmp_path / "big.csv")
+        assert cli.main(["simulate", "hergm", "--config", config, "--seed", "6",
+                         "--threads", "1", "--out", graph, "--truth", truth]) == 0
+        outs = []
+        for run in (1, 2):
+            out = tmp_path / f"bigscore{run}.csv"
+            assert cli.main(["cluster", "score", "--graph", graph, "--K", "4", "--seed", "3",
+                             "--out", str(out)]) == 0
+            outs.append(out)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        part = hergmkit.read_partition(outs[0])
+        assert twostage.misclustering_rate(part, hergmkit.read_partition(truth)) == 0.0
+        fits = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"bigmple{threads}.json"
+            assert cli.main(["fit", "twostage", "--graph", graph, "--K", "4",
+                             "--stats", "edges,gwdsp(0.5),gwesp(0.5)", "--stage1", "given",
+                             "--partition", truth, "--method", "mple", "--threads", threads,
+                             "--out", str(out)]) == 0
+            fits.append(out.read_bytes())
+        assert pools() == [2]
+        assert fits[0] == fits[1]
 
     def test_worker_runtime_error_exits_3(self, tmp_path, capsys, monkeypatch, pools):
         def failing(*args, **kwargs):
@@ -1265,13 +1311,18 @@ class TestStage1AndGofMessages:
         doc["cluster_fits"][1] = {"available": False, "reason": "no finite fit"}
         doc["cluster_fits"][2] = {"available": False, "reason": "cluster is empty"}
         fit.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert cli.main(["gof", "--graph", graph, "--fit", str(fit), "--nsim", "2",
-                         "--burnin", "2", "--out", str(tmp_path / "gof.csv")]) == 0
-        warned = [line for line in capsys.readouterr().err.splitlines()
-                  if line.startswith("warning: ")]
-        assert warned == ["warning: clusters simulated as Bernoulli fallback: [1]",
-                          "warning: empty clusters without a fit, so not simulated: [2]"]
+        tables = []
+        for run in (1, 2):
+            out = tmp_path / f"gof{run}.csv"
+            capsys.readouterr()
+            assert cli.main(["gof", "--graph", graph, "--fit", str(fit), "--nsim", "2",
+                             "--burnin", "2", "--out", str(out)]) == 0
+            warned = [line for line in capsys.readouterr().err.splitlines()
+                      if line.startswith("warning: ")]
+            assert warned == ["warning: clusters simulated as Bernoulli fallback: [1]",
+                              "warning: empty clusters without a fit, so not simulated: [2]"]
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
 
     def test_gof_warns_of_each_unconverged_cluster(self, tmp_path, capsys, monkeypatch):
         # the CSV is that of the same fit with every cluster converged
