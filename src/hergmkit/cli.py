@@ -11,9 +11,11 @@ one-cluster partition.  So a fit file is of one of two kinds, ``twostage``
 Every command embeds a master seed (``--seed``; for ``experiment`` the
 config's ``seed``) and writes byte-identical outputs when rerun with the same
 arguments.  ``simulate hergm``, ``fit twostage``, ``gof`` and ``experiment``
-take ``--threads`` (default: the cores this process may run on) for their
-clusters or replications, and their outputs are byte-identical regardless of
-it.
+take ``--threads`` (default: the cores this process may run on), the CPUs
+their clusters or replications may use.  A stage runs in a pool of at most
+that many worker processes, or, when ``--threads`` covers every core and the
+stage has fewer than twice as many tasks, of one worker per task
+(``rng.pool_workers``); the outputs are byte-identical regardless of it.
 
 Exit codes: 0 success, 1 a pool worker died (e.g. killed for memory), 2
 validation/usage error, 3 numerical failure.  A config field that is
@@ -30,7 +32,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from importlib import resources
 
 import numpy as np
@@ -52,6 +53,7 @@ from .graph import (
     write_partition,
 )
 from .lsm import LsmControls, lsm_posterior_from_dict, lsm_posterior_to_dict
+from .rng import cores
 from .sampler import (ClusterSpec, HergmSpec, SamplerControls, hergm_draws, near_degenerate,
                       simulate_hergm)
 from .stats import parse_spec, stat_matrix, stat_vector
@@ -439,20 +441,15 @@ def _floats(text: str) -> tuple[float, ...]:
             f"must be comma-separated numbers, got {text!r}") from None
 
 
-def _cores() -> int:
-    """The CPUs this process may run on, where the platform says."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_int_at_least(0), default=0, help="master seed, >= 0")
     pool = argparse.ArgumentParser(add_help=False)
-    pool.add_argument("--threads", type=_int_at_least(1), default=_cores(),
-                      help="worker processes, >= 1 (default: the cores this process may "
-                      "run on); outputs do not depend on it")
+    pool.add_argument("--threads", type=_int_at_least(1), default=cores(),
+                      help="CPUs to use, >= 1 (default: the cores this process may run "
+                      "on): a pool of at most that many worker processes, or one per "
+                      "task for a stage of fewer than twice as many tasks when it covers "
+                      "every core; outputs do not depend on it")
     unset = argparse.SUPPRESS
     stage2 = argparse.ArgumentParser(add_help=False, argument_default=unset)
     stage2.add_argument("--method", choices=("mcmle", "mple"), default="mcmle")
@@ -562,12 +559,14 @@ def main(argv=None) -> int:
     try:
         _refuse_unread(args)
         return args.func(args)
-    # BrokenProcessPool subclasses RuntimeError and LinAlgError ValueError, so
-    # both are caught first
-    except BrokenProcessPool as exc:
-        _stderr(f"pool failure: a worker process died ({exc}); retry with fewer --threads")
-        return 1
+    # LinAlgError subclasses ValueError, so it is caught first
     except (np.linalg.LinAlgError, RuntimeError) as exc:
+        # a dead worker raises BrokenProcessPool, a RuntimeError of a module
+        # that loads only once rng.parallel_map starts a pool
+        pool = sys.modules.get("concurrent.futures.process")
+        if pool is not None and isinstance(exc, pool.BrokenProcessPool):
+            _stderr(f"pool failure: a worker process died ({exc}); retry with fewer --threads")
+            return 1
         _stderr(f"numerical failure: {exc}")
         return 3
     except (ValueError, OSError) as exc:

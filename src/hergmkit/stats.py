@@ -429,14 +429,18 @@ class ChangeStatEngine:
         self._check_size(g)
         n = self.n
         a = g.adjacency_matrix().astype(np.float64)
-        counts = _partners(a).astype(np.int64)
+        # partner counts, degrees and dyad indices are below n * n: int32 up
+        # to n = 46,340, where one n x n float matrix already takes 17 GB
+        itype = np.int32 if n * n < 1 << 31 else np.int64
+        counts = _partners(a).astype(itype)
         # each dyad's entry of an n x n matrix, and its transpose's; the
         # triangle indices and each gw product are freed after their last use
         i, j = np.triu_indices(n, 1)
-        upper, lower = i * n + j, j * n + i
-        tie = a.take(upper).astype(np.int64)
-        degrees = counts.diagonal()
-        di, dj = degrees[i] - tie, degrees[j] - tie
+        upper, lower = (i * n + j).astype(itype), (j * n + i).astype(itype)
+        tie = a.take(upper).astype(bool)
+        if {"kstar", "degree"} & set(self._kinds):  # degrees with the dyad absent
+            degrees = counts.diagonal()
+            di, dj = degrees[i] - tie, degrees[j] - tie
         del i, j
         x = np.empty((len(upper), len(self._kinds)))
         for c, (kind, table) in enumerate(zip(self._kinds, self._tables)):
@@ -454,7 +458,6 @@ class ChangeStatEngine:
                            + (dj + 1 == table) - (dj == table))
             else:
                 w, dws = table if kind == "gwesp" else (None, table)
-                sums = []
                 for shift in (0, 1):
                     d = np.array(dws[shift])[counts]
                     if kind == "gwesp":
@@ -463,10 +466,12 @@ class ChangeStatEngine:
                         np.fill_diagonal(d, 0.0)
                     m = d @ a
                     del d
-                    sums.append(m.take(upper) + m.take(lower))
+                    # an absent dyad reads the product at a = 0, a tie at a = 1
+                    pair = m.take(upper)
+                    pair += m.take(lower)
                     del m
-                x[:, c] = np.where(tie, sums[1], sums[0])
-                del sums
+                    np.copyto(x[:, c], pair, where=tie if shift else True)
+                    del pair
                 if kind == "gwesp":
                     x[:, c] += np.array(w)[counts.take(upper)]
         if len(upper):

@@ -158,6 +158,20 @@ def test_fig3_stages_load_no_scipy(tmp_path):
     assert _scipy_modules_after(tmp_path, runs) == []
 
 
+def test_commands_without_a_pool_load_no_pool_modules(tmp_path):
+    # the pool modules load only where a pool starts, so SCORE and the MPLE
+    # fits of small clusters start up without them
+    g, _ = _simulate(tmp_path, 6)
+    runs = [
+        ["cluster", "score", "--graph", g, "--K", "3", "--out", str(tmp_path / "score.csv")],
+        ["fit", "twostage", "--graph", g, "--K", "3", "--stats", "edges", "--stage1",
+         "score", "--method", "mple", "--threads", "2", "--out", str(tmp_path / "fit.json")],
+    ]
+    code = ("loaded = [m for m in sys.modules if m.split('.')[0] == 'multiprocessing' "
+            "or m.startswith('concurrent.futures')]\nassert not loaded, loaded")
+    assert _scipy_modules_after(tmp_path, runs, code=code) == []
+
+
 def test_lsm_stage_loads_no_scipy(tmp_path):
     # the LSM's Procrustes alignment and label matching are numpy and Python,
     # so the paper's default stage 1 never pays scipy's import either
@@ -795,7 +809,7 @@ class TestThreads:
     """``--threads`` runs the clusters of ``simulate hergm``, ``fit twostage``
     and ``gof`` in a process pool, which changes no byte of their outputs."""
 
-    def test_outputs_identical_across_thread_counts(self, tmp_path, pools):
+    def test_outputs_identical_across_thread_counts(self, tmp_path, pools, monkeypatch):
         # 3 x C(20, 2) = 570 ERGM dyads: simulate 570 x (100 + 10), fit at least
         # 570 x (30 + 16 + 2 x 64) and gof 570 x (70 + 5 x 10) dyad visits, all
         # above POOL_MIN_VISITS
@@ -805,8 +819,11 @@ class TestThreads:
             "between_p": 0.05, "burnin_sweeps": 100,
         })
         outputs = []
-        for threads in ("1", "2"):
-            out = {name: str(tmp_path / f"{name}{threads}") for name in
+        # --threads 2 of 4 cores takes two workers for the three clusters; a
+        # --threads that covers the cores takes a worker per cluster
+        for threads, n_cores in (("1", 4), ("2", 4), ("2", 2), ("3", 2)):
+            monkeypatch.setattr(hergmkit.rng, "cores", lambda: n_cores)
+            out = {name: str(tmp_path / f"{name}{len(outputs)}") for name in
                    ("g.edges", "t.csv", "fit.json", "gof.csv")}
             runs = [
                 ["simulate", "hergm", "--config", config, "--seed", "3",
@@ -821,8 +838,8 @@ class TestThreads:
             for argv in runs:
                 assert cli.main(argv + ["--threads", threads]) == 0
             outputs.append([Path(path).read_bytes() for path in out.values()])
-        assert pools() == [2, 2, 2]
-        assert outputs[0] == outputs[1]
+        assert pools() == [2, 2, 2] + [3, 3, 3] * 2
+        assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
         fits = json.loads(outputs[0][2])["cluster_fits"]
         assert all(c["available"] and c["diagnostics"]["converged"] for c in fits)
 

@@ -28,7 +28,7 @@ from hergmkit import (
 from hergmkit import sampler, twostage
 from hergmkit.experiments import sensitivity_experiment
 from hergmkit.fit import ErgmFit, FitDiagnostics, McmleControls, mple
-from hergmkit.rng import POOL_MIN_VISITS, child_rng, parallel_map
+from hergmkit.rng import POOL_MIN_VISITS, child_rng, parallel_map, pool_workers
 from hergmkit.lsm import (
     LsmControls,
     _best_permutation,
@@ -597,6 +597,29 @@ class TestClusterPool:
         assert parallel_map(abs, [-1, 2, -3], 2, at) == [1, 2, 3]
         assert parallel_map(abs, [-1, 2], 8) == [1, 2]  # no estimate: large
         assert pools() == [2, 2]
+
+    @pytest.mark.parametrize("n_tasks, threads, n_cores, workers", [
+        (3, 2, 2, 3),  # threads cover the cores: a worker per task
+        (4, 2, 2, 2),  # 2 x threads tasks: one worker per thread
+        (3, 2, 4, 2),  # threads 2 of 4 cores: never more than 2 CPUs
+        (3, 8, 2, 3),  # threads above the cores
+        (15, 8, 2, 15),
+        (16, 8, 2, 8),
+        (20, 2, 2, 2),  # 20 clusters at --threads 2 keep two workers
+        (2, 2, 1, 2),
+        (3, 1, 2, 1),  # serial: one thread, one task
+        (1, 4, 2, 1),
+        (0, 4, 2, 1),
+    ])
+    def test_workers_by_tasks_threads_and_cores(self, n_tasks, threads, n_cores, workers):
+        assert pool_workers(n_tasks, threads, POOL_MIN_VISITS, n_cores) == workers
+        assert pool_workers(n_tasks, threads, POOL_MIN_VISITS - 1, n_cores) == 1
+
+    def test_worker_per_task_when_threads_cover_the_cores(self, monkeypatch, pools):
+        monkeypatch.setattr(hergmkit.rng, "cores", lambda: 2)
+        assert parallel_map(abs, [-1, 2, -3], 2, POOL_MIN_VISITS) == [1, 2, 3]
+        assert parallel_map(abs, [-1, 2, -3, 4], 2, POOL_MIN_VISITS) == [1, 2, 3, 4]
+        assert pools() == [3, 2]
 
     def test_workers_are_forked_with_the_parents_state(self, monkeypatch, pools):
         # a spawned or forkserver worker would import rng afresh
