@@ -133,8 +133,8 @@ def mple(g: Graph, spec: StatisticSpec) -> ErgmFit:
     x, y = ChangeStatEngine(spec, g.n).design(g)
     beta = np.zeros(len(spec))
     step_log: list[float] = []
+    p = 0.5 * (1.0 + np.tanh(0.5 * (x @ beta)))
     for it in range(1, MPLE_MAX_ITER + 1):
-        p = 0.5 * (1.0 + np.tanh(0.5 * (x @ beta)))
         grad = x.T @ (y - p)
         w = p * (1.0 - p)
         hess = x.T @ (x * w[:, None])
@@ -159,6 +159,7 @@ def mple(g: Graph, spec: StatisticSpec) -> ErgmFit:
                 "separation); no finite MPLE exists",
                 direction,
             )
+        p = p_new
     else:
         raise MpleNotConvergedError(
             f"MPLE Newton did not reach gradient norm {MPLE_GRAD_TOL} in {MPLE_MAX_ITER} "

@@ -6,8 +6,9 @@ counts via ``&`` + ``bit_count``, and fast copies.  Dyads are canonical with
 i < j; every public function normalizes order.
 
 Whole-graph work goes through numpy: ``adjacency_matrix`` and
-``from_adjacency`` convert to and from an n x n matrix by bit (un)packing,
-and subgraphs and between-cluster counts are slices and masks of it.
+``from_adjacency`` convert to and from an n x n matrix by bit (un)packing.
+A cluster's subgraph unpacks only its members' rows, and between-cluster
+counts are popcounts of each mask against its cluster's member mask.
 ``geodesic_distances`` and ``components`` are breadth-first searches on the
 bitmasks.  Only this module and the kernel ``stats.ChangeStatEngine`` touch
 the bitmasks.
@@ -263,17 +264,26 @@ def within_subgraph(g: Graph, p: Partition, k: int) -> Graph:
     if p.n != g.n:
         raise ValueError(f"partition covers {p.n} nodes, graph has {g.n}")
     members = p.members(k)
-    return Graph.from_adjacency(g.adjacency_matrix()[np.ix_(members, members)])
+    rows = _unpack((g._adj[i] for i in members.tolist()), g.n)
+    return Graph.from_adjacency(rows[:, members])
 
 
 def between_edge_counts(g: Graph, p: Partition) -> tuple[int, int]:
-    """(y_B, n_B): between-cluster edge count and dyad count."""
+    """(y_B, n_B): between-cluster edge count and dyad count.
+
+    y_B is the graph's edges less the within-cluster ones, which are the
+    popcounts of each node's mask against its cluster's member mask.
+    """
     if p.n != g.n:
         raise ValueError(f"partition covers {p.n} nodes, graph has {g.n}")
     labels = p.assignments
-    between = labels[:, None] != labels[None, :]
-    y_b = int(np.count_nonzero(g.adjacency_matrix()[between])) // 2
-    return y_b, int(np.count_nonzero(between)) // 2
+    member = np.packbits(np.arange(p.n_clusters)[:, None] == labels[None, :],
+                         axis=1, bitorder="little")
+    member = [int.from_bytes(row.tobytes(), "little") for row in member]
+    within = sum((m & member[c]).bit_count() for m, c in zip(g._adj, labels.tolist())) // 2
+    sizes = p.sizes()
+    n_b = (g.n * (g.n - 1) - int((sizes * (sizes - 1)).sum())) // 2
+    return g.n_edges - within, n_b
 
 
 # -- file formats ----------------------------------------------------------

@@ -6,8 +6,9 @@ low-degree nodes share a block.  The K leading eigenpairs come from a block
 Krylov iteration on the adjacency matrix (``_leading_eigenpairs``), seeded
 from the clustering's seed and stopped on its Ritz residuals, so no dense
 eigendecomposition of the n x n matrix is taken.  Includes a small
-deterministic k-means (restarts, seeded, empty clusters re-seeded to
-distinct far points).
+deterministic k-means: restarts seeded by k-means++, Lloyd distances as one
+matrix product ||x||^2 - 2 x.c + ||c||^2, and a cluster that empties
+re-seeded to the farthest point of a cluster that can spare one.
 """
 
 from __future__ import annotations
@@ -34,6 +35,41 @@ DROP_RTOL = 1e-12
 KRYLOV_COLUMNS = 32
 
 
+def _sq_distances(pts: np.ndarray, sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, K) squared distances from the points to the centres, as
+    ||x||^2 - 2 x.c + ||c||^2 with the points' squared norms ``sq`` given;
+    rounding can leave an entry slightly below 0."""
+    return sq[:, None] - 2.0 * (pts @ centers.T) + (centers ** 2).sum(axis=1)
+
+
+def _centers(pts: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """The (k, d) means of the points of each label; every label must be
+    in use."""
+    counts = np.bincount(labels, minlength=k)
+    sums = [np.bincount(labels, weights=col, minlength=k) for col in pts.T]
+    return np.stack(sums, axis=1) / counts[:, None]
+
+
+def _plus_plus(pts: np.ndarray, sq: np.ndarray, k: int, rng) -> np.ndarray:
+    """k starting centres by k-means++: the first uniform, each next one a
+    point drawn with probability proportional to its squared distance from
+    the nearest centre chosen so far (uniform once every distance is 0)."""
+    n = pts.shape[0]
+    centers = np.empty((k, pts.shape[1]))
+    centers[0] = pts[rng.integers(n)]
+    d2 = np.full(n, np.inf)
+    for c in range(1, k):
+        d2 = np.minimum(d2, np.maximum(_sq_distances(pts, sq, centers[c - 1:c])[:, 0], 0.0))
+        cum = np.cumsum(d2)
+        u = rng.random()
+        if cum[-1] > 0.0:
+            i = min(int(np.searchsorted(cum, u * cum[-1], side="right")), n - 1)
+        else:
+            i = int(u * n)
+        centers[c] = pts[i]
+    return centers
+
+
 def kmeans(
     points: np.ndarray,
     n_clusters: int,
@@ -42,10 +78,16 @@ def kmeans(
 ) -> np.ndarray:
     """Lloyd's k-means, best of ``restarts`` by within-cluster sum of squares.
 
-    Each restart runs at most ``KMEANS_MAX_ITER`` Lloyd iterations.
-    Deterministic under seed.  A cluster that empties is re-seeded to the
-    point farthest from its assigned center among those whose cluster keeps
-    another member, so every label stays in use.
+    Deterministic under seed: every restart draws its starting centres by
+    k-means++ (``_plus_plus``) from one ``SeedSequence(seed)`` stream, and
+    runs at most ``KMEANS_MAX_ITER`` Lloyd iterations.  Each iteration takes
+    the squared distances to all centres as one matrix product
+    (``_sq_distances``, the points' squared norms computed once), assigns
+    each point to its nearest centre (the lowest label on ties) and moves
+    each centre to its points' mean, summed per dimension by ``np.bincount``.
+    A cluster that empties is re-seeded to the point farthest from its
+    assigned center among those whose cluster keeps another member, so
+    every label stays in use.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -55,32 +97,31 @@ def kmeans(
         raise ValueError(f"K={n_clusters} exceeds {n} points")
     check_count("restarts", restarts, 1)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    sq = (pts ** 2).sum(axis=1)
     best_labels = None
     best_wcss = math.inf
     for _ in range(restarts):
-        centers = pts[rng.choice(n, size=n_clusters, replace=False)].copy()
+        centers = _plus_plus(pts, sq, n_clusters, rng)
         labels = np.zeros(n, dtype=np.int64)
         for _ in range(KMEANS_MAX_ITER):
-            d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            d2 = _sq_distances(pts, sq, centers)
             new_labels = d2.argmin(axis=1)
-            for k in range(n_clusters):
-                mask = new_labels == k
-                if mask.any():
-                    centers[k] = pts[mask].mean(axis=0)
-                else:
-                    # n >= K, so some cluster has a point to spare
-                    misfit = d2[np.arange(n), new_labels]
-                    spare = np.bincount(new_labels, minlength=n_clusters)[new_labels] > 1
-                    far = int(np.where(spare, misfit, -1.0).argmax())
-                    centers[k] = pts[far]
-                    new_labels[far] = k
+            counts = np.bincount(new_labels, minlength=n_clusters)
+            for k in np.flatnonzero(counts == 0):
+                # n >= K, so some cluster has a point to spare
+                misfit = d2[np.arange(n), new_labels]
+                far = int(np.where(counts[new_labels] > 1, misfit, -np.inf).argmax())
+                counts[new_labels[far]] -= 1
+                counts[k] = 1
+                new_labels[far] = k
+            centers = _centers(pts, new_labels, n_clusters)
             if np.array_equal(new_labels, labels):
                 break
             labels = new_labels
         wcss = float(((pts - centers[labels]) ** 2).sum())
         if wcss < best_wcss:
             best_wcss = wcss
-            best_labels = labels.copy()
+            best_labels = labels
     return best_labels
 
 
@@ -182,13 +223,11 @@ def score_cluster(
     if core.sum() < k:
         core = np.ones(g.n, dtype=bool)
     core_labels = kmeans(ratios[core], k, restarts=restarts, seed=seed)
-    centers = np.stack([
-        ratios[core][core_labels == c].mean(axis=0) for c in range(k)
-    ])
+    centers = _centers(ratios[core], core_labels, k)
     labels = np.empty(g.n, dtype=np.int64)
     labels[core] = core_labels
     rest = ~core
     if rest.any():
-        d2 = ((ratios[rest][:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels[rest] = d2.argmin(axis=1)
+        pts = ratios[rest]
+        labels[rest] = _sq_distances(pts, (pts ** 2).sum(axis=1), centers).argmin(axis=1)
     return Partition(labels, k)

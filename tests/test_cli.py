@@ -805,6 +805,21 @@ class TestExperimentOutputs:
         assert _svg_panel_titles(svg) == ["SCORE mis-clustering rate per replication"]
 
 
+def test_cluster_score_finds_twenty_planted_blocks(tmp_path):
+    # 50-node blocks, p_in 0.3, about 5 between-block ties a node; SCORE's
+    # k-means++ starts keep every block whole, where uniform ones merged two
+    truth = np.repeat(np.arange(20), 50)
+    p = np.where(truth[:, None] == truth[None, :], 0.3, 5 / 950)
+    a = np.triu(np.random.default_rng(1).random(p.shape) < p, 1)
+    graph, out = tmp_path / "g.edges", tmp_path / "p.csv"
+    hergmkit.write_edge_list(hergmkit.Graph.from_adjacency(a | a.T), graph)
+    assert cli.main(["cluster", "score", "--graph", str(graph), "--K", "20", "--seed", "1",
+                     "--out", str(out)]) == 0
+    found = hergmkit.read_partition(out).assignments
+    # the same partition up to labels: 20 distinct (found, planted) pairs
+    assert len(set(zip(found.tolist(), truth.tolist()))) == 20
+
+
 class TestThreads:
     """``--threads`` runs the clusters of ``simulate hergm``, ``fit twostage``
     and ``gof`` in a process pool, which changes no byte of their outputs."""
@@ -1269,7 +1284,7 @@ class TestStage1AndGofMessages:
                          "--out", str(tmp_path / "p.csv")]) == 0
         warned = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("warning: ")]
-        assert warned == ["warning: beta0 acceptance rate 0.800 outside [0.1, 0.6]; proposal "
+        assert warned == ["warning: beta0 acceptance rate 0.700 outside [0.1, 0.6]; proposal "
                           "scales are tuned during burn-in only, so try a longer burn-in"]
         assert cli.main(["fit", "twostage", "--graph", graph, "--K", "3", "--stats", "edges",
                          "--stage1", "lsm", "--lsm-burnin", "0", "--lsm-samples", "10",
@@ -1292,10 +1307,10 @@ class TestStage1AndGofMessages:
         assert errs[0] == errs[1] and tables[0] == tables[1]
         warned = [line for line in errs[0].splitlines() if line.startswith("warning: ")]
         assert warned == [
-            f"warning: n_per_cluster=6 transitivity=0.5 replication {rep}: beta0 acceptance "
-            "rate 0.800 outside [0.1, 0.6]; proposal scales are tuned during burn-in only, "
+            f"warning: n_per_cluster=6 transitivity=0.5 replication {rep}: {name} acceptance "
+            f"rate {rate} outside [0.1, 0.6]; proposal scales are tuned during burn-in only, "
             "so try a longer burn-in"
-            for rep in (0, 1)
+            for rep, name, rate in ((0, "beta0", "0.800"), (1, "positions", "0.633"))
         ]
 
     @pytest.mark.parametrize("stage1", ["lsm", "score"])

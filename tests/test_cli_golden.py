@@ -68,23 +68,23 @@ SCORE_CONFIG = {
 
 GOLDEN = {
     "cluster_lsm.csv":
-        "575097af34b02611803fad934dd3a8479ded34dd4b9ab1bdbd666a71785968bc",
+        "bda78ed05cc6b52d02a4ceb311ec04f772245f8e97a7b41c64e8eec1ddde23ea",
     "cluster_lsm_positions.csv":
-        "df429bab2a1acb024f5cc534f21b43dab13377cfcde4f73b9e65156f93c7d1af",
+        "08db3c4991f24216c0d19fb287e969d7b5f1a4602760da9736dfbed70fdb5c94",
     "cluster_lsm_posterior.json":
-        "a2f166cf7eb8b2be1d084eadef134114c0eaa1a27ac6d48e3681a2a9509065cd",
+        "4497527b5fb03cc32595c6b3123d27e66fd3d7300e8719b79df3b94a11504b9e",
     "cluster_lsm_retune_d1.csv":
-        "65aee5c7f8cdf016bbe25abc79c54aa225ac4714bda3b093888c45f18b47dafe",
+        "8f52007220a542e09625ccc23505c2de233db630326187b8b339d412d26d3c6f",
     "cluster_lsm_retune_d1_positions.csv":
-        "8c8ddef5f082f25c2b72c5a8fb73fcf7583bd2e43582c3e8c582e57fc2881202",
+        "36a07fc4cb10a6fba5e1dc4b987973fff71af00816f77a0acdc3fdecf5081d6b",
     "cluster_lsm_retune_d3.csv":
-        "1c8e074b6462a8466619365586c273f2b00ec9b3ecd6444224864cb8474d0315",
+        "b7ac541340996a4dd2b51a8475c9b5e5a0b1f26b9b4b9874f240b80c0223e9bd",
     "cluster_lsm_retune_d3_positions.csv":
-        "ef67919a81eb2794b5f3d92e68aeceb30cdefea2983835ad321fc8b56ebda74c",
+        "b6488c230b68a50667cc3c4446f04f2591d592318807df61280276e49c0a7213",
     "cluster_score.csv":
-        "e131c21e52e598ae5812347bb52d83e028da8f6410cdd9131a77b5b17704de09",
+        "0386bcee457596dbbc8ac99cfdb28406e88379709a9a6b347abe394142dc2440",
     "experiment_misrate.csv":
-        "ff130a7ecf5267866088fb3c1973fee956fe1d01431de15c57707e5dee10169c",
+        "8d76f07823afd4258a3cdc546f9acc9465118d34891632f73c8e7ddfb7428446",
     "experiment_score.csv":
         "d61858812327b2926ff425503af41913e7730109fddad459c65de6269938036d",
     "experiment_sensitivity.csv":
@@ -92,15 +92,15 @@ GOLDEN = {
     "fit_mcmle.json":
         "022c80e48c90803078d330221847e43442c2d16c9ae635085e8b56412ac20cac",
     "fit_lsm.json":
-        "649bdd7da6870c7e408840f0488ca65857c69bb6d3ca9f19ed873664d36da6be",
+        "2ec4b3e776287fe56d9ccfe38b285d09bad73d0528e36da699ab0d061cadb79e",
     "fit_mple.json":
         "4a43463350eeea522435ac0e772ec41505e0fa8eb9946b74a65c3c544c39cd46",
     "fit_mple_markov.json":
         "e6bf687191ecd31c05bec41a2b3b37d23a3a7988018d52274043611ec5011005",
     "fit_score.json":
-        "cc41ebdae54d6d0b657ebe3f176793a1f8f0832a017cab0790144ccedd6be427",
+        "72e9bbf1279c376fd24e320b6691a9dd7d76ff9781770de056de734546ad83da",
     "gof_lsm.csv":
-        "57d3105441ffd8744cfd90dce25a04e73f164e334ee9ed34a7851aa848383d6e",
+        "fc0abfef8203710a9d589462d6c10e61b798b1f47f83c5b9c32e6b988024f51c",
     "gof_ergm.csv":
         "1bd6e8c02e797dc857341000ebde320fc545fac3e84f2947b6b70f2c1fbd70e6",
     "gof_mple.csv":
@@ -157,7 +157,7 @@ def _outputs(work: str) -> dict[str, str]:
           "--partition", p("one_cluster.csv"), "--method", "mple",
           "--out", p("fit_mple_markov.json")])
     _run(fit_args + ["--stage1", "score", "--method", "mple", "--out", p("fit_score.json")])
-    # the LSM partition leaves one cluster a singleton and another empty
+    # the LSM partition leaves cluster 0 four nodes and no finite MPLE
     _run(fit_args + ["--stage1", "lsm", "--lsm-burnin", "40", "--lsm-samples", "20",
                      "--lsm-thin", "1", "--method", "mple", "--out", p("fit_lsm.json")])
     _run(["gof", "--graph", p("sim_graph.edges"), "--fit", p("fit_mple.json"),

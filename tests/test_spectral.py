@@ -18,10 +18,11 @@ from hergmkit.spectral import (
     KRYLOV_COLUMNS,
     KRYLOV_RTOL,
     _leading_eigenpairs,
+    _sq_distances,
     kmeans,
     score_cluster,
 )
-from hergmkit.twostage import misclustering_rate
+from hergmkit.twostage import misclustering_rate, stage1_seed
 
 
 def two_cliques(size):
@@ -182,6 +183,13 @@ class TestKmeans:
         b = kmeans(pts, 4, seed=9)
         np.testing.assert_array_equal(a, b)
 
+    def test_product_distances_match_the_broadcast(self):
+        rng = np.random.default_rng(5)
+        pts, centers = rng.normal(size=(50, 3)), rng.normal(size=(4, 3))
+        want = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        got = _sq_distances(pts, (pts ** 2).sum(axis=1), centers)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
 
 class TestScore:
     def test_two_cliques_exact(self):
@@ -275,6 +283,32 @@ class TestScore:
     def test_k_larger_than_n(self):
         with pytest.raises(ValueError):
             score_cluster(Graph(2), 3)
+
+    @pytest.mark.parametrize("k", [10, 20])
+    def test_planted_blocks_at_large_k(self, k):
+        # 50-node blocks, about 5 between-block ties a node.  Uniformly drawn
+        # k-means starts merged two blocks and split another, misclustering
+        # 0.107 (K = 10) and 0.198 (K = 20) on average over these seeds;
+        # k-means++ starts read 0 and 0.014
+        n = 50 * k
+        rates = []
+        for seed in range(1, 6):
+            g = bernoulli_blocks((50,) * k, 0.3, 5 / (n - 50), seed)
+            truth = Partition(np.repeat(np.arange(k), 50), k)
+            rates.append(misclustering_rate(score_cluster(g, k, seed=seed), truth))
+        assert float(np.mean(rates)) < 0.05
+
+    def test_four_easy_blocks_at_a_start_that_merged_two(self):
+        # the large_mple benchmark's graph of unit 141 at workload seed 3604,
+        # clustered at that unit's stage-1 seed: uniformly drawn k-means
+        # starts misclustered 35.9 % of its nodes
+        rng = np.random.default_rng([3604, 141])
+        labels = np.repeat(np.arange(4), 200)
+        p = np.where(labels[:, None] == labels[None, :], 0.15, 0.02)
+        a = np.triu(rng.random(p.shape) < p, 1).astype(np.int64)
+        g = Graph.from_adjacency(a + a.T)
+        part = score_cluster(g, 4, seed=stage1_seed(1620356549))
+        assert misclustering_rate(part, Partition(labels, 4)) == 0.0
 
     def test_degree_heterogeneous_blocks(self):
         # ERGM blocks with degree terms produce hubs; SCORE should still
