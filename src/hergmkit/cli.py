@@ -149,8 +149,8 @@ def _with_flags(args, flags: dict[str, str], fn, *pos, **kw):
 
 def _cmd_simulate_hergm(args) -> int:
     cfg = _load_config(args.config)
-    hspec, controls = _parse_hergm_config(cfg)
-    g, truth = simulate_hergm(hspec, args.seed, controls, args.threads)
+    hspec, burnin_sweeps = _parse_hergm_config(cfg)
+    g, truth = simulate_hergm(hspec, args.seed, burnin_sweeps, args.threads)
     write_edge_list(g, args.out)
     write_partition(truth, args.truth)
     if args.stats_out:

@@ -13,16 +13,14 @@ the wrong type or out of range raises ``ValueError`` naming its path, e.g.
 ``'clusters[1].n'``; keys not listed are ignored, and a field marked
 'stage1 "lsm" only' is refused under any other ``stage1``.  A number is a
 JSON int or float, finite and never a boolean; an integer is a JSON int; a
-list is non-empty.  Fields (type, default, allowed range):
+list is non-empty.  Every simulated network is the draw one sweep after
+its ``burnin_sweeps``.  Fields (type, default, allowed range):
 
 block model (``simulate hergm``)
     clusters        list of {n: int >= 1, stats: spec string, theta: list
                     of numbers, one per term}; required
     between_p       number in [0, 1]; required
     burnin_sweeps   int >= 0; default 2000
-    thin_sweeps     int >= 1; default 10; ``simulate hergm`` keeps one draw,
-                    after burnin_sweeps + thin_sweeps sweeps, so this only
-                    lengthens the chain
 
 misrate
     n_per_cluster   list of int >= 1; required
@@ -39,8 +37,7 @@ misrate
                     "lsm" only
     lsm             {burnin: int >= 0 = 1000, samples: int >= 1 = 400,
                     thin: int >= 1 = 2}; stage1 "lsm" only
-    sim             {burnin_sweeps: int >= 0 = 500, thin_sweeps: int >= 1 = 1};
-                    thin_sweeps only lengthens the chain, as above
+    sim             {burnin_sweeps: int >= 0 = 500}
 
 sensitivity
     clusters        list of {n: int >= 1, theta: list of numbers, one per
@@ -183,26 +180,23 @@ def _milli(value: float) -> int:
     return int(value * 1000)
 
 
-def read_hergm_config(cfg: dict) -> tuple[HergmSpec, SamplerControls]:
-    """The block model and chain controls of a ``simulate hergm`` config."""
+def read_hergm_config(cfg: dict) -> tuple[HergmSpec, int]:
+    """The block model and burn-in sweeps of a ``simulate hergm`` config."""
     hspec = HergmSpec(_clusters(cfg), _field(cfg, "between_p", float, lo=0, hi=1))
-    return hspec, SamplerControls(
-        burnin_sweeps=_field(cfg, "burnin_sweeps", int, SamplerControls.burnin_sweeps, lo=0),
-        thin_sweeps=_field(cfg, "thin_sweeps", int, SamplerControls.thin_sweeps, lo=1),
-    )
+    return hspec, _field(cfg, "burnin_sweeps", int, SamplerControls.burnin_sweeps, lo=0)
 
 
 # -- mis-clustering rate vs cluster size and transitivity --------------------
 
 
-def _misrate_one(stage1, dim, sim_controls, lsm_controls, master, task) -> tuple[dict, list]:
+def _misrate_one(stage1, dim, sim_burnin, lsm_controls, master, task) -> tuple[dict, list]:
     """One replication's row, and its LSM chain's acceptance warnings."""
     hspec, n_per_cluster, transitivity, rep = task
     seed = int(
         child_rng(master, "misrate", n_per_cluster, _milli(transitivity), rep)
         .integers(2**31)
     )
-    g, truth = simulate_hergm(hspec, seed, sim_controls)
+    g, truth = simulate_hergm(hspec, seed, sim_burnin)
     est, post = cluster(g, hspec.n_clusters, stage1, seed, dim, lsm_controls)
     rate = misclustering_rate(est, truth)
     return {
@@ -234,10 +228,7 @@ def misrate_experiment(config: dict, threads: int = 1) -> list[dict]:
             raise ValueError(f"config field {key!r} is read only with stage1 'lsm'")
     dim = _field(config, "dim", int, LSM_DIM, lo=1)
     sim, lsm = _field(config, "sim", dict, {}), _field(config, "lsm", dict, {})
-    sim_controls = SamplerControls(
-        burnin_sweeps=_field(sim, "burnin_sweeps", int, 500, lo=0, at="sim."),
-        thin_sweeps=_field(sim, "thin_sweeps", int, 1, lo=1, at="sim."),
-    )
+    sim_burnin = _field(sim, "burnin_sweeps", int, 500, lo=0, at="sim.")
     lsm_controls = LsmControls(
         burnin=_field(lsm, "burnin", int, 1000, lo=0, at="lsm."),
         n_samples=_field(lsm, "samples", int, 400, lo=1, at="lsm."),
@@ -254,7 +245,7 @@ def misrate_experiment(config: dict, threads: int = 1) -> list[dict]:
     ]
     rows = []
     for row, warnings in parallel_map(
-        partial(_misrate_one, stage1, dim, sim_controls, lsm_controls, seed),
+        partial(_misrate_one, stage1, dim, sim_burnin, lsm_controls, seed),
         tasks, threads,
     ):
         rows.append(row)
@@ -286,14 +277,14 @@ def _perturb_partition(truth: Partition, rho: float, rng) -> Partition:
     return Partition(labels, k)
 
 
-def _sensitivity_one(hspec, method, nsim_gof, sim_controls, master, task) -> list[dict]:
+def _sensitivity_one(hspec, method, nsim_gof, sim_burnin, master, task) -> list[dict]:
     rho, rep = task
     seed = int(child_rng(master, "sens", _milli(rho), rep).integers(2**31))
-    g, truth = simulate_hergm(hspec, seed, sim_controls)
+    g, truth = simulate_hergm(hspec, seed, sim_burnin)
     perturbed = _perturb_partition(truth, rho, child_rng(seed, "flip"))
     spec = hspec.clusters[0].spec
     ts = two_stage_fit(g, perturbed, spec, method, seed=seed)
-    report = gof(g, ts, nsim_gof, seed=seed, burnin_sweeps=sim_controls.burnin_sweeps)
+    report = gof(g, ts, nsim_gof, seed=seed, burnin_sweeps=sim_burnin)
     labels = spec.labels()
     out = []
     for k, cfit in enumerate(ts.cluster_fits):
@@ -334,11 +325,9 @@ def sensitivity_experiment(config: dict, threads: int = 1) -> list[dict]:
     method = _field(config, "method", str, "mple", choices=("mple", "mcmle"))
     hspec = HergmSpec(clusters, _field(config, "between_p", float, 0.05, lo=0, hi=1))
     sim = _field(config, "sim", dict, {})
-    sim_controls = SamplerControls(
-        burnin_sweeps=_field(sim, "burnin_sweeps", int, 500, lo=0, at="sim.")
-    )
+    sim_burnin = _field(sim, "burnin_sweeps", int, 500, lo=0, at="sim.")
     _check_seed_keys("rho_grid", grid, _milli)
-    run = partial(_sensitivity_one, hspec, method, nsim_gof, sim_controls, seed)
+    run = partial(_sensitivity_one, hspec, method, nsim_gof, sim_burnin, seed)
     nested = parallel_map(run, [(rho, rep) for rho in grid for rep in range(reps)], threads)
     means = []
     for i, rho in enumerate(grid):

@@ -8,7 +8,8 @@ reader of the draws' statistics, ``fit.mcmle``, computes them.
 ``hergm_draws`` is the one simulator of block models: each block is a Gibbs
 chain (``ClusterSpec``) or independent Bernoulli ties (``BernoulliBlock``),
 and between-block ties are i.i.d. Bernoulli.  ``simulate_hergm`` (one
-network and its partition) and the GOF envelopes both draw through it.
+network, the draw one sweep after its burn-in, and its partition) and the
+GOF envelopes both draw through it.
 ``exact_distribution`` enumerates the full sample space for small n and is
 the ground-truth reference for sampler and estimator tests, apart from the
 change-statistic kernel.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -272,11 +273,12 @@ def hergm_draws(
 def simulate_hergm(
     hspec: HergmSpec,
     seed: int,
-    controls: SamplerControls = SamplerControls(),
+    burnin_sweeps: int = SamplerControls.burnin_sweeps,
     threads: int = 1,
 ) -> tuple[Graph, Partition]:
-    """Draw one network, draw 0 of ``hergm_draws``, and its partition."""
-    g = hergm_draws(hspec, seed, replace(controls, n_samples=1), threads)[0]
+    """Draw one network and its partition: the draw of ``hergm_draws`` one
+    sweep after ``burnin_sweeps``."""
+    g = hergm_draws(hspec, seed, SamplerControls(burnin_sweeps, 1, 1), threads)[0]
     labels = np.repeat(np.arange(hspec.n_clusters), [c.n for c in hspec.clusters])
     return g, Partition(labels, hspec.n_clusters)
 

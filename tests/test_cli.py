@@ -258,7 +258,7 @@ class TestExitCodes:
         assert f"--restarts: restarts must be >= 1, got {restarts}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
-        ("burnin_sweeps", "abc"), ("burnin_sweeps", 2.5), ("thin_sweeps", True),
+        ("burnin_sweeps", "abc"), ("burnin_sweeps", 2.5), ("burnin_sweeps", True),
     ])
     def test_non_integer_chain_length_exits_2(self, tmp_path, capsys, key, value):
         config = _write_config(tmp_path, {
@@ -859,13 +859,14 @@ class TestThreads:
         assert all(c["available"] and c["diagnostics"]["converged"] for c in fits)
 
     def test_every_term_kind_sweeps_in_forked_workers(self, tmp_path, pools):
-        # the two specs hold all six term kinds; 150 burn-in sweeps of two
-        # 20-node blocks are 58,900 dyad visits, above POOL_MIN_VISITS
+        # the two specs hold all six term kinds; 154 burn-in sweeps and one
+        # more of two 20-node blocks are 58,900 dyad visits, above
+        # POOL_MIN_VISITS
         specs = ["edges,kstar(2),triangles,degree(1)", "gwdsp(0.75),gwesp(0.25),edges"]
         config = _write_config(tmp_path, {
             "clusters": [{"n": 20, "stats": specs[0], "theta": [-1.5, 0.02, 0.3, 0.5]},
                          {"n": 20, "stats": specs[1], "theta": [-0.1, 0.4, -1.5]}],
-            "between_p": 0.05, "burnin_sweeps": 150, "thin_sweeps": 5,
+            "between_p": 0.05, "burnin_sweeps": 154,
         })
         outputs = []
         for threads in ("1", "2"):
@@ -1045,6 +1046,35 @@ def test_every_bundled_config_key_is_read(name):
     assert list(cfg.unread()) == []
 
 
+def _simulated_bytes(tmp_path, cfg: dict) -> tuple[bytes, bytes]:
+    graph, truth = tmp_path / "g.edges", tmp_path / "t.csv"
+    assert cli.main(["simulate", "hergm", "--config", _write_config(tmp_path, cfg),
+                     "--seed", "3", "--threads", "1", "--out", str(graph),
+                     "--truth", str(truth)]) == 0
+    return graph.read_bytes(), truth.read_bytes()
+
+
+def test_unread_simulate_keys_are_ignored(tmp_path):
+    # the unread keys of the fig3 benchmark model; a refused key would fail
+    # that benchmark's simulate stage
+    cfg = {"clusters": [{"n": 7, "stats": "edges,gwesp(0.5)", "theta": [-1.0, 0.3]}] * 2,
+           "between_p": 0.1, "burnin_sweeps": 12}
+    leftover = {"thin_sweeps": 10, "K": 2, "stage1": "lsm", "method": "mcmle", "nsim": 100,
+                "seed": 20260809}
+    assert _simulated_bytes(tmp_path, {**cfg, **leftover}) == _simulated_bytes(tmp_path, cfg)
+
+
+def test_bundled_fig3_config_reproduces_the_benchmark_inputs(tmp_path, monkeypatch):
+    # the simulate command of perfbench/data/fig3/commands.txt, on the
+    # installed fig3.json
+    data = Path(__file__).parent.parent / "perfbench" / "data" / "fig3"
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "hergm", "--config", "fig3.json", "--seed", "20260809",
+                     "--threads", "1", "--out", "graph.edges", "--truth", "truth.csv"]) == 0
+    for name in ("graph.edges", "truth.csv"):
+        assert (tmp_path / name).read_bytes() == (data / name).read_bytes(), name
+
+
 # -- no config field can crash the CLI ----------------------------------------
 
 
@@ -1134,8 +1164,8 @@ def test_ill_typed_config_field_exits_2_naming_it(tmp_path, capsys, command, cfg
     (["simulate", "hergm"], {"clusters": [{"n": 6, "stats": "edges", "theta": [-1.0]}],
                              "between_p": 0.1, "burnin_sweeps": -3},
      "'burnin_sweeps' must be >= 0, got -3"),
-    (["experiment", "misrate"], {**MISRATE, "sim": {"thin_sweeps": 0}},
-     "'sim.thin_sweeps' must be >= 1, got 0"),
+    (["experiment", "misrate"], {**MISRATE, "sim": {"burnin_sweeps": -1}},
+     "'sim.burnin_sweeps' must be >= 0, got -1"),
     (["experiment", "misrate"], {**MISRATE, "lsm": {"samples": 0}},
      "'lsm.samples' must be >= 1, got 0"),
     (["experiment", "misrate"], {**MISRATE, "decay": 1000},
@@ -1227,11 +1257,11 @@ class TestOneBlockSimulation:
     def test_simulate_ergm_writes_the_one_block_hergm_graph(self, tmp_path, capsys):
         stats, theta = "edges,kstar(2),gwesp(0.5)", [-1.0, 0.1, 0.4]
         cfg = _write_config(tmp_path, {"clusters": [{"n": 9, "stats": stats, "theta": theta}],
-                                       "between_p": 0.0, "burnin_sweeps": 7, "thin_sweeps": 3})
+                                       "between_p": 0.0, "burnin_sweeps": 9})
         ergm, hergm = tmp_path / "ergm.edges", tmp_path / "hergm.edges"
         assert cli.main(["simulate", "ergm", "--n", "9", "--stats", stats,
                          "--theta=" + ",".join(map(str, theta)), "--samples", "1",
-                         "--burnin", "7", "--thin", "3", "--seed", "4", "--out", str(ergm)]) == 0
+                         "--burnin", "9", "--thin", "1", "--seed", "4", "--out", str(ergm)]) == 0
         assert cli.main(["simulate", "hergm", "--config", cfg, "--seed", "4", "--threads", "1",
                          "--out", str(hergm), "--truth", str(tmp_path / "t.csv")]) == 0
         assert ergm.read_bytes() == hergm.read_bytes()

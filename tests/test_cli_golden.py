@@ -28,8 +28,7 @@ SIM_CONFIG = {
         {"n": 8, "stats": "edges,degree(1),gwesp(0.25)", "theta": [-0.8, 0.3, 0.6]},
     ],
     "between_p": 0.1,
-    "burnin_sweeps": 30,
-    "thin_sweeps": 5,
+    "burnin_sweeps": 34,
 }
 
 MISRATE_CONFIG = {
@@ -88,7 +87,7 @@ GOLDEN = {
     "experiment_score.csv":
         "d61858812327b2926ff425503af41913e7730109fddad459c65de6269938036d",
     "experiment_sensitivity.csv":
-        "f4982540da2f5fcd936b01217b56fa652cc7553ca48ff2b38bc890956092e0c1",
+        "96b60734db2b298097aeb5d7d34748aefe633d987421e04d5de0a6374c04f075",
     "fit_mcmle.json":
         "022c80e48c90803078d330221847e43442c2d16c9ae635085e8b56412ac20cac",
     "fit_lsm.json":

@@ -172,14 +172,14 @@ class TestSubgraphs:
     def test_subgraph_matches_direct_filter(self):
         # oracle: filter the full edge list by membership
         from hergmkit import parse_spec
-        from hergmkit.sampler import ClusterSpec, HergmSpec, SamplerControls, simulate_hergm
+        from hergmkit.sampler import ClusterSpec, HergmSpec, simulate_hergm
 
         spec = parse_spec("edges,gwdsp(0.5),gwesp(0.5)")
         base = -2.9444389791664403
         hspec = HergmSpec(
             tuple(ClusterSpec(20, spec, (base, t, t)) for t in (0.2, 0.5, 1.0)), 0.05
         )
-        g, truth = simulate_hergm(hspec, 5, SamplerControls(burnin_sweeps=300))
+        g, truth = simulate_hergm(hspec, 5, 309)
         sub, node_map = within_subgraph(g, truth, 0), truth.members(0)
         members = set(node_map.tolist())
         expected = {

@@ -250,25 +250,25 @@ class TestHergm:
         )
 
     def test_partition_layout(self):
-        g, truth = simulate_hergm(self.spec3(), 1, SamplerControls(100))
+        g, truth = simulate_hergm(self.spec3(), 1, 109)
         assert truth.sizes().tolist() == [12, 12, 12]
         assert g.n == 36
 
     def test_between_p_zero(self):
         hspec = HergmSpec(self.spec3().clusters, 0.0)
-        g, truth = simulate_hergm(hspec, 2, SamplerControls(100))
+        g, truth = simulate_hergm(hspec, 2, 109)
         y_b, _ = between_edge_counts(g, truth)
         assert y_b == 0
 
     def test_between_p_one(self):
         hspec = HergmSpec(self.spec3().clusters, 1.0)
-        g, truth = simulate_hergm(hspec, 3, SamplerControls(100))
+        g, truth = simulate_hergm(hspec, 3, 109)
         y_b, n_b = between_edge_counts(g, truth)
         assert y_b == n_b
 
     def test_deterministic_under_seed(self):
-        a = simulate_hergm(self.spec3(), 7, SamplerControls(100))
-        b = simulate_hergm(self.spec3(), 7, SamplerControls(100))
+        a = simulate_hergm(self.spec3(), 7, 109)
+        b = simulate_hergm(self.spec3(), 7, 109)
         assert a[0] == b[0] and a[1] == b[1]
 
     def test_no_statistics_of_the_draws(self, monkeypatch):
@@ -278,16 +278,16 @@ class TestHergm:
         stat_rows = stats_module._stat_rows
         monkeypatch.setattr(stats_module, "_stat_rows",
                             lambda a, spec: rows.append(len(a)) or stat_rows(a, spec))
-        g, _ = simulate_hergm(self.spec3(), 7, SamplerControls(20, thin_sweeps=2))
+        g, _ = simulate_hergm(self.spec3(), 7, 21)
         assert g.n == 36 and rows == []
 
     def test_within_blocks_reproducible_in_isolation(self):
         # the per-cluster stream depends only on (seed, cluster), so the
         # same block reappears if other clusters change
         hspec = self.spec3()
-        g1, t1 = simulate_hergm(hspec, 11, SamplerControls(100))
+        g1, t1 = simulate_hergm(hspec, 11, 109)
         altered = HergmSpec(hspec.clusters, 0.9)
-        g2, t2 = simulate_hergm(altered, 11, SamplerControls(100))
+        g2, t2 = simulate_hergm(altered, 11, 109)
         sub1 = within_subgraph(g1, t1, 0)
         sub2 = within_subgraph(g2, t2, 0)
         assert sub1 == sub2
@@ -311,7 +311,7 @@ class TestHergm:
         )
         e0, e1 = [], []
         for rep in range(80):
-            g, truth = simulate_hergm(hspec, 1000 + rep, SamplerControls(80))
+            g, truth = simulate_hergm(hspec, 1000 + rep, 89)
             e0.append(within_subgraph(g, truth, 0).n_edges)
             e1.append(within_subgraph(g, truth, 1).n_edges)
         r = np.corrcoef(e0, e1)[0, 1]
@@ -323,7 +323,7 @@ class TestBernoulliBlock:
         hspec = HergmSpec(
             (ClusterSpec(6, ET, (-0.5, 0.2)), BernoulliBlock(7, 0.3)), 0.1
         )
-        g, truth = simulate_hergm(hspec, 4, SamplerControls(20))
+        g, truth = simulate_hergm(hspec, 4, 29)
         want = bernoulli_graph(7, 0.3, child_rng(4, "within", 1))
         assert within_subgraph(g, truth, 1) == want
 

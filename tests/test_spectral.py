@@ -11,7 +11,6 @@ from hergmkit.sampler import (
     BernoulliBlock,
     ClusterSpec,
     HergmSpec,
-    SamplerControls,
     simulate_hergm,
 )
 from hergmkit.spectral import (
@@ -40,7 +39,7 @@ def planted(blocks, p_in, p_out, seed):
     hspec = HergmSpec(
         tuple(ClusterSpec(b, spec, (theta,)) for b in blocks), p_out
     )
-    return simulate_hergm(hspec, seed, SamplerControls(burnin_sweeps=20))
+    return simulate_hergm(hspec, seed, 29)
 
 
 def bernoulli_blocks(blocks, p_in, p_out, seed):
@@ -323,7 +322,7 @@ class TestScore:
         )
         rates = []
         for rep in range(5):
-            g, truth = simulate_hergm(hspec, 300 + rep, SamplerControls(200))
+            g, truth = simulate_hergm(hspec, 300 + rep, 209)
             part = score_cluster(g, 2, seed=rep)
             rates.append(misclustering_rate(part, truth))
         assert float(np.mean(rates)) < 0.15

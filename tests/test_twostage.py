@@ -69,7 +69,7 @@ def fig1_like(n_per=12, seed=3):
         tuple(ClusterSpec(n_per, SPEC, (BASE, t, t)) for t in (0.2, 0.5, 1.0)),
         0.05,
     )
-    return simulate_hergm(hspec, seed, SamplerControls(burnin_sweeps=300))
+    return simulate_hergm(hspec, seed, 309)
 
 
 class TestMisclusteringRate:
@@ -297,7 +297,7 @@ class TestTwoStageFit:
             ),
             0.3,
         )
-        g, truth = simulate_hergm(hspec, 12, SamplerControls(burnin_sweeps=200))
+        g, truth = simulate_hergm(hspec, 12, 209)
         total = 0.0
         for k, cl in enumerate(hspec.clusters):
             sub = within_subgraph(g, truth, k)
@@ -498,7 +498,7 @@ class TestGof:
             for k in range(3):
                 assert within_subgraph(draw, ts.partition, k) == chains[k][rep]
         # draw 0 is the network simulate_hergm draws from the same model
-        assert draws[0] == simulate_hergm(hspec, 8, sim_controls)[0]
+        assert draws[0] == simulate_hergm(hspec, 8, 31)[0]
         assert chains[0][0] != chains[0][3]
 
     def test_single_ergm_fit_gof(self):
@@ -645,13 +645,13 @@ class TestClusterPool:
         blocks = (ClusterSpec(6, parse_spec("edges"), (-1.0,)), BernoulliBlock(30, 0.2),
                   ClusterSpec(5, parse_spec("edges"), (-1.0,)))
         hergm_draws(HergmSpec(blocks, 0.1), 1, SamplerControls(3, 2, 4))
-        g, truth = simulate_hergm(HergmSpec(blocks, 0.1), 2, SamplerControls(3))
+        g, truth = simulate_hergm(HergmSpec(blocks, 0.1), 2, 12)
         for method in ("mple", "mcmle"):
             two_stage_fit(g, truth, parse_spec("edges"), method=method, mcmle=McmleControls(8, 5))
         # 15 + 10 ERGM dyads; Bernoulli blocks count none; an MPLE dyad counts
         # a fifth of a visit, an MCMLE fit its burn-in, the walk's first sample
         # (a full-size sample of 16 over 8, at least 4) and one full-size sample
-        assert estimates == [25 * (3 + 2 * 4), 25 * (3 + 1 * 10),
+        assert estimates == [25 * (3 + 2 * 4), 25 * (12 + 1),
                              (15 + 435 + 10) * 0.2, (15 + 435 + 10) * (5 + 4 + 2 * 8)]
 
     def test_draws_identical_in_a_pool(self, pools):
